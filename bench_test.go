@@ -300,8 +300,8 @@ func BenchmarkEvaluator(b *testing.B) {
 // iteration, so every pair fingerprints, infers and conflict-checks
 // from scratch) against warm (one cache populated before the timer, so
 // every pair is a fingerprint-keyed lookup plus the per-request
-// admission recheck). cmd/xqbench -plan-bench writes the same
-// comparison, with per-request percentiles, to BENCH_plancache.json.
+// admission recheck). The bench/ module's warm-matrix workload measures
+// the same warm path end to end, over HTTP.
 func BenchmarkPreparedVsCold(b *testing.B) {
 	d := xmark.Schema()
 	a := core.NewAnalyzer(d)

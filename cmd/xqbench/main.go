@@ -7,8 +7,6 @@
 //	xqbench -fig all           everything
 //	xqbench -compiled-bench    dense compiled-schema engine vs the map
 //	                           reference; writes BENCH_compiledschema.json
-//	xqbench -plan-bench        warm prepared-plan serving vs cold
-//	                           analysis; writes BENCH_plancache.json
 //	xqbench -audit-bench       request-path overhead of the runtime
 //	                           verdict audit; writes BENCH_sentinel.json
 //
@@ -44,11 +42,6 @@ func main() {
 		benchPair     = flag.String("bench-pair", "A3:UB2", "view:update pair for -compiled-bench")
 		benchOut      = flag.String("bench-out", "BENCH_compiledschema.json", "output file for -compiled-bench ('' = stdout table only)")
 
-		planBench = flag.Bool("plan-bench", false, "benchmark warm prepared-plan serving against cold analysis over the full XMark matrix and exit")
-		planCold  = flag.Int("plan-cold-passes", 3, "cold matrix passes (fresh plan cache each) for -plan-bench")
-		planWarm  = flag.Int("plan-warm-passes", 19, "timed warm matrix passes (one shared cache) for -plan-bench")
-		planOut   = flag.String("plan-out", "BENCH_plancache.json", "output file for -plan-bench ('' = stdout table only)")
-
 		auditBench = flag.Bool("audit-bench", false, "benchmark request-path overhead of the runtime verdict audit and exit")
 		auditPair  = flag.String("audit-pair", "q1:UB2", "view:update pair for -audit-bench (an independent pair, so audits actually fire)")
 		auditRate  = flag.Float64("audit-rate", 0.01, "sample rate for -audit-bench")
@@ -61,10 +54,6 @@ func main() {
 
 	if *compiledBench {
 		runCompiledBench(*benchPair, *benchOut)
-		return
-	}
-	if *planBench {
-		runPlanBench(*planCold, *planWarm, *planOut)
 		return
 	}
 	if *auditBench {
@@ -103,31 +92,6 @@ func main() {
 	if run3d {
 		fmt.Println(experiments.RenderFigure3d(experiments.Figure3d(parseInts(*dNs), parseInts(*dMs))))
 	}
-}
-
-// runPlanBench measures warm prepared-plan serving against cold
-// analysis over the XMark matrix and writes the comparison as JSON —
-// the committed BENCH_plancache.json is regenerated this way.
-func runPlanBench(coldPasses, warmPasses int, out string) {
-	pb, err := experiments.MeasurePlanBench(coldPasses, warmPasses)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	fmt.Print(experiments.RenderPlanBench(pb))
-	if out == "" {
-		return
-	}
-	data, err := json.MarshalIndent(pb, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", out)
 }
 
 // runCompiledBench measures the dense engine against the map-based

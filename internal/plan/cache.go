@@ -12,11 +12,12 @@ import (
 // purge→rebuild behavior is reproducible under chaos schedules, cold
 // builds outside the lock so a slow inference never blocks hits on
 // other plans, and verify-on-hit so a resident that fails its content
-// checksum is dropped and rebuilt instead of served.
+// checksum is dropped and rebuilt instead of served. A hit allocates
+// nothing and holds the lock only for a constant-size check.
 type Cache struct {
 	mu  sync.Mutex
 	max int
-	m   map[string]*list.Element
+	m   map[planKey]*list.Element
 	// lru orders residents most-recently-hit first; Back() is the
 	// eviction victim. Element values are *planEntry.
 	lru            list.List
@@ -27,10 +28,11 @@ type Cache struct {
 	verifyFailures int64
 }
 
+type planKey struct{ schemaFP, pairFP string }
+
 type planEntry struct {
-	key      string
-	schemaFP string
-	ce       *CompiledExpr
+	key planKey
+	ce  *CompiledExpr
 }
 
 // NewCache returns a cache holding at most max plans (minimum 1).
@@ -38,12 +40,10 @@ func NewCache(max int) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	pc := &Cache{max: max, m: make(map[string]*list.Element)}
+	pc := &Cache{max: max, m: make(map[planKey]*list.Element)}
 	pc.lru.Init()
 	return pc
 }
-
-func cacheKey(schemaFP, pairFP string) string { return schemaFP + "/" + pairFP }
 
 // Get returns the resident plan for the key, building and caching one
 // on first sight. The build closure runs outside the lock and may
@@ -59,7 +59,7 @@ func (pc *Cache) Get(schemaFP, pairFP string, build func() *CompiledExpr) (*Comp
 	if pc == nil {
 		return build(), false
 	}
-	key := cacheKey(schemaFP, pairFP)
+	key := planKey{schemaFP, pairFP}
 	pc.mu.Lock()
 	if el := pc.m[key]; el != nil {
 		ent := el.Value.(*planEntry)
@@ -95,7 +95,7 @@ func (pc *Cache) Get(schemaFP, pairFP string, build func() *CompiledExpr) (*Comp
 		delete(pc.m, victim.Value.(*planEntry).key)
 		pc.evictions++
 	}
-	pc.m[key] = pc.lru.PushFront(&planEntry{key: key, schemaFP: schemaFP, ce: ce})
+	pc.m[key] = pc.lru.PushFront(&planEntry{key: key, ce: ce})
 	return ce, false
 }
 
@@ -107,7 +107,7 @@ func (pc *Cache) Purge(schemaFP, pairFP string) bool {
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el := pc.m[cacheKey(schemaFP, pairFP)]
+	el := pc.m[planKey{schemaFP, pairFP}]
 	if el == nil {
 		return false
 	}
@@ -133,7 +133,7 @@ func (pc *Cache) PurgeSchema(schemaFP string) int {
 	for el := pc.lru.Front(); el != nil; {
 		next := el.Next()
 		ent := el.Value.(*planEntry)
-		if ent.schemaFP == schemaFP {
+		if ent.key.schemaFP == schemaFP {
 			pc.lru.Remove(el)
 			delete(pc.m, ent.key)
 			pc.purges++
@@ -185,7 +185,7 @@ func (pc *Cache) Stats() CacheStats {
 	}
 	perSchema := make(map[string]int)
 	for el := pc.lru.Front(); el != nil; el = el.Next() {
-		perSchema[el.Value.(*planEntry).schemaFP]++
+		perSchema[el.Value.(*planEntry).key.schemaFP]++
 	}
 	for fp, n := range perSchema {
 		st.Schemas = append(st.Schemas, SchemaPlanStat{Fingerprint: fp, Plans: n})

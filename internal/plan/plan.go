@@ -1,11 +1,12 @@
 // Package plan implements the prepared-analysis pipeline: the staged
 // decomposition of one chain-method analysis into reusable, immutable
-// artifacts. A CompiledExpr captures everything the CDAG rung of core
-// derives for a (schema, query-update pair) — the normalized ASTs,
-// the Table 3 k-factors, and the fully evaluated chain verdict — keyed
+// artifacts. A CompiledExpr captures what the CDAG rung of core serves
+// for a (schema, query-update pair) — the content fingerprints, the
+// Table 3 k-factors, and the decision with its conflict reasons — keyed
 // by (schema fingerprint, expression-pair fingerprint) so repeated
 // requests over the same logical pair (whitespace variants, renamed
-// binders, sugared axes) resolve to one cached plan.
+// binders, sugared axes) resolve to one cached plan. The chain DAGs the
+// decision was derived from are discarded when the build returns.
 //
 // The stages mirror the analysis pipeline of the paper: fingerprint
 // (parse/normalize, Section 2 sugar), k-factors (Table 3, Section 5),
@@ -19,10 +20,8 @@
 package plan
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"xqindep/internal/cdag"
 	"xqindep/internal/dtd"
@@ -32,25 +31,25 @@ import (
 )
 
 // CompiledExpr is the immutable prepared-analysis artifact for one
-// (schema, query-update pair): the normalized ASTs, the syntactic
-// multiplicity factors of Table 3, and the CDAG verdict inferred under
-// the compiled schema. Construct it only through Prepare (or the
-// cache's builder); after construction nothing may write to it — the
-// checksum seals the content and Verify re-derives it on every cache
-// hit, so any post-construction mutation is caught before the plan is
-// served again.
+// (schema, query-update pair): the four content fingerprints, the
+// multiplicity factors of Table 3 and the decision the CDAG engine
+// reached under the compiled schema, with the conflict reasons and the
+// k it was reached at. The chain DAGs of the derivation are not kept:
+// serving reads only the decision, so that is all a resident holds.
+// Construct it only through Prepare (or the cache's builder); after
+// construction nothing may write to it. The checksum seals every stored
+// field and Verify re-derives it on every cache hit, so any
+// post-construction mutation is caught before the plan is served again.
 type CompiledExpr struct {
 	schemaFP string
 	queryFP  string
 	updateFP string
 	pairFP   string
-	// query and update are the normalized ASTs the verdict was
-	// inferred from (not the caller's originals).
-	query    xquery.Query
-	update   xquery.Update
 	kq       int
 	ku       int
 	k        int
+	// verdict is decision-only: Independent, Reasons and K, no chain
+	// sets.
 	verdict  cdag.Verdict
 	checksum uint64
 }
@@ -70,12 +69,6 @@ func (ce *CompiledExpr) UpdateFingerprint() string { return ce.updateFP }
 // PairFingerprint returns the joint fingerprint the cache keys on.
 func (ce *CompiledExpr) PairFingerprint() string { return ce.pairFP }
 
-// Query returns the normalized query the plan was inferred from.
-func (ce *CompiledExpr) Query() xquery.Query { return ce.query }
-
-// Update returns the normalized update the plan was inferred from.
-func (ce *CompiledExpr) Update() xquery.Update { return ce.update }
-
 // KQuery returns k_q of Table 3.
 func (ce *CompiledExpr) KQuery() int { return ce.kq }
 
@@ -86,50 +79,73 @@ func (ce *CompiledExpr) KUpdate() int { return ce.ku }
 // universe was bounded by.
 func (ce *CompiledExpr) K() int { return ce.k }
 
-// Verdict returns the inferred CDAG verdict. The embedded chain sets
-// are part of the sealed artifact: read them, never mutate them.
+// Verdict returns the sealed decision: Independent, Reasons and K. Its
+// chain sets are nil. The Reasons slice is part of the sealed artifact:
+// read it, never write through it.
 func (ce *CompiledExpr) Verdict() cdag.Verdict { return ce.verdict }
 
 // Checksum returns the content checksum sealed at construction.
 func (ce *CompiledExpr) Checksum() uint64 { return ce.checksum }
 
+// FNV-64a parameters; the seal hashes inline so Verify allocates
+// nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvInt(h uint64, v int) uint64 {
+	u := uint64(v)
+	for i := 0; i < 8; i++ {
+		h = (h ^ (u & 0xff)) * fnvPrime64
+		u >>= 8
+	}
+	return h
+}
+
+func fnvString(h uint64, s string) uint64 {
+	h = fnvInt(h, len(s))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// computeChecksum hashes exactly the stored fields: fingerprints,
+// k-factors, decision, K and each reason string.
 func (ce *CompiledExpr) computeChecksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	h := uint64(fnvOffset64)
+	h = fnvString(h, ce.schemaFP)
+	h = fnvString(h, ce.queryFP)
+	h = fnvString(h, ce.updateFP)
+	h = fnvString(h, ce.pairFP)
+	h = fnvInt(h, ce.kq)
+	h = fnvInt(h, ce.ku)
+	h = fnvInt(h, ce.k)
+	decision := 0
+	if ce.verdict.Independent {
+		decision = 1
 	}
-	wStr := func(s string) {
-		wInt(len(s))
-		h.Write([]byte(s))
+	h = fnvInt(h, decision)
+	h = fnvInt(h, ce.verdict.K)
+	h = fnvInt(h, len(ce.verdict.Reasons))
+	for _, r := range ce.verdict.Reasons {
+		h = fnvString(h, r)
 	}
-	wStr(ce.schemaFP)
-	wStr(ce.queryFP)
-	wStr(ce.updateFP)
-	wStr(ce.pairFP)
-	wInt(ce.kq)
-	wInt(ce.ku)
-	wInt(ce.k)
-	binary.LittleEndian.PutUint64(buf[:], ce.verdict.Digest())
-	h.Write(buf[:])
-	return h.Sum64()
+	return h
 }
 
 // Verify checks the plan's structural invariants and re-derives its
-// content checksum, walking every chain-DAG row of the embedded
-// verdict. The cache runs it on every hit: a mismatch means something
-// wrote to the artifact after construction, and the resident is
-// dropped and rebuilt rather than served.
+// content checksum, in time linear in the stored fields and without
+// allocating. The cache runs it on every hit: a mismatch means
+// something wrote to the artifact after construction, and the resident
+// is dropped and rebuilt rather than served.
 func (ce *CompiledExpr) Verify() error {
 	if ce == nil {
 		return errors.New("plan: nil CompiledExpr")
 	}
 	if ce.schemaFP == "" || ce.queryFP == "" || ce.updateFP == "" || ce.pairFP == "" {
 		return errors.New("plan: missing fingerprint")
-	}
-	if ce.query == nil || ce.update == nil {
-		return errors.New("plan: missing normalized expression")
 	}
 	want := ce.kq + ce.ku
 	if want < 1 {
@@ -147,16 +163,15 @@ func (ce *CompiledExpr) Verify() error {
 	return nil
 }
 
-// CorruptClone returns a deep-enough copy of the plan whose verdict is
-// corrupted per cdag.Verdict.CorruptedCopy — decision flipped, one
-// cloned chain row damaged — with the checksum left stale so Verify
-// fails on the clone. The original (a cache resident shared across
-// requests) is untouched: chaos injection must corrupt a private copy,
-// never the artifact other requests will be served. Test and chaos
-// support only.
-func (ce *CompiledExpr) CorruptClone(seed int64) *CompiledExpr {
+// CorruptClone returns a copy of the plan with its decision flipped
+// and the checksum left stale, so Verify fails on the clone. The
+// original (a cache resident shared across requests) is untouched:
+// chaos injection must corrupt a private copy, never the artifact
+// other requests will be served. Test and chaos support only.
+func (ce *CompiledExpr) CorruptClone() *CompiledExpr {
 	cc := *ce
-	cc.verdict = ce.verdict.CorruptedCopy(seed)
+	//xqvet:ignore verdictflow deliberate chaos corruption of a private copy; the sentinel audit layer catches the unsound verdicts it causes
+	cc.verdict.Independent = !ce.verdict.Independent
 	return &cc
 }
 
@@ -168,7 +183,7 @@ func (ce *CompiledExpr) CorruptClone(seed int64) *CompiledExpr {
 //	core.plan/lookup       consult cache (verify-on-hit); on miss the
 //	                       builder runs the two cold stages:
 //	core.plan/kfactors       k_q, k_u, k per Table 3, admission check
-//	core.plan/infer          CDAG chain inference, verdict sealed
+//	core.plan/infer          CDAG chain inference, decision sealed
 //	core.plan/artifact     hand the plan to the caller (chaos
 //	                       corrupt-artifact injection point)
 //
@@ -210,7 +225,7 @@ func Prepare(cache *Cache, c *dtd.Compiled, q xquery.Query, u xquery.Update, b *
 		// clone. The cache resident stays intact — corruption must not
 		// leak across requests — and the clone fails Verify, which is
 		// exactly what the containment layers are tested against.
-		ce = ce.CorruptClone(int64(ce.checksum) | 1)
+		ce = ce.CorruptClone()
 	}
 	return ce, warm, nil
 }
@@ -232,22 +247,18 @@ func build(c *dtd.Compiled, nq xquery.Query, nu xquery.Update, schemaFP, qfp, uf
 	b.Point("cdag.build")
 	e := cdag.EngineForCompiled(c, nq, nu).WithBudget(b)
 	v := e.CheckIndependence(nq, nu)
-	// Detach the request budget before the plan outlives the request:
-	// a cached artifact must not retain a reference to a finished
-	// request's context or counters.
-	e.WithBudget(nil)
 
+	// Keep the decision, drop the derivation: the chain sets (and the
+	// engine and request budget they reference) die with the build.
 	ce := &CompiledExpr{
 		schemaFP: schemaFP,
 		queryFP:  qfp,
 		updateFP: ufp,
 		pairFP:   pairFP,
-		query:    nq,
-		update:   nu,
 		kq:       kq,
 		ku:       ku,
 		k:        k,
-		verdict:  v,
+		verdict:  cdag.Verdict{Independent: v.Independent, Reasons: v.Reasons, K: v.K},
 	}
 	ce.checksum = ce.computeChecksum()
 	return ce

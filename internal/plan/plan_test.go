@@ -114,7 +114,7 @@ func TestCorruptCloneFailsVerifyResidentIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := ce.CorruptClone(3)
+	cc := ce.CorruptClone()
 	if err := cc.Verify(); err == nil {
 		t.Fatal("corrupted clone passes Verify")
 	}
@@ -257,5 +257,53 @@ func TestNilCacheBuildsCold(t *testing.T) {
 	}
 	if warm || ce2 == ce {
 		t.Fatal("nil cache cached anyway")
+	}
+}
+
+func TestVerifyAndWarmHitAllocateNothing(t *testing.T) {
+	c := compiled(t)
+	cache := plan.NewCache(16)
+	ce, _, err := prepare(cache, c, "//title", "delete //title", guard.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ce.Verify() }); n != 0 {
+		t.Fatalf("Verify allocates %v times per call, want 0", n)
+	}
+	schemaFP, pairFP := ce.SchemaFingerprint(), ce.PairFingerprint()
+	cold := func() *plan.CompiledExpr {
+		t.Fatal("warm Get ran the cold build")
+		return nil
+	}
+	if n := testing.AllocsPerRun(100, func() { cache.Get(schemaFP, pairFP, cold) }); n != 0 {
+		t.Fatalf("warm Get allocates %v times per hit, want 0", n)
+	}
+}
+
+func TestResidentsCarryNoChainSets(t *testing.T) {
+	c := compiled(t)
+	cache := plan.NewCache(16)
+	pairs := [][2]string{
+		{"//title", "delete //price"},
+		{"//title", "delete //title"},
+		{"//author", "for $x in //book return insert <author>x</author> into $x"},
+	}
+	for _, p := range pairs {
+		if _, _, err := prepare(cache, c, p[0], p[1], guard.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := cache.Residents()
+	if len(res) != len(pairs) {
+		t.Fatalf("%d residents, want %d", len(res), len(pairs))
+	}
+	for _, ce := range res {
+		v := ce.Verdict()
+		if v.Query.Ret != nil || v.Query.Used != nil || v.Query.Elem != nil || v.Update != nil {
+			t.Fatalf("resident %s keeps chain sets", ce.PairFingerprint())
+		}
+		if v.K != ce.K() || v.Independent != (len(v.Reasons) == 0) {
+			t.Fatalf("resident %s decision inconsistent: %+v", ce.PairFingerprint(), v)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"xqindep/internal/core"
@@ -427,12 +428,14 @@ func Serve(ctx context.Context, addr string, p *Pool, drainTimeout time.Duration
 }
 
 // reportFromResult converts an engine result to the public report.
+// Witnesses is copied: a warm result shares its reasons with the
+// resident plan, and a caller writing to the report must not reach it.
 func reportFromResult(r core.Result) Report {
 	return Report{
 		Independent:   r.Independent,
 		Method:        r.Method,
 		K:             r.K,
-		Witnesses:     r.Witnesses,
+		Witnesses:     slices.Clone(r.Witnesses),
 		Elapsed:       r.Elapsed,
 		Degraded:      r.Degraded,
 		FallbackChain: r.FallbackChain,

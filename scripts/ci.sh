@@ -61,17 +61,20 @@ go test -race ./...
 
 echo "== bench smoke (compiled-schema + prepared-plan comparisons, 1 iteration)"
 # One iteration only — this proves the engine/phase and cold/warm
-# benchmarks still compile and run; BENCH_compiledschema.json and
-# BENCH_plancache.json are regenerated by `go run ./cmd/xqbench
-# -compiled-bench` / `-plan-bench`, not here.
+# benchmarks still compile and run; BENCH_compiledschema.json is
+# regenerated by `go run ./cmd/xqbench -compiled-bench`, not here.
 go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold' -benchtime 1x .
 
-echo "== plan-cache smoke (1 cold / 2 warm matrix passes)"
-# A tiny -plan-bench run proves the measurement end to end, including
-# its built-in cold/warm verdict equality check over the full 36×31
-# matrix (the committed BENCH_plancache.json uses the full pass
-# counts; two warm passes are too few to gate percentiles on).
-go run ./cmd/xqbench -plan-bench -plan-cold-passes 1 -plan-warm-passes 2 -plan-out ''
+echo "== bench module (go vet + go test inside bench/)"
+# bench/ is a module of its own, so `go test ./...` above never reaches
+# it; an internal API change that breaks its layer entry points would
+# otherwise pass. The module proxy is off, as bench/run.sh sets it.
+(
+  cd bench
+  export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=
+  go vet ./...
+  go test ./...
+)
 
 echo "== chaos smoke (fixed seed, ${CHAOS_RUNS:-60} runs)"
 # A second, differently-seeded pass over the serving layer's chaos
