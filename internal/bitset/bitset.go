@@ -5,14 +5,21 @@
 // operation — union, intersection, prefix-conflict probing — becomes
 // a short word-wise loop instead of a nested map walk.
 //
-// Sets grow automatically on Add/Or and tolerate operands of
-// different lengths (missing words read as zero), so callers never
-// pre-size them.
+// A Set is either standalone or a fixed-width view. A standalone set
+// grows on Add/Or, and every operation tolerates operands of different
+// lengths (missing words read as zero). A view is a cap-limited slice
+// of a larger pointer-free slab, one row of w = ⌈n/64⌉ words over a
+// fixed universe of n symbols; the CDAG engine keeps all its rows this
+// way. Add/Or never grow a view whose operands fit the universe, and
+// the slab helpers OrCount, AndOf and Clear never grow at all: they
+// write in place and report bit counts, so a sweep over a slab
+// allocates nothing.
 package bitset
 
 import "math/bits"
 
-// Set is a growable bit set over a small integer universe.
+// Set is a bit set over a small integer universe: a growable
+// standalone set, or a fixed-width view into a slab.
 type Set []uint64
 
 // New returns a set pre-sized to hold bits [0, n).
@@ -79,30 +86,6 @@ func (s *Set) Or(t Set) int {
 	return n
 }
 
-// AndWith intersects s with t in place.
-func (s Set) AndWith(t Set) {
-	for w := range s {
-		if w < len(t) {
-			s[w] &= t[w]
-		} else {
-			s[w] = 0
-		}
-	}
-}
-
-// And returns the intersection of s and t as a fresh set.
-func (s Set) And(t Set) Set {
-	n := len(s)
-	if len(t) < n {
-		n = len(t)
-	}
-	out := make(Set, n)
-	for w := 0; w < n; w++ {
-		out[w] = s[w] & t[w]
-	}
-	return out
-}
-
 // OrAnd unions a∧b into s without materialising the intersection —
 // the conflict engine's inner loop, which would otherwise allocate a
 // temporary per symbol per depth.
@@ -122,6 +105,37 @@ func (s *Set) OrAnd(a, b Set) {
 		d[w] |= a[w] & b[w]
 	}
 }
+
+// OrCount unions t into s in place and returns the number of bits set
+// in t — the CDAG budget's charge for merging t as one row. It never
+// grows s, which must be at least as long as t.
+func (s Set) OrCount(t Set) int {
+	n := 0
+	for w, tw := range t {
+		s[w] |= tw
+		n += bits.OnesCount64(tw)
+	}
+	return n
+}
+
+// AndOf overwrites s with a∧b and returns the number of bits set in
+// the result; words missing from either operand read as zero. It never
+// grows s, and s may alias a or b.
+func (s Set) AndOf(a, b Set) int {
+	n := 0
+	for w := range s {
+		var x uint64
+		if w < len(a) && w < len(b) {
+			x = a[w] & b[w]
+		}
+		s[w] = x
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// Clear zeroes every word of s in place.
+func (s Set) Clear() { clear(s) }
 
 // IntersectsAll reports whether some bit is set in all three operands
 // (a ∧ b ∧ c ≠ ∅), without materialising any intersection.

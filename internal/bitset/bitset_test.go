@@ -71,8 +71,12 @@ func TestAndIntersects(t *testing.T) {
 	for _, i := range []int{5, 128, 300} {
 		b.Add(i)
 	}
-	if got := collect(a.And(b)); !reflect.DeepEqual(got, []int{5, 128}) {
-		t.Errorf("And = %v", got)
+	x := make(Set, len(a))
+	if n := x.AndOf(a, b); n != 2 {
+		t.Errorf("AndOf count = %d, want 2", n)
+	}
+	if got := collect(x); !reflect.DeepEqual(got, []int{5, 128}) {
+		t.Errorf("AndOf = %v", got)
 	}
 	if !a.Intersects(b) || !b.Intersects(a) {
 		t.Error("Intersects false negative")
@@ -82,19 +86,46 @@ func TestAndIntersects(t *testing.T) {
 	if a.Intersects(c) {
 		t.Error("Intersects false positive")
 	}
-	a.AndWith(b)
+	a.AndOf(a, b) // in place: s may alias an operand
 	if got := collect(a); !reflect.DeepEqual(got, []int{5, 128}) {
-		t.Errorf("AndWith = %v", got)
+		t.Errorf("AndOf in place = %v", got)
 	}
-	// AndWith against a shorter operand zeroes the tail.
+	// AndOf against a shorter operand zeroes the tail.
 	var d Set
 	d.Add(1)
 	d.Add(400)
 	var e Set
 	e.Add(1)
-	d.AndWith(e)
+	d.AndOf(d, e)
 	if got := collect(d); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("AndWith tail = %v", got)
+		t.Errorf("AndOf tail = %v", got)
+	}
+}
+
+// TestFixedWidthHelpers: OrCount and Clear write a view in place, never
+// grow it, and OrCount reports the operand's popcount (the CDAG budget
+// charge), not the newly set bits.
+func TestFixedWidthHelpers(t *testing.T) {
+	slab := make([]uint64, 6)
+	row := Set(slab[2:4:4])
+	var src Set
+	src.Add(3)
+	src.Add(70)
+	if n := row.OrCount(src); n != 2 {
+		t.Errorf("OrCount = %d, want 2", n)
+	}
+	if n := row.OrCount(src); n != 2 {
+		t.Errorf("repeat OrCount = %d, want the operand's 2 bits again", n)
+	}
+	if got := collect(Set(slab)); !reflect.DeepEqual(got, []int{128 + 3, 128 + 70}) {
+		t.Errorf("slab after OrCount into its row = %v", got)
+	}
+	row.Clear()
+	if Set(slab).Any() {
+		t.Errorf("Clear left bits: %v", collect(Set(slab)))
+	}
+	if len(row) != 2 || cap(row) != 2 {
+		t.Errorf("helpers resized the view: len %d cap %d", len(row), cap(row))
 	}
 }
 

@@ -13,24 +13,22 @@ import (
 
 // commonNodes returns the nodes reachable from shared roots by edges
 // present in both DAGs — the nodes n such that some common path spells
-// a shared chain prefix ending at n. The walk is one descending sweep:
-// common nodes at depth d+1 are the union over common symbols α at
-// depth d of out_a[d][α] ∧ out_b[d][α].
+// a shared chain prefix ending at n. The walk is one descending sweep
+// over one scratch slab: common nodes at depth d+1 are the union over
+// common symbols α at depth d of out_a[d][α] ∧ out_b[d][α].
 func commonNodes(a, b *Set) Marks {
 	if !a.roots.Intersects(b.roots) {
-		return nil
+		return Marks{}
 	}
-	maxd := len(a.out)
-	if len(b.out) < maxd {
-		maxd = len(b.out)
-	}
-	seen := a.eng.newMarks(maxd + 1)
-	seen[0].OrAnd(a.roots, b.roots)
+	maxd := min(a.nadj, b.nadj)
+	seen := a.eng.sweep(maxd + 1)
+	seen.at(0).AndOf(a.roots, b.roots)
 	for d := 0; d < maxd; d++ {
-		cur := seen[d]
+		cur := seen.at(d)
 		if !cur.Any() {
 			break
 		}
+		next := seen.at(d + 1)
 		// Word-wise iteration, no closure: this and endReach are the
 		// only loops on the per-check path.
 		for w, word := range cur {
@@ -38,7 +36,7 @@ func commonNodes(a, b *Set) Marks {
 				f := dtd.SymID(w*64 + mathbits.TrailingZeros64(word))
 				word &= word - 1
 				a.eng.budget.Tick()
-				seen[d+1].OrAnd(a.outAt(d, f), b.outAt(d, f))
+				next.OrAnd(a.outAt(d, f), b.outAt(d, f))
 			}
 		}
 	}
@@ -48,28 +46,18 @@ func commonNodes(a, b *Set) Marks {
 // endReach returns, per depth, the symbols from which some endpoint of
 // s is forward-reachable within s's edges (zero-length paths count):
 // back[d] = ends[d] ∪ {α : out[d][α] ∩ back[d+1] ≠ ∅}. One descending
-// sweep answers every "does an end survive below this node?" probe the
-// conflict checks make, replacing a forward walk per candidate node.
+// sweep over one scratch slab answers every "does an end survive below
+// this node?" probe the conflict checks make, replacing a forward walk
+// per candidate node.
 func (s *Set) endReach() Marks {
-	maxd := len(s.out)
-	if len(s.ends)-1 > maxd {
-		maxd = len(s.ends) - 1
-	}
-	back := s.eng.newMarks(maxd + 1)
+	maxd := max(s.nadj, s.ends.depths-1)
+	back := s.eng.sweep(maxd + 1)
 	for d := maxd; d >= 0; d-- {
 		s.eng.budget.Tick()
-		back[d].Or(s.endsAt(d))
-		if d >= len(s.out) {
-			continue
-		}
-		below := back[d+1]
-		if !below.Any() {
-			continue
-		}
-		for f, bits := range s.out[d] {
-			if bits.Intersects(below) {
-				back[d].Add(f)
-			}
+		b := back.at(d)
+		b.OrCount(s.ends.at(d))
+		if below := back.at(d + 1); d < s.nadj && below.Any() {
+			s.orPreds(b, d+1, below)
 		}
 	}
 	return back
@@ -99,8 +87,8 @@ func prefixConflict(a, b *Set) bool {
 		return false
 	}
 	reach := b.endReach()
-	for d, bits := range a.ends {
-		if bitset.IntersectsAll(bits, common.at(d), reach.at(d)) {
+	for d := 0; d < a.ends.depths; d++ {
+		if bitset.IntersectsAll(a.ends.at(d), common.at(d), reach.at(d)) {
 			return true
 		}
 	}
@@ -116,14 +104,14 @@ func ConflictUpdateUsed(u *UpdateSet, v *Set) bool {
 	common := commonNodes(u.Full, v)
 	if common.any() {
 		reach := v.endReach()
-		for d, bits := range u.Full.ends {
-			if bitset.IntersectsAll(bits, common.at(d), reach.at(d)) {
+		for d := 0; d < u.Full.ends.depths; d++ {
+			if bitset.IntersectsAll(u.Full.ends.at(d), common.at(d), reach.at(d)) {
 				return true
 			}
 		}
 	}
-	for d, bits := range v.ends {
-		if bitset.IntersectsAll(bits, common.at(d), u.ChangeRegion.at(d)) {
+	for d := 0; d < v.ends.depths; d++ {
+		if bitset.IntersectsAll(v.ends.at(d), common.at(d), u.ChangeRegion.at(d)) {
 			return true
 		}
 	}
@@ -141,12 +129,13 @@ type Verdict struct {
 }
 
 // CheckIndependence runs the full CDAG analysis for the pair under
-// this engine's depth bound.
+// this engine's depth bound. The pair must already be normalized
+// (xquery.Normalize, xquery.NormalizeUpdate), which un-nests
+// for-chains so pure navigation prefixes batch; the raw-AST wrappers
+// below and the plan builder do it once per build.
 func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
-	// Un-nest for-chains first so pure navigation prefixes batch
-	// (xquery.Normalize); the semantics is unchanged.
-	qc := e.Query(e.RootEnv(), xquery.Normalize(q))
-	uc := e.Update(e.RootEnv(), xquery.NormalizeUpdate(u))
+	qc := e.Query(e.RootEnv(), q)
+	uc := e.Update(e.RootEnv(), u)
 	e.budget.Point("cdag.conflict")
 	var reasons []string
 	if ConflictRetUpdate(qc.Ret, uc) {
@@ -179,12 +168,13 @@ func (v Verdict) String() string {
 // the pair constructs beyond the schema alphabet.
 func Independence(d *dtd.DTD, q xquery.Query, u xquery.Update) Verdict {
 	e := EngineFor(d, q, u)
-	return e.CheckIndependence(q, u)
+	return e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
 }
 
 // IndependenceCompiled is Independence over a pre-compiled schema.
 func IndependenceCompiled(c *dtd.Compiled, q xquery.Query, u xquery.Update) Verdict {
-	return EngineForCompiled(c, q, u).CheckIndependence(q, u)
+	e := EngineForCompiled(c, q, u)
+	return e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
 }
 
 // IndependenceBudget is Independence under a resource budget: the
@@ -194,7 +184,7 @@ func IndependenceCompiled(c *dtd.Compiled, q xquery.Query, u xquery.Update) Verd
 func IndependenceBudget(d *dtd.DTD, q xquery.Query, u xquery.Update, b *guard.Budget) Verdict {
 	b.Point("cdag.build")
 	e := EngineFor(d, q, u).WithBudget(b)
-	return e.CheckIndependence(q, u)
+	return e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
 }
 
 // IndependenceBudgetCompiled is IndependenceBudget over a pre-compiled
@@ -203,7 +193,7 @@ func IndependenceBudget(d *dtd.DTD, q xquery.Query, u xquery.Update, b *guard.Bu
 func IndependenceBudgetCompiled(c *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) Verdict {
 	b.Point("cdag.build")
 	e := EngineForCompiled(c, q, u).WithBudget(b)
-	return e.CheckIndependence(q, u)
+	return e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
 }
 
 // EngineFor builds the engine with the multiplicity and alphabet

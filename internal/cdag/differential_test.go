@@ -84,11 +84,7 @@ func TestDifferentialDenseVsReference(t *testing.T) {
 						t.Errorf("change region missing %d:%s", n.Depth, n.Sym)
 					}
 				}
-				got := 0
-				for _, bits := range dense.Update.ChangeRegion {
-					got += bits.Count()
-				}
-				if got != marks {
+				if got := dense.Update.ChangeRegion.count(); got != marks {
 					t.Errorf("change region size: dense %d, reference %d", got, marks)
 				}
 			})

@@ -35,8 +35,9 @@ func (s *Set) Dot(name string) string {
 		to   string
 	}
 	var edges []dedge
-	for d, row := range s.out {
-		for from, bits := range row {
+	for d := 0; d < s.nadj; d++ {
+		for from := 0; from < s.eng.n; from++ {
+			bits := s.outAt(d, dtd.SymID(from))
 			if !bits.Any() {
 				continue
 			}
@@ -56,8 +57,8 @@ func (s *Set) Dot(name string) string {
 		}
 	}
 	isEnd := map[dnode]bool{}
-	for d, bits := range s.ends {
-		bits.ForEach(func(i int) {
+	for d := 0; d < s.ends.depths; d++ {
+		s.ends.at(d).ForEach(func(i int) {
 			n := dnode{d, s.eng.symName(dtd.SymID(i))}
 			isEnd[n] = true
 			if !seen[n] {

@@ -247,10 +247,10 @@ func (e *Engine) elementRule(g Env, n xquery.Element) QueryChains {
 	base := Node{0, tag}
 	for _, end := range inner.Ret.Ends() {
 		ext := e.suffixExtensions(end.Sym, e.MaxDepth)
-		elem.graft(base, ext)
+		elem.graft(base, ext, nil)
 	}
 	// e0 part 2: a.c for nested element chains.
-	elem.graft(base, inner.Elem)
+	elem.graft(base, inner.Elem, nil)
 	// e0 part 3: bare a when the content contributes nothing.
 	if inner.Ret.IsEmpty() && inner.Elem.IsEmpty() {
 		elem.addEnd(0, tag)

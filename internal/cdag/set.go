@@ -20,11 +20,12 @@
 // soundness and completeness relative to the infinite analysis.
 //
 // This is the dense, compiled-schema implementation: symbols are
-// interned dtd.SymID values from a dtd.Compiled artifact, adjacency is
-// a bitset row per (depth, symbol), and the set algebra — union,
-// intersection, pruning, prefix-conflict probing — runs as word-wise
-// bitset operations. The retained map-based engine lives in
-// internal/refcdag as the differential-testing reference.
+// interned dtd.SymID values from a dtd.Compiled artifact over a symbol
+// universe fixed when the engine is built, adjacency and endpoints live
+// in pointer-free []uint64 slabs of fixed-width rows, and the set
+// algebra — union, intersection, pruning, prefix-conflict probing —
+// runs as word loops over those slabs. The retained map-based engine
+// lives in internal/refcdag as the differential-testing reference.
 package cdag
 
 import (
@@ -44,79 +45,124 @@ type Node struct {
 	Sym   dtd.SymID
 }
 
-// Marks is a per-depth bitset marking of CDAG nodes — the dense
-// replacement for map[Node]bool (productivity flags, change regions,
-// endpoint overrides). The zero value is an empty marking.
-type Marks []bitset.Set
+// Marks is a per-depth marking of CDAG nodes — the dense replacement
+// for map[Node]bool (endpoints, productivity flags, change regions,
+// sweeps). Depth d's symbols are the w words at d·w of one pointer-free
+// slab, w fixed by the engine. The zero value reads as empty
+// everywhere; markings that are written come from the engine
+// (Engine.marks, Engine.sweep), which fixes the row width.
+type Marks struct {
+	w      int      // words per depth row
+	depths int      // depth rows in use; len(words) == depths·w
+	words  []uint64 // row d at words[d·w : (d+1)·w]
+}
+
+// growSlab extends slab to need zeroed words. When it must reallocate
+// it at least doubles the capacity, so a slab grown one depth block at
+// a time reallocates only logarithmically often.
+func growSlab(slab []uint64, need int) []uint64 {
+	if need <= len(slab) {
+		return slab
+	}
+	if need <= cap(slab) {
+		old := len(slab)
+		slab = slab[:need]
+		bitset.Set(slab[old:]).Clear()
+		return slab
+	}
+	c := 2 * cap(slab)
+	if c < need {
+		c = need
+	}
+	out := make([]uint64, need, c)
+	copy(out, slab)
+	return out
+}
+
+// grow makes rows [0, depths) available.
+func (m *Marks) grow(depths int) {
+	if depths <= m.depths {
+		return
+	}
+	m.words = growSlab(m.words, depths*m.w)
+	m.depths = depths
+}
+
+// at returns the marked symbols at depth d as a read view (nil when
+// the depth is out of range).
+func (m Marks) at(d int) bitset.Set {
+	if d < 0 || d >= m.depths {
+		return nil
+	}
+	return m.words[d*m.w : (d+1)*m.w : (d+1)*m.w]
+}
+
+// row returns depth d as a writable view, growing the marking to it.
+func (m *Marks) row(d int) bitset.Set {
+	m.grow(d + 1)
+	return m.at(d)
+}
 
 // add marks (d, sym).
 func (m *Marks) add(d int, sym dtd.SymID) {
-	for len(*m) <= d {
-		*m = append(*m, nil)
-	}
-	(*m)[d].Add(int(sym))
+	r := m.row(d)
+	r.Add(int(sym))
 }
 
-// or marks every bit of bits at depth d.
+// or marks every bit of bits at depth d; an empty bits leaves the
+// marking untouched (it does not grow).
 func (m *Marks) or(d int, bits bitset.Set) {
-	for len(*m) <= d {
-		*m = append(*m, nil)
+	if bits.Any() {
+		m.row(d).OrCount(bits)
 	}
-	(*m)[d].Or(bits)
 }
 
-// union merges t into m.
+// union merges t into m with one word-wise OR.
 func (m *Marks) union(t Marks) {
-	for d, bits := range t {
-		if bits.Any() {
-			m.or(d, bits)
-		}
+	if t.depths == 0 {
+		return
 	}
-}
-
-// at returns the marked symbols at depth d (nil when none).
-func (m Marks) at(d int) bitset.Set {
-	if d < 0 || d >= len(m) {
-		return nil
-	}
-	return m[d]
+	m.grow(t.depths)
+	bitset.Set(m.words).OrCount(t.words)
 }
 
 // Has reports whether n is marked.
 func (m Marks) Has(n Node) bool { return m.at(n.Depth).Has(int(n.Sym)) }
 
 // any reports whether anything is marked.
-func (m Marks) any() bool {
-	for _, bits := range m {
-		if bits.Any() {
-			return true
-		}
-	}
-	return false
-}
+func (m Marks) any() bool { return bitset.Set(m.words).Any() }
+
+// count returns the number of marked nodes.
+func (m Marks) count() int { return bitset.Set(m.words).Count() }
 
 // clone returns an independent copy.
 func (m Marks) clone() Marks {
-	if m == nil {
-		return nil
-	}
-	out := make(Marks, len(m))
-	for d, bits := range m {
-		out[d] = bits.Clone()
+	out := m
+	if m.words != nil {
+		out.words = append([]uint64(nil), m.words...)
 	}
 	return out
 }
 
 // Set is a chain set in CDAG representation. The zero value is not
-// usable; obtain Sets from an Engine. Successors of node (d, α) are
-// the bits of out[d][α] at depth d+1; there is no predecessor index —
-// backward steps scan one adjacency row, which for dense rows is
-// cheaper than maintaining the inverse maps the map-based engine kept.
+// usable; obtain Sets from an Engine.
+//
+// Storage is fixed-width rows over the engine's universe of n symbols,
+// w = ⌈n/64⌉ words each, in two pointer-free slabs that grow only by
+// whole depth blocks. Adjacency depth block d holds n·w words: the
+// successors at depth d+1 of node (d, α) are the row starting at word
+// d·n·w + α·w. The endpoint slab (a Marks) holds one row per depth.
+// Reading a row is a slice view, so it allocates nothing, and the GC
+// has no pointers to scan. There is no predecessor index — a backward
+// step scans one column of the depth block above, which for dense rows
+// is cheaper than maintaining the inverse maps the map-based engine
+// kept.
 type Set struct {
 	eng   *Engine
-	roots bitset.Set     // symbols at depth 0
-	out   [][]bitset.Set // out[d][α] = successor symbols at depth d+1
-	ends  []bitset.Set   // ends[d] = endpoint symbols at depth d
+	roots bitset.Set // symbols at depth 0, w words
+	adj   []uint64   // nadj depth blocks of n·w words
+	nadj  int        // depth blocks in adj, kept so no probe divides
+	ends  Marks      // endpoint symbols per depth
 }
 
 // Engine holds the schema context shared by all sets of one analysis.
@@ -133,8 +179,13 @@ type Engine struct {
 	budget *guard.Budget
 
 	// base is C.NumSyms(); IDs at or above it are extra symbols
-	// (constructed tags outside Σ) interned per engine.
+	// (constructed tags outside Σ) interned per engine, into the n-base
+	// slots reserved at construction. n and w are fixed for the
+	// engine's life, so no row ever regrows: n is the row stride in
+	// symbols, w = ⌈n/64⌉ the row width in words, blk = n·w the size
+	// of one adjacency depth block.
 	base       int
+	n, w, blk  int
 	extraNames []string
 	extraIdx   map[string]dtd.SymID
 }
@@ -170,41 +221,55 @@ func NewEngine(d *dtd.DTD, k int, extraTags int) *Engine {
 
 // NewEngineCompiled is NewEngine over an already-compiled schema; use
 // it on hot serving paths where the artifact is resolved once per
-// request batch.
+// request batch. It fixes the engine's symbol universe: Σ plus
+// extraTags reserved slots for tags outside it (capped where SymID
+// would overflow). Interning past the reservation aborts; see
+// internSym.
 func NewEngineCompiled(c *dtd.Compiled, k int, extraTags int) *Engine {
 	if k < 1 {
 		k = 1
 	}
+	if extraTags < 0 {
+		extraTags = 0
+	}
 	rec := c.RecursiveCount()
 	nonrec := c.DTD().Size() - rec
+	base := c.NumSyms()
+	n := base + extraTags
+	if lim := int(^dtd.SymID(0)); n > lim {
+		n = lim
+	}
+	w := (n + 63) / 64
 	return &Engine{
 		D:        c.DTD(),
 		C:        c,
 		K:        k,
 		MaxDepth: nonrec + extraTags + k*rec + 2,
-		base:     c.NumSyms(),
+		base:     base,
+		n:        n,
+		w:        w,
+		blk:      n * w,
 	}
 }
 
-// total is the size of the engine's symbol universe, extras included.
+// total is the number of symbols interned so far, extras included.
 func (e *Engine) total() int { return e.base + len(e.extraNames) }
 
-// newMarks returns a Marks with the given number of depth rows, each
-// pre-sized to the engine's symbol universe and all carved out of one
-// backing array: two allocations for the whole sweep, and no row ever
-// grows again. The conflict probes build several of these per check,
-// so incremental row growth would dominate their allocation profile.
-func (e *Engine) newMarks(depths int) Marks {
-	if depths <= 0 {
-		return nil
-	}
-	words := (e.total() + 63) / 64
-	backing := make(bitset.Set, depths*words)
-	m := make(Marks, depths)
-	for d := range m {
-		m[d] = backing[d*words : (d+1)*words : (d+1)*words]
+// marks returns an empty writable marking with capacity reserved for
+// the given number of depth rows, so filling it allocates at most
+// once.
+func (e *Engine) marks(depths int) Marks {
+	m := Marks{w: e.w}
+	if depths > 0 {
+		m.words = make([]uint64, 0, depths*e.w)
 	}
 	return m
+}
+
+// sweep returns a zeroed marking of the given number of depth rows in
+// one allocation: the scratch slab of a level-wise sweep.
+func (e *Engine) sweep(depths int) Marks {
+	return Marks{w: e.w, depths: depths, words: make([]uint64, depths*e.w)}
 }
 
 // symName resolves an interned ID to its type name.
@@ -225,13 +290,16 @@ func (e *Engine) lookupSym(name string) (dtd.SymID, bool) {
 }
 
 // internSym resolves a name, interning it as an extra symbol when it
-// lies outside Σ (a constructed tag or rename target).
+// lies outside Σ (a constructed tag or rename target). The universe is
+// fixed at construction, so a tag beyond the reserved slots aborts
+// through guard with a symbols LimitError — a budget error the core
+// ladder degrades past — rather than widening any row.
 func (e *Engine) internSym(name string) dtd.SymID {
 	if s, ok := e.lookupSym(name); ok {
 		return s
 	}
-	if e.total() >= int(^dtd.SymID(0)) {
-		guard.Abort(&guard.LimitError{Resource: "symbols", Limit: int(^dtd.SymID(0))})
+	if e.total() >= e.n {
+		guard.Abort(&guard.LimitError{Resource: "symbols", Limit: e.n})
 	}
 	s := dtd.SymID(e.total())
 	if e.extraIdx == nil {
@@ -259,12 +327,12 @@ func (e *Engine) childSyms(s dtd.SymID) []dtd.SymID {
 	return nil
 }
 
-// testMask returns the bitset of symbols passing the node test over
-// the engine's current universe. One mask evaluation turns per-node
-// test checks into word-wise intersections.
+// testMask returns the row of symbols passing the node test over the
+// engine's current universe. One mask evaluation turns per-node test
+// checks into word-wise intersections.
 func (e *Engine) testMask(test xquery.NodeTest) bitset.Set {
 	str := int(e.C.StringSym())
-	m := bitset.New(e.total())
+	m := make(bitset.Set, e.w)
 	switch test.Kind {
 	case xquery.NodeAny:
 		for i := 0; i < e.total(); i++ {
@@ -279,7 +347,7 @@ func (e *Engine) testMask(test xquery.NodeTest) bitset.Set {
 		m.Remove(str)
 	case xquery.TagTest:
 		if ls := e.C.LabelSyms(test.Tag); ls != nil {
-			m.Or(ls)
+			m.OrCount(ls)
 		}
 		// µ⁻¹ may include the string type (its label is itself);
 		// node tests never select text nodes by tag.
@@ -294,111 +362,96 @@ func (e *Engine) testMask(test xquery.NodeTest) bitset.Set {
 }
 
 // NewSet returns an empty set.
-func (e *Engine) NewSet() *Set { return &Set{eng: e} }
-
-// outRow returns the adjacency row at depth d, grown to the current
-// symbol universe.
-func (s *Set) outRow(d int) []bitset.Set {
-	for len(s.out) <= d {
-		s.out = append(s.out, nil)
-	}
-	if n := s.eng.total(); len(s.out[d]) < n {
-		row := make([]bitset.Set, n)
-		copy(row, s.out[d])
-		s.out[d] = row
-	}
-	return s.out[d]
+func (e *Engine) NewSet() *Set {
+	return &Set{eng: e, roots: make(bitset.Set, e.w), ends: Marks{w: e.w}}
 }
 
-// outAt returns the successor bitset of (d, from); nil when absent.
+// block returns adjacency depth block d (d < nadj).
+func (s *Set) block(d int) []uint64 {
+	return s.adj[d*s.eng.blk : (d+1)*s.eng.blk]
+}
+
+// growAdj makes adjacency depth blocks [0, depths) available.
+func (s *Set) growAdj(depths int) {
+	if depths <= s.nadj {
+		return
+	}
+	s.adj = growSlab(s.adj, depths*s.eng.blk)
+	s.nadj = depths
+}
+
+// outAt returns the successor row of (d, from) as a read view; nil
+// when the depth holds no block.
 func (s *Set) outAt(d int, from dtd.SymID) bitset.Set {
-	if d < 0 || d >= len(s.out) || int(from) >= len(s.out[d]) {
+	if d < 0 || d >= s.nadj {
 		return nil
 	}
-	return s.out[d][from]
+	w := s.eng.w
+	off := d*s.eng.blk + int(from)*w
+	return s.adj[off : off+w : off+w]
+}
+
+// row returns the successor row of (d, from) as a writable view,
+// growing the adjacency slab to depth d.
+func (s *Set) row(d int, from dtd.SymID) bitset.Set {
+	s.growAdj(d + 1)
+	return s.outAt(d, from)
 }
 
 // addEdge inserts (d, from) → (d+1, to). Every insertion charges the
 // engine budget: edge growth is the engine's unit of work, so a
-// runaway analysis aborts here long before exhausting memory.
+// runaway analysis aborts here long before exhausting memory. Merging
+// a whole row or slab charges the same rate, one unit per source edge
+// (the popcount bitset.OrCount returns), as the map-based engine
+// charges per insertion, so budget-limit behaviour is comparable
+// across the ladder.
 func (s *Set) addEdge(d int, from, to dtd.SymID) {
 	s.eng.budget.AddNodes(1)
-	s.outRow(d)[from].Add(int(to))
-}
-
-// mergeRow unions src into the successors of (d, from), charging the
-// budget one unit per source edge — the same rate addEdge charges the
-// map-based engine per insertion, kept so budget-limit behaviour is
-// comparable across the ladder.
-func (s *Set) mergeRow(d int, from dtd.SymID, src bitset.Set) {
-	s.eng.budget.AddNodes(src.Count())
-	s.outRow(d)[from].Or(src)
-}
-
-// hasEdge reports the presence of (d, from) → (d+1, to).
-func (s *Set) hasEdge(d int, from, to dtd.SymID) bool {
-	return s.outAt(d, from).Has(int(to))
-}
-
-// endsAt returns the endpoint symbols at depth d (nil when none).
-func (s *Set) endsAt(d int) bitset.Set {
-	if d < 0 || d >= len(s.ends) {
-		return nil
-	}
-	return s.ends[d]
+	r := s.row(d, from)
+	r.Add(int(to))
 }
 
 // addEnd marks (d, sym) as an endpoint.
-func (s *Set) addEnd(d int, sym dtd.SymID) {
-	for len(s.ends) <= d {
-		s.ends = append(s.ends, nil)
+func (s *Set) addEnd(d int, sym dtd.SymID) { s.ends.add(d, sym) }
+
+// forPreds calls f for every predecessor symbol of n, in ascending
+// order, scanning n's column of the depth block above it.
+func (s *Set) forPreds(n Node, f func(p dtd.SymID)) {
+	d := n.Depth - 1
+	if d < 0 || d >= s.nadj {
+		return
 	}
-	s.ends[d].Add(int(sym))
-}
-
-// endsOr marks every bit of bits as endpoints at depth d.
-func (s *Set) endsOr(d int, bits bitset.Set) {
-	for len(s.ends) <= d {
-		s.ends = append(s.ends, nil)
-	}
-	s.ends[d].Or(bits)
-}
-
-// isEnd reports whether (d, sym) is an endpoint.
-func (s *Set) isEnd(d int, sym dtd.SymID) bool { return s.endsAt(d).Has(int(sym)) }
-
-// predBits returns the predecessor symbols of n, scanning the
-// adjacency row above it.
-func (s *Set) predBits(n Node) bitset.Set {
-	return s.predsOfBit(n.Depth, n.Sym)
-}
-
-func (s *Set) predsOfBit(d int, sym dtd.SymID) bitset.Set {
-	if d <= 0 || d-1 >= len(s.out) {
-		return nil
-	}
-	var out bitset.Set
-	for from, bits := range s.out[d-1] {
-		if bits.Has(int(sym)) {
-			out.Add(from)
+	w := s.eng.w
+	word, bit := int(n.Sym)/64, uint64(1)<<(uint(n.Sym)%64)
+	blk := s.block(d)
+	for from, off := 0, word; off < len(blk); from, off = from+1, off+w {
+		if blk[off]&bit != 0 {
+			f(dtd.SymID(from))
 		}
 	}
-	return out
 }
 
-// predsOfSet returns the symbols at depth d-1 with an edge into any
-// target symbol at depth d.
-func (s *Set) predsOfSet(d int, targets bitset.Set) bitset.Set {
-	if d <= 0 || d-1 >= len(s.out) || !targets.Any() {
-		return nil
+// orPreds marks in dst every symbol at depth d-1 with an edge into
+// targets at depth d. It scans, per nonzero word of targets, that word's
+// column of the depth block above — one load per row instead of a
+// whole-row intersection, since targets are usually a few symbols. dst
+// is a fixed-width row, so nothing allocates.
+func (s *Set) orPreds(dst bitset.Set, d int, targets bitset.Set) {
+	if d <= 0 || d-1 >= s.nadj {
+		return
 	}
-	var out bitset.Set
-	for from, bits := range s.out[d-1] {
-		if bits.Intersects(targets) {
-			out.Add(from)
+	w := s.eng.w
+	blk := s.block(d - 1)
+	for j, t := range targets {
+		if t == 0 {
+			continue
+		}
+		for from, off := 0, j; off < len(blk); from, off = from+1, off+w {
+			if blk[off]&t != 0 {
+				dst.Add(from)
+			}
 		}
 	}
-	return out
 }
 
 // RootSet returns the set holding the single chain {sd}.
@@ -428,49 +481,47 @@ func (e *Engine) SingletonSet(c chain.Chain) *Set {
 	return s
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy: one copy per slab.
 func (s *Set) Clone() *Set {
-	out := s.eng.NewSet()
-	out.AddAll(s)
+	out := s.cloneGraph(0)
+	out.ends = s.ends.clone()
+	return out
+}
+
+// cloneGraph copies s's roots and adjacency, without endpoints, with
+// room for depthCap adjacency blocks before the slab must regrow. Like
+// AddAll into an empty set it charges one budget unit per copied edge.
+func (s *Set) cloneGraph(depthCap int) *Set {
+	e := s.eng
+	if depthCap < s.nadj {
+		depthCap = s.nadj
+	}
+	out := &Set{eng: e, roots: s.roots.Clone(), nadj: s.nadj, ends: Marks{w: e.w}}
+	out.adj = make([]uint64, len(s.adj), depthCap*e.blk)
+	e.budget.AddNodes(bitset.Set(out.adj).OrCount(s.adj))
 	return out
 }
 
 // IsEmpty reports whether the set holds no chains.
-func (s *Set) IsEmpty() bool {
-	for _, bits := range s.ends {
-		if bits.Any() {
-			return false
-		}
-	}
-	return true
-}
+func (s *Set) IsEmpty() bool { return !s.ends.any() }
 
 // EndCount returns the number of endpoint nodes (not chains — several
 // chains may share an endpoint).
-func (s *Set) EndCount() int {
-	n := 0
-	for _, bits := range s.ends {
-		n += bits.Count()
-	}
-	return n
-}
+func (s *Set) EndCount() int { return s.ends.count() }
 
-// endNodes lists the endpoints in depth order (symbol-ID order within
-// a depth) without the name sort Ends performs.
-func (s *Set) endNodes() []Node {
-	var out []Node
-	for d, bits := range s.ends {
-		bits.ForEach(func(i int) {
-			out = append(out, Node{d, dtd.SymID(i)})
-		})
+// forEachEnd calls f for every endpoint in depth order (symbol-ID
+// order within a depth), without the name sort Ends performs.
+func (s *Set) forEachEnd(f func(n Node)) {
+	for d := 0; d < s.ends.depths; d++ {
+		s.ends.at(d).ForEach(func(i int) { f(Node{d, dtd.SymID(i)}) })
 	}
-	return out
 }
 
 // Ends returns the endpoints in deterministic order: by depth, then by
 // type name.
 func (s *Set) Ends() []Node {
-	out := s.endNodes()
+	out := make([]Node, 0, s.EndCount())
+	s.forEachEnd(func(n Node) { out = append(out, n) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Depth != out[j].Depth {
 			return out[i].Depth < out[j].Depth
@@ -495,8 +546,8 @@ func (s *Set) EndpointParents() []EndpointParent {
 	var out []EndpointParent
 	for _, n := range s.Ends() {
 		ep := EndpointParent{Sym: s.eng.symName(n.Sym), IsRoot: n.Depth == 0}
-		s.predBits(n).ForEach(func(p int) {
-			ep.Parents = append(ep.Parents, s.eng.symName(dtd.SymID(p)))
+		s.forPreds(n, func(p dtd.SymID) {
+			ep.Parents = append(ep.Parents, s.eng.symName(p))
 		})
 		sort.Strings(ep.Parents)
 		out = append(out, ep)
@@ -504,107 +555,93 @@ func (s *Set) EndpointParents() []EndpointParent {
 	return out
 }
 
-// AddAll unions t into s (both must come from the same engine).
+// AddAll unions t into s (both must come from the same engine): one
+// word-wise OR per slab, charging one budget unit per edge of t. Into
+// a set already as deep as t it allocates nothing.
 func (s *Set) AddAll(t *Set) {
 	if t == nil {
 		return
 	}
-	s.roots.Or(t.roots)
-	for d, row := range t.out {
-		for from, bits := range row {
-			if bits.Any() {
-				s.mergeRow(d, dtd.SymID(from), bits)
-			}
-		}
+	s.roots.OrCount(t.roots)
+	if t.nadj > 0 {
+		s.growAdj(t.nadj)
+		s.eng.budget.AddNodes(bitset.Set(s.adj).OrCount(t.adj))
 	}
-	for d, bits := range t.ends {
-		if bits.Any() {
-			s.endsOr(d, bits)
-		}
-	}
+	s.ends.union(t.ends)
 }
 
-// Union returns a fresh union of the operands.
+// Union returns a fresh union of the operands, sized once to the
+// deepest of them.
 func (e *Engine) Union(sets ...*Set) *Set {
 	out := e.NewSet()
+	nadj, nend := 0, 0
+	for _, s := range sets {
+		if s != nil {
+			nadj = max(nadj, s.nadj)
+			nend = max(nend, s.ends.depths)
+		}
+	}
+	out.adj = make([]uint64, 0, nadj*e.blk)
+	out.ends.words = make([]uint64, 0, nend*e.w)
 	for _, s := range sets {
 		out.AddAll(s)
 	}
 	return out
 }
 
-// withEnds returns a copy of s's graph with the given endpoints,
-// pruned to the edges that spell its chains.
-func (s *Set) withEnds(ends Marks) *Set {
-	out := s.Clone()
-	out.ends = []bitset.Set(ends)
-	return out.prune()
-}
-
 // prune returns the sub-DAG of s containing exactly the edges on some
 // root→endpoint path. This plays the role of the paper's edge codes:
 // growth performed while exploring one step must not become spellable
-// context for the next step or for backward navigation. Both closures
-// run level-wise over whole bitset rows rather than node-at-a-time.
-func (s *Set) prune() *Set {
-	depths := len(s.ends)
-	if d := len(s.out) + 1; d > depths {
-		depths = d
-	}
-	if depths == 0 {
-		depths = 1
-	}
+// context for the next step or for backward navigation.
+func (s *Set) prune() *Set { return s.withEnds(s.ends) }
+
+// withEnds returns s's graph with the given endpoints, pruned to the
+// edges that spell its chains. Both closures run level-wise over one
+// scratch slab, and the kept words are written straight into the
+// output, sized once.
+func (s *Set) withEnds(ends Marks) *Set {
+	e := s.eng
+	depths := max(ends.depths, s.nadj+1)
+	scratch := e.sweep(2 * depths)
+	fwd := Marks{w: e.w, depths: depths, words: scratch.words[:depths*e.w]}
+	back := Marks{w: e.w, depths: depths, words: scratch.words[depths*e.w:]}
 	// Forward closure from the roots.
-	fwd := make([]bitset.Set, depths)
-	fwd[0] = s.roots.Clone()
+	fwd.at(0).OrCount(s.roots)
 	for d := 0; d+1 < depths; d++ {
-		s.eng.budget.Tick()
-		var next bitset.Set
-		if d < len(s.out) {
-			for from, bits := range s.out[d] {
-				if fwd[d].Has(from) && bits.Any() {
-					next.Or(bits)
-				}
-			}
+		e.budget.Tick()
+		if d < s.nadj {
+			next := fwd.at(d + 1)
+			fwd.at(d).ForEach(func(from int) {
+				next.OrCount(s.outAt(d, dtd.SymID(from)))
+			})
 		}
-		fwd[d+1] = next
 	}
-	// Backward closure from the forward-reachable endpoints.
-	back := make([]bitset.Set, depths)
+	// Backward closure from the forward-reachable endpoints. Only
+	// forward-reachable symbols are kept, so back[d] ⊆ fwd[d].
 	for d := depths - 1; d >= 0; d-- {
-		s.eng.budget.Tick()
-		var b bitset.Set
-		b.Or(s.endsAt(d).And(fwd[d]))
-		if d+1 < depths && back[d+1].Any() {
-			p := s.predsOfSet(d+1, back[d+1])
-			p.AndWith(fwd[d])
-			b.Or(p)
+		e.budget.Tick()
+		b := back.at(d)
+		b.AndOf(ends.at(d), fwd.at(d))
+		if below := back.at(d + 1); below.Any() {
+			fwd.at(d).ForEach(func(from int) {
+				if s.outAt(d, dtd.SymID(from)).Intersects(below) {
+					b.Add(from)
+				}
+			})
 		}
-		back[d] = b
 	}
-	out := s.eng.NewSet()
-	out.roots = bitset.Set(s.roots.And(back[0]))
-	for d := 0; d < len(s.out) && d+1 < depths; d++ {
-		keep := fwd[d].And(back[d])
-		if !keep.Any() {
-			continue
+	out := e.NewSet()
+	out.roots.AndOf(s.roots, back.at(0))
+	out.keepEdges(s, back)
+	lastEnd := -1
+	for d := 0; d < ends.depths; d++ {
+		if ends.at(d).Intersects(fwd.at(d)) {
+			lastEnd = d
 		}
-		row := s.out[d]
-		keep.ForEach(func(from int) {
-			if int(from) >= len(row) {
-				return
-			}
-			kept := row[from].And(back[d+1])
-			if kept.Any() {
-				out.mergeRow(d, dtd.SymID(from), kept)
-			}
-		})
 	}
-	for d := range s.ends {
-		kept := s.ends[d].And(fwd[d])
-		if kept.Any() {
-			out.endsOr(d, kept)
-		}
+	out.ends.grow(lastEnd + 1)
+	for d := 0; d <= lastEnd; d++ {
+		out.ends.at(d).AndOf(ends.at(d), fwd.at(d))
 	}
 	return out
 }
@@ -613,27 +650,64 @@ func (s *Set) prune() *Set {
 // the edges on root→n paths, with n as the only endpoint. It is the
 // per-binding view of FOR iteration; extracting the cone directly is
 // much cheaper than cloning and pruning the whole DAG when the parent
-// set has many endpoints.
+// set has many endpoints. The sweep runs deepest first, so the output
+// slab is sized by its first write.
 func (s *Set) subWithEnd(n Node) *Set {
-	out := s.eng.NewSet()
+	e := s.eng
+	out := e.NewSet()
 	out.addEnd(n.Depth, n.Sym)
-	cone := make([]bitset.Set, n.Depth+1)
-	cone[n.Depth].Add(int(n.Sym))
+	cone := e.sweep(n.Depth + 1)
+	top := cone.at(n.Depth)
+	top.Add(int(n.Sym))
 	for d := n.Depth; d > 0; d-- {
-		s.eng.budget.Tick()
-		if d-1 >= len(s.out) {
-			continue
-		}
-		for from, bits := range s.out[d-1] {
-			kept := bits.And(cone[d])
-			if kept.Any() {
-				cone[d-1].Add(from)
-				out.mergeRow(d-1, dtd.SymID(from), kept)
-			}
+		e.budget.Tick()
+		cur, up := cone.at(d), cone.at(d-1)
+		s.orPreds(up, d, cur)
+		up.ForEach(func(from int) {
+			f := dtd.SymID(from)
+			e.budget.AddNodes(out.row(d-1, f).AndOf(s.outAt(d-1, f), cur))
+		})
+	}
+	out.roots.AndOf(s.roots, cone.at(0))
+	return out
+}
+
+// endCones returns the union of the backward cones subWithEnd would
+// extract for every endpoint of s: the edges and roots from which some
+// endpoint is reachable, with all of s's endpoints. One backward sweep
+// (endReach) finds them; s need not be pruned.
+func (s *Set) endCones() *Set {
+	e := s.eng
+	back := s.endReach()
+	out := e.NewSet()
+	out.roots.AndOf(s.roots, back.at(0))
+	out.keepEdges(s, back)
+	out.ends = s.ends.clone()
+	return out
+}
+
+// keepEdges copies into the empty adjacency of out the edges of s that
+// run from a node marked in keep to a node marked one depth below,
+// writing the kept words straight into a slab sized once, and charges
+// one budget unit per kept edge.
+func (out *Set) keepEdges(s *Set, keep Marks) {
+	last := -1
+	for d := s.nadj - 1; d >= 0; d-- {
+		if keep.at(d + 1).Any() {
+			last = d
+			break
 		}
 	}
-	out.roots = bitset.Set(s.roots.And(cone[0]))
-	return out
+	out.growAdj(last + 1)
+	for d := 0; d <= last; d++ {
+		below := keep.at(d + 1)
+		keep.at(d).ForEach(func(from int) {
+			f := dtd.SymID(from)
+			if n := out.outAt(d, f).AndOf(s.outAt(d, f), below); n > 0 {
+				s.eng.budget.AddNodes(n)
+			}
+		})
+	}
 }
 
 // Step applies one XPath step (axis + node test) to the set,
@@ -641,37 +715,40 @@ func (s *Set) subWithEnd(n Node) *Set {
 // each input endpoint, whether the step produced anything from it (the
 // (STEPUH) used-chain filter).
 func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
-	if axis == xquery.Descendant || axis == xquery.DescendantOrSelf {
+	switch axis {
+	case xquery.Descendant, xquery.DescendantOrSelf:
 		return s.descendantStep(axis, test)
+	case xquery.Ancestor, xquery.AncestorOrSelf:
+		return s.ancestorStep(axis, test)
 	}
-	out := s.Clone()
-	out.ends = nil
-	mask := s.eng.testMask(test)
-	var productive Marks
-	for _, end := range s.endNodes() {
-		var results []Node
+	e := s.eng
+	// Child steps add one depth below the deepest endpoint; reserve it
+	// so neither slab of out regrows.
+	out := s.cloneGraph(s.ends.depths)
+	out.ends = e.marks(s.ends.depths + 1)
+	mask := e.testMask(test)
+	productive := e.marks(s.ends.depths)
+	var buf []Node // step results of one endpoint, reused
+	s.forEachEnd(func(end Node) {
+		buf = buf[:0]
 		switch axis {
 		case xquery.Self:
-			results = []Node{end}
+			buf = append(buf, end)
 		case xquery.Child:
-			results = out.growChildren(end)
+			buf = out.growChildren(buf, end)
 		case xquery.Parent:
-			s.predBits(end).ForEach(func(p int) {
-				results = append(results, Node{end.Depth - 1, dtd.SymID(p)})
+			s.forPreds(end, func(p dtd.SymID) {
+				buf = append(buf, Node{end.Depth - 1, p})
 			})
-		case xquery.Ancestor:
-			results = s.properAncestors(end)
-		case xquery.AncestorOrSelf:
-			results = append(s.properAncestors(end), end)
 		case xquery.PrecedingSibling:
-			results = out.growSiblings(s, end, true)
+			buf = out.growSiblings(buf, s, end, true)
 		case xquery.FollowingSibling:
-			results = out.growSiblings(s, end, false)
+			buf = out.growSiblings(buf, s, end, false)
 		default:
 			panic(&guard.InternalError{Value: "cdag: unknown axis"})
 		}
 		any := false
-		for _, n := range results {
+		for _, n := range buf {
 			if mask.Has(int(n.Sym)) {
 				out.addEnd(n.Depth, n.Sym)
 				any = true
@@ -680,158 +757,230 @@ func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 		if any {
 			productive.add(end.Depth, end.Sym)
 		}
-	}
+	})
 	return out.prune(), productive
 }
 
-// descendantStep handles descendant and descendant-or-self for all
-// endpoints in one ascending sweep: since ⇒d edges always step one
-// depth down, every (depth, symbol) pair is expanded exactly once with
-// one bitset union of its schema successors. Per-endpoint
-// productivity — needed by (STEPUH) for plain descendant — is
-// recovered from a single descending backward closure of the passing
-// nodes.
-func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
-	out := s.Clone()
-	out.ends = nil
-	mask := s.eng.testMask(test)
-
-	// Forward closure below every endpoint, shared.
-	var active, reached Marks
-	for d, bits := range s.ends {
-		if bits.Any() {
-			active.or(d, bits)
-		}
+// childClosure closes front under schema children in place: every
+// symbol marked at a depth d < limit marks its schema children at d+1,
+// in one ascending sweep (⇒d edges always step one depth down, so each
+// (depth, symbol) pair is expanded exactly once). When reached is
+// non-nil, reached[d+1] receives exactly the children marked from
+// depth d. It returns the deepest depth that gained children (-1 when
+// none), so the caller sizes the adjacency slab once before
+// growChildEdges writes the edges.
+func (e *Engine) childClosure(front *Marks, limit int, reached *Marks) int {
+	last := -1
+	var kids bitset.Set
+	if reached == nil {
+		kids = make(bitset.Set, e.w)
 	}
-	for d := 0; d < len(active) && d < s.eng.MaxDepth; d++ {
-		bits := active.at(d)
+	for d := 0; d < front.depths && d < limit; d++ {
+		bits := front.at(d)
 		if !bits.Any() {
 			continue
 		}
-		s.eng.budget.Tick()
-		var kids bitset.Set
+		e.budget.Tick()
+		if reached != nil {
+			kids = reached.row(d + 1)
+		} else {
+			kids.Clear()
+		}
 		bits.ForEach(func(i int) {
-			cs := s.eng.childSet(dtd.SymID(i))
-			if !cs.Any() {
-				return
-			}
-			s.eng.budget.AddNodes(cs.Count())
-			out.outRow(d)[i].Or(cs)
-			kids.Or(cs)
+			kids.OrCount(e.childSet(dtd.SymID(i)))
 		})
 		if kids.Any() {
-			reached.or(d+1, kids)
-			active.or(d+1, kids)
+			front.row(d + 1).OrCount(kids)
+			last = d
 		}
 	}
+	return last
+}
 
-	// Results: passing reached nodes, plus the endpoints themselves
-	// for descendant-or-self.
-	passing := make(Marks, len(reached))
-	for d, bits := range reached {
-		p := bits.And(mask)
-		if p.Any() {
-			passing[d] = bitset.Set(p)
-			out.endsOr(d, p)
+// growChildEdges adds to s the schema child edges of every node front
+// marks at depths [0, last], charging one budget unit per child edge.
+func (s *Set) growChildEdges(front Marks, last int) {
+	e := s.eng
+	s.growAdj(last + 1)
+	for d := 0; d <= last; d++ {
+		front.at(d).ForEach(func(i int) {
+			sym := dtd.SymID(i)
+			if cs := e.childSet(sym); cs.Any() {
+				e.budget.AddNodes(s.outAt(d, sym).OrCount(cs))
+			}
+		})
+	}
+}
+
+// descendantStep handles descendant and descendant-or-self for all
+// endpoints in one ascending sweep (childClosure). Per-endpoint
+// productivity — needed by (STEPUH) for plain descendant — is
+// recovered from a single descending backward closure of the passing
+// nodes. Both closures run in place on one scratch slab.
+func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
+	e := s.eng
+	mask := e.testMask(test)
+	depths := max(s.ends.depths, e.MaxDepth+1)
+	scratch := e.sweep(2 * depths)
+	active := Marks{w: e.w, depths: depths, words: scratch.words[:depths*e.w]}
+	reached := Marks{w: e.w, depths: depths, words: scratch.words[depths*e.w:]}
+
+	// Forward closure below every endpoint, shared.
+	copy(active.words, s.ends.words)
+	last := e.childClosure(&active, e.MaxDepth, &reached)
+	out := s.cloneGraph(last + 1)
+	out.growChildEdges(active, last)
+
+	// Results: passing reached nodes (reached ∧ mask, in place), plus
+	// the endpoints themselves for descendant-or-self.
+	self := axis == xquery.DescendantOrSelf
+	lastEnd := -1
+	for d := 0; d < depths; d++ {
+		if reached.at(d).AndOf(reached.at(d), mask) > 0 ||
+			(self && s.ends.at(d).Intersects(mask)) {
+			lastEnd = d
 		}
 	}
-	if axis == xquery.DescendantOrSelf {
-		for d, bits := range s.ends {
-			p := bits.And(mask)
-			if p.Any() {
-				out.endsOr(d, p)
-			}
+	out.ends.grow(lastEnd + 1)
+	for d := 0; d <= lastEnd; d++ {
+		r := out.ends.at(d)
+		r.OrCount(reached.at(d))
+		if self {
+			r.OrAnd(s.ends.at(d), mask)
 		}
 	}
 
 	// Productivity: an endpoint is productive when a passing node is
 	// forward-reachable (strictly below for descendant; or itself for
-	// descendant-or-self). hasBelow = backward closure of passing.
-	hasBelow := passing.clone()
-	for d := len(hasBelow) - 1; d > 0; d-- {
-		if !hasBelow.at(d).Any() {
+	// descendant-or-self). hasBelow = backward closure of passing,
+	// computed in place over the passing rows.
+	hasBelow := reached
+	for d := depths - 1; d > 0; d-- {
+		below := hasBelow.at(d)
+		if !below.Any() {
 			continue
 		}
-		s.eng.budget.Tick()
-		p := out.predsOfSet(d, hasBelow.at(d))
-		if p.Any() {
-			hasBelow.or(d-1, p)
+		e.budget.Tick()
+		out.orPreds(hasBelow.at(d-1), d, below)
+	}
+	productive := e.marks(s.ends.depths)
+	s.forEachEnd(func(n Node) {
+		kidsBelow := out.outAt(n.Depth, n.Sym).Intersects(hasBelow.at(n.Depth + 1))
+		if kidsBelow || (self && mask.Has(int(n.Sym))) {
+			productive.add(n.Depth, n.Sym)
 		}
-	}
-	var productive Marks
-	for d, bits := range s.ends {
-		below := hasBelow.at(d + 1)
-		bits.ForEach(func(i int) {
-			sym := dtd.SymID(i)
-			kidsBelow := out.outAt(d, sym).Intersects(below)
-			switch {
-			case axis == xquery.DescendantOrSelf && (mask.Has(i) || kidsBelow):
-				productive.add(d, sym)
-			case axis == xquery.Descendant && kidsBelow:
-				productive.add(d, sym)
-			}
-		})
-	}
+	})
 	return out.prune(), productive
 }
 
-// growChildren adds schema child edges below n and returns the child
-// nodes.
-func (s *Set) growChildren(n Node) []Node {
+// growChildren adds schema child edges below n and appends the child
+// nodes to buf.
+func (s *Set) growChildren(buf []Node, n Node) []Node {
 	if n.Depth+1 > s.eng.MaxDepth {
-		return nil
+		return buf
 	}
 	kids := s.eng.childSyms(n.Sym)
-	out := make([]Node, 0, len(kids))
-	for _, beta := range kids {
-		s.addEdge(n.Depth, n.Sym, beta)
-		out = append(out, Node{n.Depth + 1, beta})
+	if len(kids) == 0 {
+		return buf
 	}
-	return out
+	s.eng.budget.AddNodes(len(kids))
+	s.row(n.Depth, n.Sym).OrCount(s.eng.childSet(n.Sym))
+	for _, beta := range kids {
+		buf = append(buf, Node{n.Depth + 1, beta})
+	}
+	return buf
 }
 
-// properAncestors walks s's own edges upward from n and returns every
-// node on a path from a root to n, excluding n.
-func (s *Set) properAncestors(n Node) []Node {
-	var out []Node
-	cur := s.predBits(n)
-	for d := n.Depth - 1; d >= 0 && cur.Any(); d-- {
-		s.eng.budget.Tick()
-		cur.ForEach(func(i int) {
-			out = append(out, Node{d, dtd.SymID(i)})
-		})
-		cur = s.predsOfSet(d, cur)
+// ancestorStep handles ancestor and ancestor-or-self for all
+// endpoints at once, over s's own edges. The union of the endpoints'
+// proper ancestors is one backward sweep: above[d] = preds(ends[d+1] ∪
+// above[d+1]). An endpoint is productive when some proper ancestor
+// passes the test, i.e. when one forward sweep from the passing nodes,
+// below[d+1] = succ(below[d] ∪ mask), reaches it (or, for
+// ancestor-or-self, when it passes itself). Both sweeps share one
+// scratch slab; no endpoint walks the graph alone.
+func (s *Set) ancestorStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
+	e := s.eng
+	mask := e.testMask(test)
+	self := axis == xquery.AncestorOrSelf
+	depths := s.ends.depths
+	scratch := e.sweep(2*depths + 1)
+	above := Marks{w: e.w, depths: depths, words: scratch.words[:depths*e.w]}
+	below := Marks{w: e.w, depths: depths, words: scratch.words[depths*e.w : 2*depths*e.w]}
+	front := bitset.Set(scratch.words[2*depths*e.w:]) // one row, reused per depth
+
+	for d := depths - 2; d >= 0; d-- {
+		front.Clear()
+		front.OrCount(s.ends.at(d + 1))
+		front.OrCount(above.at(d + 1))
+		if front.Any() {
+			e.budget.Tick()
+			s.orPreds(above.at(d), d+1, front)
+		}
 	}
-	return out
+	for d := 0; d+1 < depths && d < s.nadj; d++ {
+		e.budget.Tick()
+		front.Clear()
+		front.OrCount(mask)
+		front.OrCount(below.at(d))
+		next := below.at(d + 1)
+		front.ForEach(func(i int) {
+			next.OrCount(s.outAt(d, dtd.SymID(i)))
+		})
+	}
+
+	out := s.cloneGraph(0)
+	lastEnd := -1
+	for d := 0; d < depths; d++ {
+		if above.at(d).Intersects(mask) || (self && s.ends.at(d).Intersects(mask)) {
+			lastEnd = d
+		}
+	}
+	out.ends.grow(lastEnd + 1)
+	for d := 0; d <= lastEnd; d++ {
+		r := out.ends.at(d)
+		r.AndOf(above.at(d), mask)
+		if self {
+			r.OrAnd(s.ends.at(d), mask)
+		}
+	}
+	productive := e.marks(depths)
+	s.forEachEnd(func(n Node) {
+		if below.at(n.Depth).Has(int(n.Sym)) || (self && mask.Has(int(n.Sym))) {
+			productive.add(n.Depth, n.Sym)
+		}
+	})
+	return out.prune(), productive
 }
 
 // growSiblings adds sibling nodes of endpoint end: for each parent
 // node reachable in the context set, the types ordered before/after
 // end's type in that parent's content model (<r from the compiled
-// sibling tables).
-func (s *Set) growSiblings(ctx *Set, end Node, preceding bool) []Node {
-	if end.Depth == 0 || int(end.Sym) >= s.eng.base {
-		return nil
+// sibling tables). The sibling nodes are appended to buf.
+func (s *Set) growSiblings(buf []Node, ctx *Set, end Node, preceding bool) []Node {
+	e := s.eng
+	if end.Depth == 0 || int(end.Sym) >= e.base {
+		return buf
 	}
-	var out []Node
-	ctx.predBits(end).ForEach(func(pi int) {
-		if pi >= s.eng.base {
+	ctx.forPreds(end, func(p dtd.SymID) {
+		if int(p) >= e.base {
 			return
 		}
-		p := dtd.SymID(pi)
 		var sibs bitset.Set
 		if preceding {
-			sibs = s.eng.C.PrecedingSiblings(p, end.Sym)
+			sibs = e.C.PrecedingSiblings(p, end.Sym)
 		} else {
-			sibs = s.eng.C.FollowingSiblings(p, end.Sym)
+			sibs = e.C.FollowingSiblings(p, end.Sym)
 		}
+		if !sibs.Any() {
+			return
+		}
+		e.budget.AddNodes(s.row(end.Depth-1, p).OrCount(sibs))
 		sibs.ForEach(func(bi int) {
-			beta := dtd.SymID(bi)
-			s.addEdge(end.Depth-1, p, beta)
-			out = append(out, Node{end.Depth, beta})
+			buf = append(buf, Node{end.Depth, dtd.SymID(bi)})
 		})
 	})
-	return out
+	return buf
 }
 
 // allExtendNode reports whether every chain of s has the chain(s)
@@ -840,94 +989,92 @@ func (s *Set) growSiblings(ctx *Set, end Node, preceding bool) []Node {
 // root→end path crosses each depth exactly once, it suffices that n is
 // the only depth-n symbol backward-reachable from the endpoints.
 func (s *Set) allExtendNode(n Node) bool {
-	anyEnd := false
-	var seen Marks
-	for d, bits := range s.ends {
-		if !bits.Any() {
-			continue
-		}
-		if d < n.Depth {
-			return false
-		}
-		seen.or(d, bits)
-		anyEnd = true
-	}
-	if !anyEnd {
+	if !s.ends.any() {
 		return true
 	}
-	for d := len(seen) - 1; d > n.Depth; d-- {
+	for d := 0; d < n.Depth && d < s.ends.depths; d++ {
+		if s.ends.at(d).Any() {
+			return false
+		}
+	}
+	seen := s.ends.clone()
+	for d := seen.depths - 1; d > n.Depth; d-- {
 		if !seen.at(d).Any() {
 			continue
 		}
 		s.eng.budget.Tick()
-		p := s.predsOfSet(d, seen.at(d))
-		if p.Any() {
-			seen.or(d-1, p)
+		s.orPreds(seen.at(d-1), d, seen.at(d))
+	}
+	word, bit := int(n.Sym)/64, uint64(1)<<(uint(n.Sym)%64)
+	for w, x := range seen.at(n.Depth) {
+		if w == word {
+			x &^= bit
+		}
+		if x != 0 {
+			return false
 		}
 	}
-	ok := true
-	seen.at(n.Depth).ForEach(func(i int) {
-		if dtd.SymID(i) != n.Sym {
-			ok = false
-		}
-	})
-	return ok
+	return true
 }
 
 // Extend returns the set τ̄ = { c.c' | c ∈ s }: s plus the forward
 // schema closure below every endpoint, all of it marked as endpoints.
 func (s *Set) Extend() *Set {
 	out := s.Clone()
-	for d := 0; d < len(out.ends) && d < s.eng.MaxDepth; d++ {
-		bits := out.ends[d]
-		if !bits.Any() {
-			continue
-		}
-		s.eng.budget.Tick()
-		var kids bitset.Set
-		bits.ForEach(func(i int) {
-			cs := s.eng.childSet(dtd.SymID(i))
-			if !cs.Any() {
-				return
-			}
-			s.eng.budget.AddNodes(cs.Count())
-			out.outRow(d)[i].Or(cs)
-			kids.Or(cs)
-		})
-		if kids.Any() {
-			out.endsOr(d+1, kids)
-		}
-	}
+	last := s.eng.childClosure(&out.ends, s.eng.MaxDepth, nil)
+	out.growChildEdges(out.ends, last)
 	return out
 }
 
 // graft attaches t under endpoint base: t's roots become children of
 // base, every t edge is copied shifted by base.Depth+1, and t's
-// endpoints become endpoints of the result (added in place to s).
-// Nodes beyond MaxDepth are dropped — such chains exceed every k-chain
-// length. Both sets must come from the same engine so interned IDs
-// agree.
-func (s *Set) graft(base Node, t *Set) {
+// endpoints become endpoints of the result (added in place to s). When
+// cr is non-nil it also receives every grafted node below base, the
+// change-region bookkeeping of update grafts. Nodes beyond MaxDepth
+// are dropped — such chains exceed every k-chain length. Both sets
+// must come from the same engine so interned IDs agree.
+func (s *Set) graft(base Node, t *Set, cr *Marks) {
 	off := base.Depth + 1
 	if off > s.eng.MaxDepth {
 		return
 	}
-	t.roots.ForEach(func(r int) {
-		s.addEdge(base.Depth, base.Sym, dtd.SymID(r))
-	})
-	for d, row := range t.out {
-		if off+d+1 > s.eng.MaxDepth {
-			continue
+	if t.roots.Any() {
+		s.eng.budget.AddNodes(s.row(base.Depth, base.Sym).OrCount(t.roots))
+		if cr != nil {
+			cr.or(off, t.roots)
 		}
-		for from, bits := range row {
-			if bits.Any() {
-				s.mergeRow(off+d, dtd.SymID(from), bits)
+	}
+	s.orShifted(off, t, cr)
+}
+
+// orShifted unions t's edges and endpoints into s shifted down by off
+// depths, dropping what lands past MaxDepth, with one word-wise OR
+// over the shifted adjacency blocks (the row layout of a block does
+// not depend on its depth). When cr is non-nil it also receives the
+// targets of every copied edge and every copied endpoint.
+func (s *Set) orShifted(off int, t *Set, cr *Marks) {
+	e := s.eng
+	if nd := min(t.nadj, e.MaxDepth-off); nd > 0 {
+		s.growAdj(off + nd)
+		dst := bitset.Set(s.adj[off*e.blk : (off+nd)*e.blk])
+		e.budget.AddNodes(dst.OrCount(t.adj[:nd*e.blk]))
+		if cr != nil {
+			targets := make(bitset.Set, e.w)
+			for d := 0; d < nd; d++ {
+				targets.Clear()
+				blk := t.block(d)
+				for o := 0; o < len(blk); o += e.w {
+					targets.OrCount(blk[o : o+e.w])
+				}
+				cr.or(off+d+1, targets)
 			}
 		}
 	}
-	for d, bits := range t.ends {
-		if off+d <= s.eng.MaxDepth && bits.Any() {
-			s.endsOr(off+d, bits)
+	for d := 0; d < t.ends.depths && off+d <= e.MaxDepth; d++ {
+		bits := t.ends.at(d)
+		s.ends.or(off+d, bits)
+		if cr != nil {
+			cr.or(off+d, bits)
 		}
 	}
 }
@@ -938,7 +1085,7 @@ func (s *Set) Rebase(tag string) *Set {
 	out := s.eng.NewSet()
 	sym := s.eng.internSym(tag)
 	out.roots.Add(int(sym))
-	out.graft(Node{Depth: 0, Sym: sym}, s)
+	out.graft(Node{Depth: 0, Sym: sym}, s, nil)
 	return out
 }
 
@@ -960,25 +1107,8 @@ func (e *Engine) suffixExtensions(sym dtd.SymID, budget int) *Set {
 	if budget > e.MaxDepth {
 		budget = e.MaxDepth
 	}
-	for d := 0; d < len(out.ends) && d < budget; d++ {
-		bits := out.ends[d]
-		if !bits.Any() {
-			continue
-		}
-		var kids bitset.Set
-		bits.ForEach(func(i int) {
-			cs := e.childSet(dtd.SymID(i))
-			if !cs.Any() {
-				return
-			}
-			e.budget.AddNodes(cs.Count())
-			out.outRow(d)[i].Or(cs)
-			kids.Or(cs)
-		})
-		if kids.Any() {
-			out.endsOr(d+1, kids)
-		}
-	}
+	last := e.childClosure(&out.ends, budget, nil)
+	out.growChildEdges(out.ends, last)
 	return out
 }
 
@@ -995,7 +1125,7 @@ func (s *Set) Chains(limit int) []chain.Chain {
 		}
 		s.eng.budget.Tick()
 		path = append(path, s.eng.symName(sym))
-		if s.isEnd(d, sym) {
+		if s.ends.at(d).Has(int(sym)) {
 			out = append(out, chain.New(append([]string(nil), path...)...))
 		}
 		s.outAt(d, sym).ForEach(func(to int) {

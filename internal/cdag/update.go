@@ -18,7 +18,7 @@ type UpdateSet struct {
 }
 
 func (e *Engine) newUpdateSet() *UpdateSet {
-	return &UpdateSet{Full: e.NewSet()}
+	return &UpdateSet{Full: e.NewSet(), ChangeRegion: Marks{w: e.w}}
 }
 
 // AddAll unions t into u.
@@ -51,11 +51,16 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 		if !c1.Elem.IsEmpty() {
 			bindings = e.Union(c1.Ret, c1.Elem)
 		}
-		out := e.newUpdateSet()
-		for _, end := range bindings.Ends() {
-			out.AddAll(e.Update(g.Bind(n.Var, bindings.subWithEnd(end)), n.Body))
+		if targetsOnlyVar(n.Body, n.Var) {
+			// One pass over every binding at once. Per binding endpoint
+			// the body's result is that endpoint's backward cone plus
+			// edits at that endpoint alone (delete marks it changed;
+			// rename adds an edge from each of its predecessors, all of
+			// which lie in its cone). So the union over endpoints is
+			// exactly one inference over the union of the cones.
+			return e.Update(g.Bind(n.Var, bindings.endCones()), n.Body)
 		}
-		return out
+		return e.updateEach(g, n, bindings)
 	case xquery.ULet:
 		c1 := e.Query(g, n.Bind)
 		return e.Update(g.Bind(n.Var, e.Union(c1.Ret, c1.Elem)), n.Body)
@@ -65,71 +70,62 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 		r0 := e.Query(g, n.Target).Ret
 		out := e.newUpdateSet()
 		out.Full.AddAll(r0)
-		for d, bits := range r0.ends {
-			if bits.Any() {
-				out.ChangeRegion.or(d, bits)
-			}
-		}
+		out.ChangeRegion.union(r0.ends)
 		return out
 	case xquery.Rename:
 		r0 := e.Query(g, n.Target).Ret
 		as := e.internSym(n.As)
 		out := e.newUpdateSet()
 		out.Full.AddAll(r0)
-		for _, end := range r0.endNodes() {
+		r0.forEachEnd(func(end Node) {
 			out.ChangeRegion.add(end.Depth, end.Sym)
 			if end.Depth == 0 {
 				// Renaming the root: the new name becomes a root chain.
 				out.Full.roots.Add(int(as))
 				out.Full.addEnd(0, as)
 				out.ChangeRegion.add(0, as)
-				continue
+				return
 			}
-			preds := r0.predBits(end)
-			if !preds.Any() {
-				continue
-			}
-			preds.ForEach(func(p int) {
-				out.Full.addEdge(end.Depth-1, dtd.SymID(p), as)
+			renamed := false
+			r0.forPreds(end, func(p dtd.SymID) {
+				out.Full.addEdge(end.Depth-1, p, as)
+				renamed = true
 			})
-			out.Full.addEnd(end.Depth, as)
-			out.ChangeRegion.add(end.Depth, as)
-		}
+			if renamed {
+				out.Full.addEnd(end.Depth, as)
+				out.ChangeRegion.add(end.Depth, as)
+			}
+		})
 		return out
 	case xquery.Insert:
 		src := e.Query(g, n.Source)
 		r0 := e.Query(g, n.Target).Ret
-		out := e.newUpdateSet()
-		out.Full.AddAll(r0)
-		out.Full.ends = nil // targets are prefixes, not ends
-		for _, end := range r0.endNodes() {
+		// Targets are prefixes, not ends.
+		out := &UpdateSet{Full: r0.cloneGraph(0), ChangeRegion: Marks{w: e.w}}
+		r0.forEachEnd(func(end Node) {
 			if n.Pos.IsInto() {
 				e.graftSource(out, end, src)
-				continue
+				return
 			}
 			// before/after: the change happens under the target's
 			// parent (INSERT-2); inserting beside the root is
 			// impossible.
-			depth := end.Depth
-			r0.predBits(end).ForEach(func(p int) {
-				e.graftSource(out, Node{depth - 1, dtd.SymID(p)}, src)
+			r0.forPreds(end, func(p dtd.SymID) {
+				e.graftSource(out, Node{end.Depth - 1, p}, src)
 			})
-		}
+		})
 		return out
 	case xquery.Replace:
 		src := e.Query(g, n.Source)
 		r0 := e.Query(g, n.Target).Ret
-		out := e.newUpdateSet()
-		out.Full.AddAll(r0)
-		out.Full.ends = nil
-		for _, end := range r0.endNodes() {
+		out := &UpdateSet{Full: r0.cloneGraph(0), ChangeRegion: Marks{w: e.w}}
+		r0.forEachEnd(func(end Node) {
 			// Removal of the target node: full chain = target chain.
 			out.Full.addEnd(end.Depth, end.Sym)
 			out.ChangeRegion.add(end.Depth, end.Sym)
 			// Insertion of the source in the target's place.
-			depth := end.Depth
-			r0.predBits(end).ForEach(func(p int) {
-				e.graftSource(out, Node{depth - 1, dtd.SymID(p)}, src)
+			r0.forPreds(end, func(p dtd.SymID) {
+				e.graftSource(out, Node{end.Depth - 1, p}, src)
 			})
 			if end.Depth == 0 {
 				// Replacing the root: the source chains become
@@ -139,52 +135,48 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 					e.graftAtRoots(out, e.suffixExtensions(sEnd.Sym, e.MaxDepth))
 				}
 			}
-		}
+		})
 		return out
 	default:
 		panic(&guard.InternalError{Value: fmt.Sprintf("cdag: unknown update node %T", u)})
 	}
 }
 
+// updateEach is the (FOR) update rule at binding-endpoint granularity:
+// the body is inferred once per endpoint of the binding set, bound to
+// that endpoint's backward cone.
+func (e *Engine) updateEach(g Env, n xquery.UFor, bindings *Set) *UpdateSet {
+	out := e.newUpdateSet()
+	for _, end := range bindings.Ends() {
+		out.AddAll(e.Update(g.Bind(n.Var, bindings.subWithEnd(end)), n.Body))
+	}
+	return out
+}
+
+// targetsOnlyVar reports whether body is exactly `delete $v` or
+// `rename $v as a`: an update whose only target is the loop variable.
+func targetsOnlyVar(body xquery.Update, v string) bool {
+	var target xquery.Query
+	switch b := body.(type) {
+	case xquery.Delete:
+		target = b.Target
+	case xquery.Rename:
+		target = b.Target
+	default:
+		return false
+	}
+	x, ok := target.(xquery.Var)
+	return ok && x.Name == v
+}
+
 // graftSource attaches the source chains (constructed elements and
 // copied input subtrees) below the prefix node, marking the grafted
 // branch as change region and its leaves as full-chain ends.
 func (e *Engine) graftSource(out *UpdateSet, prefix Node, src QueryChains) {
-	e.graftMarked(out, prefix, src.Elem)
+	out.Full.graft(prefix, src.Elem, &out.ChangeRegion)
 	for _, end := range src.Ret.Ends() {
 		ext := e.suffixExtensions(end.Sym, e.MaxDepth)
-		e.graftMarked(out, prefix, ext)
-	}
-}
-
-// graftMarked is Set.graft plus change-region bookkeeping.
-func (e *Engine) graftMarked(out *UpdateSet, base Node, t *Set) {
-	off := base.Depth + 1
-	if off > e.MaxDepth {
-		return
-	}
-	t.roots.ForEach(func(r int) {
-		out.Full.addEdge(base.Depth, base.Sym, dtd.SymID(r))
-	})
-	if t.roots.Any() {
-		out.ChangeRegion.or(off, t.roots)
-	}
-	for d, row := range t.out {
-		if off+d+1 > e.MaxDepth {
-			continue
-		}
-		for from, bits := range row {
-			if bits.Any() {
-				out.Full.mergeRow(off+d, dtd.SymID(from), bits)
-				out.ChangeRegion.or(off+d+1, bits)
-			}
-		}
-	}
-	for d, bits := range t.ends {
-		if off+d <= e.MaxDepth && bits.Any() {
-			out.Full.endsOr(off+d, bits)
-			out.ChangeRegion.or(off+d, bits)
-		}
+		out.Full.graft(prefix, ext, &out.ChangeRegion)
 	}
 }
 
@@ -192,22 +184,7 @@ func (e *Engine) graftMarked(out *UpdateSet, base Node, t *Set) {
 // marking everything as change region (used when replacing the
 // document root).
 func (e *Engine) graftAtRoots(out *UpdateSet, t *Set) {
-	out.Full.roots.Or(t.roots)
-	if t.roots.Any() {
-		out.ChangeRegion.or(0, t.roots)
-	}
-	for d, row := range t.out {
-		for from, bits := range row {
-			if bits.Any() {
-				out.Full.mergeRow(d, dtd.SymID(from), bits)
-				out.ChangeRegion.or(d+1, bits)
-			}
-		}
-	}
-	for d, bits := range t.ends {
-		if bits.Any() {
-			out.Full.endsOr(d, bits)
-			out.ChangeRegion.or(d, bits)
-		}
-	}
+	out.Full.roots.OrCount(t.roots)
+	out.ChangeRegion.or(0, t.roots)
+	out.Full.orShifted(0, t, &out.ChangeRegion)
 }

@@ -13,7 +13,7 @@ package vetcheck
 // it is a selector/index/slice/deref chain hanging off a frozen-rooted
 // base, when it is a method call on a frozen-rooted receiver (accessors
 // return shared views) other than the fresh-memory breakers (Clone,
-// And, Names), or when it is a local the flow has tainted by such an
+// Names), or when it is a local the flow has tainted by such an
 // expression. Findings are writes through frozen-rooted bases: field
 // and index assignment, IncDec, append, and the bitset mutator methods.
 //
@@ -64,10 +64,12 @@ var faFlow = flowFuncs[faState]{
 
 // faBreakers are the artifact methods documented to return fresh
 // memory, so their results do not alias the artifact.
-var faBreakers = set("Clone", "And", "Names")
+var faBreakers = set("Clone", "Names")
 
-// faMutators are the bitset methods that write through their receiver.
-var faMutators = set("Add", "Remove", "Or", "OrAnd", "AndWith", "grow")
+// faMutators are the bitset methods that write through their receiver,
+// the fixed-width slab helpers (OrCount, AndOf, Clear) included.
+var faMutators = set("Add", "Remove", "Or", "OrAnd", "grow",
+	"OrCount", "AndOf", "Clear")
 
 func checkFrozenArtifact(p *pass) {
 	for _, pkg := range p.mod.Pkgs {

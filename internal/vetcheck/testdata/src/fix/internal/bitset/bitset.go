@@ -15,3 +15,21 @@ func (s Set) Clone() Set {
 	copy(out, s)
 	return out
 }
+
+// The fixed-width slab helpers write their receiver in place.
+
+func (s Set) OrCount(t Set) int {
+	for w, x := range t {
+		s[w] |= x
+	}
+	return len(t)
+}
+
+func (s Set) AndOf(a, b Set) int {
+	for w := range s {
+		s[w] = a[w] & b[w]
+	}
+	return len(s)
+}
+
+func (s Set) Clear() { clear(s) }

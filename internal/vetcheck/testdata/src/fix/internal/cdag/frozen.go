@@ -38,6 +38,31 @@ func cloneThenEdit(c *dtd.Compiled) bitset.Set {
 	return fresh
 }
 
+// The slab helpers write in place: a row view stays the artifact's
+// memory whether the helper is called on the accessor or on a local.
+func orIntoRow(c *dtd.Compiled, t bitset.Set) int {
+	return c.Reach(0).OrCount(t) // want "OrCount mutates a bitset row of a frozen artifact"
+}
+
+func andIntoRow(c *dtd.Compiled, a, b bitset.Set) {
+	row := c.Reach(0)
+	row.AndOf(a, b) // want "AndOf mutates a bitset row of a frozen artifact"
+}
+
+func clearRow(c *dtd.Compiled) {
+	c.Reach(0).Clear() // want "Clear mutates a bitset row of a frozen artifact"
+}
+
+// On a Clone the helpers are legal, and reading a row as their
+// operand never writes it.
+func helpersOnClone(c *dtd.Compiled, a bitset.Set) bitset.Set {
+	fresh := c.Reach(0).Clone()
+	fresh.AndOf(fresh, a)
+	fresh.OrCount(c.Reach(1))
+	fresh.Clear()
+	return fresh
+}
+
 // Locally built sets are nobody's artifact.
 func scratch() bitset.Set {
 	s := make(bitset.Set, 4)
