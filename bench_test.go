@@ -333,3 +333,48 @@ func BenchmarkPreparedVsCold(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAuditOverhead measures what the runtime verdict audit costs
+// the request path: one independent XMark pair (q1 × UB2, so sampled
+// audits actually fire) served by a pool with auditing off, then by one
+// that audits 1% of Independent verdicts. Observe is a non-blocking
+// enqueue and the re-derivations run on the auditor's own workers, so
+// the two arms should agree within noise. BENCH_sentinel.json records
+// an earlier measurement of the same comparison.
+func BenchmarkAuditOverhead(b *testing.B) {
+	s := MustParseSchema(xmark.SchemaText)
+	v, _ := xmark.ViewByName("q1")
+	u, _ := xmark.UpdateByName("UB2")
+	q, up := MustParseQuery(v.Text), MustParseUpdate(u.Text)
+	ctx := context.Background()
+	for _, arm := range []struct {
+		name string
+		rate float64
+	}{{"off", 0}, {"sampled-1pct", 0.01}} {
+		b.Run(arm.name, func(b *testing.B) {
+			p := NewPool(PoolOptions{Workers: 2, AuditRate: arm.rate, AuditSeed: 1})
+			defer p.Close()
+			// The first request builds the plan; the timed ones are the
+			// warm serving path the audit rides on.
+			if _, err := p.Analyze(ctx, s, q, up, Chains, Options{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := p.Analyze(ctx, s, q, up, Chains, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Independent {
+					b.Fatal("q1 × UB2 is not independent, so no audit would fire")
+				}
+			}
+			b.StopTimer()
+			p.Flush()
+			if st, _ := p.AuditStats(); st.Disagreements != 0 {
+				b.Fatalf("audit disagreements on a fault-free run: %+v", st)
+			}
+		})
+	}
+}

@@ -5,15 +5,12 @@
 //	xqbench -fig 3c            view re-materialisation savings
 //	xqbench -fig 3d            R-benchmark scalability surface
 //	xqbench -fig all           everything
-//	xqbench -audit-bench       request-path overhead of the runtime
-//	                           verdict audit; writes BENCH_sentinel.json
 //
 // Flags tune the workload sizes; defaults regenerate the shapes of the
 // paper on laptop-scale inputs.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,21 +32,10 @@ func main() {
 		dMs      = flag.String("d-ms", "1,5,10", "expression sizes m for 3d")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per analysis run (0 = none; overruns count as dependent)")
 		maxNodes = flag.Int("max-nodes", 0, "CDAG node budget per analysis run (0 = default)")
-
-		auditBench = flag.Bool("audit-bench", false, "benchmark request-path overhead of the runtime verdict audit and exit")
-		auditPair  = flag.String("audit-pair", "q1:UB2", "view:update pair for -audit-bench (an independent pair, so audits actually fire)")
-		auditRate  = flag.Float64("audit-rate", 0.01, "sample rate for -audit-bench")
-		auditReqs  = flag.Int("audit-requests", 2000, "requests per arm for -audit-bench")
-		auditOut   = flag.String("audit-out", "BENCH_sentinel.json", "output file for -audit-bench ('' = stdout table only)")
 	)
 	flag.Parse()
 	experiments.AnalysisTimeout = time.Duration(*timeout)
 	experiments.AnalysisLimits.MaxNodes = *maxNodes
-
-	if *auditBench {
-		runAuditBench(*auditPair, *auditRate, *auditReqs, *auditOut)
-		return
-	}
 
 	run3a := *fig == "3a" || *fig == "all"
 	run3b := *fig == "3b" || *fig == "all"
@@ -82,40 +68,6 @@ func main() {
 	if run3d {
 		fmt.Println(experiments.RenderFigure3d(experiments.Figure3d(parseInts(*dNs), parseInts(*dMs))))
 	}
-}
-
-// runAuditBench measures request latency with and without the runtime
-// verdict audit lane and writes the comparison as JSON — the committed
-// BENCH_sentinel.json is regenerated this way.
-func runAuditBench(pair string, rate float64, requests int, out string) {
-	name := strings.SplitN(pair, ":", 2)
-	if len(name) != 2 {
-		fmt.Fprintf(os.Stderr, "xqbench: -audit-pair must be view:update, got %q\n", pair)
-		os.Exit(2)
-	}
-	ab, err := experiments.MeasureAuditBench(name[0], name[1], rate, requests)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(2)
-	}
-	fmt.Print(experiments.RenderAuditBench(ab))
-	if ab.Audits.Disagreements > 0 {
-		fmt.Fprintln(os.Stderr, "xqbench: SOUNDNESS VIOLATION: audit disagreements on a fault-free run")
-		os.Exit(1)
-	}
-	if out == "" {
-		return
-	}
-	data, err := json.MarshalIndent(ab, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "xqbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", out)
 }
 
 func parseInts(s string) []int {

@@ -187,15 +187,6 @@ func IndependenceBudget(d *dtd.DTD, q xquery.Query, u xquery.Update, b *guard.Bu
 	return e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
 }
 
-// IndependenceBudgetCompiled is IndependenceBudget over a pre-compiled
-// schema — the serving-path entry point: the compilation cache resolves
-// the artifact once and every request shares it.
-func IndependenceBudgetCompiled(c *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) Verdict {
-	b.Point("cdag.build")
-	e := EngineForCompiled(c, q, u).WithBudget(b)
-	return e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
-}
-
 // EngineFor builds the engine with the multiplicity and alphabet
 // extension appropriate for the pair; q or u may be nil when only one
 // side is analysed. The multiplicity k = kq + ku of Table 3 comes

@@ -100,7 +100,7 @@ func TestChainsEvidence(t *testing.T) {
 	a := NewAnalyzer(bib)
 	q := xquery.MustParseQuery("//title")
 	u := xquery.MustParseUpdate("delete //price")
-	ret, used, elem, upd, k, err := a.Chains(q, u)
+	ret, used, elem, upd, k, err := a.Chains(q, u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestChainsEvidence(t *testing.T) {
 	if k < 2 {
 		t.Errorf("k = %d", k)
 	}
-	if _, _, _, _, _, err := a.Chains(xquery.MustParseQuery("$z/a"), u); err == nil {
+	if _, _, _, _, _, err := a.Chains(xquery.MustParseQuery("$z/a"), u, nil); err == nil {
 		t.Errorf("Chains accepted non-quasi-closed query")
 	}
 }

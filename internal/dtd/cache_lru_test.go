@@ -93,13 +93,9 @@ func TestVerifyOnHitRepairsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Damage the resident's reachability table the way a stray shared
-	// write would.
-	if c1.reach[0].Has(0) {
-		c1.reach[0].Remove(0)
-	} else {
-		c1.reach[0].Add(0)
-	}
+	// Damage the resident's label map the way a stray shared write
+	// would.
+	c1.byLabel[d.LabelOf(c1.syms[0])].Remove(0)
 	c2, err := compileIn(cc, d)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package dtd
 
 import (
-	"sort"
-
 	"xqindep/internal/bitset"
 	"xqindep/internal/guard"
 )
@@ -14,21 +12,22 @@ import (
 type SymID uint16
 
 // MaxCompiledTypes bounds the number of element types a schema may
-// declare and still be compiled. The cap keeps the precomputed
-// closure tables (|Σ| bitsets of |Σ| bits each) small; schemas beyond
-// it — only adversarial inputs get anywhere near — fail compilation
-// with a "symbols" LimitError and the analysis ladder degrades to the
-// map-based methods, which have no such bound.
+// declare and still be compiled. The cap keeps the per-symbol tables
+// (|Σ| successor bitsets of |Σ| bits each, and the sibling rows) small;
+// schemas beyond it — only adversarial inputs get anywhere near — fail
+// compilation with a "symbols" LimitError and the analysis ladder
+// degrades to the map-based methods, which have no such bound.
 const MaxCompiledTypes = 4096
 
-// Compiled is the compile-once/analyze-many schema artifact: Σ
-// interned into dense symbol IDs plus every schema-derived table the
-// analysis engines consult per step — child lists and successor
-// bitsets (⇒d), the reachability closure, sibling order (<r) in both
-// directions, recursion flags, minimal heights, and the label index.
-// A Compiled is immutable after construction and safe for concurrent
-// use; all returned slices, maps and bitsets are shared read-only
-// views that callers must not mutate.
+// Compiled is the dense CDAG engine's schema artifact: Σ interned into
+// dense symbol IDs plus exactly the schema facts Section 6.1's
+// inference reads per step — child lists and successor bitsets (⇒d),
+// sibling order (<r) in both directions, the label map µ⁻¹, and the
+// recursive-type count behind Theorem 5.1's depth bound. The map-based
+// engines read the DTD directly and never compile it. A Compiled is
+// immutable after construction and safe for concurrent use; all
+// returned slices and bitsets are shared read-only views that callers
+// must not mutate.
 //
 // Obtain instances through Compile, whose cache keys on
 // DTD.Fingerprint so concurrent analyses of the same schema share one
@@ -40,25 +39,18 @@ type Compiled struct {
 	start     SymID
 	stringSym SymID
 
-	children  [][]SymID
-	childSet  []bitset.Set
-	parents   [][]SymID
-	parentNms [][]string
-	reach     []bitset.Set
+	children [][]SymID
+	childSet []bitset.Set
 
-	follow     []map[SymID]bitset.Set
-	precede    []map[SymID]bitset.Set
-	followNms  []map[SymID][]string
-	precedeNms []map[SymID][]string
+	follow  []map[SymID]bitset.Set
+	precede []map[SymID]bitset.Set
 
-	recursive bitset.Set
-	recCount  int
-	minHeight []int
-	byLabel   map[string]bitset.Set
+	byLabel  map[string]bitset.Set
+	recCount int
 
-	// checksum digests the analysis-relevant tables at compilation
-	// time; Verify recomputes it so the compile cache can reject a
-	// corrupted resident on hit (see verify.go).
+	// checksum seals every table above at compilation time; Verify
+	// recomputes it so the compile cache can reject a corrupted
+	// resident on hit (see verify.go).
 	checksum uint64
 }
 
@@ -74,20 +66,15 @@ func NewCompiled(d *DTD) (*Compiled, error) {
 	}
 	n := len(d.Types) + 1 // + StringType
 	c := &Compiled{
-		d:          d,
-		syms:       make([]string, n),
-		index:      make(map[string]SymID, n),
-		children:   make([][]SymID, n),
-		childSet:   make([]bitset.Set, n),
-		parents:    make([][]SymID, n),
-		parentNms:  make([][]string, n),
-		reach:      make([]bitset.Set, n),
-		follow:     make([]map[SymID]bitset.Set, n),
-		precede:    make([]map[SymID]bitset.Set, n),
-		followNms:  make([]map[SymID][]string, n),
-		precedeNms: make([]map[SymID][]string, n),
-		minHeight:  make([]int, n),
-		byLabel:    make(map[string]bitset.Set),
+		d:        d,
+		syms:     make([]string, n),
+		index:    make(map[string]SymID, n),
+		children: make([][]SymID, n),
+		childSet: make([]bitset.Set, n),
+		follow:   make([]map[SymID]bitset.Set, n),
+		precede:  make([]map[SymID]bitset.Set, n),
+		byLabel:  make(map[string]bitset.Set),
+		recCount: len(d.RecursiveTypes()),
 	}
 	for i, t := range d.Types {
 		c.syms[i] = t
@@ -98,7 +85,7 @@ func NewCompiled(d *DTD) (*Compiled, error) {
 	c.index[StringType] = c.stringSym
 	c.start = c.index[d.Start]
 
-	// ⇒d: child lists, successor bitsets, reverse edges.
+	// ⇒d: child lists and successor bitsets.
 	for i, t := range d.Types {
 		kids := d.ChildTypes(t)
 		row := make([]SymID, len(kids))
@@ -109,22 +96,7 @@ func NewCompiled(d *DTD) (*Compiled, error) {
 		}
 		c.children[i] = row
 		c.childSet[i] = set
-		for _, k := range row {
-			c.parents[k] = append(c.parents[k], SymID(i))
-		}
 	}
-	for i := range c.parents {
-		sort.Slice(c.parents[i], func(a, b int) bool {
-			return c.syms[c.parents[i][a]] < c.syms[c.parents[i][b]]
-		})
-		nms := make([]string, len(c.parents[i]))
-		for j, p := range c.parents[i] {
-			nms[j] = c.syms[p]
-		}
-		c.parentNms[i] = nms
-	}
-
-	c.computeReach(n)
 
 	// Sibling order <r, from the per-parent precedes relation the DTD
 	// already derives from each content model.
@@ -134,16 +106,13 @@ func NewCompiled(d *DTD) (*Compiled, error) {
 			continue
 		}
 		fw := make(map[SymID]bitset.Set)
-		fwN := make(map[SymID][]string)
 		bw := make(map[SymID]bitset.Set)
 		for alpha, after := range pre {
 			a := c.index[alpha]
 			set := bitset.New(n)
-			nms := make([]string, 0, len(after))
 			for beta := range after {
 				b := c.index[beta]
 				set.Add(int(b))
-				nms = append(nms, beta)
 				bs := bw[b]
 				if bs == nil {
 					bs = bitset.New(n)
@@ -151,32 +120,12 @@ func NewCompiled(d *DTD) (*Compiled, error) {
 				}
 				bs.Add(int(a))
 			}
-			sort.Strings(nms)
 			fw[a] = set
-			fwN[a] = nms
-		}
-		bwN := make(map[SymID][]string, len(bw))
-		for b, set := range bw {
-			nms := make([]string, 0, set.Count())
-			set.ForEach(func(a int) { nms = append(nms, c.syms[a]) })
-			sort.Strings(nms)
-			bwN[b] = nms
 		}
 		c.follow[i] = fw
-		c.followNms[i] = fwN
 		c.precede[i] = bw
-		c.precedeNms[i] = bwN
 	}
 
-	rec := d.RecursiveTypes()
-	c.recursive = bitset.New(n)
-	for t := range rec {
-		c.recursive.Add(int(c.index[t]))
-	}
-	c.recCount = len(rec)
-	for t, h := range d.MinHeights() {
-		c.minHeight[c.index[t]] = h
-	}
 	for i, t := range c.syms {
 		l := d.LabelOf(t)
 		set := c.byLabel[l]
@@ -188,56 +137,6 @@ func NewCompiled(d *DTD) (*Compiled, error) {
 	}
 	c.checksum = c.computeChecksum()
 	return c, nil
-}
-
-// computeReach fills the ⇒d transitive closure. Types are processed
-// in DFS postorder (children before parents), which makes the outer
-// fixpoint converge in one pass plus a verification pass on acyclic
-// schemas; cycles add passes proportional to the recursion depth.
-func (c *Compiled) computeReach(n int) {
-	for i := range c.reach {
-		c.reach[i] = c.childSet[i].Clone()
-		if c.reach[i] == nil {
-			c.reach[i] = bitset.New(n)
-		}
-	}
-	post := make([]SymID, 0, n)
-	state := make([]uint8, n) // 0 unseen, 1 on stack, 2 done
-	var stack []SymID
-	for s := 0; s < n; s++ {
-		if state[s] != 0 {
-			continue
-		}
-		stack = append(stack[:0], SymID(s))
-		for len(stack) > 0 {
-			t := stack[len(stack)-1]
-			if state[t] == 0 {
-				state[t] = 1
-				for _, k := range c.children[t] {
-					if state[k] == 0 {
-						stack = append(stack, k)
-					}
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if state[t] == 1 {
-				state[t] = 2
-				post = append(post, t)
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, t := range post {
-			r := &c.reach[t]
-			for _, k := range c.children[t] {
-				if r.Or(c.reach[k]) > 0 {
-					changed = true
-				}
-			}
-		}
-	}
 }
 
 // DTD returns the source schema.
@@ -269,25 +168,6 @@ func (c *Compiled) Children(s SymID) []SymID { return c.children[s] }
 // ChildSet returns the successor bitset of s.
 func (c *Compiled) ChildSet(s SymID) bitset.Set { return c.childSet[s] }
 
-// Parents returns the interned parent symbols of s, sorted by name.
-func (c *Compiled) Parents(s SymID) []SymID { return c.parents[s] }
-
-// ParentNames returns the parent type names of name, sorted. The
-// slice is shared; callers must not mutate it.
-func (c *Compiled) ParentNames(name string) []string {
-	if s, ok := c.index[name]; ok {
-		return c.parentNms[s]
-	}
-	return nil
-}
-
-// Reach returns the ⇒d transitive-closure bitset of s: every symbol
-// reachable in one or more derivation steps.
-func (c *Compiled) Reach(s SymID) bitset.Set { return c.reach[s] }
-
-// Reachable reports s ⇒d* t in one or more steps.
-func (c *Compiled) Reachable(s, t SymID) bool { return c.reach[s].Has(int(t)) }
-
 // FollowingSiblings returns the symbols that may follow alpha among
 // the children of parent (α <r β); nil when none.
 func (c *Compiled) FollowingSiblings(parent, alpha SymID) bitset.Set {
@@ -300,44 +180,8 @@ func (c *Compiled) PrecedingSiblings(parent, beta SymID) bitset.Set {
 	return c.precede[parent][beta]
 }
 
-// FollowingSiblingNames is DTD.FollowingSiblingTypes served from the
-// precomputed tables: same sorted contents, but a shared slice with
-// no per-call allocation. Callers must not mutate it.
-func (c *Compiled) FollowingSiblingNames(parent, alpha string) []string {
-	p, ok := c.index[parent]
-	if !ok || p == c.stringSym {
-		return nil
-	}
-	a, ok := c.index[alpha]
-	if !ok {
-		return nil
-	}
-	return c.followNms[p][a]
-}
-
-// PrecedingSiblingNames is DTD.PrecedingSiblingTypes from the
-// precomputed tables; the returned slice is shared.
-func (c *Compiled) PrecedingSiblingNames(parent, beta string) []string {
-	p, ok := c.index[parent]
-	if !ok || p == c.stringSym {
-		return nil
-	}
-	b, ok := c.index[beta]
-	if !ok {
-		return nil
-	}
-	return c.precedeNms[p][b]
-}
-
-// IsRecursive reports whether s lies on a ⇒d cycle.
-func (c *Compiled) IsRecursive(s SymID) bool { return c.recursive.Has(int(s)) }
-
 // RecursiveCount returns the number of recursive types.
 func (c *Compiled) RecursiveCount() int { return c.recCount }
-
-// MinHeight returns the minimal valid-tree height of s (-1 when no
-// finite tree exists).
-func (c *Compiled) MinHeight(s SymID) int { return c.minHeight[s] }
 
 // LabelSyms returns the symbols whose element label is label (µ⁻¹);
 // nil when the label is not produced by the schema.

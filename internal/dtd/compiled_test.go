@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"xqindep/internal/bitset"
 	"xqindep/internal/guard"
 )
 
@@ -91,26 +93,17 @@ func TestCompiledChildrenParentsMatchDTD(t *testing.T) {
 				t.Errorf("%s: ChildSet(%s) count %d vs %v", d.Start, name, c.ChildSet(s).Count(), want)
 			}
 		}
-		// Parents invert children.
+		// Read backwards, the successor bitsets give exactly the
+		// declared parents.
 		for _, name := range append(append([]string(nil), d.Types...), StringType) {
 			s, _ := c.SymOf(name)
-			var want []string
 			for _, p := range d.Types {
-				if d.Reaches(p, name) {
-					want = append(want, p)
+				ps, _ := c.SymOf(p)
+				if got := c.ChildSet(ps).Has(int(s)); got != d.Reaches(p, name) {
+					t.Errorf("%s: ChildSet(%s) has %s = %v, DTD says %v", d.Start, p, name, got, !got)
 				}
 			}
-			sort.Strings(want)
-			if got := c.ParentNames(name); !reflect.DeepEqual(append([]string{}, got...), append([]string{}, want...)) {
-				t.Errorf("%s: ParentNames(%s) = %v, want %v", d.Start, name, got, want)
-			}
-			if len(c.Parents(s)) != len(want) {
-				t.Errorf("%s: Parents(%s) len mismatch", d.Start, name)
-			}
 		}
-	}
-	if ParentNames := mustCompile(t, compBib).ParentNames("nosuch"); ParentNames != nil {
-		t.Error("ParentNames on undeclared type non-nil")
 	}
 }
 
@@ -126,24 +119,12 @@ func dedup(xs []string) []string {
 	return out
 }
 
-func TestCompiledReachMatchesClosure(t *testing.T) {
-	for _, d := range []*DTD{compBib, compRec} {
-		c := mustCompile(t, d)
-		for _, name := range d.Types {
-			s, _ := c.SymOf(name)
-			want := d.DescendantClosure([]string{name})
-			for _, o := range append(append([]string(nil), d.Types...), StringType) {
-				os, _ := c.SymOf(o)
-				if c.Reachable(s, os) != want[o] {
-					t.Errorf("%s: Reachable(%s,%s) = %v, closure says %v",
-						d.Start, name, o, c.Reachable(s, os), want[o])
-				}
-			}
-			if c.Reach(s).Count() != len(want) {
-				t.Errorf("%s: Reach(%s) count %d, want %d", d.Start, name, c.Reach(s).Count(), len(want))
-			}
-		}
-	}
+// symNames lists the type names of a symbol bitset, sorted.
+func symNames(c *Compiled, set bitset.Set) []string {
+	var out []string
+	set.ForEach(func(s int) { out = append(out, c.NameOf(SymID(s))) })
+	sort.Strings(out)
+	return out
 }
 
 func TestCompiledSiblingsMatchDTD(t *testing.T) {
@@ -151,29 +132,21 @@ func TestCompiledSiblingsMatchDTD(t *testing.T) {
 		c := mustCompile(t, d)
 		all := append(append([]string(nil), d.Types...), StringType)
 		for _, parent := range d.Types {
+			ps, _ := c.SymOf(parent)
 			for _, x := range all {
+				xs, _ := c.SymOf(x)
 				wantF := d.FollowingSiblingTypes(parent, x)
-				gotF := c.FollowingSiblingNames(parent, x)
-				if !reflect.DeepEqual(append([]string{}, gotF...), append([]string{}, wantF...)) {
+				if gotF := symNames(c, c.FollowingSiblings(ps, xs)); !slices.Equal(gotF, wantF) {
 					t.Errorf("%s: following(%s,%s) = %v, want %v", d.Start, parent, x, gotF, wantF)
 				}
 				wantP := d.PrecedingSiblingTypes(parent, x)
-				gotP := c.PrecedingSiblingNames(parent, x)
-				if !reflect.DeepEqual(append([]string{}, gotP...), append([]string{}, wantP...)) {
+				if gotP := symNames(c, c.PrecedingSiblings(ps, xs)); !slices.Equal(gotP, wantP) {
 					t.Errorf("%s: preceding(%s,%s) = %v, want %v", d.Start, parent, x, gotP, wantP)
-				}
-				// Bitset views agree with the name views.
-				ps, _ := c.SymOf(parent)
-				xs, _ := c.SymOf(x)
-				if got := c.FollowingSiblings(ps, xs).Count(); got != len(wantF) {
-					t.Errorf("%s: FollowingSiblings(%s,%s) count %d, want %d", d.Start, parent, x, got, len(wantF))
-				}
-				if got := c.PrecedingSiblings(ps, xs).Count(); got != len(wantP) {
-					t.Errorf("%s: PrecedingSiblings(%s,%s) count %d, want %d", d.Start, parent, x, got, len(wantP))
 				}
 			}
 		}
-		if c.FollowingSiblingNames(StringType, "a") != nil || c.PrecedingSiblingNames(StringType, "a") != nil {
+		a, _ := c.SymOf(d.Types[0])
+		if c.FollowingSiblings(c.StringSym(), a) != nil || c.PrecedingSiblings(c.StringSym(), a) != nil {
 			t.Error("string type must have no sibling order")
 		}
 	}
@@ -184,16 +157,6 @@ func TestCompiledRecursionHeightsLabels(t *testing.T) {
 	rec := compRec.RecursiveTypes()
 	if c.RecursiveCount() != len(rec) {
 		t.Errorf("RecursiveCount = %d, want %d", c.RecursiveCount(), len(rec))
-	}
-	mh := compRec.MinHeights()
-	for _, name := range append(append([]string(nil), compRec.Types...), StringType) {
-		s, _ := c.SymOf(name)
-		if c.IsRecursive(s) != rec[name] {
-			t.Errorf("IsRecursive(%s) = %v, want %v", name, c.IsRecursive(s), rec[name])
-		}
-		if c.MinHeight(s) != mh[name] {
-			t.Errorf("MinHeight(%s) = %d, want %d", name, c.MinHeight(s), mh[name])
-		}
 	}
 	// Plain DTD: every type labels itself; labels index the type.
 	for _, name := range compRec.Types {

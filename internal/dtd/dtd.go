@@ -103,15 +103,6 @@ func NewExtended(start string, content map[string]*Regex, label map[string]strin
 	return d, nil
 }
 
-// MustNew is New, panicking on error; for tests and fixtures.
-func MustNew(start string, content map[string]*Regex) *DTD {
-	d, err := New(start, content)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 func (d *DTD) build() {
 	d.nfas = make(map[string]*nfa, len(d.Types))
 	d.precedes = make(map[string]map[string]map[string]bool, len(d.Types))

@@ -2,7 +2,7 @@ package dtd
 
 import (
 	"fmt"
-	"math/bits"
+	"maps"
 
 	"xqindep/internal/bitset"
 )
@@ -10,7 +10,7 @@ import (
 // This file is the artifact-integrity layer of the compiled schema:
 // every Compiled carries a content checksum stamped at construction,
 // and Verify re-derives it together with the structural invariants the
-// dense engines rely on. The compile cache validates resident artifacts
+// dense engine relies on. The compile cache validates resident artifacts
 // on every hit, so a corrupted artifact (a stray write through a
 // shared bitset view, a future refactor mutating "immutable" tables)
 // is caught and recompiled *before* it can reach an analysis and
@@ -34,21 +34,38 @@ func mixSet(h uint64, s bitset.Set) uint64 {
 	return h
 }
 
-// computeChecksum digests the analysis-relevant tables of c. The walk
-// order is deterministic (dense SymID order, raw bitset words) except
-// for each sibling row, a map, whose entries are hashed separately and
-// summed, an order-independent combine; equal artifacts hash equally
-// across processes.
+func mixString(h uint64, s string) uint64 {
+	h = mix(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = mix(h, uint64(s[i]))
+	}
+	return h
+}
+
+// mixRows digests one map of bitset rows. Map order is random, so each
+// entry is hashed on its own and the digests are summed, an
+// order-independent combine.
+func mixRows(h uint64, rows map[SymID]bitset.Set) uint64 {
+	var sum uint64
+	for a, s := range rows {
+		sum += mixSet(mix(fnvOffset64, uint64(a)), s)
+	}
+	return mix(mix(h, uint64(len(rows))), sum)
+}
+
+// computeChecksum digests every table of c: the symbols, the start and
+// string symbols, the child lists and successor bitsets, both sibling
+// directions, the label rows and the recursive-type count. The walk is
+// deterministic (dense SymID order, raw bitset words) except for the
+// map-valued tables, whose entries are combined order-independently;
+// equal artifacts hash equally across processes.
 func (c *Compiled) computeChecksum() uint64 {
 	n := len(c.syms)
 	h := mix(fnvOffset64, uint64(n))
 	h = mix(h, uint64(c.start))
 	h = mix(h, uint64(c.stringSym))
 	for _, s := range c.syms {
-		h = mix(h, uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			h = mix(h, uint64(s[i]))
-		}
+		h = mixString(h, s)
 	}
 	for i := 0; i < n; i++ {
 		h = mix(h, uint64(len(c.children[i])))
@@ -56,31 +73,29 @@ func (c *Compiled) computeChecksum() uint64 {
 			h = mix(h, uint64(k))
 		}
 		h = mixSet(h, c.childSet[i])
-		h = mixSet(h, c.reach[i])
-		h = mix(h, uint64(c.minHeight[i]))
-		var row uint64
-		for a, s := range c.follow[i] {
-			row += mixSet(mix(fnvOffset64, uint64(a)), s)
-		}
-		h = mix(mix(h, uint64(len(c.follow[i]))), row)
+		h = mixRows(h, c.follow[i])
+		h = mixRows(h, c.precede[i])
 	}
-	h = mixSet(h, c.recursive)
+	var labels uint64
+	for l, s := range c.byLabel {
+		labels += mixSet(mixString(fnvOffset64, l), s)
+	}
+	h = mix(mix(h, uint64(len(c.byLabel))), labels)
 	return mix(h, uint64(c.recCount))
 }
 
 // Verify checks the artifact's structural invariants and content
 // checksum, returning a descriptive error on the first violation. It
-// is cheap relative to compilation (no regex work, no closure
-// computation), linear in the size of the tables, and allocates
-// nothing; it runs on every compile-cache hit. A nil error means the
-// dense engines may trust every table.
+// is cheap relative to compilation (no regex work), linear in the size
+// of the tables, and allocates nothing; it runs on every compile-cache
+// hit. A nil error means the dense engine may trust every table.
 func (c *Compiled) Verify() error {
 	n := len(c.syms)
 	if n == 0 {
 		return fmt.Errorf("dtd: compiled artifact: empty symbol table")
 	}
 	if len(c.index) != n || len(c.children) != n || len(c.childSet) != n ||
-		len(c.reach) != n || len(c.minHeight) != n || len(c.parents) != n {
+		len(c.follow) != n || len(c.precede) != n {
 		return fmt.Errorf("dtd: compiled artifact: table lengths disagree with |Σ|=%d", n)
 	}
 	if int(c.start) >= n || int(c.stringSym) >= n {
@@ -106,14 +121,6 @@ func (c *Compiled) Verify() error {
 			if !c.childSet[i].Has(int(k)) {
 				return fmt.Errorf("dtd: compiled artifact: childSet[%s] missing child %s", c.syms[i], c.syms[k])
 			}
-			// Closure property: reach is transitively closed over ⇒d.
-			if !c.reach[i].Has(int(k)) {
-				return fmt.Errorf("dtd: compiled artifact: reach[%s] missing direct child %s", c.syms[i], c.syms[k])
-			}
-			if t := firstMissing(c.reach[k], c.reach[i]); t >= 0 {
-				return fmt.Errorf("dtd: compiled artifact: reach[%s] not closed: missing symbol %d via %s",
-					c.syms[i], t, c.syms[k])
-			}
 		}
 	}
 	if got := c.computeChecksum(); got != c.checksum {
@@ -122,48 +129,31 @@ func (c *Compiled) Verify() error {
 	return nil
 }
 
-// firstMissing returns the lowest member of sub that sup lacks, or -1
-// when sub ⊆ sup, comparing word by word.
-func firstMissing(sub, sup bitset.Set) int {
-	for w, x := range sub {
-		if w < len(sup) {
-			x &^= sup[w]
-		}
-		if x != 0 {
-			return w*64 + bits.TrailingZeros64(x)
-		}
-	}
-	return -1
-}
-
 // Checksum returns the content checksum stamped at compilation.
 func (c *Compiled) Checksum() uint64 { return c.checksum }
 
-// WithCorruption returns a copy of c whose reachability table has one
-// deterministically-chosen bit flipped and whose checksum is left
-// stale — exactly the damage a stray write through a shared bitset
-// view would do. It is chaos-test support for the faultinject
-// corrupt-artifact kind: the copy's tables are independent of c (the
-// original stays intact), Verify on the copy fails, and the dense
-// engines run on it without crashing — possibly producing wrong
-// verdicts, which is precisely what the sentinel's audit layer must
+// WithCorruption returns a copy of c in which one deterministically
+// chosen element type is missing from its label row (µ⁻¹) and whose
+// checksum is left stale — the damage a stray write through a shared
+// bitset view would do. Every tag test of the dense engine reads that
+// row, so a query selecting the dropped type infers no chains for it
+// and the copy can turn a dependent pair into an unsound Independent.
+// It is chaos-test support for the faultinject corrupt-artifact kind:
+// the copy's tables are independent of c (the original stays intact),
+// Verify on the copy fails, and the dense engine runs on it without
+// crashing, which is precisely what the sentinel's audit layer must
 // contain. Never use it outside tests and chaos harnesses.
 func (c *Compiled) WithCorruption(seed int64) *Compiled {
 	cc := *c
-	cc.reach = make([]bitset.Set, len(c.reach))
-	for i := range c.reach {
-		cc.reach[i] = c.reach[i].Clone()
-	}
-	n := len(cc.syms)
-	if n == 0 {
+	types := len(c.syms) - 1 // element types; StringType is last
+	if types <= 0 {
 		return &cc
 	}
-	i := int(uint64(seed) % uint64(n))
-	j := int((uint64(seed) / uint64(n)) % uint64(n))
-	if cc.reach[i].Has(j) {
-		cc.reach[i].Remove(j)
-	} else {
-		cc.reach[i].Add(j)
-	}
+	s := int(uint64(seed) % uint64(types))
+	label := c.d.LabelOf(c.syms[s])
+	cc.byLabel = maps.Clone(c.byLabel)
+	row := c.byLabel[label].Clone()
+	row.Remove(s)
+	cc.byLabel[label] = row
 	return &cc
 }

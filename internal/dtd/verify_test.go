@@ -1,11 +1,10 @@
 package dtd
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
-
-	"xqindep/internal/bitset"
 )
 
 const verifySchema = `lib <- book*
@@ -63,7 +62,7 @@ func TestWithCorruptionFailsVerify(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsTamperedTables writes one entry of each hashed table
+// TestVerifyRejectsTamperedTables writes one entry of each sealed table
 // of a private copy and checks Verify catches it. Each write keeps the
 // structural invariants, so only the checksum can.
 func TestVerifyRejectsTamperedTables(t *testing.T) {
@@ -71,10 +70,29 @@ func TestVerifyRejectsTamperedTables(t *testing.T) {
 	lib, _ := c.SymOf("lib")
 	book, _ := c.SymOf("book")
 	title, _ := c.SymOf("title")
+	author, _ := c.SymOf("author")
 	cases := []struct {
 		name   string
 		tamper func(cc *Compiled)
 	}{
+		{"symbols", func(cc *Compiled) {
+			// Renamed consistently in both directions of the interning.
+			cc.syms = slices.Clone(cc.syms)
+			cc.syms[title] = "heading"
+			cc.index = maps.Clone(cc.index)
+			delete(cc.index, "title")
+			cc.index["heading"] = title
+		}},
+		{"start", func(cc *Compiled) { cc.start = book }},
+		{"string symbol", func(cc *Compiled) {
+			// Swapped with title in both directions of the interning.
+			str := cc.stringSym
+			cc.syms = slices.Clone(cc.syms)
+			cc.syms[str], cc.syms[title] = cc.syms[title], cc.syms[str]
+			cc.index = maps.Clone(cc.index)
+			cc.index["title"], cc.index[StringType] = str, title
+			cc.stringSym = title
+		}},
 		{"child list", func(cc *Compiled) {
 			cc.children = slices.Clone(cc.children)
 			cc.children[book] = slices.Clone(cc.children[book])
@@ -85,30 +103,27 @@ func TestVerifyRejectsTamperedTables(t *testing.T) {
 			cc.childSet = slices.Clone(cc.childSet)
 			cc.childSet[lib] = append(cc.childSet[lib].Clone(), 0)
 		}},
-		{"reach", func(cc *Compiled) {
-			cc.reach = slices.Clone(cc.reach)
-			cc.reach[lib] = cc.reach[lib].Clone()
-			cc.reach[lib].Add(int(lib))
-		}},
-		{"minHeight", func(cc *Compiled) {
-			cc.minHeight = slices.Clone(cc.minHeight)
-			cc.minHeight[book]++
-		}},
 		{"follow row", func(cc *Compiled) {
 			cc.follow = slices.Clone(cc.follow)
-			row := make(map[SymID]bitset.Set, len(cc.follow[book]))
-			for a, s := range cc.follow[book] {
-				row[a] = s.Clone()
-			}
-			s := row[title]
+			cc.follow[book] = maps.Clone(cc.follow[book])
+			s := cc.follow[book][title].Clone()
 			s.Add(int(title))
-			row[title] = s
-			cc.follow[book] = row
+			cc.follow[book][title] = s
 		}},
-		{"recursive", func(cc *Compiled) {
-			cc.recursive = cc.recursive.Clone()
-			cc.recursive.Add(int(book))
+		{"precede row", func(cc *Compiled) {
+			cc.precede = slices.Clone(cc.precede)
+			cc.precede[book] = maps.Clone(cc.precede[book])
+			s := cc.precede[book][author].Clone()
+			s.Remove(int(title))
+			cc.precede[book][author] = s
 		}},
+		{"byLabel", func(cc *Compiled) {
+			cc.byLabel = maps.Clone(cc.byLabel)
+			row := cc.byLabel["author"].Clone()
+			row.Remove(int(author))
+			cc.byLabel["author"] = row
+		}},
+		{"recursive", func(cc *Compiled) { cc.recCount++ }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,16 +144,17 @@ func TestVerifyRejectsTamperedTables(t *testing.T) {
 
 func TestVerifyDetectsStructuralDamage(t *testing.T) {
 	c := compiledFor(t, verifySchema)
-	// Flip a reach bit directly (stale checksum + possibly broken
-	// closure): Verify must fail either way.
-	if c.reach[0].Has(len(c.syms) - 1) {
-		c.reach[0].Remove(len(c.syms) - 1)
+	// Flip a successor bit directly (stale checksum and a child list
+	// that no longer matches its bitset): Verify must fail either way.
+	last := len(c.syms) - 1
+	if c.childSet[0].Has(last) {
+		c.childSet[0].Remove(last)
 	} else {
-		c.reach[0].Add(len(c.syms) - 1)
+		c.childSet[0].Add(last)
 	}
 	err := c.Verify()
 	if err == nil {
-		t.Fatal("damaged reach table passes Verify")
+		t.Fatal("damaged successor table passes Verify")
 	}
 	if !strings.Contains(err.Error(), "compiled artifact") {
 		t.Fatalf("unexpected error shape: %v", err)

@@ -358,12 +358,5 @@ func RenderFigure3d(rows []Figure3dRow) string {
 	return b.String()
 }
 
-// VerifyAnalysesAgainstTruth re-checks soundness of every technique on
-// the benchmark matrix; used by the integration test.
-func VerifyAnalysesAgainstTruth(truth *xmark.Truth) error {
-	_, err := Figure3b(truth)
-	return err
-}
-
 // AnalyzerPairCount is the size of the benchmark matrix.
 func AnalyzerPairCount() int { return len(xmark.Views()) * len(xmark.Updates()) }

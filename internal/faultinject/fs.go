@@ -98,13 +98,6 @@ func (c *CrashFS) Crashed() bool {
 	return c.crashed
 }
 
-// Ops returns the count of mutating operations observed so far.
-func (c *CrashFS) Ops() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ops
-}
-
 // Fired describes the faults that have fired, in order.
 func (c *CrashFS) Fired() []string {
 	c.mu.Lock()

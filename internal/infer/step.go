@@ -13,10 +13,6 @@ import (
 // exact (the "infinite" analysis of Section 4).
 type Inferrer struct {
 	D *dtd.DTD
-	// C is the compiled form of D (from the shared compilation cache);
-	// nil when compilation failed (e.g. the alphabet overflows SymID),
-	// in which case the slower per-call DTD lookups serve as fallback.
-	C *dtd.Compiled
 	// K is the tag-multiplicity bound: inference only produces chains
 	// in which every tag occurs at most K times.
 	K int
@@ -32,8 +28,7 @@ func New(d *dtd.DTD, k int) *Inferrer {
 	if k < 1 {
 		k = 1
 	}
-	c, _ := dtd.Compile(d)
-	return &Inferrer{D: d, C: c, K: k}
+	return &Inferrer{D: d, K: k}
 }
 
 // NewBudget builds an inferrer charging b (nil means unlimited).
@@ -160,16 +155,9 @@ func (in *Inferrer) siblingChains(c chain.Chain, preceding bool) []chain.Chain {
 	parent := c.Parent()
 	alpha := c.Last()
 	var sibs []string
-	switch {
-	// The compiled tables hold the sibling lists presorted; the DTD
-	// methods rebuild and resort them on every call.
-	case in.C != nil && preceding:
-		sibs = in.C.PrecedingSiblingNames(parent.Last(), alpha)
-	case in.C != nil:
-		sibs = in.C.FollowingSiblingNames(parent.Last(), alpha)
-	case preceding:
+	if preceding {
 		sibs = in.D.PrecedingSiblingTypes(parent.Last(), alpha)
-	default:
+	} else {
 		sibs = in.D.FollowingSiblingTypes(parent.Last(), alpha)
 	}
 	var out []chain.Chain

@@ -81,14 +81,6 @@ func Overlap(p, q Pattern) bool {
 	return overlap(nil, p, q, func(i, j int, np, nq int) bool { return i == np || j == nq })
 }
 
-// OverlapBelow reports whether some word matched by up is a prefix of
-// (an extension of) a word matched by qp — the directional test used
-// for inspected nodes: a change at or above an inspected node matters,
-// a change strictly below it does not.
-func OverlapBelow(up, qp Pattern) bool {
-	return overlap(nil, up, qp, func(i, j int, np, nq int) bool { return i == np })
-}
-
 // overlap runs a product search over pattern positions; accept decides
 // the conflict condition given the positions (after ε-closure) and the
 // pattern lengths.

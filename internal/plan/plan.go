@@ -1,22 +1,23 @@
 // Package plan implements the prepared-analysis pipeline: the staged
 // decomposition of one chain-method analysis into reusable, immutable
-// artifacts. A CompiledExpr captures what the CDAG rung of core serves
-// for a (schema, query-update pair) — the content fingerprints, the
-// Table 3 k-factors, and the decision with its conflict reasons — keyed
-// by (schema fingerprint, expression-pair fingerprint) so repeated
-// requests over the same logical pair (whitespace variants, renamed
-// binders, sugared axes) resolve to one cached plan. The chain DAGs the
-// decision was derived from are discarded when the build returns.
+// artifacts. A CompiledExpr is what the CDAG rung of core serves for a
+// (schema, query-update pair) — the decision, its conflict reasons and
+// the k it was reached at — keyed by (schema fingerprint,
+// expression-pair fingerprint) so repeated requests over the same
+// logical pair (whitespace variants, renamed binders, sugared axes)
+// resolve to one cached plan. The key is the plan's identity, so the
+// plan does not repeat it; the chain DAGs the decision was derived from
+// are discarded when the build returns.
 //
 // The stages mirror the analysis pipeline of the paper: fingerprint
-// (parse/normalize, Section 2 sugar), k-factors (Table 3, Section 5),
-// chain inference (Sections 3–6). Each stage is budget-checked through
-// guard and fault-injectable under a core.plan/* point, so the
-// degradation ladder and the sentinel audit layer compose with the
-// cache unchanged: a cached verdict is re-admitted against every
-// request's own k limit, re-verified against its content checksum on
-// every hit, and purged wholesale when the schema it was inferred
-// under is quarantined.
+// (normalize the Section 2 sugar away and hash the pair), k-factors
+// (Table 3, Section 5), chain inference (Sections 3–6). Each stage is
+// budget-checked through guard and fault-injectable under a
+// core.plan/* point, so the degradation ladder and the sentinel audit
+// layer compose with the cache unchanged: a cached verdict is
+// re-admitted against every request's own k limit, re-verified against
+// its content checksum on every hit, and purged wholesale when the
+// schema it was inferred under is quarantined.
 package plan
 
 import (
@@ -31,53 +32,24 @@ import (
 )
 
 // CompiledExpr is the immutable prepared-analysis artifact for one
-// (schema, query-update pair): the four content fingerprints, the
-// multiplicity factors of Table 3 and the decision the CDAG engine
-// reached under the compiled schema, with the conflict reasons and the
-// k it was reached at. The chain DAGs of the derivation are not kept:
-// serving reads only the decision, so that is all a resident holds.
-// Construct it only through Prepare (or the cache's builder); after
-// construction nothing may write to it. The checksum seals every stored
-// field and Verify re-derives it on every cache hit, so any
-// post-construction mutation is caught before the plan is served again.
+// (schema, query-update pair): the decision the CDAG engine reached
+// under the compiled schema, with the conflict reasons and the k it was
+// reached at. The chain DAGs of the derivation are not kept: serving
+// reads only the decision, so that is all a resident holds. Construct
+// it only through Prepare (or the cache's builder); after construction
+// nothing may write to it. The checksum seals every stored field and
+// Verify re-derives it on every cache hit, so any post-construction
+// mutation is caught before the plan is served again.
 type CompiledExpr struct {
-	schemaFP string
-	queryFP  string
-	updateFP string
-	pairFP   string
-	kq       int
-	ku       int
-	k        int
 	// verdict is decision-only: Independent, Reasons and K, no chain
 	// sets.
 	verdict  cdag.Verdict
 	checksum uint64
 }
 
-// SchemaFingerprint returns the fingerprint of the schema the plan
-// was inferred under.
-func (ce *CompiledExpr) SchemaFingerprint() string { return ce.schemaFP }
-
-// QueryFingerprint returns the content fingerprint of the normalized
-// query.
-func (ce *CompiledExpr) QueryFingerprint() string { return ce.queryFP }
-
-// UpdateFingerprint returns the content fingerprint of the normalized
-// update.
-func (ce *CompiledExpr) UpdateFingerprint() string { return ce.updateFP }
-
-// PairFingerprint returns the joint fingerprint the cache keys on.
-func (ce *CompiledExpr) PairFingerprint() string { return ce.pairFP }
-
-// KQuery returns k_q of Table 3.
-func (ce *CompiledExpr) KQuery() int { return ce.kq }
-
-// KUpdate returns k_u of Table 3.
-func (ce *CompiledExpr) KUpdate() int { return ce.ku }
-
-// K returns the joint multiplicity k = max(1, k_q + k_u) the chain
-// universe was bounded by.
-func (ce *CompiledExpr) K() int { return ce.k }
+// K returns the joint multiplicity k = max(1, k_q + k_u) of Table 3
+// the chain universe was bounded by.
+func (ce *CompiledExpr) K() int { return ce.verdict.K }
 
 // Verdict returns the sealed decision: Independent, Reasons and K. Its
 // chain sets are nil. The Reasons slice is part of the sealed artifact:
@@ -111,17 +83,10 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// computeChecksum hashes exactly the stored fields: fingerprints,
-// k-factors, decision, K and each reason string.
+// computeChecksum hashes exactly the stored fields: the decision, K and
+// each reason string.
 func (ce *CompiledExpr) computeChecksum() uint64 {
 	h := uint64(fnvOffset64)
-	h = fnvString(h, ce.schemaFP)
-	h = fnvString(h, ce.queryFP)
-	h = fnvString(h, ce.updateFP)
-	h = fnvString(h, ce.pairFP)
-	h = fnvInt(h, ce.kq)
-	h = fnvInt(h, ce.ku)
-	h = fnvInt(h, ce.k)
 	decision := 0
 	if ce.verdict.Independent {
 		decision = 1
@@ -135,27 +100,17 @@ func (ce *CompiledExpr) computeChecksum() uint64 {
 	return h
 }
 
-// Verify checks the plan's structural invariants and re-derives its
-// content checksum, in time linear in the stored fields and without
-// allocating. The cache runs it on every hit: a mismatch means
-// something wrote to the artifact after construction, and the resident
-// is dropped and rebuilt rather than served.
+// Verify checks the plan's k and re-derives its content checksum, in
+// time linear in the reasons and without allocating. The cache runs it
+// on every hit: a mismatch means something wrote to the artifact after
+// construction, and the resident is dropped and rebuilt rather than
+// served.
 func (ce *CompiledExpr) Verify() error {
 	if ce == nil {
 		return errors.New("plan: nil CompiledExpr")
 	}
-	if ce.schemaFP == "" || ce.queryFP == "" || ce.updateFP == "" || ce.pairFP == "" {
-		return errors.New("plan: missing fingerprint")
-	}
-	want := ce.kq + ce.ku
-	if want < 1 {
-		want = 1
-	}
-	if ce.k != want {
-		return fmt.Errorf("plan: k=%d inconsistent with kq=%d ku=%d", ce.k, ce.kq, ce.ku)
-	}
-	if ce.verdict.K != ce.k {
-		return fmt.Errorf("plan: verdict k=%d differs from plan k=%d", ce.verdict.K, ce.k)
+	if ce.verdict.K < 1 {
+		return fmt.Errorf("plan: k=%d below 1", ce.verdict.K)
 	}
 	if got := ce.computeChecksum(); got != ce.checksum {
 		return fmt.Errorf("plan: checksum mismatch: computed %016x, sealed %016x", got, ce.checksum)
@@ -178,11 +133,12 @@ func (ce *CompiledExpr) CorruptClone() *CompiledExpr {
 // Prepare resolves the prepared plan for the pair under the compiled
 // schema, running the staged pipeline:
 //
-//	core.plan/fingerprint  normalize both ASTs, derive content
-//	                       fingerprints (the cache key)
+//	core.plan/fingerprint  normalize both ASTs and hash the pair (the
+//	                       cache key)
 //	core.plan/lookup       consult cache (verify-on-hit); on miss the
 //	                       builder runs the two cold stages:
-//	core.plan/kfactors       k_q, k_u, k per Table 3, admission check
+//	core.plan/kfactors       normalize again, k per Table 3, admission
+//	                         check
 //	core.plan/infer          CDAG chain inference, decision sealed
 //	core.plan/artifact     hand the plan to the caller (chaos
 //	                       corrupt-artifact injection point)
@@ -218,24 +174,21 @@ func PrepareSchema(cache *Cache, d *dtd.DTD, q xquery.Query, u xquery.Update, b 
 }
 
 // prepare is the pipeline shared by Prepare and PrepareSchema; resolve
-// yields the compiled schema and runs only inside a cold build.
+// yields the compiled schema and runs only inside a cold build. A warm
+// hit normalizes each side once, inside the pair fingerprint.
 func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) (*CompiledExpr, bool, error) {
 	b.Point("core.plan/fingerprint")
-	nq := xquery.Normalize(q)
-	nu := xquery.NormalizeUpdate(u)
-	qfp := xquery.FingerprintQuery(nq)
-	ufp := xquery.FingerprintUpdate(nu)
-	pairFP := xquery.FingerprintPair(nq, nu)
+	pairFP := xquery.FingerprintPair(q, u)
 
 	b.Point("core.plan/lookup")
 	ce, warm := cache.Get(schemaFP, pairFP, func() *CompiledExpr {
-		return build(resolve, nq, nu, schemaFP, qfp, ufp, pairFP, b)
+		return build(resolve, q, u, b)
 	})
 
 	// Admission is per-request: a plan cached under one request's
 	// limits may exceed this request's MaxK, and a warm hit must
 	// degrade exactly as a cold build would have.
-	if err := b.CheckK(ce.k); err != nil {
+	if err := b.CheckK(ce.K()); err != nil {
 		return nil, warm, err
 	}
 
@@ -254,12 +207,11 @@ func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xque
 
 // build runs the cold stages. It charges b throughout and aborts via
 // guard on overrun; the cache never sees a partially built plan.
-func build(resolve func() *dtd.Compiled, nq xquery.Query, nu xquery.Update, schemaFP, qfp, ufp, pairFP string, b *guard.Budget) *CompiledExpr {
+func build(resolve func() *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) *CompiledExpr {
 	b.Point("core.plan/kfactors")
-	kq := infer.KQuery(nq)
-	ku := infer.KUpdate(nu)
-	k := infer.KPair(nq, nu)
-	if err := b.CheckK(k); err != nil {
+	nq := xquery.Normalize(q)
+	nu := xquery.NormalizeUpdate(u)
+	if err := b.CheckK(infer.KPair(nq, nu)); err != nil {
 		guard.Abort(err)
 	}
 
@@ -273,14 +225,7 @@ func build(resolve func() *dtd.Compiled, nq xquery.Query, nu xquery.Update, sche
 	// Keep the decision, drop the derivation: the chain sets (and the
 	// engine and request budget they reference) die with the build.
 	ce := &CompiledExpr{
-		schemaFP: schemaFP,
-		queryFP:  qfp,
-		updateFP: ufp,
-		pairFP:   pairFP,
-		kq:       kq,
-		ku:       ku,
-		k:        k,
-		verdict:  cdag.Verdict{Independent: v.Independent, Reasons: v.Reasons, K: v.K},
+		verdict: cdag.Verdict{Independent: v.Independent, Reasons: v.Reasons, K: v.K},
 	}
 	ce.checksum = ce.computeChecksum()
 	return ce

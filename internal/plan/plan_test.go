@@ -96,14 +96,12 @@ func TestFingerprintsDistinguishPairs(t *testing.T) {
 	if warm {
 		t.Fatal("distinct update hit the cache")
 	}
-	if a.PairFingerprint() == b.PairFingerprint() {
-		t.Fatal("distinct pairs share a pair fingerprint")
+	if a == b {
+		t.Fatal("distinct pairs share a plan")
 	}
-	if a.QueryFingerprint() != b.QueryFingerprint() {
-		t.Fatal("same query got different query fingerprints")
-	}
-	if a.SchemaFingerprint() != bib.Fingerprint() {
-		t.Fatalf("schema fingerprint %q, want %q", a.SchemaFingerprint(), bib.Fingerprint())
+	st := cache.Stats()
+	if st.Resident != 2 || len(st.Schemas) != 1 || st.Schemas[0].Fingerprint != bib.Fingerprint() || st.Schemas[0].Plans != 2 {
+		t.Fatalf("stats = %+v, want both plans under the schema fingerprint", st)
 	}
 }
 
@@ -195,9 +193,8 @@ a <- #PCDATA
 	if n := cache.PurgeSchema(bib.Fingerprint()); n != 2 {
 		t.Fatalf("PurgeSchema dropped %d plans, want 2", n)
 	}
-	res := cache.Residents()
-	if len(res) != 1 || res[0].SchemaFingerprint() != other.Fingerprint() {
-		t.Fatalf("wrong survivors after PurgeSchema: %d residents", len(res))
+	if st := cache.Stats(); len(st.Schemas) != 1 || st.Schemas[0].Fingerprint != other.Fingerprint() || st.Schemas[0].Plans != 1 {
+		t.Fatalf("wrong survivors after PurgeSchema: %+v", st.Schemas)
 	}
 	// Purged pair rebuilds cold.
 	_, warm, err := prepare(cache, cb, "//title", "delete //price", guard.Limits{})
@@ -270,7 +267,8 @@ func TestVerifyAndWarmHitAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = ce.Verify() }); n != 0 {
 		t.Fatalf("Verify allocates %v times per call, want 0", n)
 	}
-	schemaFP, pairFP := ce.SchemaFingerprint(), ce.PairFingerprint()
+	schemaFP := bib.Fingerprint()
+	pairFP := xquery.FingerprintPair(xquery.MustParseQuery("//title"), xquery.MustParseUpdate("delete //title"))
 	cold := func() *plan.CompiledExpr {
 		t.Fatal("warm Get ran the cold build")
 		return nil
@@ -297,13 +295,13 @@ func TestResidentsCarryNoChainSets(t *testing.T) {
 	if len(res) != len(pairs) {
 		t.Fatalf("%d residents, want %d", len(res), len(pairs))
 	}
-	for _, ce := range res {
+	for i, ce := range res {
 		v := ce.Verdict()
 		if v.Query.Ret != nil || v.Query.Used != nil || v.Query.Elem != nil || v.Update != nil {
-			t.Fatalf("resident %s keeps chain sets", ce.PairFingerprint())
+			t.Fatalf("resident %d keeps chain sets", i)
 		}
 		if v.K != ce.K() || v.Independent != (len(v.Reasons) == 0) {
-			t.Fatalf("resident %s decision inconsistent: %+v", ce.PairFingerprint(), v)
+			t.Fatalf("resident %d decision inconsistent: %+v", i, v)
 		}
 	}
 }

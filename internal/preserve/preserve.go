@@ -33,7 +33,6 @@ import (
 
 	"xqindep/internal/cdag"
 	"xqindep/internal/dtd"
-	"xqindep/internal/infer"
 	"xqindep/internal/xquery"
 )
 
@@ -287,6 +286,3 @@ func collectChildren(q xquery.Query, f func(xquery.Element)) {
 		collectChildren(n.Right, f)
 	}
 }
-
-// KForUpdate re-exports the multiplicity used, for diagnostics.
-func KForUpdate(u xquery.Update) int { return infer.KUpdate(u) }

@@ -1,15 +1,15 @@
 // Package sentinel is the runtime audit-and-quarantine layer: it
 // samples live Independent verdicts and re-derives them on machinery
 // independent of the fast path — the retained reference CDAG engine
-// (refcdag.Shadow, run from the source DTD, never from a compiled
-// artifact) and, when example documents are available, concrete oracle
-// replay (eval.DependentOnAny on schema-valid documents). A
-// disagreement is an incident: the schema fingerprint is quarantined
-// (package quarantine; core downgrades every later verdict for it to
-// the conservative rung), its compiled-schema cache entry is purged
-// once so a corrupted artifact recompiles, and a structured Incident
-// lands in an in-memory ring (served via /incidentz) and an optional
-// JSONL spool.
+// (refcdag.IndependenceBudget, run from the source DTD, never from a
+// compiled artifact) and, when example documents are available,
+// concrete oracle replay (eval.DependentOnAny on schema-valid
+// documents). A disagreement is an incident: the schema fingerprint is
+// quarantined (package quarantine; core downgrades every later verdict
+// for it to the conservative rung), its compiled-schema cache entry is
+// purged once so a corrupted artifact recompiles, and a structured
+// Incident lands in an in-memory ring (served via /incidentz) and an
+// optional JSONL spool.
 //
 // Auditing is off the request path: Observe only samples, packages and
 // enqueues — the bounded queue never blocks, and when it is full the
@@ -536,9 +536,11 @@ func (a *Auditor) record(kind string, o Observation, shadow refcdag.Verdict, sha
 		in.FallbackChain = append(in.FallbackChain, m.String())
 	}
 	// Chain evidence is diagnostic garnish: derive it with the exact
-	// engine when it is cheap enough, skip it when not.
+	// engine under the audit budget, and skip it when the budget runs
+	// out (the engine is exponential on recursive schemas).
 	_ = guard.Do(func() {
-		ret, used, _, upd, _, cerr := core.NewAnalyzer(o.D).Chains(o.Query, o.Update)
+		b := guard.New(a.base, a.cfg.Budget)
+		ret, used, _, upd, _, cerr := core.NewAnalyzer(o.D).Chains(o.Query, o.Update, b)
 		if cerr == nil {
 			in.QueryChains = append(ret, used...)
 			in.UpdateChains = upd

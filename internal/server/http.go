@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"xqindep/internal/core"
 	"xqindep/internal/dtd"
@@ -188,10 +189,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// truncate bounds a source text for trace-ring retention.
+// truncate bounds a source text for trace-ring retention. It cuts at
+// byte n or, when a multi-byte character straddles n, before that
+// character, so the kept prefix stays valid UTF-8.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "…"
 }

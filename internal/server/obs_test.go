@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"xqindep/internal/obs"
 	"xqindep/internal/plan"
@@ -225,5 +226,33 @@ func TestRecordAllocFreeAndConcurrent(t *testing.T) {
 	}
 	if got := h.metrics.latency.Count(); got != base+2000 {
 		t.Errorf("latency count = %d after 2000 concurrent records over %d, lost updates", got, base)
+	}
+}
+
+// TestTruncateKeepsRunesWhole checks the trace-ring text bound never
+// splits a multi-byte character, which JSON would render as U+FFFD.
+func TestTruncateKeepsRunesWhole(t *testing.T) {
+	pad := strings.Repeat("a", 199)
+	cases := []struct {
+		name, in, want string
+	}{
+		{"short", "//title", "//title"},
+		{"exactly at the bound", pad + "b", pad + "b"},
+		{"ascii cut", pad + "bc", pad + "b…"},
+		{"two-byte rune straddles", pad + "é", pad + "…"},
+		{"three-byte rune straddles", pad[1:] + "€x", pad[1:] + "…"},
+		{"four-byte rune straddles", pad[2:] + "𝄞x", pad[2:] + "…"},
+		{"rune ends at the bound", pad[1:] + "é" + "x", pad[1:] + "é…"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := truncate(tc.in, 200)
+			if got != tc.want {
+				t.Fatalf("truncate = %q, want %q", got, tc.want)
+			}
+			if !utf8.ValidString(got) {
+				t.Fatalf("truncate = %q is not valid UTF-8", got)
+			}
+		})
 	}
 }

@@ -59,11 +59,6 @@ func (t TypeSet) String() string { return fmt.Sprintf("%v", t.Sorted()) }
 // Analyzer performs type-set inference over one DTD.
 type Analyzer struct {
 	D *dtd.DTD
-	// C is the compiled form of D (from the shared compilation cache),
-	// used for its precomputed parent and sibling indexes; nil when
-	// compilation failed, in which case the analyzer scans the DTD's
-	// declarations directly.
-	C *dtd.Compiled
 	// B, when non-nil, checks the wall-clock deadline cooperatively in
 	// the closure and inference loops.
 	B *guard.Budget
@@ -71,8 +66,7 @@ type Analyzer struct {
 
 // New builds an analyzer.
 func New(d *dtd.DTD) *Analyzer {
-	c, _ := dtd.Compile(d)
-	return &Analyzer{D: d, C: c}
+	return &Analyzer{D: d}
 }
 
 // NewBudget builds an analyzer charging b (nil means unlimited).
@@ -325,8 +319,6 @@ func (a *Analyzer) stepTypes(ctx TypeSet, axis xquery.Axis, test xquery.NodeTest
 			case isTextType(s):
 				parentsOf = []string{s[2:]}
 				sym = dtd.StringType
-			case a.C != nil:
-				parentsOf = a.C.ParentNames(s)
 			default:
 				for _, t := range a.D.Types {
 					for _, c := range a.D.ChildTypes(t) {
@@ -460,17 +452,9 @@ func (a *Analyzer) Update(g Env, u xquery.Update) UpdateTypes {
 func (a *Analyzer) parentTypes(t TypeSet) TypeSet {
 	out := TypeSet{}
 	for s := range t {
-		switch {
-		case isTextType(s):
+		if isTextType(s) {
 			out.add(s[2:])
-		case a.C != nil:
-			for _, p := range a.C.ParentNames(s) {
-				out.add(p)
-			}
 		}
-	}
-	if a.C != nil {
-		return out
 	}
 	for _, p := range a.D.Types {
 		for _, c := range a.D.ChildTypes(p) {

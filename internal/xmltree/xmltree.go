@@ -96,9 +96,6 @@ func (s *Store) NewText(value string) Loc {
 	return Loc(len(s.nodes))
 }
 
-// KindOf returns the kind of the node at l.
-func (s *Store) KindOf(l Loc) Kind { return s.at(l).kind }
-
 // IsElement reports whether l is an element node.
 func (s *Store) IsElement(l Loc) bool { return s.at(l).kind == ElementKind }
 

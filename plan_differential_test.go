@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"xqindep/internal/core"
+	"xqindep/internal/dtd"
+	"xqindep/internal/guard"
 	"xqindep/internal/plan"
 	"xqindep/internal/xmark"
 )
@@ -65,5 +67,32 @@ func TestPreparedMatrixMatchesCold(t *testing.T) {
 				t.Errorf("%s: warm verdict diverged from cold\ncold: %s\nwarm: %s", key, cold[key], got)
 			}
 		}
+	}
+}
+
+// TestPairFingerprintIsThePlanCacheKey pins what xqindep -show-plan
+// prints as the key the plan cache uses: after one cold build, the
+// cache answers (Schema.Fingerprint, PairFingerprint) from the resident
+// without running a builder, even for a differently sugared spelling of
+// the same pair.
+func TestPairFingerprintIsThePlanCacheKey(t *testing.T) {
+	s := MustParseSchema(bibSchema)
+	c, err := dtd.Compile(s.DTD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := plan.NewCache(4)
+	q, u := MustParseQuery("//title"), MustParseUpdate("delete //price")
+	built, warm, err := plan.Prepare(cache, c, q.ast, u.ast, guard.New(context.Background(), guard.Limits{}))
+	if err != nil || warm {
+		t.Fatalf("first Prepare: warm=%v err=%v, want a cold build", warm, err)
+	}
+	sugared := MustParseQuery("/descendant-or-self::node()/child::title")
+	got, warm := cache.Get(s.Fingerprint(), PairFingerprint(sugared, u), func() *plan.CompiledExpr {
+		t.Fatal("Get under PairFingerprint ran the builder: it is not the cache key")
+		return nil
+	})
+	if !warm || got != built {
+		t.Fatalf("Get under PairFingerprint: warm=%v, same plan=%v", warm, got == built)
 	}
 }

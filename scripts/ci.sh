@@ -59,12 +59,13 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== bench smoke (compiled-schema + prepared-plan comparisons, 1 iteration)"
-# One iteration only — this proves the engine/phase and cold/warm
-# benchmarks still compile and run. Measure the compiled-schema
-# comparison with `go test -run '^$' -bench BenchmarkCompiledVsReference
-# -benchmem .`; BENCH_compiledschema.json is its historical record.
-go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold' -benchtime 1x .
+echo "== bench smoke (compiled-schema, prepared-plan and audit-overhead comparisons, 1 iteration)"
+# One iteration only — this proves the engine/phase, cold/warm and
+# audit off/on benchmarks still compile and run. Measure one with
+# `go test -run '^$' -bench <name> -benchmem .`;
+# BENCH_compiledschema.json and BENCH_sentinel.json are the historical
+# records of the first and last.
+go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold|BenchmarkAuditOverhead' -benchtime 1x .
 
 echo "== bench module (go vet + go test inside bench/)"
 # bench/ is a module of its own, so `go test ./...` above never reaches
@@ -98,13 +99,6 @@ echo "== crash-recovery chaos smoke (fixed seed, ${CHAOS_RUNS:-60} runs)"
 # default-seed 200-run suite already ran above).
 CHAOS_SEED="${CHAOS_SEED:-424242}" CHAOS_RUNS="${CHAOS_RUNS:-60}" \
   go test ./internal/statefile -race -count=1 -run 'TestCrashChaos'
-
-echo "== audit-overhead smoke (200 requests per arm)"
-# A tiny run proves the benchmark still works end to end; the
-# committed BENCH_sentinel.json is regenerated by
-# `go run ./cmd/xqbench -audit-bench`, not here (percentiles from 200
-# requests are too noisy to gate on).
-go run ./cmd/xqbench -audit-bench -audit-requests 200 -audit-out ''
 
 echo "== metricz smoke (boot daemon, scrape, check families)"
 # Boot the real daemon and scrape /metricz once: proves the ops

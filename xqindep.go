@@ -99,9 +99,10 @@ func (s *Schema) Fingerprint() string { return s.d.Fingerprint() }
 // the escape hatch for advanced integrations and tests.
 func (s *Schema) DTD() *dtd.DTD { return s.d }
 
-// CompiledSchema is the dense compiled artifact the chain analyses
-// run on: symbols interned to small integers, reachability, sibling
-// order and recursion precomputed as bitsets. It is immutable and safe
+// CompiledSchema is the dense compiled artifact the Chains method's
+// CDAG engine runs on: symbols interned to small integers, with the
+// successor, sibling-order and label tables that engine reads held as
+// bitsets, and the count of recursive types. It is immutable and safe
 // for concurrent use; equal-fingerprint schemas share one instance
 // through the process-wide compilation cache.
 type CompiledSchema struct {
@@ -355,9 +356,11 @@ type ChainEvidence struct {
 	K       int      // multiplicity of the finite analysis
 }
 
-// ExplainChains returns the chain sets behind a verdict.
+// ExplainChains returns the chain sets behind a verdict. It runs the
+// exact engine without a budget, which is exponential on recursive
+// schemas.
 func (s *Schema) ExplainChains(q *Query, u *Update) (ChainEvidence, error) {
-	ret, used, elem, upd, k, err := s.a.Chains(q.ast, u.ast)
+	ret, used, elem, upd, k, err := s.a.Chains(q.ast, u.ast, nil)
 	if err != nil {
 		return ChainEvidence{}, err
 	}
