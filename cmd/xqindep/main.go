@@ -19,8 +19,9 @@
 // in which case the overrun is an error.
 //
 // -show-plan reports whether the verdict came from a warm prepared
-// plan or a cold build, plus the content fingerprints the plan cache
-// keys on — sugared variants of the same logical pair share them.
+// plan or a cold build, plus the plan cache key — the schema and pair
+// fingerprints, which sugared variants of the same logical pair share
+// — and, separately, the query and update fingerprints.
 //
 // -trace prints the per-phase span tree of the analysis after the
 // verdict: ladder rungs as spans, the engine's fault-point boundaries
@@ -77,7 +78,7 @@ func run() int {
 		noFallback  = flag.Bool("no-fallback", false, "fail on budget overrun instead of degrading to a weaker method")
 		lint        = flag.Bool("lint", false, "warn when the query or update matches zero chains under the schema (usually a path typo)")
 		audit       = flag.Bool("audit", false, "re-derive an Independent verdict on the audit machinery (shadow engine + dynamic oracle); exit 4 on disagreement")
-		showPlan    = flag.Bool("show-plan", false, "print prepared-plan provenance (warm/cold) and the fingerprints the plan cache keys on")
+		showPlan    = flag.Bool("show-plan", false, "print prepared-plan provenance (warm/cold), the plan cache key (schema and pair fingerprints) and the expression fingerprints")
 		traceF      = flag.Bool("trace", false, "print the per-phase span trace of the analysis (ladder rungs, plan pipeline stages, engine phase marks)")
 	)
 	flag.Parse()
@@ -201,8 +202,8 @@ func run() int {
 		}
 	}
 	if *showPlan {
-		fmt.Printf("\nplan cache key:\n  schema  %s\n  query   %s\n  update  %s\n  pair    %s\n",
-			schema.Fingerprint(), q.Fingerprint(), u.Fingerprint(), xqindep.PairFingerprint(q, u))
+		fmt.Printf("\nplan cache key:\n  schema  %s\n  pair    %s\nexpression fingerprints:\n  query   %s\n  update  %s\n",
+			schema.Fingerprint(), xqindep.PairFingerprint(q, u), q.Fingerprint(), u.Fingerprint())
 	}
 	if tr != nil {
 		fmt.Println("\ntrace:")

@@ -1,8 +1,9 @@
 // Command xqindepd serves the independence analysis as an always-on
-// daemon: a bounded worker pool with admission control (load shedding
-// under burst), per-schema circuit breaking, per-request resource
-// budgets subdivided from a pool-wide limit, and graceful drain on
-// SIGTERM/SIGINT.
+// daemon: counted admission control (each request runs on its own
+// goroutine, at most -workers analyses run at once, at most -queue
+// more wait, and the rest are shed under burst), per-schema circuit
+// breaking, per-request resource budgets subdivided from a pool-wide
+// limit, and graceful drain on SIGTERM/SIGINT.
 //
 // HTTP mode (default):
 //
@@ -84,12 +85,12 @@ func run() int {
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		batch     = flag.Bool("batch", false, "read requests from stdin (one JSON object per line) instead of serving HTTP")
 		schemaF   = flag.String("schema", "", "schema file used as the default for batch lines without one")
-		workers   = flag.Int("workers", 0, "analysis pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "admission queue depth (0 = 2x workers); overflow is shed with HTTP 429")
+		workers   = flag.Int("workers", 0, "analyses that run at once, each on its request's goroutine (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 0, "admitted requests that may wait for a run slot (0 = 2x workers); beyond workers+queue, requests are shed with HTTP 429")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request analysis wall-clock budget")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful drain deadline on shutdown")
-		maxNodes  = flag.Int("max-nodes", 0, "pool-wide CDAG node budget, subdivided across workers (0 = default)")
-		maxChains = flag.Int("max-chains", 0, "pool-wide explicit chain-set budget, subdivided across workers (0 = default)")
+		maxNodes  = flag.Int("max-nodes", 0, "pool-wide CDAG node budget, subdivided across the run slots (0 = default)")
+		maxChains = flag.Int("max-chains", 0, "pool-wide explicit chain-set budget, subdivided across the run slots (0 = default)")
 		maxK      = flag.Int("max-k", 0, "largest accepted multiplicity k (0 = default)")
 		noFall    = flag.Bool("no-fallback", false, "fail on budget overrun instead of degrading to a weaker method")
 		brkN      = flag.Int("breaker-threshold", 5, "consecutive budget blowups on one schema that open its circuit breaker (-1 disables)")

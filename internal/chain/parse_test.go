@@ -3,8 +3,6 @@ package chain
 import (
 	"reflect"
 	"testing"
-
-	"xqindep/internal/dtd"
 )
 
 func TestParseChainRejectsEmptySymbols(t *testing.T) {
@@ -60,67 +58,4 @@ func TestMustParsePanicsOnMalformed(t *testing.T) {
 		}
 	}()
 	MustParseChain("a..b")
-}
-
-var internDTD = dtd.MustParse(`
-bib <- book*
-book <- title, author*
-title <- #PCDATA
-author <- #PCDATA
-`)
-
-func TestInternedRoundTrip(t *testing.T) {
-	comp, err := dtd.NewCompiled(internDTD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := MustParseChain("bib.book.title.S")
-	ic, ok := Intern(c, comp)
-	if !ok {
-		t.Fatal("Intern failed on schema symbols")
-	}
-	if got := ic.Names(comp); !got.Equal(c) {
-		t.Errorf("round trip = %v, want %v", got, c)
-	}
-	if ic.Len() != 4 || ic.IsEmpty() || comp.NameOf(ic.Last()) != dtd.StringType {
-		t.Errorf("interned shape wrong: %v", ic)
-	}
-	if !ic.Valid(comp) {
-		t.Error("schema-valid chain reported invalid")
-	}
-	if empty, ok := Intern(nil, comp); !ok || empty != nil || !empty.IsEmpty() {
-		t.Errorf("empty chain interning = %v, %v", empty, ok)
-	}
-	if _, ok := Intern(MustParseChain("bib.nosuch"), comp); ok {
-		t.Error("interning an out-of-alphabet symbol must fail")
-	}
-}
-
-func TestInternedPrefixAndEqual(t *testing.T) {
-	comp, err := dtd.NewCompiled(internDTD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	intern := func(s string) Interned {
-		ic, ok := Intern(MustParseChain(s), comp)
-		if !ok {
-			t.Fatalf("intern %q", s)
-		}
-		return ic
-	}
-	a, ab := intern("bib.book"), intern("bib.book.author")
-	if !a.IsPrefixOf(ab) || ab.IsPrefixOf(a) {
-		t.Error("interned prefix relation wrong")
-	}
-	if !a.Equal(intern("bib.book")) || a.Equal(ab) {
-		t.Error("interned equality wrong")
-	}
-	// Mirrors the string-level relation exactly.
-	if a.IsPrefixOf(ab) != MustParseChain("bib.book").IsPrefixOf(MustParseChain("bib.book.author")) {
-		t.Error("interned and string prefix disagree")
-	}
-	bad := Interned{comp.StringSym(), comp.Start()}
-	if bad.Valid(comp) {
-		t.Error("S cannot derive further symbols")
-	}
 }

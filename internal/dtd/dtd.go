@@ -224,30 +224,6 @@ func (d *DTD) DescendantClosure(seed []string) map[string]bool {
 	return out
 }
 
-// AncestorClosure returns the set of types from which some type in
-// seed is reachable via one or more ⇒d steps.
-func (d *DTD) AncestorClosure(seed []string) map[string]bool {
-	parents := make(map[string][]string)
-	for _, t := range d.Types {
-		for _, c := range d.ChildTypes(t) {
-			parents[c] = append(parents[c], t)
-		}
-	}
-	out := make(map[string]bool)
-	stack := append([]string(nil), seed...)
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range parents[t] {
-			if !out[p] {
-				out[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return out
-}
-
 // RecursiveTypes returns the set of types that lie on a ⇒d cycle
 // (the recursive types of §5): members of a strongly connected
 // component of size ≥ 2, or with a self-loop. The SCC computation is

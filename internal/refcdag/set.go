@@ -753,7 +753,7 @@ func (s *Set) Chains(limit int) []chain.Chain {
 	return out
 }
 
-// Strings renders the enumerated chains; for tests.
+// Strings renders the enumerated chains, up to limit (0 = no limit).
 func (s *Set) Strings(limit int) []string {
 	cs := s.Chains(limit)
 	out := make([]string, len(cs))

@@ -84,3 +84,36 @@ func TestCorruptArtifactChangesVerdictsAndAuditContainsThem(t *testing.T) {
 		t.Fatalf("%s × %s: schema %s after the disagreement, want quarantined", s.view.Name, s.update.Name, got)
 	}
 }
+
+// TestIncidentEvidenceFromShadow serves the dependent XMark pair
+// q1 × UB7 as Independent: the incident must carry chain evidence from
+// the shadow that refuted it. The explicit-set engine exhausts the
+// default audit budget on this pair, so evidence derived there would
+// be empty.
+func TestIncidentEvidenceFromShadow(t *testing.T) {
+	v, _ := xmark.ViewByName("q1")
+	u, _ := xmark.UpdateByName("UB7")
+	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+	a := New(Config{SampleRate: 1, Quarantine: reg, OracleDocs: -1, Plans: plan.NewCache(1)})
+	defer a.Close()
+	a.Observe(Observation{
+		D: xmark.Schema(), Query: v.AST, Update: u.AST,
+		QueryText: v.Name, UpdateText: u.Name,
+		Result: core.Result{Method: core.MethodChains, Independent: true},
+	})
+	a.Flush()
+	incs := a.Incidents()
+	if len(incs) != 1 {
+		t.Fatalf("incidents: %d, want 1 (stats %+v)", len(incs), a.Stats())
+	}
+	in := incs[0]
+	if in.ShadowErr != "" || in.ShadowIndependent {
+		t.Fatalf("shadow did not refute the verdict: %+v", in)
+	}
+	if len(in.QueryChains) == 0 || len(in.UpdateChains) == 0 {
+		t.Fatalf("incident carries no chain evidence: %+v", in)
+	}
+	if len(in.QueryChains) > 2*evidenceCap || len(in.UpdateChains) > evidenceCap {
+		t.Fatalf("evidence over the cap: %d query, %d update chains", len(in.QueryChains), len(in.UpdateChains))
+	}
+}

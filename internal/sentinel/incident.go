@@ -20,9 +20,11 @@ type Incident struct {
 	Fingerprint string `json:"fingerprint"`
 	QueryText   string `json:"query"`
 	UpdateText  string `json:"update"`
-	// QueryChains / UpdateChains are the inferred chain evidence of the
-	// pair (dotted notation), when the exact engine could derive them
-	// within the audit budget.
+	// QueryChains (return, then used) and UpdateChains are the chain
+	// evidence of the pair in dotted notation, taken from the shadow
+	// re-derivation and capped per set; update evidence is full update
+	// chains, not c:c' pairs. Both are empty when the shadow ran out of
+	// audit budget.
 	QueryChains  []string `json:"query_chains,omitempty"`
 	UpdateChains []string `json:"update_chains,omitempty"`
 	// FastIndependent is the verdict that was served; always true for

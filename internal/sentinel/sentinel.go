@@ -513,6 +513,9 @@ func (a *Auditor) markProbe(fp string, clean bool) {
 	}
 }
 
+// evidenceCap bounds the chains an incident records per chain set.
+const evidenceCap = 64
+
 // record builds the structured incident, appends it to the ring and
 // spools it.
 func (a *Auditor) record(kind string, o Observation, shadow refcdag.Verdict, shadowErr error, witness int) {
@@ -531,21 +534,18 @@ func (a *Auditor) record(kind string, o Observation, shadow refcdag.Verdict, sha
 	} else {
 		in.ShadowIndependent = shadow.Independent
 		in.ShadowReasons = shadow.Reasons
+		// Chain evidence comes from the shadow's own chain DAGs, capped
+		// per set (enumeration is exponential in general). Enumerating
+		// ticks the audit budget, so a Shutdown can abort it, leaving
+		// the incident without evidence.
+		_ = guard.Do(func() {
+			in.QueryChains = append(shadow.Query.Ret.Strings(evidenceCap), shadow.Query.Used.Strings(evidenceCap)...)
+			in.UpdateChains = shadow.Update.Full.Strings(evidenceCap)
+		})
 	}
 	for _, m := range o.Result.FallbackChain {
 		in.FallbackChain = append(in.FallbackChain, m.String())
 	}
-	// Chain evidence is diagnostic garnish: derive it with the exact
-	// engine under the audit budget, and skip it when the budget runs
-	// out (the engine is exponential on recursive schemas).
-	_ = guard.Do(func() {
-		b := guard.New(a.base, a.cfg.Budget)
-		ret, used, _, upd, _, cerr := core.NewAnalyzer(o.D).Chains(o.Query, o.Update, b)
-		if cerr == nil {
-			in.QueryChains = append(ret, used...)
-			in.UpdateChains = upd
-		}
-	})
 
 	a.mu.Lock()
 	in.Time = a.now()

@@ -32,7 +32,10 @@ type AnalyzeRequest struct {
 	Update string `json:"update"`
 	// Method names the analysis ("chains" when empty).
 	Method string `json:"method,omitempty"`
-	// TimeoutMS optionally tightens the per-request wall clock.
+	// TimeoutMS optionally tightens the per-request wall clock. Like
+	// the server's RequestTimeout, a timeout that passes mid-analysis
+	// degrades the verdict; one that passes while the request waits
+	// for a run slot fails it with 503.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// MaxNodes/MaxChains/MaxK optionally tighten the budget (always
 	// clamped to the pool share).

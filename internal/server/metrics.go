@@ -82,8 +82,8 @@ var rungLabels = []string{"chains", "chains-exact", "types", "paths", "conservat
 
 // handlerMetrics holds the handler's pre-registered instruments. The
 // per-request hot path only touches them through map lookups on
-// constant keys and atomic adds — no allocation, safe for every
-// worker (pinned by TestRecordAllocs).
+// constant keys and atomic adds — no allocation, safe for concurrent
+// requests (pinned by TestRecordAllocs).
 type handlerMetrics struct {
 	reg      *obs.Registry
 	latency  *obs.Histogram
@@ -135,11 +135,11 @@ func newHandlerMetrics(reg *obs.Registry, s *Server) *handlerMetrics {
 	stat := func(f func(Stats) float64) func() float64 {
 		return func() float64 { return f(s.Stats()) }
 	}
-	reg.CounterFunc(MetricPoolAdmitted, "Requests accepted into the pool queue.", stat(func(st Stats) float64 { return float64(st.Admitted) }))
-	reg.CounterFunc(MetricPoolShed, "Requests shed by admission control (queue full or memory watermark).", stat(func(st Stats) float64 { return float64(st.Shed) }))
+	reg.CounterFunc(MetricPoolAdmitted, "Requests admitted by the pool.", stat(func(st Stats) float64 { return float64(st.Admitted) }))
+	reg.CounterFunc(MetricPoolShed, "Requests shed by admission control (every admission place taken, or memory watermark).", stat(func(st Stats) float64 { return float64(st.Shed) }))
 	reg.CounterFunc(MetricPoolMemShed, "Of the shed requests, those rejected by the memory watermark.", stat(func(st Stats) float64 { return float64(st.MemShed) }))
 	reg.CounterFunc(MetricPoolRejected, "Requests rejected while draining or closed.", stat(func(st Stats) float64 { return float64(st.Rejected) }))
-	reg.CounterFunc(MetricPoolCompleted, "Analyses finished by a worker, any outcome.", stat(func(st Stats) float64 { return float64(st.Completed) }))
+	reg.CounterFunc(MetricPoolCompleted, "Analyses finished, any outcome.", stat(func(st Stats) float64 { return float64(st.Completed) }))
 	reg.CounterFunc(MetricPoolDegraded, "Completed analyses whose verdict came from a weaker ladder rung.", stat(func(st Stats) float64 { return float64(st.Degraded) }))
 	reg.CounterFunc(MetricPoolFailed, "Completed analyses that returned an error.", stat(func(st Stats) float64 { return float64(st.Failed) }))
 	reg.CounterFunc(MetricPoolPanics, "Panics converted to internal errors (engine or serving glue).", stat(func(st Stats) float64 { return float64(st.Panics) }))

@@ -6,34 +6,39 @@
 //
 // The design is defense in depth, outermost first:
 //
-//   - Admission control: a bounded worker pool fed by a bounded queue.
-//     When the queue is full the request is shed immediately with
-//     ErrOverloaded — the server never queues unboundedly, so latency
-//     stays bounded under bursty load and memory under pathological
-//     load.
+//   - Admission control: a counted admission. At most
+//     Workers+QueueDepth requests are admitted at once and at most
+//     Workers of them analyse; the others wait for a run slot. Past
+//     that bound a request is shed immediately with ErrOverloaded —
+//     the server never queues unboundedly, so latency stays bounded
+//     under bursty load and memory under pathological load. Every
+//     request runs on its caller's goroutine, so a caller that gives
+//     up while waiting frees its place at once.
 //
 //   - Budget subdivision: the pool-wide guard.Limits are subdivided
-//     across workers (guard.Limits.Subdivide), so W concurrent
-//     pathological analyses cannot multiply resource consumption W
-//     times past what the operator configured for the whole process.
-//     Per-request limits are clamped to the per-worker share.
+//     across the Workers run slots (guard.Limits.Subdivide), so W
+//     concurrent pathological analyses cannot multiply resource
+//     consumption W times past what the operator configured for the
+//     whole process. Per-request limits are clamped to the per-slot
+//     share.
 //
 //   - Circuit breaking: repeated budget blowups on the same schema
 //     (keyed by dtd.Fingerprint) open a per-schema breaker. While
 //     open, requests for that schema get an immediate *conservative
 //     degraded* verdict — "not independent", which is always sound —
-//     instead of burning a worker on an analysis that keeps failing.
+//     instead of burning a run slot on an analysis that keeps failing.
 //     After a jittered exponential backoff the breaker goes half-open
 //     and admits one probe; success closes it, failure re-opens it
 //     with a doubled backoff.
 //
 //   - Panic isolation: the engine already converts panics to
-//     *guard.InternalError; the worker adds a second recover so even a
-//     bug in the serving glue takes down one request, not the pool.
+//     *guard.InternalError; Do adds one boundary around the serving
+//     glue, so even a bug there takes down one request, not the
+//     process.
 //
-//   - Graceful drain: Shutdown stops admission, lets in-flight (queued
-//     and running) work finish until the deadline, then hard-cancels
-//     the remainder. Every analysis observes cancellation
+//   - Graceful drain: Shutdown stops admission, lets in-flight
+//     (waiting and running) requests finish until the deadline, then
+//     hard-cancels the remainder. Every analysis observes cancellation
 //     cooperatively, so drain always terminates.
 //
 // The soundness invariant of the degradation ladder — a verdict of
@@ -66,8 +71,8 @@ import (
 
 // Sentinel errors of the serving layer.
 var (
-	// ErrOverloaded: the admission queue is full; the request was shed
-	// without queueing. Retry with backoff.
+	// ErrOverloaded: Workers+QueueDepth requests are already admitted;
+	// the request was shed without waiting. Retry with backoff.
 	ErrOverloaded = errors.New("server: overloaded, request shed")
 	// ErrDraining: the server is shutting down and no longer admits.
 	ErrDraining = errors.New("server: draining, not admitting")
@@ -84,18 +89,21 @@ var ErrCircuitOpen = fmt.Errorf("server: circuit breaker open: %w", guard.ErrBud
 // Config tunes the serving layer. The zero value of every field
 // selects a sensible default.
 type Config struct {
-	// Workers is the size of the analysis pool (default GOMAXPROCS).
+	// Workers bounds the analyses that run at once (default
+	// GOMAXPROCS). Each runs on its caller's goroutine, holding one of
+	// Workers run slots.
 	Workers int
-	// QueueDepth bounds the admission queue (default 2×Workers).
-	// Admissions beyond Workers+QueueDepth are shed with
-	// ErrOverloaded.
+	// QueueDepth bounds the admitted requests that wait for a run slot
+	// (default 2×Workers). Admissions beyond Workers+QueueDepth are
+	// shed with ErrOverloaded.
 	QueueDepth int
 	// Limits is the pool-wide resource budget; it is subdivided across
-	// workers and each request runs under its share (zero fields take
-	// guard defaults before subdividing).
+	// the run slots and each request runs under its share (zero fields
+	// take guard defaults before subdividing).
 	Limits guard.Limits
-	// RequestTimeout bounds one analysis' wall-clock time once a
-	// worker picks it up (default 5s; negative disables).
+	// RequestTimeout bounds one analysis' wall-clock time once it holds
+	// a run slot (default 5s; negative disables). Like a caller
+	// deadline, it degrades the verdict when it passes mid-analysis.
 	RequestTimeout time.Duration
 	// NoFallback disables the degradation ladder pool-wide.
 	NoFallback bool
@@ -121,8 +129,8 @@ type Config struct {
 	// MemoryWatermark, when positive, sheds admissions with
 	// ErrOverloaded while the process heap (per MemoryUsage) exceeds
 	// this many bytes — a soft limit in the spirit of
-	// runtime/debug.SetMemoryLimit that keeps audit buffers and queue
-	// growth from OOMing the daemon.
+	// runtime/debug.SetMemoryLimit that keeps audit buffers and
+	// waiting requests from OOMing the daemon.
 	MemoryWatermark uint64
 	// MemoryUsage reads current heap usage for the watermark check;
 	// nil selects a runtime.ReadMemStats-based reader. Injectable for
@@ -177,7 +185,7 @@ type Task struct {
 	// Method is the requested analysis technique.
 	Method core.Method
 	// Limits optionally tightens the per-request budget; fields are
-	// clamped to the pool's per-worker share (zero = use the share).
+	// clamped to the pool's per-slot share (zero = use the share).
 	Limits guard.Limits
 	// NoFallback disables the degradation ladder for this request.
 	NoFallback bool
@@ -188,7 +196,7 @@ type Task struct {
 
 // Stats is a snapshot of the server counters.
 type Stats struct {
-	Admitted        uint64 // requests accepted into the queue
+	Admitted        uint64 // requests that took an admission place
 	Shed            uint64 // rejected with ErrOverloaded
 	MemShed         uint64 // of Shed: rejected by the memory watermark
 	Rejected        uint64 // rejected with ErrDraining/ErrClosed
@@ -210,39 +218,29 @@ const (
 	stateClosed
 )
 
-// job carries one admitted task through the queue.
-type job struct {
-	ctx   context.Context
-	task  Task
-	fp    string
-	probe bool
-	res   core.Result
-	err   error
-	done  chan struct{}
-}
-
 // Server is the concurrent analysis service.
 type Server struct {
-	cfg      Config
-	share    guard.Limits // per-worker subdivision of cfg.Limits
-	queue    chan *job
-	breakers *breakerSet
-	// admitMu serializes admission against shutdown: Do pushes to the
-	// queue under the read lock, Shutdown flips the state under the
-	// write lock, so after Shutdown observes the state change no new
-	// push can race the queue close.
+	cfg   Config
+	share guard.Limits // per-slot subdivision of cfg.Limits
+	// places and slots are counting semaphores: places holds one token
+	// per admitted request (Workers+QueueDepth), slots one per running
+	// analysis (Workers).
+	places, slots chan struct{}
+	breakers      *breakerSet
+	// admitMu serializes admission against shutdown: Do takes its place
+	// and joins the in-flight group under the read lock, Shutdown flips
+	// the state under the write lock, so once Shutdown observes the
+	// state change no inflight.Add can race its inflight.Wait.
 	admitMu  sync.RWMutex
 	state    atomic.Int32
 	baseCtx  context.Context
 	cancel   context.CancelFunc
-	workers  sync.WaitGroup
 	inflight sync.WaitGroup
 
 	admitted, shed, rejected    atomic.Uint64
 	memShed                     atomic.Uint64
 	completed, degraded, failed atomic.Uint64
 	panics                      atomic.Uint64
-	inFlightN                   atomic.Int64
 
 	shutdownOnce sync.Once
 	shutdownErr  error
@@ -252,33 +250,21 @@ type Server struct {
 	drainUntil atomic.Int64
 }
 
-// New starts a server with cfg's workers running.
+// New returns a server that admits requests.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	//xqvet:ignore ctxflow server root context: request contexts arrive via Do, teardown cancels this one
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		cfg:      cfg,
 		share:    cfg.Limits.Subdivide(cfg.Workers),
-		queue:    make(chan *job, cfg.QueueDepth),
+		places:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		slots:    make(chan struct{}, cfg.Workers),
 		breakers: newBreakerSet(cfg.Breaker),
 		baseCtx:  ctx,
 		cancel:   cancel,
 		closed:   make(chan struct{}),
 	}
-	s.workers.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go func() {
-			defer s.workers.Done()
-			// Goroutine boundary: runJob isolates per-job panics, so
-			// anything reaching here is a bug in the loop itself; eat
-			// it rather than crash the process (the lost worker is
-			// visible in the panic counter).
-			defer guard.OnPanic(func(*guard.InternalError) { s.panics.Add(1) })
-			s.worker()
-		}()
-	}
-	return s
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -304,7 +290,7 @@ func (s *Server) Stats() Stats {
 		BreakerRejected: bs.rejected,
 		BreakerTrips:    bs.trips,
 		BreakerProbes:   bs.probes,
-		InFlight:        s.inFlightN.Load(),
+		InFlight:        int64(len(s.places)),
 	}
 }
 
@@ -327,16 +313,19 @@ func conservative(reason string, err error) core.Result {
 	}
 }
 
-// Do runs one task through admission control and the pool,
-// synchronously. It returns:
+// Do runs one task through admission control and then on the
+// caller's goroutine, synchronously. It returns:
 //
-//   - the analysis result (possibly degraded, per the engine's ladder);
+//   - the analysis result (possibly degraded, per the engine's ladder:
+//     a ctx deadline that passes mid-analysis degrades the verdict, as
+//     in core.Analyzer.AnalyzeContext);
 //   - a conservative degraded result with Err == ErrCircuitOpen when
 //     the schema's breaker is open;
-//   - ErrOverloaded when the queue is full, ErrDraining/ErrClosed
-//     during shutdown;
-//   - ctx's error when the caller gives up first (the admitted job
-//     still completes in the background and feeds the breaker).
+//   - ErrOverloaded when Workers+QueueDepth requests are already
+//     admitted, ErrDraining/ErrClosed during shutdown;
+//   - ctx's error when the caller gives up before the analysis starts
+//     or cancels it, and context.Canceled when a drain hard-cancels
+//     the request.
 func (s *Server) Do(ctx context.Context, t Task) (core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -345,83 +334,79 @@ func (s *Server) Do(ctx context.Context, t Task) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("server: task without analyzer")
 	}
 	fp := t.Analyzer.D.Fingerprint()
-	j, err := s.admit(ctx, t, fp)
+	admitted, probe, err := s.admit(fp)
 	if err != nil {
 		return core.Result{}, err
 	}
-	if j == nil {
+	if !admitted {
 		return conservative("circuit breaker open for this schema; conservatively assuming dependence", ErrCircuitOpen), nil
 	}
-	select {
-	case <-j.done:
-		return j.res, j.err
-	case <-ctx.Done():
-		// The worker will observe the dead context and finish the job
-		// cheaply; we just stop waiting.
-		return core.Result{}, ctx.Err()
+	defer func() {
+		<-s.places
+		s.inflight.Done()
+	}()
+	// Wait for a run slot. A caller that gives up first leaves at once,
+	// without running the analysis or signalling the breaker.
+	err = ctx.Err()
+	if err == nil {
+		select {
+		case s.slots <- struct{}{}:
+			defer func() { <-s.slots }()
+			return s.process(ctx, t, fp, probe)
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-s.baseCtx.Done():
+			err = context.Canceled
+		}
 	}
+	if probe {
+		s.breakers.record(fp, outcomeNeutral, true)
+	}
+	return core.Result{}, err
 }
 
 // admit runs admission control under the read lock: state check,
-// breaker check, bounded enqueue. It returns (nil, nil) for a
-// breaker-rejected request (served conservatively by the caller).
-func (s *Server) admit(ctx context.Context, t Task, fp string) (*job, error) {
+// memory watermark, breaker check, and one of Workers+QueueDepth
+// places taken without blocking. admitted is false, with a nil error,
+// for a breaker-rejected request (served conservatively by the caller).
+func (s *Server) admit(fp string) (admitted, probe bool, err error) {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	switch serverState(s.state.Load()) {
 	case stateDraining:
 		s.rejected.Add(1)
-		return nil, ErrDraining
+		return false, false, ErrDraining
 	case stateClosed:
 		s.rejected.Add(1)
-		return nil, ErrClosed
+		return false, false, ErrClosed
 	}
 	if s.cfg.MemoryWatermark > 0 && s.cfg.MemoryUsage() > s.cfg.MemoryWatermark {
-		// Soft memory watermark exceeded: shed before touching the
-		// queue, so queued requests and audit buffers stop growing
-		// while the heap is hot.
+		// Soft memory watermark exceeded: shed before taking a place,
+		// so waiting requests and audit buffers stop growing while the
+		// heap is hot.
 		s.memShed.Add(1)
 		s.shed.Add(1)
-		return nil, ErrOverloaded
+		return false, false, ErrOverloaded
 	}
 	admit, probe := s.breakers.allow(fp)
 	if !admit {
-		return nil, nil
+		return false, false, nil
 	}
-	j := &job{ctx: ctx, task: t, fp: fp, probe: probe, done: make(chan struct{})}
-	s.inflight.Add(1)
 	select {
-	case s.queue <- j:
+	case s.places <- struct{}{}:
+		s.inflight.Add(1)
 		s.admitted.Add(1)
-		s.inFlightN.Add(1)
-		return j, nil
+		return true, probe, nil
 	default:
-		s.inflight.Done()
 		if probe {
 			s.breakers.record(fp, outcomeNeutral, true)
 		}
 		s.shed.Add(1)
-		return nil, ErrOverloaded
+		return false, false, ErrOverloaded
 	}
 }
 
-func (s *Server) worker() {
-	for j := range s.queue {
-		s.runJob(j)
-	}
-}
-
-// runJob is the per-job panic boundary of the serving glue: the engine
-// converts its own panics to errors inside analyze, so a panic landing
-// here is a server bug — confine it to this one job and keep the
-// worker alive. The job's done channel is closed by process's deferred
-// close even while unwinding, so the caller never hangs.
-func (s *Server) runJob(j *job) {
-	defer guard.OnPanic(func(*guard.InternalError) { s.panics.Add(1) })
-	s.process(j)
-}
-
-// clamp bounds the per-request limits by the per-worker share: a
+// clamp bounds the per-request limits by the per-slot share: a
 // request may tighten its budget but never exceed the pool's
 // subdivision.
 func clamp(req, share guard.Limits) guard.Limits {
@@ -441,24 +426,23 @@ func clamp(req, share guard.Limits) guard.Limits {
 	}
 }
 
-// process runs one job on the worker goroutine with panic isolation
-// and feeds its outcome to the schema's breaker.
-func (s *Server) process(j *job) {
-	defer s.inflight.Done()
-	defer s.inFlightN.Add(-1)
-	defer close(j.done)
+// process runs one admitted task that holds a run slot, feeds its
+// outcome to the schema's breaker and hands it to the auditor. It is
+// the request's one panic boundary: the engine converts its own panics
+// to errors, so a panic landing here is a bug in the serving glue —
+// it is confined to this request, returned as *guard.InternalError
+// and counted in Stats.Panics.
+func (s *Server) process(ctx context.Context, t Task, fp string, probe bool) (res core.Result, err error) {
+	defer guard.OnPanic(func(ie *guard.InternalError) {
+		s.panics.Add(1)
+		res, err = core.Result{}, ie
+	})
+	// Every analysis reaches the breaker, one that panics before it is
+	// classified as a blowup, so a half-open probe is always released.
+	outcome := outcomeBlowup
+	defer func() { s.breakers.record(fp, outcome, probe) }()
 
-	if err := j.ctx.Err(); err != nil {
-		// The caller gave up while the job was queued: don't burn a
-		// worker, don't signal the breaker.
-		j.err = err
-		if j.probe {
-			s.breakers.record(j.fp, outcomeNeutral, true)
-		}
-		return
-	}
-
-	jctx, cancel := context.WithCancel(j.ctx)
+	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Hard drain: when the server's base context dies, every running
 	// analysis is cancelled too.
@@ -466,34 +450,39 @@ func (s *Server) process(j *job) {
 	defer stop()
 	if s.cfg.RequestTimeout > 0 {
 		var tcancel context.CancelFunc
-		jctx, tcancel = context.WithTimeout(jctx, s.cfg.RequestTimeout)
+		actx, tcancel = context.WithTimeout(actx, s.cfg.RequestTimeout)
 		defer tcancel()
 	}
 
-	j.res, j.err = s.analyze(jctx, j.task)
+	res, err = t.Analyzer.AnalyzeContext(actx, t.Query, t.Update, t.Method, core.Options{
+		Limits:     clamp(t.Limits, s.share),
+		NoFallback: t.NoFallback || s.cfg.NoFallback,
+		Quarantine: s.cfg.Quarantine,
+		Plans:      s.cfg.Plans,
+	})
 
 	s.completed.Add(1)
-	outcome := outcomeOK
+	outcome = outcomeOK
 	switch {
-	case j.err != nil:
+	case err != nil:
 		s.failed.Add(1)
 		var ie *guard.InternalError
 		switch {
-		case errors.As(j.err, &ie):
+		case errors.As(err, &ie):
 			s.panics.Add(1)
 			outcome = outcomeBlowup
-		case errors.Is(j.err, guard.ErrBudgetExceeded):
+		case errors.Is(err, guard.ErrBudgetExceeded):
 			outcome = outcomeBlowup
-		case errors.Is(j.err, context.Canceled) || errors.Is(j.err, context.DeadlineExceeded):
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// Caller-driven cancellation says nothing about the schema.
 			outcome = outcomeNeutral
 		default:
 			// Malformed input etc.: not a resource blowup.
 			outcome = outcomeNeutral
 		}
-	case j.res.Degraded:
+	case res.Degraded:
 		s.degraded.Add(1)
-		if quarantine.IsQuarantined(j.res.Err) {
+		if quarantine.IsQuarantined(res.Err) {
 			// A quarantine downgrade is containment working as designed,
 			// not a resource blowup on this schema: feeding it to the
 			// breaker would conflate the two state machines and trap the
@@ -503,47 +492,33 @@ func (s *Server) process(j *job) {
 			outcome = outcomeBlowup
 		}
 	}
-	s.breakers.record(j.fp, outcome, j.probe)
 
-	if s.cfg.Auditor != nil && j.err == nil {
-		obs.FromContext(j.ctx).Mark("audit.observe", 0, 0)
+	if s.cfg.Auditor != nil && err == nil {
+		obs.FromContext(ctx).Mark("audit.observe", 0, 0)
 		var sched string
-		if sc := faultinject.FromContext(j.ctx); sc != nil {
+		if sc := faultinject.FromContext(ctx); sc != nil {
 			sched = sc.String()
 		}
 		s.cfg.Auditor.Observe(sentinel.Observation{
-			D:             j.task.Analyzer.D,
-			Query:         j.task.Query,
-			Update:        j.task.Update,
-			QueryText:     j.task.QueryText,
-			UpdateText:    j.task.UpdateText,
-			Result:        j.res,
+			D:             t.Analyzer.D,
+			Query:         t.Query,
+			Update:        t.Update,
+			QueryText:     t.QueryText,
+			UpdateText:    t.UpdateText,
+			Result:        res,
 			FaultSchedule: sched,
 		})
 	}
-}
-
-// analyze is the panic-isolation boundary of the serving glue; the
-// engine has its own, so a panic surfacing here is a server bug — it
-// is still confined to the one request.
-func (s *Server) analyze(ctx context.Context, t Task) (res core.Result, err error) {
-	defer guard.Recover(&err)
-	return t.Analyzer.AnalyzeContext(ctx, t.Query, t.Update, t.Method, core.Options{
-		Limits:     clamp(t.Limits, s.share),
-		NoFallback: t.NoFallback || s.cfg.NoFallback,
-		Quarantine: s.cfg.Quarantine,
-		Plans:      s.cfg.Plans,
-	})
+	return res, err
 }
 
 // Shutdown gracefully drains the server: admission stops immediately,
-// queued and running work keeps the workers until it finishes or ctx
-// expires, at which point the remaining analyses are hard-cancelled
-// (they observe cancellation cooperatively and return promptly).
-// Shutdown returns nil when the drain completed before the deadline
-// and ctx.Err() otherwise; either way the server is fully stopped —
-// workers exited — when it returns. Subsequent calls return the first
-// call's result.
+// waiting and running requests continue until they finish or ctx
+// expires, at which point the remaining ones are hard-cancelled (they
+// observe cancellation cooperatively and return promptly). Shutdown
+// returns nil when the drain completed before the deadline and
+// ctx.Err() otherwise; either way every admitted request has returned
+// when it does. Subsequent calls return the first call's result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
 		if dl, ok := ctx.Deadline(); ok {
@@ -570,16 +545,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		case <-drained:
 		case <-ctx.Done():
 			s.shutdownErr = ctx.Err()
-			s.cancel() // hard-cancel in-flight analyses
+			s.cancel() // hard-cancel in-flight requests
 			<-drained  // cancellation is cooperative, so this terminates
 		}
-		close(s.queue)
-		s.workers.Wait()
 		s.cancel()
-		// Drain-time state flush, after the last worker that could
-		// journal a transition has exited and still bounded by the
-		// caller's drain deadline (a blown deadline skips the snapshot
-		// compaction; per-append journal durability already holds).
+		// Drain-time state flush, after the last admitted request has
+		// returned and still bounded by the caller's drain deadline (a
+		// blown deadline skips the snapshot compaction; per-append
+		// journal durability already holds).
 		if s.cfg.State != nil {
 			if err := s.cfg.State.Drain(ctx); err != nil && s.shutdownErr == nil {
 				s.shutdownErr = err

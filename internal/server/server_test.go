@@ -13,6 +13,7 @@ import (
 	"xqindep/internal/faultinject"
 	"xqindep/internal/guard"
 	"xqindep/internal/plan"
+	"xqindep/internal/sentinel"
 	"xqindep/internal/xquery"
 )
 
@@ -132,6 +133,89 @@ func TestOverloadSheds(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCancelWhileWaitingFreesPlace: a caller that gives up while its
+// request waits for a run slot frees its admission place at once, so
+// the next request waits instead of being shed.
+func TestCancelWhileWaitingFreesPlace(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: -1})
+	defer s.Close()
+
+	// Wedge the lone run slot.
+	taskA, ctxA, cancelA, stalledA := stalledTask(t, bibSchema)
+	defer cancelA()
+	doneA := make(chan error, 1)
+	go func() {
+		_, err := s.Do(ctxA, taskA)
+		doneA <- err
+	}()
+	<-stalledA
+
+	// Request B takes the last place and waits; its caller gives up.
+	task := mustTask(t, bibSchema, "//title", "delete //price")
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	doneB := make(chan error, 1)
+	go func() {
+		_, err := s.Do(ctxB, task)
+		doneB <- err
+	}()
+	waitStat(t, s, func(st Stats) bool { return st.InFlight == 2 }, "second request admitted")
+	cancelB()
+	if err := <-doneB; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: want context.Canceled, got %v", err)
+	}
+	if st := s.Stats(); st.InFlight != 1 {
+		t.Fatalf("cancelled waiter kept its place: %+v", st)
+	}
+
+	// Request C finds B's place free: it waits instead of being shed,
+	// and runs once A's slot is released.
+	type result struct {
+		res core.Result
+		err error
+	}
+	doneC := make(chan result, 1)
+	go func() {
+		res, err := s.Do(context.Background(), task)
+		doneC <- result{res, err}
+	}()
+	waitStat(t, s, func(st Stats) bool { return st.Admitted == 3 || st.Shed > 0 }, "third request admitted or shed")
+	if st := s.Stats(); st.Shed != 0 || st.InFlight != 2 {
+		t.Fatalf("third request: want it waiting, got %+v", st)
+	}
+	cancelA()
+	if err := <-doneA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("stalled request: want context.Canceled, got %v", err)
+	}
+	if c := <-doneC; c.err != nil || !c.res.Independent || c.res.Degraded {
+		t.Fatalf("third request: want a clean independent verdict, got %v %+v", c.err, c.res)
+	}
+}
+
+// TestCallerDeadlineDegrades: a caller deadline that passes
+// mid-analysis yields a degraded verdict, as in AnalyzeContext, rather
+// than the bare context error.
+func TestCallerDeadlineDegrades(t *testing.T) {
+	s := New(Config{Workers: 1, Plans: plan.NewCache(16)})
+	defer s.Close()
+	// The exact engine blows up on the recursive 3-clique schema, so
+	// the deadline passes long before the analysis could finish.
+	task := mustTask(t, recSchema, "//x//y//x//y//z", "delete //y//x//y//x//z")
+	task.Method = core.MethodChainsExact
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	res, err := s.Do(ctx, task)
+	if err != nil {
+		t.Fatalf("want a degraded verdict, got error %v", err)
+	}
+	if res.Independent || !res.Degraded || !errors.Is(res.Err, guard.ErrBudgetExceeded) {
+		t.Fatalf("want a conservative degraded verdict with a budget cause, got %+v", res)
+	}
+	if st := s.Stats(); st.Degraded != 1 || st.Failed != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
 func TestDrainRejectsAndCompletes(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: -1})
 
@@ -204,6 +288,26 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if s.Stats().Panics != 1 {
 		t.Fatalf("stats: %+v", s.Stats())
+	}
+}
+
+// TestGluePanicIsContained: a panic in the serving glue around the
+// analysis — here the auditor hand-off, given an Auditor that
+// sentinel.New never initialised — fails only its own request, as a
+// *guard.InternalError counted in Stats.Panics.
+func TestGluePanicIsContained(t *testing.T) {
+	s := New(Config{Workers: 1, Auditor: &sentinel.Auditor{}})
+	defer s.Close()
+	task := mustTask(t, bibSchema, "//title", "delete //price")
+	for i := 1; i <= 2; i++ {
+		_, err := s.Do(context.Background(), task)
+		var ie *guard.InternalError
+		if !errors.As(err, &ie) {
+			t.Fatalf("request %d: want InternalError, got %v", i, err)
+		}
+		if st := s.Stats(); st.Panics != uint64(i) || st.InFlight != 0 {
+			t.Fatalf("request %d: stats %+v", i, st)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package vetcheck
 
 // checkFrozenArtifact enforces the shared-cache immutability contract:
-// once a compiled schema (dtd.Compiled) or an interned chain
-// (chain.Interned) leaves its constructor, nothing outside the
+// once a compiled schema (dtd.Compiled) or a prepared plan
+// (plan.CompiledExpr) leaves its constructor, nothing outside the
 // configured home packages may mutate it — not its fields, not the
 // bitset rows and symbol slices its accessors expose as shared views.
 // The sentinel catches such mutations at runtime via checksums; this
@@ -12,8 +12,8 @@ package vetcheck
 // frozen-rooted when its static type is a frozen artifact type, when
 // it is a selector/index/slice/deref chain hanging off a frozen-rooted
 // base, when it is a method call on a frozen-rooted receiver (accessors
-// return shared views) other than the fresh-memory breakers (Clone,
-// Names), or when it is a local the flow has tainted by such an
+// return shared views) other than the fresh-memory breaker (Clone),
+// or when it is a local the flow has tainted by such an
 // expression. Findings are writes through frozen-rooted bases: field
 // and index assignment, IncDec, append, and the bitset mutator methods.
 //
@@ -64,7 +64,7 @@ var faFlow = flowFuncs[faState]{
 
 // faBreakers are the artifact methods documented to return fresh
 // memory, so their results do not alias the artifact.
-var faBreakers = set("Clone", "Names")
+var faBreakers = set("Clone")
 
 // faMutators are the bitset methods that write through their receiver,
 // the fixed-width slab helpers (OrCount, AndOf, Clear) included.

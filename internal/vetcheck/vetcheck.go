@@ -150,12 +150,10 @@ func DefaultConfig() Config {
 			"internal/plan", "internal/lru",
 		),
 		FrozenTypes: set(
-			"internal/dtd.Compiled", "internal/chain.Interned",
-			"internal/plan.CompiledExpr",
+			"internal/dtd.Compiled", "internal/plan.CompiledExpr",
 		),
 		FrozenHomePackages: set(
-			"internal/dtd", "internal/chain", "internal/bitset",
-			"internal/plan",
+			"internal/dtd", "internal/bitset", "internal/plan",
 		),
 		ClockPackages: set(
 			"internal/server", "internal/faultinject",

@@ -151,15 +151,6 @@ func (s *Store) SetTag(l Loc, tag string) {
 	n.tag = tag
 }
 
-// SetText replaces the value of the text node at l.
-func (s *Store) SetText(l Loc, value string) {
-	n := s.at(l)
-	if n.kind != TextKind {
-		panic(&guard.InternalError{Value: "xmltree: SetText on element node"})
-	}
-	n.text = value
-}
-
 // AppendChild appends child to parent's children list. The child must
 // currently be detached (no parent); it panics otherwise, since a
 // location has at most one parent in a store.

@@ -17,8 +17,8 @@ import (
 
 // Serving-layer sentinel errors, re-exported for callers of Pool.
 var (
-	// ErrOverloaded: the admission queue was full and the request was
-	// shed without queueing.
+	// ErrOverloaded: Workers+QueueDepth requests were already admitted
+	// and the request was shed without waiting.
 	ErrOverloaded = server.ErrOverloaded
 	// ErrDraining: the pool is shutting down and no longer admits.
 	ErrDraining = server.ErrDraining
@@ -32,17 +32,19 @@ var (
 
 // PoolOptions configures NewPool. Zero fields take defaults.
 type PoolOptions struct {
-	// Workers is the number of concurrent analyses (default
-	// GOMAXPROCS).
+	// Workers bounds the analyses that run at once (default
+	// GOMAXPROCS); each runs on its caller's goroutine.
 	Workers int
-	// QueueDepth bounds the admission queue (default 2×Workers);
-	// admissions beyond it are shed with ErrOverloaded.
+	// QueueDepth bounds the admitted requests that wait for one of the
+	// Workers run slots (default 2×Workers); admissions beyond
+	// Workers+QueueDepth are shed with ErrOverloaded.
 	QueueDepth int
-	// Limits is the pool-wide resource budget, subdivided across
-	// workers; each request runs under its share.
+	// Limits is the pool-wide resource budget, subdivided across the
+	// Workers run slots; each request runs under its share.
 	Limits Limits
-	// RequestTimeout bounds one analysis once a worker picks it up
-	// (default 5s; negative disables).
+	// RequestTimeout bounds one analysis once it holds a run slot
+	// (default 5s; negative disables); like a caller deadline, it
+	// degrades the verdict when it passes mid-analysis.
 	RequestTimeout time.Duration
 	// NoFallback disables the degradation ladder pool-wide.
 	NoFallback bool
@@ -113,8 +115,9 @@ type PoolOptions struct {
 // PoolStats snapshots the pool counters.
 type PoolStats = server.Stats
 
-// Pool is a concurrent analysis service: a bounded worker pool with
-// bounded admission (load shedding instead of unbounded queueing),
+// Pool is a concurrent analysis service: counted admission (a bounded
+// number of analyses at once, each on its caller's goroutine, and load
+// shedding instead of unbounded queueing),
 // per-schema circuit breaking keyed on Schema.Fingerprint, per-request
 // budget subdivision and panic isolation, and graceful drain. Every
 // short-circuit path — shed, breaker open, drain — either errors or
@@ -132,8 +135,8 @@ type Pool struct {
 	stateErr error
 }
 
-// NewPool starts a pool with its workers running. Callers must Close
-// (or Shutdown) it to release them.
+// NewPool starts a pool. Callers must Close (or Shutdown) it to drain
+// in-flight requests and release the audit lane and durable state.
 func NewPool(o PoolOptions) *Pool {
 	p := &Pool{}
 	switch {
@@ -368,7 +371,7 @@ func (p *Pool) RunBatch(ctx context.Context, r io.Reader, w io.Writer, defaultSc
 
 // Shutdown gracefully drains the pool: admission stops immediately,
 // in-flight work finishes until ctx expires, then is hard-cancelled.
-// The audit lane drains after the workers under the same ctx — pending
+// The audit lane drains after the requests under the same ctx — pending
 // audits finish, a wedged one is hard-cancelled at the deadline rather
 // than holding the exit hostage to its budget. Durable state is closed
 // last (audits may journal quarantine transitions right up to their
@@ -416,7 +419,7 @@ func Serve(ctx context.Context, addr string, p *Pool, drainTimeout time.Duration
 	//xqvet:ignore ctxflow drain runs after the serve context died; the drain deadline must outlive it
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	// Drain the pool first so /readyz flips and queued analyses
+	// Drain the pool first so /readyz flips and in-flight analyses
 	// finish, then close the HTTP side.
 	perr := p.Shutdown(dctx)
 	herr := hs.Shutdown(dctx)

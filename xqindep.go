@@ -25,9 +25,9 @@
 // when Independent, re-run the query otherwise.
 //
 // For serving many concurrent analyses, NewPool wraps the analyzer in
-// a bounded worker pool with admission control, per-schema circuit
-// breakers, a prepared-plan cache, an optional runtime verdict audit,
-// and an HTTP front end (Pool.Handler, Serve) whose operations surface
+// counted admission control, per-schema circuit breakers, a
+// prepared-plan cache, an optional runtime verdict audit, and an HTTP
+// front end (Pool.Handler, Serve) whose operations surface
 // — /statz, /metricz, /tracez, /incidentz — is documented in the
 // README's "Operating xqindepd" section.
 package xqindep
