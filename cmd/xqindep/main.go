@@ -8,9 +8,18 @@
 // <!ELEMENT> notation. Methods: chains (default, the CDAG engine),
 // chains-exact, types, paths, or all.
 //
+// -explain lists the chains the chains method's CDAG engine infers for
+// the pair under the default limits: k-chains only, update chains whole
+// (c.c'), at most 64 per list, with a note when a list was cut.
+//
 // -lint warns when the query or the update matches zero chains under
 // the schema: such a pair is trivially independent, which almost
 // always means a typo in a path step rather than a real workload.
+//
+// -update2 checks commutativity of -update and -update2 instead, on the
+// explicit-set engine under the default limits: when that budget runs
+// out the answer is "possibly order-dependent" with exit status 3.
+// -preserve also checks that -update keeps valid documents valid.
 //
 // Resource limits: -timeout bounds wall-clock time, -max-nodes,
 // -max-chains and -max-k bound the analysis state. When a limit is
@@ -45,6 +54,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,7 +79,7 @@ func run() int {
 		updateText  = flag.String("update", "", "update expression")
 		update2Text = flag.String("update2", "", "second update: check commutativity instead of independence")
 		methodName  = flag.String("method", "chains", "analysis: chains, chains-exact, types, paths, or all")
-		explain     = flag.Bool("explain", false, "print the inferred chains")
+		explain     = flag.Bool("explain", false, "print the chains the chains method infers (k-chains, update chains c.c', at most 64 per list)")
 		preserveU   = flag.Bool("preserve", false, "also check whether the update preserves the schema")
 		timeout     = flag.Duration("timeout", 0, "analysis wall-clock budget (0 = none)")
 		maxNodes    = flag.Int("max-nodes", 0, "CDAG node budget (0 = default)")
@@ -120,11 +130,14 @@ func run() int {
 			return 2
 		}
 		ok, err := schema.Commute(u, u2)
-		if err != nil {
+		switch {
+		case errors.Is(err, xqindep.ErrBudgetExceeded):
+			fmt.Printf("commutativity: possibly order-dependent  [%v]\n", err)
+			return 3
+		case err != nil:
 			fmt.Fprintln(os.Stderr, "xqindep:", err)
 			return 2
-		}
-		if ok {
+		case ok:
 			fmt.Println("commutativity: COMMUTE")
 			return 0
 		}
@@ -221,6 +234,9 @@ func run() int {
 			printChains("used", ev.Used)
 			printChains("element", ev.Element)
 			printChains("update", ev.Update)
+			if ev.Truncated {
+				fmt.Println("  (truncated: a list above stops at its first 64 chains)")
+			}
 		}
 		if *lint {
 			for _, w := range lintWarnings(ev) {

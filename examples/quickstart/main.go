@@ -71,7 +71,7 @@ price <- #PCDATA
 	fmt.Printf("  inferred chains (k=%d):\n", ev.K)
 	fmt.Printf("    query returns:  %v\n", ev.Return)
 	fmt.Printf("    update changes: %v\n", ev.Update)
-	fmt.Println("  bib.book.title and bib.book:author diverge after book → independent.")
+	fmt.Println("  bib.book.title and bib.book.author diverge after book → independent.")
 }
 
 // showAll runs every analysis method on the pair and prints a line per

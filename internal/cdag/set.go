@@ -1112,18 +1112,28 @@ func (e *Engine) suffixExtensions(sym dtd.SymID, budget int) *Set {
 	return out
 }
 
-// Chains enumerates the chain set spelled by the DAG, up to limit
-// chains (0 = no limit). Intended for tests and diagnostics; the
-// enumeration is exponential in general.
+// Chains enumerates the k-chains spelled by the DAG, up to limit
+// chains (0 = no limit). A path on which a symbol other than the
+// string type occurs more than the engine's K times is pruned, as the
+// explicit engine's canExtend does, so every chain listed lies in
+// C^k_d even though the depth bound alone admits longer paths. The
+// enumeration is exponential in general: every path prefix it visits
+// is charged to the engine's chain budget.
 func (s *Set) Chains(limit int) []chain.Chain {
 	var out []chain.Chain
 	var path []string
+	occ := make([]int, s.eng.n) // occurrences of each symbol on path
+	str := s.eng.C.StringSym()
 	var rec func(d int, sym dtd.SymID)
 	rec = func(d int, sym dtd.SymID) {
 		if limit > 0 && len(out) >= limit {
 			return
 		}
-		s.eng.budget.Tick()
+		if sym != str && occ[sym] == s.eng.K {
+			return // not a k-chain, nor is any extension
+		}
+		s.eng.budget.AddChains(1)
+		occ[sym]++
 		path = append(path, s.eng.symName(sym))
 		if s.ends.at(d).Has(int(sym)) {
 			out = append(out, chain.New(append([]string(nil), path...)...))
@@ -1132,6 +1142,7 @@ func (s *Set) Chains(limit int) []chain.Chain {
 			rec(d+1, dtd.SymID(to))
 		})
 		path = path[:len(path)-1]
+		occ[sym]--
 	}
 	var roots []dtd.SymID
 	s.roots.ForEach(func(r int) { roots = append(roots, dtd.SymID(r)) })
@@ -1145,7 +1156,7 @@ func (s *Set) Chains(limit int) []chain.Chain {
 	return out
 }
 
-// Strings renders the enumerated chains; for tests.
+// Strings renders the enumerated chains.
 func (s *Set) Strings(limit int) []string {
 	cs := s.Chains(limit)
 	out := make([]string, len(cs))

@@ -384,19 +384,3 @@ func (a *Analyzer) Independent(q xquery.Query, u xquery.Update) (bool, error) {
 	r, err := a.Analyze(q, u, MethodChains)
 	return r.Independent, err
 }
-
-// Chains exposes the inferred chain evidence of the exact engine for
-// diagnostics: return/used/element chains of the query and the update
-// chains, all in dotted notation. The engine is exponential on
-// recursive schemas and charges b (nil means unlimited), aborting via
-// guard when it runs out.
-func (a *Analyzer) Chains(q xquery.Query, u xquery.Update, b *guard.Budget) (ret, used, elem, upd []string, k int, err error) {
-	if err := check(q, u); err != nil {
-		return nil, nil, nil, nil, 0, err
-	}
-	k = infer.KPair(q, u)
-	in := infer.NewBudget(a.D, k, b)
-	qc := in.Query(in.RootEnv(), q)
-	uc := in.Update(in.RootEnv(), u)
-	return qc.Ret.Strings(), qc.Used.Strings(), qc.Elem.Strings(), uc.Strings(), k, nil
-}

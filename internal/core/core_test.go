@@ -95,29 +95,3 @@ func TestAnalyzeErrors(t *testing.T) {
 		t.Errorf("unknown method accepted")
 	}
 }
-
-func TestChainsEvidence(t *testing.T) {
-	a := NewAnalyzer(bib)
-	q := xquery.MustParseQuery("//title")
-	u := xquery.MustParseUpdate("delete //price")
-	ret, used, elem, upd, k, err := a.Chains(q, u, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ret) != 1 || ret[0] != "bib.book.title" {
-		t.Errorf("ret = %v", ret)
-	}
-	if len(upd) != 1 || upd[0] != "bib.book:price" {
-		t.Errorf("upd = %v", upd)
-	}
-	if len(elem) != 0 {
-		t.Errorf("elem = %v", elem)
-	}
-	_ = used
-	if k < 2 {
-		t.Errorf("k = %d", k)
-	}
-	if _, _, _, _, _, err := a.Chains(xquery.MustParseQuery("$z/a"), u, nil); err == nil {
-		t.Errorf("Chains accepted non-quasi-closed query")
-	}
-}

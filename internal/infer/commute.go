@@ -3,6 +3,7 @@ package infer
 import (
 	"xqindep/internal/chain"
 	"xqindep/internal/dtd"
+	"xqindep/internal/guard"
 	"xqindep/internal/xquery"
 )
 
@@ -184,10 +185,13 @@ func symmetricConflicts(w *UpdateSet, reads *chain.Set) []Conflict {
 // Commutativity is the package-level convenience: k is derived from
 // both updates (ku1 + ku2, at least 1).
 func Commutativity(d *dtd.DTD, u1, u2 xquery.Update) CommuteVerdict {
-	k := KUpdate(u1) + KUpdate(u2)
-	if k < 1 {
-		k = 1
-	}
-	in := New(d, k)
-	return in.CheckCommutativity(u1, u2)
+	return CommutativityBudget(d, u1, u2, nil)
+}
+
+// CommutativityBudget is Commutativity under a resource budget (nil
+// means unlimited): the engine charges b for every materialised chain
+// and checks the deadline cooperatively, aborting via guard.Abort when
+// exhausted (recover with guard.Recover or guard.Do at the caller).
+func CommutativityBudget(d *dtd.DTD, u1, u2 xquery.Update, b *guard.Budget) CommuteVerdict {
+	return NewBudget(d, KUpdate(u1)+KUpdate(u2), b).CheckCommutativity(u1, u2)
 }

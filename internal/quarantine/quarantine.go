@@ -11,7 +11,7 @@
 // the registry cannot introduce an unsoundness of its own — it can
 // only cost precision while a fingerprint is under suspicion. Nothing
 // in this package can flip a verdict to Independent; the xqvet
-// verdictsites gate enforces that mechanically.
+// verdictflow gate enforces that mechanically.
 //
 // Lifecycle of one fingerprint, mirroring the serving layer's circuit
 // breaker (DESIGN.md §4c):

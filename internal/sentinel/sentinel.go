@@ -20,7 +20,7 @@
 // disagreement does not retract the already-served verdict (it
 // cannot); it prevents the next one, which is the strongest containment
 // available to a runtime checker. Nothing in this package can turn a
-// verdict into Independent; the xqvet verdictsites gate checks that
+// verdict into Independent; the xqvet verdictflow gate checks that
 // mechanically.
 package sentinel
 

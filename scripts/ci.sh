@@ -168,22 +168,25 @@ for name in ${reg_names}; do
 done
 echo "$(wc -w <<<"${reg_names}") registered families all documented"
 
-echo "== docs-to-flags grep (every xqindepd flag is documented in README)"
-# Every flag cmd/xqindepd/main.go registers must appear in README.md as
-# -name, so a new or renamed daemon flag cannot ship undocumented.
-flag_names="$(grep -o 'flag\.[A-Za-z0-9]*("[a-z-]*"' cmd/xqindepd/main.go \
-  | sed -E 's/.*\("([a-z-]*)"/\1/' | sort -u)"
-if [ -z "${flag_names}" ]; then
-  echo "flags grep: cmd/xqindepd/main.go registers no flags; pattern stale?" >&2
-  exit 1
-fi
-for name in ${flag_names}; do
-  if ! grep -qE -- "-${name}([^a-z-]|\$)" README.md; then
-    echo "flags grep: cmd/xqindepd registers -${name} but README.md does not document it" >&2
+echo "== docs-to-flags grep (every xqindepd and xqindep flag is documented in README)"
+# Every flag the daemon and the analyzer CLI register must appear in
+# README.md as -name, so a new or renamed flag cannot ship
+# undocumented. Names may hold digits (-update2).
+for cmd in xqindepd xqindep; do
+  flag_names="$(grep -o 'flag\.[A-Za-z0-9]*("[a-z0-9-]*"' "cmd/${cmd}/main.go" \
+    | sed -E 's/.*\("([a-z0-9-]*)"/\1/' | sort -u)"
+  if [ -z "${flag_names}" ]; then
+    echo "flags grep: cmd/${cmd}/main.go registers no flags; pattern stale?" >&2
     exit 1
   fi
+  for name in ${flag_names}; do
+    if ! grep -qE -- "-${name}([^a-z0-9-]|\$)" README.md; then
+      echo "flags grep: cmd/${cmd} registers -${name} but README.md does not document it" >&2
+      exit 1
+    fi
+  done
+  echo "$(wc -w <<<"${flag_names}") ${cmd} flags all documented"
 done
-echo "$(wc -w <<<"${flag_names}") daemon flags all documented"
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
 fuzz() {

@@ -39,6 +39,7 @@ import (
 	"math/rand"
 	"time"
 
+	"xqindep/internal/cdag"
 	"xqindep/internal/core"
 	"xqindep/internal/dtd"
 	"xqindep/internal/eval"
@@ -327,12 +328,23 @@ func (s *Schema) AnalyzeContext(ctx context.Context, q *Query, u *Update, m Meth
 // and u2 in either order is guaranteed to produce the same document on
 // every valid input. This extends the chain framework to the
 // commutativity problem of Ghelli, Rose and Siméon; like Independent,
-// a true verdict is a guarantee and false may be a false alarm.
-func (s *Schema) Commute(u1, u2 *Update) (bool, error) {
+// a true verdict is a guarantee and false may be a false alarm. It
+// runs the explicit-set chain engine, exponential on recursive
+// schemas, under the default Limits: an overrun returns false — the
+// sound "possibly order-dependent" — with an error wrapping
+// ErrBudgetExceeded.
+func (s *Schema) Commute(u1, u2 *Update) (ok bool, err error) {
 	if !xquery.QuasiClosedUpdate(u1.ast) || !xquery.QuasiClosedUpdate(u2.ast) {
 		return false, fmt.Errorf("xqindep: updates must be quasi-closed")
 	}
-	return infer.Commutativity(s.d, u1.ast, u2.ast).Commute, nil
+	defer guard.Recover(&err)
+	return infer.CommutativityBudget(s.d, u1.ast, u2.ast, contextFreeBudget()).Commute, nil
+}
+
+// contextFreeBudget is the budget of the calls that take no context
+// (Commute, ExplainChains): the default Limits, no deadline.
+func contextFreeBudget() *guard.Budget {
+	return guard.New(context.Background(), Limits{}) //xqvet:ignore ctxflow context-free convenience API; the default limits bound it in place of a caller's deadline
 }
 
 // PreservesSchema statically checks that the update keeps every valid
@@ -346,25 +358,53 @@ func (s *Schema) PreservesSchema(u *Update) (bool, []string) {
 	return v.Preserves, v.Reasons
 }
 
-// ChainEvidence holds the inferred chains of the exact engine, for
-// explanation and debugging.
+// ChainEvidence lists the chains behind a verdict of the default
+// Chains method, as inferred by its dense CDAG engine. Every chain is
+// a k-chain: no symbol but the string type occurs more than K times.
+// Each list is sorted and holds at most 64 chains; Truncated reports
+// that at least one was cut there, since a chain DAG can spell
+// exponentially many chains.
 type ChainEvidence struct {
 	Return  []string // chains of returned input nodes
 	Used    []string // chains of inspected input nodes
 	Element []string // chains of constructed elements
-	Update  []string // update chains c:c'
-	K       int      // multiplicity of the finite analysis
+	Update  []string // full update chains c.c' (target c, change c')
+	K       int      // multiplicity kq+ku of the finite analysis
+	// Truncated reports that a list stops at the 64-chain cap.
+	Truncated bool
 }
 
-// ExplainChains returns the chain sets behind a verdict. It runs the
-// exact engine without a budget, which is exponential on recursive
-// schemas.
-func (s *Schema) ExplainChains(q *Query, u *Update) (ChainEvidence, error) {
-	ret, used, elem, upd, k, err := s.a.Chains(q.ast, u.ast, nil)
-	if err != nil {
-		return ChainEvidence{}, err
+// explainCap bounds each list of a ChainEvidence.
+const explainCap = 64
+
+// ExplainChains returns the chains behind the pair's default verdict.
+// It runs the dense CDAG engine the way a cold Chains build does — k =
+// kq+ku, the pair's constructed tags, normalized expressions — under
+// the default Limits, and lists the k-chains of the inferred sets (see
+// ChainEvidence). Update chains are listed whole, c.c', because a DAG
+// node shared by several update chains does not fix where c ends. An
+// overrun returns an error wrapping ErrBudgetExceeded.
+func (s *Schema) ExplainChains(q *Query, u *Update) (ev ChainEvidence, err error) {
+	if !xquery.QuasiClosedQuery(q.ast) || !xquery.QuasiClosedUpdate(u.ast) {
+		return ev, fmt.Errorf("xqindep: query and update must be quasi-closed")
 	}
-	return ChainEvidence{Return: ret, Used: used, Element: elem, Update: upd, K: k}, nil
+	b := contextFreeBudget()
+	if err = b.CheckK(infer.KPair(q.ast, u.ast)); err != nil {
+		return ev, err
+	}
+	defer guard.Recover(&err)
+	v := cdag.IndependenceBudget(s.d, q.ast, u.ast, b)
+	list := func(set *cdag.Set) []string {
+		cs := set.Strings(explainCap + 1)
+		if len(cs) > explainCap {
+			ev.Truncated = true
+			cs = cs[:explainCap]
+		}
+		return cs
+	}
+	ev.K = v.K
+	ev.Return, ev.Used, ev.Element, ev.Update = list(v.Query.Ret), list(v.Query.Used), list(v.Query.Elem), list(v.Update.Full)
+	return ev, nil
 }
 
 // Document is a mutable XML document.

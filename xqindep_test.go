@@ -54,7 +54,7 @@ func TestExplainChains(t *testing.T) {
 	if !reflect.DeepEqual(ev.Return, []string{"bib.book.title"}) {
 		t.Errorf("return chains = %v", ev.Return)
 	}
-	if !reflect.DeepEqual(ev.Update, []string{"bib.book:author"}) {
+	if !reflect.DeepEqual(ev.Update, []string{"bib.book.author"}) {
 		t.Errorf("update chains = %v", ev.Update)
 	}
 	if ev.K < 2 {
