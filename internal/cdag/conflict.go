@@ -15,26 +15,27 @@ import (
 // present in both DAGs — the nodes n such that some common path spells
 // a shared chain prefix ending at n. The walk is one descending sweep
 // over one scratch slab: common nodes at depth d+1 are the union over
-// common symbols α at depth d of out_a[d][α] ∧ out_b[d][α].
+// common symbols α at depth d of out_a[d][α] ∧ out_b[d][α], and only
+// the α both DAGs store a row for are looked up.
 func commonNodes(a, b *Set) Marks {
-	if !a.roots.Intersects(b.roots) {
+	if !a.roots().Intersects(b.roots()) {
 		return Marks{}
 	}
-	maxd := min(a.nadj, b.nadj)
+	maxd := min(a.nd, b.nd)
 	seen := a.eng.sweep(maxd + 1)
-	seen.at(0).AndOf(a.roots, b.roots)
+	seen.at(0).AndOf(a.roots(), b.roots())
 	for d := 0; d < maxd; d++ {
 		cur := seen.at(d)
 		if !cur.Any() {
 			break
 		}
 		next := seen.at(d + 1)
+		ao, bo := a.occ(d), b.occ(d)
 		// Word-wise iteration, no closure: this and endReach are the
 		// only loops on the per-check path.
 		for w, word := range cur {
-			for word != 0 {
+			for word &= ao[w] & bo[w]; word != 0; word &= word - 1 {
 				f := dtd.SymID(w*64 + mathbits.TrailingZeros64(word))
-				word &= word - 1
 				a.eng.budget.Tick()
 				next.OrAnd(a.outAt(d, f), b.outAt(d, f))
 			}
@@ -50,13 +51,13 @@ func commonNodes(a, b *Set) Marks {
 // this node?" probe the conflict checks make, replacing a forward walk
 // per candidate node.
 func (s *Set) endReach() Marks {
-	maxd := max(s.nadj, s.ends.depths-1)
+	maxd := max(s.nd, s.ends.depths-1)
 	back := s.eng.sweep(maxd + 1)
 	for d := maxd; d >= 0; d-- {
 		s.eng.budget.Tick()
 		b := back.at(d)
 		b.OrCount(s.ends.at(d))
-		if below := back.at(d + 1); d < s.nadj && below.Any() {
+		if below := back.at(d + 1); d < s.nd && below.Any() {
 			s.orPreds(b, d+1, below)
 		}
 	}
@@ -132,9 +133,13 @@ type Verdict struct {
 // this engine's depth bound. The pair must already be normalized
 // (xquery.Normalize, xquery.NormalizeUpdate), which un-nests
 // for-chains so pure navigation prefixes batch; the raw-AST wrappers
-// below and the plan builder do it once per build.
+// below and the plan builder do it once per build. Its three guard
+// points — cdag.infer_query, cdag.infer_update and cdag.conflict —
+// split a traced build into its stages and are fault points too.
 func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
+	e.budget.Point("cdag.infer_query")
 	qc := e.Query(e.RootEnv(), q)
+	e.budget.Point("cdag.infer_update")
 	uc := e.Update(e.RootEnv(), u)
 	e.budget.Point("cdag.conflict")
 	var reasons []string

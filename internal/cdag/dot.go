@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"xqindep/internal/bitset"
 	"xqindep/internal/dtd"
 )
 
@@ -23,7 +24,7 @@ func (s *Set) Dot(name string) string {
 	}
 	var nodes []dnode
 	seen := map[dnode]bool{}
-	s.roots.ForEach(func(r int) {
+	s.roots().ForEach(func(r int) {
 		n := dnode{0, s.eng.symName(dtd.SymID(r))}
 		if !seen[n] {
 			seen[n] = true
@@ -35,12 +36,8 @@ func (s *Set) Dot(name string) string {
 		to   string
 	}
 	var edges []dedge
-	for d := 0; d < s.nadj; d++ {
-		for from := 0; from < s.eng.n; from++ {
-			bits := s.outAt(d, dtd.SymID(from))
-			if !bits.Any() {
-				continue
-			}
+	for d := 0; d < s.nd; d++ {
+		s.forRows(d, func(from int, bits bitset.Set) {
 			fn := dnode{d, s.eng.symName(dtd.SymID(from))}
 			if !seen[fn] {
 				seen[fn] = true
@@ -54,7 +51,7 @@ func (s *Set) Dot(name string) string {
 				}
 				edges = append(edges, dedge{fn, tn.sym})
 			})
-		}
+		})
 	}
 	isEnd := map[dnode]bool{}
 	for d := 0; d < s.ends.depths; d++ {

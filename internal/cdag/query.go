@@ -47,12 +47,14 @@ func (e *Engine) Query(g Env, q xquery.Query) QueryChains {
 		return e.emptyChains()
 	case xquery.StringLit:
 		out := e.emptyChains()
-		out.Elem.AddAll(e.stringChainSet())
+		out.Elem = e.stringChainSet()
 		return out
 	case xquery.Var:
+		// A binding stays in Γ for later reads, so the rule returns a
+		// copy: every set Query returns is its caller's own.
 		out := e.emptyChains()
 		if b, ok := g[n.Name]; ok {
-			out.Ret.AddAll(b)
+			out.Ret = b.Clone()
 		}
 		return out
 	case xquery.Step:
@@ -94,7 +96,7 @@ func (e *Engine) Query(g Env, q xquery.Query) QueryChains {
 func (e *Engine) stringChainSet() *Set {
 	s := e.NewSet()
 	str := e.C.StringSym()
-	s.roots.Add(int(str))
+	s.addRoot(str)
 	s.addEnd(0, str)
 	return s
 }
@@ -239,18 +241,18 @@ func navigational(q xquery.Query, v string) bool {
 func (e *Engine) elementRule(g Env, n xquery.Element) QueryChains {
 	inner := e.Query(g, n.Content)
 	out := e.emptyChains()
-	// e0 part 1: a.α.c' for each return endpoint α and its schema
-	// extensions.
-	elem := e.NewSet()
+	// e0: a.α.c' for each return endpoint α and its schema extensions,
+	// and a.c for nested element chains, grafted below the tag in one
+	// write.
 	tag := e.internSym(n.Tag)
-	elem.roots.Add(int(tag))
-	base := Node{0, tag}
-	for _, end := range inner.Ret.Ends() {
-		ext := e.suffixExtensions(end.Sym, e.MaxDepth)
-		elem.graft(base, ext, nil)
-	}
-	// e0 part 2: a.c for nested element chains.
-	elem.graft(base, inner.Elem, nil)
+	var parts []part
+	inner.Ret.forEachEnd(func(end Node) {
+		parts = append(parts, part{t: e.suffixExtensions(end.Sym, e.MaxDepth), off: 1, at: tag})
+	})
+	parts = append(parts, part{t: inner.Elem, off: 1, at: tag})
+	elem := e.NewSet()
+	elem.merge(parts, nil)
+	elem.addRoot(tag)
 	// e0 part 3: bare a when the content contributes nothing.
 	if inner.Ret.IsEmpty() && inner.Elem.IsEmpty() {
 		elem.addEnd(0, tag)

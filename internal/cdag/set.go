@@ -19,13 +19,16 @@
 // The resulting universe is a superset of Ck_d, which preserves both
 // soundness and completeness relative to the infinite analysis.
 //
-// This is the dense, compiled-schema implementation: symbols are
+// This is the compiled-schema implementation: symbols are
 // interned dtd.SymID values from a dtd.Compiled artifact over a symbol
-// universe fixed when the engine is built, adjacency and endpoints live
-// in pointer-free []uint64 slabs of fixed-width rows, and the set
-// algebra — union, intersection, pruning, prefix-conflict probing —
-// runs as word loops over those slabs. The retained map-based engine
-// lives in internal/refcdag as the differential-testing reference.
+// universe fixed when the engine is built, and every row is a
+// fixed-width bitset over that universe. A set's graph is one
+// pointer-free slab that stores only its non-empty successor rows
+// behind a per-depth occupancy row, written once at its final size;
+// its endpoints are a per-depth marking. The set algebra — union,
+// intersection, pruning, prefix-conflict probing — runs as word loops
+// over those rows. The retained map-based engine lives in
+// internal/refcdag as the differential-testing reference.
 package cdag
 
 import (
@@ -58,8 +61,8 @@ type Marks struct {
 }
 
 // growSlab extends slab to need zeroed words. When it must reallocate
-// it at least doubles the capacity, so a slab grown one depth block at
-// a time reallocates only logarithmically often.
+// it at least doubles the capacity, so a marking grown one depth at a
+// time reallocates only logarithmically often.
 func growSlab(slab []uint64, need int) []uint64 {
 	if need <= len(slab) {
 		return slab
@@ -86,6 +89,15 @@ func (m *Marks) grow(depths int) {
 	}
 	m.words = growSlab(m.words, depths*m.w)
 	m.depths = depths
+}
+
+// upTo returns the marking cut to its first depths rows (a view).
+func (m Marks) upTo(depths int) Marks {
+	if depths < m.depths {
+		m.depths = max(depths, 0)
+		m.words = m.words[:m.depths*m.w]
+	}
+	return m
 }
 
 // at returns the marked symbols at depth d as a read view (nil when
@@ -147,22 +159,23 @@ func (m Marks) clone() Marks {
 // Set is a chain set in CDAG representation. The zero value is not
 // usable; obtain Sets from an Engine.
 //
-// Storage is fixed-width rows over the engine's universe of n symbols,
-// w = ⌈n/64⌉ words each, in two pointer-free slabs that grow only by
-// whole depth blocks. Adjacency depth block d holds n·w words: the
-// successors at depth d+1 of node (d, α) are the row starting at word
-// d·n·w + α·w. The endpoint slab (a Marks) holds one row per depth.
-// Reading a row is a slice view, so it allocates nothing, and the GC
-// has no pointers to scan. There is no predecessor index — a backward
-// step scans one column of the depth block above, which for dense rows
-// is cheaper than maintaining the inverse maps the map-based engine
-// kept.
+// Rows are w = ⌈n/64⌉ words over the engine's universe of n symbols.
+// The roots and the edges live in one pointer-free slab that stores
+// only non-empty successor rows behind a per-depth occupancy row (the
+// layout is described in graph.go); the endpoints are a Marks, one row
+// per depth. Reading a row is a slice view, so it allocates nothing,
+// and the GC has no pointers to scan. There is no predecessor index —
+// a backward step scans the occupied rows of the depth above.
+//
+// Every operation that builds a set first computes what it keeps and
+// then writes it once, at its final size. A set the engine returns is
+// its caller's own; AddAll relies on that to take over the storage of
+// a set it merges into an empty one.
 type Set struct {
-	eng   *Engine
-	roots bitset.Set // symbols at depth 0, w words
-	adj   []uint64   // nadj depth blocks of n·w words
-	nadj  int        // depth blocks in adj, kept so no probe divides
-	ends  Marks      // endpoint symbols per depth
+	eng  *Engine
+	g    []uint64 // roots, occupancy rows, row index and rows; nil when empty
+	nd   int      // depths with an occupancy row in g
+	ends Marks    // endpoint symbols per depth
 }
 
 // Engine holds the schema context shared by all sets of one analysis.
@@ -181,13 +194,16 @@ type Engine struct {
 	// base is C.NumSyms(); IDs at or above it are extra symbols
 	// (constructed tags outside Σ) interned per engine, into the n-base
 	// slots reserved at construction. n and w are fixed for the
-	// engine's life, so no row ever regrows: n is the row stride in
-	// symbols, w = ⌈n/64⌉ the row width in words, blk = n·w the size
-	// of one adjacency depth block.
+	// engine's life, so no row ever regrows: n is the universe size in
+	// symbols, w = ⌈n/64⌉ the row width in words.
 	base       int
-	n, w, blk  int
+	n, w       int
 	extraNames []string
 	extraIdx   map[string]dtd.SymID
+
+	// built, when non-nil, sees every set the engine creates; the
+	// layout tests use it to inspect each one.
+	built func(*Set)
 }
 
 // WithBudget attaches a resource budget to the engine and returns it;
@@ -248,7 +264,6 @@ func NewEngineCompiled(c *dtd.Compiled, k int, extraTags int) *Engine {
 		base:     base,
 		n:        n,
 		w:        w,
-		blk:      n * w,
 	}
 }
 
@@ -363,102 +378,36 @@ func (e *Engine) testMask(test xquery.NodeTest) bitset.Set {
 
 // NewSet returns an empty set.
 func (e *Engine) NewSet() *Set {
-	return &Set{eng: e, roots: make(bitset.Set, e.w), ends: Marks{w: e.w}}
-}
-
-// block returns adjacency depth block d (d < nadj).
-func (s *Set) block(d int) []uint64 {
-	return s.adj[d*s.eng.blk : (d+1)*s.eng.blk]
-}
-
-// growAdj makes adjacency depth blocks [0, depths) available.
-func (s *Set) growAdj(depths int) {
-	if depths <= s.nadj {
-		return
+	s := &Set{eng: e, ends: Marks{w: e.w}}
+	if e.built != nil {
+		e.built(s)
 	}
-	s.adj = growSlab(s.adj, depths*s.eng.blk)
-	s.nadj = depths
+	return s
 }
 
-// outAt returns the successor row of (d, from) as a read view; nil
-// when the depth holds no block.
-func (s *Set) outAt(d int, from dtd.SymID) bitset.Set {
-	if d < 0 || d >= s.nadj {
-		return nil
-	}
-	w := s.eng.w
-	off := d*s.eng.blk + int(from)*w
-	return s.adj[off : off+w : off+w]
-}
-
-// row returns the successor row of (d, from) as a writable view,
-// growing the adjacency slab to depth d.
-func (s *Set) row(d int, from dtd.SymID) bitset.Set {
-	s.growAdj(d + 1)
-	return s.outAt(d, from)
-}
-
-// addEdge inserts (d, from) → (d+1, to). Every insertion charges the
-// engine budget: edge growth is the engine's unit of work, so a
-// runaway analysis aborts here long before exhausting memory. Merging
-// a whole row or slab charges the same rate, one unit per source edge
-// (the popcount bitset.OrCount returns), as the map-based engine
-// charges per insertion, so budget-limit behaviour is comparable
-// across the ladder.
+// addEdge inserts (d, from) → (d+1, to), charging one budget unit:
+// edge growth is the engine's unit of work, so a runaway analysis
+// aborts here long before exhausting memory. It is a graft of the
+// one-root set {to} below (d, from): an edge from a node that already
+// has a row is one bit set in place, and any other edge is the insert
+// slow path, which lays the graph out anew with the row in its (depth,
+// symbol) slot. Every row after the slot shifts, so an insert
+// invalidates every row view of that set taken before it. Like every
+// graft it drops an edge past MaxDepth.
 func (s *Set) addEdge(d int, from, to dtd.SymID) {
-	s.eng.budget.AddNodes(1)
-	r := s.row(d, from)
-	r.Add(int(to))
+	edge := s.eng.NewSet()
+	edge.addRoot(to)
+	s.merge([]part{{t: edge, off: d + 1, at: from}}, nil)
 }
 
 // addEnd marks (d, sym) as an endpoint.
 func (s *Set) addEnd(d int, sym dtd.SymID) { s.ends.add(d, sym) }
 
-// forPreds calls f for every predecessor symbol of n, in ascending
-// order, scanning n's column of the depth block above it.
-func (s *Set) forPreds(n Node, f func(p dtd.SymID)) {
-	d := n.Depth - 1
-	if d < 0 || d >= s.nadj {
-		return
-	}
-	w := s.eng.w
-	word, bit := int(n.Sym)/64, uint64(1)<<(uint(n.Sym)%64)
-	blk := s.block(d)
-	for from, off := 0, word; off < len(blk); from, off = from+1, off+w {
-		if blk[off]&bit != 0 {
-			f(dtd.SymID(from))
-		}
-	}
-}
-
-// orPreds marks in dst every symbol at depth d-1 with an edge into
-// targets at depth d. It scans, per nonzero word of targets, that word's
-// column of the depth block above — one load per row instead of a
-// whole-row intersection, since targets are usually a few symbols. dst
-// is a fixed-width row, so nothing allocates.
-func (s *Set) orPreds(dst bitset.Set, d int, targets bitset.Set) {
-	if d <= 0 || d-1 >= s.nadj {
-		return
-	}
-	w := s.eng.w
-	blk := s.block(d - 1)
-	for j, t := range targets {
-		if t == 0 {
-			continue
-		}
-		for from, off := 0, j; off < len(blk); from, off = from+1, off+w {
-			if blk[off]&t != 0 {
-				dst.Add(from)
-			}
-		}
-	}
-}
-
 // RootSet returns the set holding the single chain {sd}.
 func (e *Engine) RootSet() *Set {
 	s := e.NewSet()
 	start := e.C.Start()
-	s.roots.Add(int(start))
+	s.addRoot(start)
 	s.addEnd(0, start)
 	return s
 }
@@ -473,7 +422,7 @@ func (e *Engine) SingletonSet(c chain.Chain) *Set {
 	for i, name := range c {
 		syms[i] = e.internSym(name)
 	}
-	s.roots.Add(int(syms[0]))
+	s.addRoot(syms[0])
 	for i := 0; i+1 < len(syms); i++ {
 		s.addEdge(i, syms[i], syms[i+1])
 	}
@@ -481,24 +430,15 @@ func (e *Engine) SingletonSet(c chain.Chain) *Set {
 	return s
 }
 
-// Clone returns a deep copy: one copy per slab.
+// Clone returns a deep copy: one copy per slab, charging one budget
+// unit per edge copied.
 func (s *Set) Clone() *Set {
-	out := s.cloneGraph(0)
-	out.ends = s.ends.clone()
-	return out
-}
-
-// cloneGraph copies s's roots and adjacency, without endpoints, with
-// room for depthCap adjacency blocks before the slab must regrow. Like
-// AddAll into an empty set it charges one budget unit per copied edge.
-func (s *Set) cloneGraph(depthCap int) *Set {
-	e := s.eng
-	if depthCap < s.nadj {
-		depthCap = s.nadj
+	out := s.eng.NewSet()
+	out.nd, out.ends = s.nd, s.ends.clone()
+	if s.g != nil {
+		out.g = append([]uint64(nil), s.g...)
+		s.eng.budget.AddNodes(s.edgeCount())
 	}
-	out := &Set{eng: e, roots: s.roots.Clone(), nadj: s.nadj, ends: Marks{w: e.w}}
-	out.adj = make([]uint64, len(s.adj), depthCap*e.blk)
-	e.budget.AddNodes(bitset.Set(out.adj).OrCount(s.adj))
 	return out
 }
 
@@ -555,120 +495,63 @@ func (s *Set) EndpointParents() []EndpointParent {
 	return out
 }
 
-// AddAll unions t into s (both must come from the same engine): one
-// word-wise OR per slab, charging one budget unit per edge of t. Into
-// a set already as deep as t it allocates nothing.
+// AddAll unions t into s (both must come from the same engine),
+// charging one budget unit per edge of t. Into an empty s it takes
+// over t's storage instead of copying it, and charges nothing: t must
+// be a set the engine returned to this caller, and it must not be
+// written afterwards, nor read once s is written again. Into a set that
+// already has every row t has it ORs in place and allocates nothing.
 func (s *Set) AddAll(t *Set) {
 	if t == nil {
 		return
 	}
-	s.roots.OrCount(t.roots)
-	if t.nadj > 0 {
-		s.growAdj(t.nadj)
-		s.eng.budget.AddNodes(bitset.Set(s.adj).OrCount(t.adj))
+	if s.nd == 0 && !s.roots().Any() && !s.ends.any() {
+		s.g, s.nd, s.ends = t.g, t.nd, t.ends
+		return
 	}
-	s.ends.union(t.ends)
+	s.merge([]part{{t: t}}, nil)
 }
 
-// Union returns a fresh union of the operands, sized once to the
-// deepest of them.
+// Union returns a fresh union of the operands, written once at its
+// final size; the operands are only read.
 func (e *Engine) Union(sets ...*Set) *Set {
 	out := e.NewSet()
-	nadj, nend := 0, 0
+	var buf [4]part
+	parts := buf[:0]
+	nend := 0
 	for _, s := range sets {
 		if s != nil {
-			nadj = max(nadj, s.nadj)
+			parts = append(parts, part{t: s})
 			nend = max(nend, s.ends.depths)
 		}
 	}
-	out.adj = make([]uint64, 0, nadj*e.blk)
 	out.ends.words = make([]uint64, 0, nend*e.w)
-	for _, s := range sets {
-		out.AddAll(s)
-	}
+	out.merge(parts, nil)
 	return out
 }
-
-// prune returns the sub-DAG of s containing exactly the edges on some
-// root→endpoint path. This plays the role of the paper's edge codes:
-// growth performed while exploring one step must not become spellable
-// context for the next step or for backward navigation.
-func (s *Set) prune() *Set { return s.withEnds(s.ends) }
 
 // withEnds returns s's graph with the given endpoints, pruned to the
-// edges that spell its chains. Both closures run level-wise over one
-// scratch slab, and the kept words are written straight into the
-// output, sized once.
-func (s *Set) withEnds(ends Marks) *Set {
-	e := s.eng
-	depths := max(ends.depths, s.nadj+1)
-	scratch := e.sweep(2 * depths)
-	fwd := Marks{w: e.w, depths: depths, words: scratch.words[:depths*e.w]}
-	back := Marks{w: e.w, depths: depths, words: scratch.words[depths*e.w:]}
-	// Forward closure from the roots.
-	fwd.at(0).OrCount(s.roots)
-	for d := 0; d+1 < depths; d++ {
-		e.budget.Tick()
-		if d < s.nadj {
-			next := fwd.at(d + 1)
-			fwd.at(d).ForEach(func(from int) {
-				next.OrCount(s.outAt(d, dtd.SymID(from)))
-			})
-		}
-	}
-	// Backward closure from the forward-reachable endpoints. Only
-	// forward-reachable symbols are kept, so back[d] ⊆ fwd[d].
-	for d := depths - 1; d >= 0; d-- {
-		e.budget.Tick()
-		b := back.at(d)
-		b.AndOf(ends.at(d), fwd.at(d))
-		if below := back.at(d + 1); below.Any() {
-			fwd.at(d).ForEach(func(from int) {
-				if s.outAt(d, dtd.SymID(from)).Intersects(below) {
-					b.Add(from)
-				}
-			})
-		}
-	}
-	out := e.NewSet()
-	out.roots.AndOf(s.roots, back.at(0))
-	out.keepEdges(s, back)
-	lastEnd := -1
-	for d := 0; d < ends.depths; d++ {
-		if ends.at(d).Intersects(fwd.at(d)) {
-			lastEnd = d
-		}
-	}
-	out.ends.grow(lastEnd + 1)
-	for d := 0; d <= lastEnd; d++ {
-		out.ends.at(d).AndOf(ends.at(d), fwd.at(d))
-	}
-	return out
-}
+// edges that spell its chains (see graph.withEnds, which takes over
+// ends' words).
+func (s *Set) withEnds(ends Marks) *Set { return graph{e: s.eng, s: s}.withEnds(ends) }
 
 // subWithEnd returns the backward cone of a single endpoint: exactly
 // the edges on root→n paths, with n as the only endpoint. It is the
 // per-binding view of FOR iteration; extracting the cone directly is
-// much cheaper than cloning and pruning the whole DAG when the parent
-// set has many endpoints. The sweep runs deepest first, so the output
-// slab is sized by its first write.
+// much cheaper than pruning the whole DAG when the parent set has many
+// endpoints. Every node of the cone above n has an edge into the cone,
+// so the cone's rows above n are its occupancy.
 func (s *Set) subWithEnd(n Node) *Set {
 	e := s.eng
-	out := e.NewSet()
-	out.addEnd(n.Depth, n.Sym)
 	cone := e.sweep(n.Depth + 1)
 	top := cone.at(n.Depth)
 	top.Add(int(n.Sym))
 	for d := n.Depth; d > 0; d-- {
 		e.budget.Tick()
-		cur, up := cone.at(d), cone.at(d-1)
-		s.orPreds(up, d, cur)
-		up.ForEach(func(from int) {
-			f := dtd.SymID(from)
-			e.budget.AddNodes(out.row(d-1, f).AndOf(s.outAt(d-1, f), cur))
-		})
+		s.orPreds(cone.at(d-1), d, cone.at(d))
 	}
-	out.roots.AndOf(s.roots, cone.at(0))
+	out := graph{e: e, s: s}.keep(cone.upTo(n.Depth), cone)
+	out.addEnd(n.Depth, n.Sym)
 	return out
 }
 
@@ -679,35 +562,13 @@ func (s *Set) subWithEnd(n Node) *Set {
 func (s *Set) endCones() *Set {
 	e := s.eng
 	back := s.endReach()
-	out := e.NewSet()
-	out.roots.AndOf(s.roots, back.at(0))
-	out.keepEdges(s, back)
+	occ := e.sweep(s.nd)
+	for d := 0; d < s.nd; d++ {
+		s.orPreds(occ.at(d), d+1, back.at(d+1))
+	}
+	out := graph{e: e, s: s}.keep(occ, back)
 	out.ends = s.ends.clone()
 	return out
-}
-
-// keepEdges copies into the empty adjacency of out the edges of s that
-// run from a node marked in keep to a node marked one depth below,
-// writing the kept words straight into a slab sized once, and charges
-// one budget unit per kept edge.
-func (out *Set) keepEdges(s *Set, keep Marks) {
-	last := -1
-	for d := s.nadj - 1; d >= 0; d-- {
-		if keep.at(d + 1).Any() {
-			last = d
-			break
-		}
-	}
-	out.growAdj(last + 1)
-	for d := 0; d <= last; d++ {
-		below := keep.at(d + 1)
-		keep.at(d).ForEach(func(from int) {
-			f := dtd.SymID(from)
-			if n := out.outAt(d, f).AndOf(s.outAt(d, f), below); n > 0 {
-				s.eng.budget.AddNodes(n)
-			}
-		})
-	}
 }
 
 // Step applies one XPath step (axis + node test) to the set,
@@ -720,45 +581,58 @@ func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 		return s.descendantStep(axis, test)
 	case xquery.Ancestor, xquery.AncestorOrSelf:
 		return s.ancestorStep(axis, test)
+	case xquery.PrecedingSibling, xquery.FollowingSibling:
+		return s.siblingStep(axis == xquery.PrecedingSibling, test)
 	}
 	e := s.eng
-	// Child steps add one depth below the deepest endpoint; reserve it
-	// so neither slab of out regrows.
-	out := s.cloneGraph(s.ends.depths)
-	out.ends = e.marks(s.ends.depths + 1)
 	mask := e.testMask(test)
+	// Child results lie one depth below the deepest endpoint; reserve
+	// it so the result marking never regrows.
+	ends := e.marks(s.ends.depths + 1)
 	productive := e.marks(s.ends.depths)
-	var buf []Node // step results of one endpoint, reused
 	s.forEachEnd(func(end Node) {
-		buf = buf[:0]
+		any := false
 		switch axis {
 		case xquery.Self:
-			buf = append(buf, end)
-		case xquery.Child:
-			buf = out.growChildren(buf, end)
-		case xquery.Parent:
-			s.forPreds(end, func(p dtd.SymID) {
-				buf = append(buf, Node{end.Depth - 1, p})
-			})
-		case xquery.PrecedingSibling:
-			buf = out.growSiblings(buf, s, end, true)
-		case xquery.FollowingSibling:
-			buf = out.growSiblings(buf, s, end, false)
-		default:
-			panic(&guard.InternalError{Value: "cdag: unknown axis"})
-		}
-		any := false
-		for _, n := range buf {
-			if mask.Has(int(n.Sym)) {
-				out.addEnd(n.Depth, n.Sym)
+			if mask.Has(int(end.Sym)) {
+				ends.add(end.Depth, end.Sym)
 				any = true
 			}
+		case xquery.Child:
+			if end.Depth+1 > e.MaxDepth {
+				return
+			}
+			kids := e.childSyms(end.Sym)
+			if len(kids) == 0 {
+				return
+			}
+			e.budget.AddNodes(len(kids))
+			if cs := e.childSet(end.Sym); cs.Intersects(mask) {
+				r := ends.row(end.Depth + 1)
+				r.OrAnd(cs, mask)
+				any = true
+			}
+		case xquery.Parent:
+			s.forPreds(end, func(p dtd.SymID) {
+				if mask.Has(int(p)) {
+					ends.add(end.Depth-1, p)
+					any = true
+				}
+			})
+		default:
+			panic(&guard.InternalError{Value: "cdag: unknown axis"})
 		}
 		if any {
 			productive.add(end.Depth, end.Sym)
 		}
 	})
-	return out.prune(), productive
+	src := graph{e: e, s: s}
+	if axis == xquery.Child {
+		// Every endpoint shallower than the depth bound grows its
+		// schema children; pruning keeps those that lead to a result.
+		src.grow = s.ends.upTo(e.MaxDepth)
+	}
+	return src.withEnds(ends), productive
 }
 
 // childClosure closes front under schema children in place: every
@@ -767,8 +641,8 @@ func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 // (depth, symbol) pair is expanded exactly once). When reached is
 // non-nil, reached[d+1] receives exactly the children marked from
 // depth d. It returns the deepest depth that gained children (-1 when
-// none), so the caller sizes the adjacency slab once before
-// growChildEdges writes the edges.
+// none): the nodes at depths up to it are the ones whose child edges
+// the closure grew.
 func (e *Engine) childClosure(front *Marks, limit int, reached *Marks) int {
 	last := -1
 	var kids bitset.Set
@@ -797,26 +671,22 @@ func (e *Engine) childClosure(front *Marks, limit int, reached *Marks) int {
 	return last
 }
 
-// growChildEdges adds to s the schema child edges of every node front
-// marks at depths [0, last], charging one budget unit per child edge.
-func (s *Set) growChildEdges(front Marks, last int) {
-	e := s.eng
-	s.growAdj(last + 1)
-	for d := 0; d <= last; d++ {
-		front.at(d).ForEach(func(i int) {
-			sym := dtd.SymID(i)
-			if cs := e.childSet(sym); cs.Any() {
-				e.budget.AddNodes(s.outAt(d, sym).OrCount(cs))
-			}
-		})
+// chargeChildren charges one budget unit per schema child edge of every
+// node grow marks: the growth a closure performs.
+func (e *Engine) chargeChildren(grow Marks) {
+	n := 0
+	for d := 0; d < grow.depths; d++ {
+		grow.at(d).ForEach(func(i int) { n += e.childSet(dtd.SymID(i)).Count() })
 	}
+	e.budget.AddNodes(n)
 }
 
 // descendantStep handles descendant and descendant-or-self for all
-// endpoints in one ascending sweep (childClosure). Per-endpoint
-// productivity — needed by (STEPUH) for plain descendant — is
-// recovered from a single descending backward closure of the passing
-// nodes. Both closures run in place on one scratch slab.
+// endpoints in one ascending sweep (childClosure), whose child edges
+// are read on the fly and never stored in full. Per-endpoint
+// productivity — needed by (STEPUH) for plain descendant — is recovered
+// from a single descending backward closure of the passing nodes. Both
+// closures run in place on one scratch slab.
 func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 	e := s.eng
 	mask := e.testMask(test)
@@ -828,8 +698,8 @@ func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 	// Forward closure below every endpoint, shared.
 	copy(active.words, s.ends.words)
 	last := e.childClosure(&active, e.MaxDepth, &reached)
-	out := s.cloneGraph(last + 1)
-	out.growChildEdges(active, last)
+	src := graph{e: e, s: s, grow: active.upTo(last + 1)}
+	e.chargeChildren(src.grow)
 
 	// Results: passing reached nodes (reached ∧ mask, in place), plus
 	// the endpoints themselves for descendant-or-self.
@@ -841,9 +711,10 @@ func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 			lastEnd = d
 		}
 	}
-	out.ends.grow(lastEnd + 1)
+	ends := e.marks(lastEnd + 1)
+	ends.grow(lastEnd + 1)
 	for d := 0; d <= lastEnd; d++ {
-		r := out.ends.at(d)
+		r := ends.at(d)
 		r.OrCount(reached.at(d))
 		if self {
 			r.OrAnd(s.ends.at(d), mask)
@@ -861,34 +732,22 @@ func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 			continue
 		}
 		e.budget.Tick()
-		out.orPreds(hasBelow.at(d-1), d, below)
+		src.orPreds(hasBelow.at(d-1), d, below)
 	}
 	productive := e.marks(s.ends.depths)
-	s.forEachEnd(func(n Node) {
-		kidsBelow := out.outAt(n.Depth, n.Sym).Intersects(hasBelow.at(n.Depth + 1))
-		if kidsBelow || (self && mask.Has(int(n.Sym))) {
-			productive.add(n.Depth, n.Sym)
+	for d := 0; d < s.ends.depths; d++ {
+		below := hasBelow.at(d + 1)
+		src.forOut(d, s.ends.at(d), func(a int, row, kids bitset.Set) {
+			if row.Intersects(below) || kids.Intersects(below) {
+				productive.add(d, dtd.SymID(a))
+			}
+		})
+		if self && s.ends.at(d).Intersects(mask) {
+			r := productive.row(d)
+			r.OrAnd(s.ends.at(d), mask)
 		}
-	})
-	return out.prune(), productive
-}
-
-// growChildren adds schema child edges below n and appends the child
-// nodes to buf.
-func (s *Set) growChildren(buf []Node, n Node) []Node {
-	if n.Depth+1 > s.eng.MaxDepth {
-		return buf
 	}
-	kids := s.eng.childSyms(n.Sym)
-	if len(kids) == 0 {
-		return buf
-	}
-	s.eng.budget.AddNodes(len(kids))
-	s.row(n.Depth, n.Sym).OrCount(s.eng.childSet(n.Sym))
-	for _, beta := range kids {
-		buf = append(buf, Node{n.Depth + 1, beta})
-	}
-	return buf
+	return src.withEnds(ends), productive
 }
 
 // ancestorStep handles ancestor and ancestor-or-self for all
@@ -918,27 +777,25 @@ func (s *Set) ancestorStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks)
 			s.orPreds(above.at(d), d+1, front)
 		}
 	}
-	for d := 0; d+1 < depths && d < s.nadj; d++ {
+	for d := 0; d+1 < depths && d < s.nd; d++ {
 		e.budget.Tick()
 		front.Clear()
 		front.OrCount(mask)
 		front.OrCount(below.at(d))
 		next := below.at(d + 1)
-		front.ForEach(func(i int) {
-			next.OrCount(s.outAt(d, dtd.SymID(i)))
-		})
+		s.forRowsIn(d, front, func(_ int, row bitset.Set) { next.OrCount(row) })
 	}
 
-	out := s.cloneGraph(0)
 	lastEnd := -1
 	for d := 0; d < depths; d++ {
 		if above.at(d).Intersects(mask) || (self && s.ends.at(d).Intersects(mask)) {
 			lastEnd = d
 		}
 	}
-	out.ends.grow(lastEnd + 1)
+	ends := e.marks(lastEnd + 1)
+	ends.grow(lastEnd + 1)
 	for d := 0; d <= lastEnd; d++ {
-		r := out.ends.at(d)
+		r := ends.at(d)
 		r.AndOf(above.at(d), mask)
 		if self {
 			r.OrAnd(s.ends.at(d), mask)
@@ -950,37 +807,57 @@ func (s *Set) ancestorStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks)
 			productive.add(n.Depth, n.Sym)
 		}
 	})
-	return out.prune(), productive
+	return s.withEnds(ends), productive
 }
 
-// growSiblings adds sibling nodes of endpoint end: for each parent
-// node reachable in the context set, the types ordered before/after
-// end's type in that parent's content model (<r from the compiled
-// sibling tables). The sibling nodes are appended to buf.
-func (s *Set) growSiblings(buf []Node, ctx *Set, end Node, preceding bool) []Node {
+// siblingStep handles preceding-sibling and following-sibling: for
+// each parent node of an endpoint in s, the types ordered before/after
+// the endpoint's type in that parent's content model (<r from the
+// compiled sibling tables) become the parent's successors, and those
+// passing the test are the results. The sibling edges are laid out
+// once in a set of their own — their parents are marked first — and
+// united with s before pruning.
+func (s *Set) siblingStep(preceding bool, test xquery.NodeTest) (*Set, Marks) {
 	e := s.eng
-	if end.Depth == 0 || int(end.Sym) >= e.base {
-		return buf
-	}
-	ctx.forPreds(end, func(p dtd.SymID) {
-		if int(p) >= e.base {
-			return
-		}
-		var sibs bitset.Set
+	mask := e.testMask(test)
+	sibs := func(p, a dtd.SymID) bitset.Set {
 		if preceding {
-			sibs = e.C.PrecedingSiblings(p, end.Sym)
-		} else {
-			sibs = e.C.FollowingSiblings(p, end.Sym)
+			return e.C.PrecedingSiblings(p, a)
 		}
-		if !sibs.Any() {
-			return
-		}
-		e.budget.AddNodes(s.row(end.Depth-1, p).OrCount(sibs))
-		sibs.ForEach(func(bi int) {
-			buf = append(buf, Node{end.Depth, dtd.SymID(bi)})
+		return e.C.FollowingSiblings(p, a)
+	}
+	// forSibs calls f for every parent p of an endpoint with siblings
+	// in p's content model.
+	forSibs := func(f func(end Node, p dtd.SymID, sb bitset.Set)) {
+		s.forEachEnd(func(end Node) {
+			if end.Depth == 0 || int(end.Sym) >= e.base {
+				return
+			}
+			s.forPreds(end, func(p dtd.SymID) {
+				if int(p) >= e.base {
+					return
+				}
+				if sb := sibs(p, end.Sym); sb.Any() {
+					f(end, p, sb)
+				}
+			})
 		})
+	}
+	parents := e.sweep(s.ends.depths)
+	forSibs(func(end Node, p dtd.SymID, _ bitset.Set) { parents.add(end.Depth-1, p) })
+	edges := e.NewSet()
+	edges.layout(parents)
+	ends := e.marks(s.ends.depths)
+	productive := e.marks(s.ends.depths)
+	forSibs(func(end Node, p dtd.SymID, sb bitset.Set) {
+		edges.outAt(end.Depth-1, p).OrCount(sb) // Union charges these edges
+		if sb.Intersects(mask) {
+			r := ends.row(end.Depth)
+			r.OrAnd(sb, mask)
+			productive.add(end.Depth, end.Sym)
+		}
 	})
-	return buf
+	return e.Union(s, edges).withEnds(ends), productive
 }
 
 // allExtendNode reports whether every chain of s has the chain(s)
@@ -1020,63 +897,13 @@ func (s *Set) allExtendNode(n Node) bool {
 // Extend returns the set τ̄ = { c.c' | c ∈ s }: s plus the forward
 // schema closure below every endpoint, all of it marked as endpoints.
 func (s *Set) Extend() *Set {
-	out := s.Clone()
-	last := s.eng.childClosure(&out.ends, s.eng.MaxDepth, nil)
-	out.growChildEdges(out.ends, last)
-	return out
-}
-
-// graft attaches t under endpoint base: t's roots become children of
-// base, every t edge is copied shifted by base.Depth+1, and t's
-// endpoints become endpoints of the result (added in place to s). When
-// cr is non-nil it also receives every grafted node below base, the
-// change-region bookkeeping of update grafts. Nodes beyond MaxDepth
-// are dropped — such chains exceed every k-chain length. Both sets
-// must come from the same engine so interned IDs agree.
-func (s *Set) graft(base Node, t *Set, cr *Marks) {
-	off := base.Depth + 1
-	if off > s.eng.MaxDepth {
-		return
-	}
-	if t.roots.Any() {
-		s.eng.budget.AddNodes(s.row(base.Depth, base.Sym).OrCount(t.roots))
-		if cr != nil {
-			cr.or(off, t.roots)
-		}
-	}
-	s.orShifted(off, t, cr)
-}
-
-// orShifted unions t's edges and endpoints into s shifted down by off
-// depths, dropping what lands past MaxDepth, with one word-wise OR
-// over the shifted adjacency blocks (the row layout of a block does
-// not depend on its depth). When cr is non-nil it also receives the
-// targets of every copied edge and every copied endpoint.
-func (s *Set) orShifted(off int, t *Set, cr *Marks) {
 	e := s.eng
-	if nd := min(t.nadj, e.MaxDepth-off); nd > 0 {
-		s.growAdj(off + nd)
-		dst := bitset.Set(s.adj[off*e.blk : (off+nd)*e.blk])
-		e.budget.AddNodes(dst.OrCount(t.adj[:nd*e.blk]))
-		if cr != nil {
-			targets := make(bitset.Set, e.w)
-			for d := 0; d < nd; d++ {
-				targets.Clear()
-				blk := t.block(d)
-				for o := 0; o < len(blk); o += e.w {
-					targets.OrCount(blk[o : o+e.w])
-				}
-				cr.or(off+d+1, targets)
-			}
-		}
-	}
-	for d := 0; d < t.ends.depths && off+d <= e.MaxDepth; d++ {
-		bits := t.ends.at(d)
-		s.ends.or(off+d, bits)
-		if cr != nil {
-			cr.or(off+d, bits)
-		}
-	}
+	ends := e.marks(max(s.ends.depths, e.MaxDepth+1))
+	ends.union(s.ends)
+	last := e.childClosure(&ends, e.MaxDepth, nil)
+	out := graph{e: e, s: s, grow: ends.upTo(last + 1)}.full()
+	out.ends = ends
+	return out
 }
 
 // Rebase returns a set whose chains are tag.c for every chain c of s —
@@ -1084,8 +911,8 @@ func (s *Set) orShifted(off int, t *Set, cr *Marks) {
 func (s *Set) Rebase(tag string) *Set {
 	out := s.eng.NewSet()
 	sym := s.eng.internSym(tag)
-	out.roots.Add(int(sym))
-	out.graft(Node{Depth: 0, Sym: sym}, s, nil)
+	out.merge([]part{{t: s, off: 1, at: sym}}, nil)
+	out.addRoot(sym)
 	return out
 }
 
@@ -1101,14 +928,15 @@ func (e *Engine) SuffixExtensions(sym string, budget int) *Set {
 // reached node is an endpoint, so the frontier at depth d is exactly
 // ends[d].
 func (e *Engine) suffixExtensions(sym dtd.SymID, budget int) *Set {
-	out := e.NewSet()
-	out.roots.Add(int(sym))
-	out.addEnd(0, sym)
 	if budget > e.MaxDepth {
 		budget = e.MaxDepth
 	}
-	last := e.childClosure(&out.ends, budget, nil)
-	out.growChildEdges(out.ends, last)
+	ends := e.marks(budget + 1)
+	ends.add(0, sym)
+	last := e.childClosure(&ends, budget, nil)
+	out := graph{e: e, grow: ends.upTo(last + 1)}.full()
+	out.addRoot(sym)
+	out.ends = ends
 	return out
 }
 
@@ -1145,7 +973,7 @@ func (s *Set) Chains(limit int) []chain.Chain {
 		occ[sym]--
 	}
 	var roots []dtd.SymID
-	s.roots.ForEach(func(r int) { roots = append(roots, dtd.SymID(r)) })
+	s.roots().ForEach(func(r int) { roots = append(roots, dtd.SymID(r)) })
 	sort.Slice(roots, func(i, j int) bool {
 		return s.eng.symName(roots[i]) < s.eng.symName(roots[j])
 	})

@@ -3,6 +3,9 @@ package cdag
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"xqindep/internal/bitset"
@@ -37,8 +40,7 @@ func xmarkPair(t *testing.T, view, update string) (xquery.Query, xquery.Update) 
 
 // TestIndependenceCompiledAllocs pins the allocation count of a whole
 // cold CDAG analysis, so per-row slab growth cannot creep back. Each
-// ceiling is twice the count measured with flat slabs and the batched
-// update loop.
+// ceiling is twice the count measured with sparse rows written once.
 func TestIndependenceCompiledAllocs(t *testing.T) {
 	c, err := dtd.Compile(xmark.Schema())
 	if err != nil {
@@ -48,16 +50,181 @@ func TestIndependenceCompiledAllocs(t *testing.T) {
 		update  string
 		ceiling float64
 	}{
-		// 308 measured; 41,308 when every row grew one bitset at a time.
-		{"UB2", 616},
-		// 286 measured; 123,121 when rows grew one at a time and the
-		// rename loop re-inferred its body per binding endpoint.
-		{"UN1", 572},
+		// 157 measured; 308 with dense flat slabs, 41,308 when every
+		// row grew one bitset at a time.
+		{"UB2", 314},
+		// 152 measured; 286 with dense flat slabs, 123,121 when rows
+		// grew one at a time and the rename loop re-inferred its body
+		// per binding endpoint.
+		{"UN1", 304},
 	} {
 		q, u := xmarkPair(t, "A3", tc.update)
 		n := testing.AllocsPerRun(3, func() { IndependenceCompiled(c, q, u) })
 		if n > tc.ceiling {
 			t.Errorf("A3 × %s: IndependenceCompiled allocates %.0f times, ceiling %.0f", tc.update, n, tc.ceiling)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average number of
+// bytes f allocates over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestIndependenceCompiledBytes pins the bytes of a whole cold CDAG
+// analysis, so dense depth blocks cannot creep back. Each ceiling is
+// twice the bytes measured with sparse rows written once.
+func TestIndependenceCompiledBytes(t *testing.T) {
+	c, err := dtd.Compile(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		update  string
+		ceiling float64
+	}{
+		// 168,456 B measured; 3,199,104 B with a dense n·w-word
+		// block per depth, copied and pruned at every step.
+		{"UB2", 336_912},
+		// 149,360 B measured; 2,322,096 B with dense blocks.
+		{"UN1", 298_720},
+	} {
+		q, u := xmarkPair(t, "A3", tc.update)
+		if n := bytesPerRun(5, func() { IndependenceCompiled(c, q, u) }); n > tc.ceiling {
+			t.Errorf("A3 × %s: IndependenceCompiled allocates %.0f bytes, ceiling %.0f", tc.update, n, tc.ceiling)
+		}
+	}
+}
+
+// checkLayout reports how s breaks the sparse layout, if it does: the
+// slab must hold exactly its header and rows, every occupancy row must
+// count the rows stored for its depth, the rows must be packed in
+// (depth, symbol) order where the rank lookup finds them, no stored
+// row may be empty, and no depth past the last occupied one may be
+// stored.
+func checkLayout(s *Set) error {
+	if s.g == nil {
+		if s.nd != 0 {
+			return fmt.Errorf("a nil graph claims %d depths", s.nd)
+		}
+		return nil
+	}
+	w := s.eng.w
+	if got, want := len(s.g), s.hdr()+s.rowCount()*w; got != want {
+		return fmt.Errorf("slab holds %d words, its header and %d rows need %d", got, s.rowCount(), want)
+	}
+	if s.nd > 0 && !s.occ(s.nd-1).Any() {
+		return fmt.Errorf("depth %d is stored past the last occupied one", s.nd-1)
+	}
+	at, next := w*(s.nd+1), 0
+	for d := 0; d < s.nd; d++ {
+		if first := int(s.g[at+d]); first != next {
+			return fmt.Errorf("depth %d starts at row %d, want %d", d, first, next)
+		}
+		var err error
+		s.occ(d).ForEach(func(sym int) {
+			row := s.g[s.hdr()+next*w : s.hdr()+(next+1)*w]
+			switch found := s.outAt(d, dtd.SymID(sym)); {
+			case err != nil:
+			case !bitset.Set(row).Any():
+				err = fmt.Errorf("row %d (%d:%d) is empty", next, d, sym)
+			case &found[0] != &row[0]:
+				err = fmt.Errorf("rank lookup of %d:%d misses row %d", d, sym, next)
+			}
+			next++
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if s.rowCount() != next {
+		return fmt.Errorf("index counts %d rows, occupancy %d", s.rowCount(), next)
+	}
+	return nil
+}
+
+// TestSetLayout checks the layout of every set built — intermediate or
+// final, query or update side — while analysing the UB2, UN1, UA2 and
+// UB6 rows of the XMark matrix.
+func TestSetLayout(t *testing.T) {
+	c, err := dtd.Compile(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"UB2", "UN1", "UA2", "UB6"} {
+		built := 0
+		for _, v := range xmark.Views() {
+			q, u := xmarkPair(t, v.Name, name)
+			e := EngineForCompiled(c, q, u)
+			var sets []*Set
+			e.built = func(s *Set) { sets = append(sets, s) }
+			e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
+			for i, s := range sets {
+				if err := checkLayout(s); err != nil {
+					t.Fatalf("%s × %s, set %d of %d: %v", v.Name, name, i, len(sets), err)
+				}
+			}
+			built += len(sets)
+		}
+		if built < 36*10 {
+			t.Errorf("%s row built %d sets; the hook missed most of them", name, built)
+		}
+	}
+}
+
+// TestAddEdgeInsertOrder: an edge from a node without a row takes the
+// insert slow path wherever the row lands, so a DAG's edges added in
+// shuffled (depth, symbol) order build the DAG that the same edges
+// added in ascending order build.
+func TestAddEdgeInsertOrder(t *testing.T) {
+	q, u := xmarkPair(t, "A3", "UB2")
+	e := EngineFor(xmark.Schema(), q, u)
+	src := e.Update(e.RootEnv(), xquery.NormalizeUpdate(u)).Full
+	type edge struct {
+		d        int
+		from, to dtd.SymID
+	}
+	var edges []edge
+	for d := 0; d < src.nd; d++ {
+		src.forRows(d, func(from int, row bitset.Set) {
+			row.ForEach(func(to int) { edges = append(edges, edge{d, dtd.SymID(from), dtd.SymID(to)}) })
+		})
+	}
+	if src.nd < 4 || src.rowCount() < 8 {
+		t.Fatalf("source DAG too small to exercise inserts: %d depths, %d rows", src.nd, src.rowCount())
+	}
+	build := func(order []edge) *Set {
+		s := e.NewSet()
+		s.rootRow().OrCount(src.roots())
+		for _, x := range order {
+			s.addEdge(x.d, x.from, x.to)
+		}
+		s.ends = src.ends.clone()
+		return s
+	}
+	want := src.Dot("u")
+	if got := build(edges).Dot("u"); got != want {
+		t.Fatalf("ascending inserts:\n%s\nwant\n%s", got, want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		shuffled := append([]edge(nil), edges...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		s := build(shuffled)
+		if got := s.Dot("u"); got != want {
+			t.Fatalf("shuffle %d:\n%s\nwant\n%s", i, got, want)
+		}
+		if err := checkLayout(s); err != nil {
+			t.Fatalf("shuffle %d: %v", i, err)
 		}
 	}
 }
@@ -134,8 +301,8 @@ func TestSymbolReservation(t *testing.T) {
 	if !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Errorf("symbols LimitError is not a budget error, so the ladder would not degrade: %v", err)
 	}
-	if e.total() != e.n || len(root.roots) != e.w {
-		t.Errorf("abort changed the universe: total %d, n %d, root row %d words, w %d", e.total(), e.n, len(root.roots), e.w)
+	if e.total() != e.n || len(root.roots()) != e.w {
+		t.Errorf("abort changed the universe: total %d, n %d, root row %d words, w %d", e.total(), e.n, len(root.roots()), e.w)
 	}
 	b := guard.New(context.Background(), guard.Limits{})
 	if err := guard.Do(func() { typeanalysis.IndependenceBudget(bib, q, u, b) }); err != nil {
@@ -212,7 +379,7 @@ func TestEndConesOfUnprunedSet(t *testing.T) {
 	s.addEnd(5, sym("f"))            // endpoint reached only from 4:g
 	s.addEnd(6, sym("g"))            // endpoint with no incoming edge
 	s.addEdge(0, sym("a"), sym("b")) // an edge from a non-root
-	s.roots.Add(int(sym("g")))       // a root that reaches no endpoint
+	s.addRoot(sym("g"))              // a root that reaches no endpoint
 	cones := e.NewSet()
 	for _, end := range s.Ends() {
 		cones.AddAll(s.subWithEnd(end))
@@ -237,7 +404,7 @@ func marksEqual(a, b Marks) bool {
 func refAncestorStep(s *Set, axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 	e := s.eng
 	mask := e.testMask(test)
-	out := s.cloneGraph(0)
+	ends := e.marks(0)
 	productive := e.marks(0)
 	s.forEachEnd(func(end Node) {
 		var anc []Node
@@ -255,7 +422,7 @@ func refAncestorStep(s *Set, axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 		any := false
 		for _, n := range anc {
 			if mask.Has(int(n.Sym)) {
-				out.addEnd(n.Depth, n.Sym)
+				ends.add(n.Depth, n.Sym)
 				any = true
 			}
 		}
@@ -263,7 +430,7 @@ func refAncestorStep(s *Set, axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 			productive.add(end.Depth, end.Sym)
 		}
 	})
-	return out.prune(), productive
+	return s.withEnds(ends), productive
 }
 
 // TestAncestorStepMatchesPerEndpointWalk: the two-sweep ancestor step

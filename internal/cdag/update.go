@@ -21,9 +21,15 @@ func (e *Engine) newUpdateSet() *UpdateSet {
 	return &UpdateSet{Full: e.NewSet(), ChangeRegion: Marks{w: e.w}}
 }
 
-// AddAll unions t into u.
+// AddAll unions t into u. Like Set.AddAll, an empty u takes over t's
+// storage, so t must be an update set the engine returned to this
+// caller and must not be used afterwards.
 func (u *UpdateSet) AddAll(t *UpdateSet) {
 	u.Full.AddAll(t.Full)
+	if u.ChangeRegion.depths == 0 {
+		u.ChangeRegion = t.ChangeRegion
+		return
+	}
 	u.ChangeRegion.union(t.ChangeRegion)
 }
 
@@ -66,76 +72,58 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 		return e.Update(g.Bind(n.Var, e.Union(c1.Ret, c1.Elem)), n.Body)
 	case xquery.Delete:
 		// Full chains are the target chains; the change suffix is the
-		// final symbol.
+		// final symbol. The target set is this rule's own, so it
+		// becomes the full-chain set as it is.
 		r0 := e.Query(g, n.Target).Ret
-		out := e.newUpdateSet()
-		out.Full.AddAll(r0)
-		out.ChangeRegion.union(r0.ends)
-		return out
+		return &UpdateSet{Full: r0, ChangeRegion: r0.ends.clone()}
 	case xquery.Rename:
-		r0 := e.Query(g, n.Target).Ret
-		as := e.internSym(n.As)
-		out := e.newUpdateSet()
-		out.Full.AddAll(r0)
-		r0.forEachEnd(func(end Node) {
-			out.ChangeRegion.add(end.Depth, end.Sym)
-			if end.Depth == 0 {
-				// Renaming the root: the new name becomes a root chain.
-				out.Full.roots.Add(int(as))
-				out.Full.addEnd(0, as)
-				out.ChangeRegion.add(0, as)
-				return
-			}
-			renamed := false
-			r0.forPreds(end, func(p dtd.SymID) {
-				out.Full.addEdge(end.Depth-1, p, as)
-				renamed = true
-			})
-			if renamed {
-				out.Full.addEnd(end.Depth, as)
-				out.ChangeRegion.add(end.Depth, as)
-			}
-		})
-		return out
+		return e.rename(e.Query(g, n.Target).Ret, e.internSym(n.As))
 	case xquery.Insert:
 		src := e.Query(g, n.Source)
 		r0 := e.Query(g, n.Target).Ret
-		// Targets are prefixes, not ends.
-		out := &UpdateSet{Full: r0.cloneGraph(0), ChangeRegion: Marks{w: e.w}}
+		exts := e.sourceExtensions(src)
+		var parts []part
 		r0.forEachEnd(func(end Node) {
 			if n.Pos.IsInto() {
-				e.graftSource(out, end, src)
+				parts = sourceParts(parts, end, src, exts)
 				return
 			}
 			// before/after: the change happens under the target's
 			// parent (INSERT-2); inserting beside the root is
 			// impossible.
 			r0.forPreds(end, func(p dtd.SymID) {
-				e.graftSource(out, Node{end.Depth - 1, p}, src)
+				parts = sourceParts(parts, Node{end.Depth - 1, p}, src, exts)
 			})
 		})
+		// Targets are prefixes, not ends: the full chains take over the
+		// target graph without its endpoints.
+		out := &UpdateSet{Full: e.NewSet(), ChangeRegion: Marks{w: e.w}}
+		out.Full.g, out.Full.nd = r0.g, r0.nd
+		out.Full.merge(parts, &out.ChangeRegion)
 		return out
 	case xquery.Replace:
 		src := e.Query(g, n.Source)
 		r0 := e.Query(g, n.Target).Ret
-		out := &UpdateSet{Full: r0.cloneGraph(0), ChangeRegion: Marks{w: e.w}}
+		exts := e.sourceExtensions(src)
+		var parts []part
 		r0.forEachEnd(func(end Node) {
-			// Removal of the target node: full chain = target chain.
-			out.Full.addEnd(end.Depth, end.Sym)
-			out.ChangeRegion.add(end.Depth, end.Sym)
 			// Insertion of the source in the target's place.
 			r0.forPreds(end, func(p dtd.SymID) {
-				e.graftSource(out, Node{end.Depth - 1, p}, src)
+				parts = sourceParts(parts, Node{end.Depth - 1, p}, src, exts)
 			})
 			if end.Depth == 0 {
 				// Replacing the root: the source chains become
 				// root-level change chains.
-				e.graftAtRoots(out, src.Elem)
-				for _, sEnd := range src.Ret.Ends() {
-					e.graftAtRoots(out, e.suffixExtensions(sEnd.Sym, e.MaxDepth))
+				parts = append(parts, part{t: src.Elem})
+				for _, ext := range exts {
+					parts = append(parts, part{t: ext})
 				}
 			}
 		})
+		// Removal of each target node: its full chain is the target
+		// chain, so the target set (this rule's own) is the base.
+		out := &UpdateSet{Full: r0, ChangeRegion: r0.ends.clone()}
+		out.Full.merge(parts, &out.ChangeRegion)
 		return out
 	default:
 		panic(&guard.InternalError{Value: fmt.Sprintf("cdag: unknown update node %T", u)})
@@ -169,22 +157,62 @@ func targetsOnlyVar(body xquery.Update, v string) bool {
 	return ok && x.Name == v
 }
 
-// graftSource attaches the source chains (constructed elements and
-// copied input subtrees) below the prefix node, marking the grafted
-// branch as change region and its leaves as full-chain ends.
-func (e *Engine) graftSource(out *UpdateSet, prefix Node, src QueryChains) {
-	out.Full.graft(prefix, src.Elem, &out.ChangeRegion)
-	for _, end := range src.Ret.Ends() {
-		ext := e.suffixExtensions(end.Sym, e.MaxDepth)
-		out.Full.graft(prefix, ext, &out.ChangeRegion)
+// rename is the (RENAME) rule over the target set r0, which is the
+// rule's own and becomes the full-chain set: every target node keeps
+// its chain, and as joins it as a sibling under each of the target's
+// parents (or as a root). Every parent is read before anything is
+// written, and a renamed edge lands in a row its parent already has,
+// so the graph is written in place.
+func (e *Engine) rename(r0 *Set, as dtd.SymID) *UpdateSet {
+	cr := r0.ends.clone()
+	parents := e.sweep(r0.ends.depths)
+	for d := 1; d < r0.ends.depths; d++ {
+		r0.orPreds(parents.at(d-1), d, r0.ends.at(d))
 	}
+	if r0.ends.at(0).Any() {
+		// Renaming the root: the new name becomes a root chain.
+		r0.addRoot(as)
+		r0.addEnd(0, as)
+		cr.add(0, as)
+	}
+	n := 0
+	for d := 1; d < parents.depths; d++ {
+		ps := parents.at(d - 1)
+		if !ps.Any() {
+			continue
+		}
+		ps.ForEach(func(p int) {
+			row := r0.outAt(d-1, dtd.SymID(p))
+			row.Add(int(as))
+			n++
+		})
+		r0.addEnd(d, as)
+		cr.add(d, as)
+	}
+	e.budget.AddNodes(n)
+	return &UpdateSet{Full: r0, ChangeRegion: cr}
 }
 
-// graftAtRoots merges t as root-level chains of the update DAG,
-// marking everything as change region (used when replacing the
-// document root).
-func (e *Engine) graftAtRoots(out *UpdateSet, t *Set) {
-	out.Full.roots.OrCount(t.roots)
-	out.ChangeRegion.or(0, t.roots)
-	out.Full.orShifted(0, t, &out.ChangeRegion)
+// sourceExtensions returns the schema extensions α.c' of every return
+// endpoint α of an update's source: the copied subtrees it inserts.
+func (e *Engine) sourceExtensions(src QueryChains) []*Set {
+	var exts []*Set
+	src.Ret.forEachEnd(func(end Node) {
+		exts = append(exts, e.suffixExtensions(end.Sym, e.MaxDepth))
+	})
+	return exts
+}
+
+// sourceParts appends the grafts that attach the source chains —
+// constructed elements and copied input subtrees — below the prefix
+// node: merged into the full-chain set with the change region, they
+// mark the grafted branch as changed and its leaves as full-chain
+// ends.
+func sourceParts(parts []part, prefix Node, src QueryChains, exts []*Set) []part {
+	at := prefix.Depth + 1
+	parts = append(parts, part{t: src.Elem, off: at, at: prefix.Sym})
+	for _, ext := range exts {
+		parts = append(parts, part{t: ext, off: at, at: prefix.Sym})
+	}
+	return parts
 }

@@ -93,21 +93,23 @@ func (k Kind) String() string {
 
 // Points lists the canonical fault-point names, one per analyzer
 // phase boundary. Harnesses draw from this list; the engines fire
-// them via guard.Point/guard.FirePoint.
+// them via guard.Point/guard.FirePoint. Seeded schedules index it, so
+// a name is only ever replaced in its slot: cdag.infer_update holds
+// the slot of parse.document, which nothing fired.
 var Points = []string{
-	"parse.schema",   // schema text → DTD (server layer)
-	"parse.query",    // query text → AST (server layer)
-	"parse.update",   // update text → AST (server layer)
-	"parse.document", // document text → tree (server layer)
-	"core.analyze",   // entry of one ladder rung
-	"infer.chains",   // explicit-set chain inference start
-	"infer.conflict", // explicit-set conflict check start
-	"cdag.build",     // CDAG construction start
-	"cdag.conflict",  // CDAG conflict check start
-	"types.check",    // type-set baseline start
-	"paths.check",    // path-overlap baseline start
-	"core.artifact",  // compiled artifact selected for a request
-	"core.verdict",   // rung verdict about to be returned
+	"parse.schema",      // schema text → DTD (server layer)
+	"parse.query",       // query text → AST (server layer)
+	"parse.update",      // update text → AST (server layer)
+	"cdag.infer_update", // CDAG update inference start
+	"core.analyze",      // entry of one ladder rung
+	"infer.chains",      // explicit-set chain inference start
+	"infer.conflict",    // explicit-set conflict check start
+	"cdag.build",        // CDAG build entry: engine construction
+	"cdag.conflict",     // CDAG conflict check start
+	"types.check",       // type-set baseline start
+	"paths.check",       // path-overlap baseline start
+	"core.artifact",     // compiled artifact selected for a request
+	"core.verdict",      // rung verdict about to be returned
 }
 
 // PlanPoints lists the fault points of the prepared-analysis pipeline

@@ -216,8 +216,10 @@ func build(resolve func() *dtd.Compiled, q xquery.Query, u xquery.Update, b *gua
 	}
 
 	b.Point("core.plan/infer")
-	// cdag.build is the historical chain-inference point; chaos
-	// schedules arming it must still reach it on every cold build.
+	// cdag.build marks the build entry and times engine construction;
+	// CheckIndependence marks query inference, update inference and the
+	// conflict checks. Chaos schedules arming any of them reach it on
+	// every cold build.
 	b.Point("cdag.build")
 	e := cdag.EngineForCompiled(resolve(), nq, nu).WithBudget(b)
 	v := e.CheckIndependence(nq, nu)

@@ -291,6 +291,45 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestInferenceMarksAreFaultPoints: the marks a cold build fires before
+// query and update inference are fault points. A budget fault at
+// either degrades the verdict to a weaker rung, and a panic at either
+// fails only its own request.
+func TestInferenceMarksAreFaultPoints(t *testing.T) {
+	faultinject.Enable()
+	for _, point := range []string{"cdag.infer_query", "cdag.infer_update"} {
+		t.Run(point+"/budget", func(t *testing.T) {
+			s := New(Config{Workers: 1, Plans: plan.NewCache(64)})
+			defer s.Close()
+			sched := faultinject.NewSchedule(faultinject.Fault{Point: point, Kind: faultinject.KindBudget})
+			res, err := s.Do(faultinject.With(context.Background(), sched), mustTask(t, bibSchema, "//title", "delete //price"))
+			if err != nil {
+				t.Fatalf("budget fault: %v", err)
+			}
+			if !res.Degraded || len(sched.Fired()) != 1 {
+				t.Fatalf("budget fault did not degrade the verdict: fired %v, %+v", sched.Fired(), res)
+			}
+		})
+		t.Run(point+"/panic", func(t *testing.T) {
+			s := New(Config{Workers: 1, Plans: plan.NewCache(64)})
+			defer s.Close()
+			sched := faultinject.NewSchedule(faultinject.Fault{Point: point, Kind: faultinject.KindPanic})
+			_, err := s.Do(faultinject.With(context.Background(), sched), mustTask(t, bibSchema, "//title", "delete //price"))
+			var ie *guard.InternalError
+			if !errors.As(err, &ie) {
+				t.Fatalf("want InternalError, got %v", err)
+			}
+			if pv, ok := ie.Value.(faultinject.PanicValue); !ok || pv.Point != point {
+				t.Fatalf("unexpected panic payload %v", ie.Value)
+			}
+			res, err := s.Do(context.Background(), mustTask(t, bibSchema, "//title", "delete //price"))
+			if err != nil || !res.Independent || s.Stats().Panics != 1 {
+				t.Fatalf("pool did not survive the panic: %v %+v %+v", err, res, s.Stats())
+			}
+		})
+	}
+}
+
 // TestGluePanicIsContained: a panic in the serving glue around the
 // analysis — here the auditor hand-off, given an Auditor that
 // sentinel.New never initialised — fails only its own request, as a

@@ -59,13 +59,17 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== bench smoke (compiled-schema, prepared-plan and audit-overhead comparisons, 1 iteration)"
+echo "== bench smoke (compiled-schema, prepared-plan, audit-overhead and Figure 3.a chain benchmarks, 1 iteration)"
 # One iteration only — this proves the engine/phase, cold/warm and
-# audit off/on benchmarks still compile and run. Measure one with
+# audit off/on benchmarks, and the Figure 3.a passes the cold-path
+# profiles are taken from, still compile and run. Measure one with
 # `go test -run '^$' -bench <name> -benchmem .`;
 # BENCH_compiledschema.json and BENCH_sentinel.json are the historical
 # records of the first and last.
 go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold|BenchmarkAuditOverhead' -benchtime 1x .
+# A second run: -bench applies its /-separated parts per level, so the
+# sub-benchmark filter must not reach the benchmarks above.
+go test -run '^$' -bench 'BenchmarkFigure3aChains/(UB2|UN1)$' -benchtime 1x .
 
 echo "== bench module (go vet + go test inside bench/)"
 # bench/ is a module of its own, so `go test ./...` above never reaches
@@ -187,6 +191,49 @@ for cmd in xqindepd xqindep; do
   done
   echo "$(wc -w <<<"${flag_names}") ${cmd} flags all documented"
 done
+
+echo "== fault-point grep (listed points are fired; fired points and DESIGN.md §14's point table agree)"
+# Every name in faultinject.Points and faultinject.PlanPoints must be
+# fired by non-test Go outside testdata, through .Point("…") or
+# guard.FirePoint(…, "…"): a listed point nothing fires makes every
+# chaos draw of it test nothing. And the names fired there must be
+# exactly the first cells of the rows of DESIGN.md §14's point table,
+# which says where each fires.
+listed="$(awk '/^var (Points|PlanPoints) = \[\]string\{/,/^\}/' internal/faultinject/faultinject.go \
+  | grep -oE '^[[:space:]]*"[a-z0-9._/]+"' | tr -d ' \t"' | sort -u)"
+fired="$(grep -rhoE --include='*.go' --exclude='*_test.go' \
+  --exclude-dir=testdata --exclude-dir=.git --exclude-dir=.bench_build \
+  '(\.Point\("[a-z0-9._/]+"\)|FirePoint\([^,]*, "[a-z0-9._/]+"\))' . \
+  | grep -oE '"[a-z0-9._/]+"' | tr -d '"' | sort -u)"
+if [ -z "${listed}" ] || [ -z "${fired}" ]; then
+  echo "fault points: found no listed or no fired points; pattern stale?" >&2
+  exit 1
+fi
+point_rows="$(awk '/^## 14\./ { on = 1; next } /^## / { on = 0 } on' DESIGN.md \
+  | { grep -oE '^\| `[a-z0-9._/]+` \|' || true; } | tr -d '|` ' | sort -u)"
+missing=0
+for name in ${listed}; do
+  if ! grep -qxF -- "${name}" <<<"${fired}"; then
+    echo "fault points: internal/faultinject lists ${name} but no code fires it" >&2
+    missing=1
+  fi
+done
+for name in ${fired}; do
+  if ! grep -qxF -- "${name}" <<<"${point_rows}"; then
+    echo "fault points: ${name} is fired but has no row in DESIGN.md §14's point table" >&2
+    missing=1
+  fi
+done
+for name in ${point_rows}; do
+  if ! grep -qxF -- "${name}" <<<"${fired}"; then
+    echo "fault points: DESIGN.md §14's point table has a row for ${name}, which no code fires" >&2
+    missing=1
+  fi
+done
+if [ "${missing}" -ne 0 ]; then
+  exit 1
+fi
+echo "$(wc -w <<<"${listed}") listed points all fired; $(wc -w <<<"${fired}") fired points, one table row each"
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
 fuzz() {
