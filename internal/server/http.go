@@ -174,16 +174,46 @@ func setRetryAfter(w http.ResponseWriter, seconds int) {
 	}
 }
 
+// maxBody is the largest /analyze body the server reads; a longer one
+// is a bad request.
+const maxBody = 16 << 20
+
+// maxSized is the largest declared Content-Length /analyze sizes its
+// body buffer by. Above it the body is read as it arrives, so a request
+// that overstates its length cannot make the server allocate before its
+// bytes do.
+const maxSized = 1 << 20
+
 func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	data, err := readBody(w, r)
+	if err == nil {
+		err = json.Unmarshal(data, &req)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, AnalyzeResponse{Error: "bad request: " + err.Error()})
 		return
 	}
 	resp, code := h.Analyze(r.Context(), req)
 	setRetryAfter(w, resp.RetryAfterSec)
 	writeJSON(w, code, resp)
+}
+
+// readBody reads an /analyze body whole, at most maxBody bytes. A body
+// whose declared length is at most maxSized is read into one buffer of
+// exactly that size, instead of a decoder buffer that regrows as the
+// body streams in; a body that ends before its declared length is an
+// error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBody)
+	if n := r.ContentLength; n > 0 && n <= maxSized {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(body)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
