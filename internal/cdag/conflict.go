@@ -13,10 +13,10 @@ import (
 
 // commonNodes returns the nodes reachable from shared roots by edges
 // present in both DAGs — the nodes n such that some common path spells
-// a shared chain prefix ending at n. The walk is one descending sweep
-// over one scratch slab: common nodes at depth d+1 are the union over
-// common symbols α at depth d of out_a[d][α] ∧ out_b[d][α], and only
-// the α both DAGs store a row for are looked up.
+// a shared chain prefix ending at n. The walk is one descending sweep:
+// common nodes at depth d+1 are the union over common symbols α at
+// depth d of out_a[d][α] ∧ out_b[d][α], and only the α both DAGs store
+// a row for are looked up. The marking is a sweep its caller releases.
 func commonNodes(a, b *Set) Marks {
 	if !a.roots().Intersects(b.roots()) {
 		return Marks{}
@@ -47,9 +47,9 @@ func commonNodes(a, b *Set) Marks {
 // endReach returns, per depth, the symbols from which some endpoint of
 // s is forward-reachable within s's edges (zero-length paths count):
 // back[d] = ends[d] ∪ {α : out[d][α] ∩ back[d+1] ≠ ∅}. One descending
-// sweep over one scratch slab answers every "does an end survive below
-// this node?" probe the conflict checks make, replacing a forward walk
-// per candidate node.
+// sweep answers every "does an end survive below this node?" probe the
+// conflict checks make, replacing a forward walk per candidate node.
+// The marking is a sweep its caller releases.
 func (s *Set) endReach() Marks {
 	maxd := max(s.nd, s.ends.depths-1)
 	back := s.eng.sweep(maxd + 1)
@@ -65,7 +65,9 @@ func (s *Set) endReach() Marks {
 }
 
 // ConflictRetUpdate decides confl(r, U) over DAGs: some return chain
-// is a prefix of some full update chain.
+// is a prefix of some full update chain. Like the other two checks it
+// reads a nil set as empty, and it allocates nothing: its sweeps come
+// from the engine's scratch.
 func ConflictRetUpdate(r *Set, u *UpdateSet) bool {
 	return prefixConflict(r, u.Full)
 }
@@ -80,9 +82,13 @@ func ConflictUpdateRet(u *UpdateSet, r *Set) bool {
 // chain of b (Definition 4.1 specialised to one direction): an a-end
 // sits on a common prefix and some b-end is reachable at or below it.
 // With b's ends-reachability precomputed, every depth is answered by
-// one three-way word-wise intersection — the whole check allocates
-// only the two Marks sweeps.
+// one three-way word-wise intersection over the two sweeps.
 func prefixConflict(a, b *Set) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	e := a.eng
+	defer e.release(e.top)
 	common := commonNodes(a, b)
 	if !common.any() {
 		return false
@@ -100,15 +106,22 @@ func prefixConflict(a, b *Set) bool {
 // update chain is a prefix of a used chain (change at or above the
 // used node), or a used chain ends inside a change branch (a node
 // typed by it appears on or vanishes from the branch). Both probes
-// share one commonNodes sweep and run as three-way intersections.
+// share one commonNodes sweep and run as three-way intersections; both
+// need a common node, so a pair without one is decided by that sweep.
 func ConflictUpdateUsed(u *UpdateSet, v *Set) bool {
+	if u.Full == nil || v == nil {
+		return false
+	}
+	e := v.eng
+	defer e.release(e.top)
 	common := commonNodes(u.Full, v)
-	if common.any() {
-		reach := v.endReach()
-		for d := 0; d < u.Full.ends.depths; d++ {
-			if bitset.IntersectsAll(u.Full.ends.at(d), common.at(d), reach.at(d)) {
-				return true
-			}
+	if !common.any() {
+		return false
+	}
+	reach := v.endReach()
+	for d := 0; d < u.Full.ends.depths; d++ {
+		if bitset.IntersectsAll(u.Full.ends.at(d), common.at(d), reach.at(d)) {
+			return true
 		}
 	}
 	for d := 0; d < v.ends.depths; d++ {

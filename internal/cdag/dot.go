@@ -14,8 +14,11 @@ import (
 // output is rendered over type names and sorted exactly like the
 // map-based reference engine's, so isomorphic DAGs produce identical
 // bytes regardless of which engine built them (the differential suite
-// relies on this).
+// relies on this). A nil set renders as the empty digraph.
 func (s *Set) Dot(name string) string {
+	if s == nil {
+		s = &Set{}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=circle, fontsize=10];\n", name)
 	type dnode struct {

@@ -395,19 +395,17 @@ func (g graph) writeRows(out *Set, d int, f func(dst, row, kids bitset.Set)) {
 // withEnds returns g's graph with the given endpoints, pruned to the
 // edges that spell its chains: the forward closure from the roots and
 // the backward closure from the forward-reachable endpoints run
-// level-wise over one scratch slab, the backward pass records which
-// nodes keep an edge, and only those rows are written, into a slab
-// laid out once. This plays the role of the paper's edge codes: growth
+// level-wise over three sweeps, the backward pass records which nodes
+// keep an edge, and only those rows are written, into a slab laid out
+// once. This plays the role of the paper's edge codes: growth
 // performed while exploring one step must not become spellable context
 // for the next step or for backward navigation. The result takes over
 // ends' words for its endpoints, so the caller must not use ends after.
 func (g graph) withEnds(ends Marks) *Set {
 	e := g.e
+	defer e.release(e.top)
 	depths := max(ends.depths, g.depths()+1)
-	scratch := e.sweep(3 * depths)
-	fwd := Marks{w: e.w, depths: depths, words: scratch.words[:depths*e.w]}
-	back := Marks{w: e.w, depths: depths, words: scratch.words[depths*e.w : 2*depths*e.w]}
-	kept := Marks{w: e.w, depths: depths, words: scratch.words[2*depths*e.w:]}
+	fwd, back, kept := e.sweep(depths), e.sweep(depths), e.sweep(depths)
 	// Forward closure from the roots.
 	fwd.at(0).OrCount(g.s.roots())
 	for d := 0; d+1 < depths; d++ {
@@ -473,6 +471,7 @@ func (g graph) keep(occ, keep Marks) *Set {
 // unit per edge written.
 func (g graph) full() *Set {
 	e := g.e
+	defer e.release(e.top)
 	occ := e.sweep(g.depths())
 	for d := 0; d < occ.depths; d++ {
 		o := occ.at(d)

@@ -26,14 +26,11 @@ func (e *Engine) RootEnv() Env {
 }
 
 // QueryChains is the CDAG form of the judgement Γ ⊢C q : (r; v; e).
+// A side with no chains is nil.
 type QueryChains struct {
 	Ret  *Set
 	Used *Set
 	Elem *Set
-}
-
-func (e *Engine) emptyChains() QueryChains {
-	return QueryChains{Ret: e.NewSet(), Used: e.NewSet(), Elem: e.NewSet()}
 }
 
 // Query infers the chain sets of q over CDAGs, mirroring Table 1.
@@ -44,19 +41,13 @@ func (e *Engine) Query(g Env, q xquery.Query) QueryChains {
 	e.budget.Tick()
 	switch n := q.(type) {
 	case xquery.Empty:
-		return e.emptyChains()
+		return QueryChains{}
 	case xquery.StringLit:
-		out := e.emptyChains()
-		out.Elem = e.stringChainSet()
-		return out
+		return QueryChains{Elem: e.stringChainSet()}
 	case xquery.Var:
 		// A binding stays in Γ for later reads, so the rule returns a
 		// copy: every set Query returns is its caller's own.
-		out := e.emptyChains()
-		if b, ok := g[n.Name]; ok {
-			out.Ret = b.Clone()
-		}
-		return out
+		return QueryChains{Ret: g[n.Name].Clone()}
 	case xquery.Step:
 		return e.stepRule(g, n)
 	case xquery.Sequence:
@@ -102,17 +93,15 @@ func (e *Engine) stringChainSet() *Set {
 }
 
 func (e *Engine) stepRule(g Env, n xquery.Step) QueryChains {
-	out := e.emptyChains()
-	ctx, ok := g[n.Var]
-	if !ok {
-		return out
+	ctx := g[n.Var]
+	if ctx == nil {
+		return QueryChains{}
 	}
 	res, productive := ctx.Step(n.Axis, n.Test)
-	out.Ret = res
-	if !n.Axis.IsForward() {
+	out := QueryChains{Ret: res}
+	if !n.Axis.IsForward() && productive.any() {
 		// (STEPUH): productive context endpoints become used chains.
-		used := ctx.withEnds(productive)
-		out.Used = used
+		out.Used = ctx.withEnds(productive)
 	}
 	return out
 }
@@ -130,8 +119,7 @@ func (e *Engine) stepRule(g Env, n xquery.Step) QueryChains {
 //     applying the semantic subsumption check.
 func (e *Engine) forRule(g Env, n xquery.For) QueryChains {
 	c1 := e.Query(g, n.In)
-	out := e.emptyChains()
-	out.Used.AddAll(c1.Used)
+	out := QueryChains{Used: c1.Used}
 	// Bindings cover returned input nodes and constructed items alike.
 	bindings := c1.Ret
 	if !c1.Elem.IsEmpty() {
@@ -148,9 +136,8 @@ func (e *Engine) forRule(g Env, n xquery.For) QueryChains {
 		// the same over-approximation the paper accepts for nodes
 		// shared between chains of one expression.
 		body := e.Query(g.Bind(n.Var, bindings), n.Return)
-		out.Ret.AddAll(body.Ret)
-		out.Used.AddAll(body.Used)
-		out.Elem.AddAll(body.Elem)
+		out.Ret, out.Elem = body.Ret, body.Elem
+		out.Used = addAll(out.Used, body.Used)
 		return out
 	}
 	single := bindings.EndCount() == 1
@@ -163,11 +150,11 @@ func (e *Engine) forRule(g Env, n xquery.For) QueryChains {
 		if body.Ret.IsEmpty() && body.Elem.IsEmpty() {
 			continue
 		}
-		out.Ret.AddAll(body.Ret)
-		out.Elem.AddAll(body.Elem)
-		out.Used.AddAll(body.Used)
+		out.Ret = addAll(out.Ret, body.Ret)
+		out.Elem = addAll(out.Elem, body.Elem)
+		out.Used = addAll(out.Used, body.Used)
 		if !body.Elem.IsEmpty() || !body.Ret.allExtendNode(end) {
-			out.Used.AddAll(binding)
+			out.Used = addAll(out.Used, binding)
 		}
 	}
 	return out
@@ -240,7 +227,6 @@ func navigational(q xquery.Query, v string) bool {
 
 func (e *Engine) elementRule(g Env, n xquery.Element) QueryChains {
 	inner := e.Query(g, n.Content)
-	out := e.emptyChains()
 	// e0: a.α.c' for each return endpoint α and its schema extensions,
 	// and a.c for nested element chains, grafted below the tag in one
 	// write.
@@ -249,7 +235,9 @@ func (e *Engine) elementRule(g Env, n xquery.Element) QueryChains {
 	inner.Ret.forEachEnd(func(end Node) {
 		parts = append(parts, part{t: e.suffixExtensions(end.Sym, e.MaxDepth), off: 1, at: tag})
 	})
-	parts = append(parts, part{t: inner.Elem, off: 1, at: tag})
+	if inner.Elem != nil {
+		parts = append(parts, part{t: inner.Elem, off: 1, at: tag})
+	}
 	elem := e.NewSet()
 	elem.merge(parts, nil)
 	elem.addRoot(tag)
@@ -257,8 +245,6 @@ func (e *Engine) elementRule(g Env, n xquery.Element) QueryChains {
 	if inner.Ret.IsEmpty() && inner.Elem.IsEmpty() {
 		elem.addEnd(0, tag)
 	}
-	out.Elem = elem
 	// Used: r̄ ∪ v.
-	out.Used = e.Union(inner.Ret.Extend(), inner.Used)
-	return out
+	return QueryChains{Elem: elem, Used: e.Union(inner.Ret.Extend(), inner.Used)}
 }

@@ -25,10 +25,14 @@
 // fixed-width bitset over that universe. A set's graph is one
 // pointer-free slab that stores only its non-empty successor rows
 // behind a per-depth occupancy row, written once at its final size;
-// its endpoints are a per-depth marking. The set algebra — union,
+// its endpoints are a per-depth marking. A nil *Set is the empty set,
+// and the rules leave an empty side nil. The set algebra — union,
 // intersection, pruning, prefix-conflict probing — runs as word loops
-// over those rows. The retained map-based engine lives in
-// internal/refcdag as the differential-testing reference.
+// over those rows; the level-wise sweeps behind them are cut from one
+// scratch slab the engine owns and released last-in-first-out, so a
+// build allocates only the sets and markings it keeps. The retained
+// map-based engine lives in internal/refcdag as the
+// differential-testing reference.
 package cdag
 
 import (
@@ -52,8 +56,10 @@ type Node struct {
 // for map[Node]bool (endpoints, productivity flags, change regions,
 // sweeps). Depth d's symbols are the w words at d·w of one pointer-free
 // slab, w fixed by the engine. The zero value reads as empty
-// everywhere; markings that are written come from the engine
-// (Engine.marks, Engine.sweep), which fixes the row width.
+// everywhere; markings that are written come from the engine, which
+// fixes the row width: Engine.marks for a marking a set or a rule
+// keeps, Engine.sweep for the working rows of one sweep, which live in
+// the engine's scratch until their taker releases them.
 type Marks struct {
 	w      int      // words per depth row
 	depths int      // depth rows in use; len(words) == depths·w
@@ -170,7 +176,13 @@ func (m Marks) clone() Marks {
 // Every operation that builds a set first computes what it keeps and
 // then writes it once, at its final size. A set the engine returns is
 // its caller's own; AddAll relies on that to take over the storage of
-// a set it merges into an empty one.
+// a set it merges into an empty one, and an accumulator that is still
+// nil takes over the first set added (addAll).
+//
+// A nil *Set is the empty set: the read methods (IsEmpty, EndCount,
+// Ends, Chains, Strings, String, Dot, EndpointParents) and the three
+// conflict checks accept it, and rules leave a side with no chains
+// nil.
 type Set struct {
 	eng  *Engine
 	g    []uint64 // roots, occupancy rows, row index and rows; nil when empty
@@ -179,6 +191,9 @@ type Set struct {
 }
 
 // Engine holds the schema context shared by all sets of one analysis.
+// An engine and its sets belong to one goroutine at a time: inference
+// interns symbols, and every sweep, conflict checks included, is cut
+// from the engine's scratch.
 type Engine struct {
 	D *dtd.DTD
 	// C is the compiled schema artifact all sets index by.
@@ -201,9 +216,18 @@ type Engine struct {
 	extraNames []string
 	extraIdx   map[string]dtd.SymID
 
+	// scratch is the slab every sweep and node-test mask of a build is
+	// cut from; its first top words are taken (see sweep). It dies with
+	// the engine.
+	scratch []uint64
+	top     int
+
 	// built, when non-nil, sees every set the engine creates; the
 	// layout tests use it to inspect each one.
 	built func(*Set)
+	// poison, when set, fills the scratch words release gives back
+	// with ones, so a sweep read after its release reads garbage.
+	poison bool
 }
 
 // WithBudget attaches a resource budget to the engine and returns it;
@@ -272,7 +296,9 @@ func (e *Engine) total() int { return e.base + len(e.extraNames) }
 
 // marks returns an empty writable marking with capacity reserved for
 // the given number of depth rows, so filling it allocates at most
-// once.
+// once. Every marking that outlives the step computing it — a set's
+// endpoints, a step's productive endpoints, a change region — comes
+// from here, never from the scratch.
 func (e *Engine) marks(depths int) Marks {
 	m := Marks{w: e.w}
 	if depths > 0 {
@@ -281,10 +307,44 @@ func (e *Engine) marks(depths int) Marks {
 	return m
 }
 
-// sweep returns a zeroed marking of the given number of depth rows in
-// one allocation: the scratch slab of a level-wise sweep.
+// sweep cuts a zeroed marking of the given number of depth rows from
+// the engine's scratch: the working rows of one level-wise sweep, or
+// (one row) a step's node-test mask. Release is last-in-first-out: a
+// function that takes sweeps gives them back as it returns, with
+// release(top) for the top it read before taking the first, except
+// endReach and commonNodes, which hand their sweep to the caller to
+// release. Each sweep is cut with a full slice expression, so a
+// Marks.grow past its rows reallocates instead of writing into the
+// next sweep. When the slab is too small it is replaced by one at
+// least twice as large; live sweeps keep the old slab alive, and their
+// words in the new one stay unused until they are released. A sweep
+// never becomes a set's storage: layout copies occupancy out of it.
 func (e *Engine) sweep(depths int) Marks {
-	return Marks{w: e.w, depths: depths, words: make([]uint64, depths*e.w)}
+	n := depths * e.w
+	if e.top+n > len(e.scratch) {
+		e.scratch = make([]uint64, max(2*len(e.scratch), e.top+n, e.scratchFloor()))
+	}
+	words := e.scratch[e.top : e.top+n : e.top+n]
+	clear(words)
+	e.top += n
+	return Marks{w: e.w, depths: depths, words: words}
+}
+
+// scratchFloor is the size in words of the engine's first scratch
+// slab: the deepest nesting of sweeps a build reaches, which is a
+// descendant or ancestor step's two sweeps, mask and front row under
+// the three sweeps of the pruning it ends in, each of at most
+// MaxDepth+2 rows. So a build usually allocates its scratch once.
+func (e *Engine) scratchFloor() int { return (5*(e.MaxDepth+2) + 2) * e.w }
+
+// release gives back every sweep taken since the scratch top was top.
+func (e *Engine) release(top int) {
+	if e.poison {
+		for i := top; i < e.top; i++ {
+			e.scratch[i] = ^uint64(0)
+		}
+	}
+	e.top = top
 }
 
 // symName resolves an interned ID to its type name.
@@ -343,11 +403,12 @@ func (e *Engine) childSyms(s dtd.SymID) []dtd.SymID {
 }
 
 // testMask returns the row of symbols passing the node test over the
-// engine's current universe. One mask evaluation turns per-node test
-// checks into word-wise intersections.
+// engine's current universe, cut from the scratch: the caller releases
+// it. One mask evaluation turns per-node test checks into word-wise
+// intersections.
 func (e *Engine) testMask(test xquery.NodeTest) bitset.Set {
 	str := int(e.C.StringSym())
-	m := make(bitset.Set, e.w)
+	m := bitset.Set(e.sweep(1).words)
 	switch test.Kind {
 	case xquery.NodeAny:
 		for i := 0; i < e.total(); i++ {
@@ -431,8 +492,11 @@ func (e *Engine) SingletonSet(c chain.Chain) *Set {
 }
 
 // Clone returns a deep copy: one copy per slab, charging one budget
-// unit per edge copied.
+// unit per edge copied. The copy of nil is nil.
 func (s *Set) Clone() *Set {
+	if s == nil {
+		return nil
+	}
 	out := s.eng.NewSet()
 	out.nd, out.ends = s.nd, s.ends.clone()
 	if s.g != nil {
@@ -443,15 +507,23 @@ func (s *Set) Clone() *Set {
 }
 
 // IsEmpty reports whether the set holds no chains.
-func (s *Set) IsEmpty() bool { return !s.ends.any() }
+func (s *Set) IsEmpty() bool { return s == nil || !s.ends.any() }
 
 // EndCount returns the number of endpoint nodes (not chains — several
 // chains may share an endpoint).
-func (s *Set) EndCount() int { return s.ends.count() }
+func (s *Set) EndCount() int {
+	if s == nil {
+		return 0
+	}
+	return s.ends.count()
+}
 
 // forEachEnd calls f for every endpoint in depth order (symbol-ID
 // order within a depth), without the name sort Ends performs.
 func (s *Set) forEachEnd(f func(n Node)) {
+	if s == nil {
+		return
+	}
 	for d := 0; d < s.ends.depths; d++ {
 		s.ends.at(d).ForEach(func(i int) { f(Node{d, dtd.SymID(i)}) })
 	}
@@ -512,10 +584,21 @@ func (s *Set) AddAll(t *Set) {
 	s.merge([]part{{t: t}}, nil)
 }
 
+// addAll adds t to the accumulator acc and returns the accumulator. An
+// accumulator that is still nil takes over t itself, as AddAll into an
+// empty set takes over t's storage, and with the same conditions on t.
+func addAll(acc, t *Set) *Set {
+	if acc == nil {
+		return t
+	}
+	acc.AddAll(t)
+	return acc
+}
+
 // Union returns a fresh union of the operands, written once at its
-// final size; the operands are only read.
+// final size; the operands are only read. The union of nil operands
+// is nil.
 func (e *Engine) Union(sets ...*Set) *Set {
-	out := e.NewSet()
 	var buf [4]part
 	parts := buf[:0]
 	nend := 0
@@ -525,6 +608,10 @@ func (e *Engine) Union(sets ...*Set) *Set {
 			nend = max(nend, s.ends.depths)
 		}
 	}
+	if len(parts) == 0 {
+		return nil
+	}
+	out := e.NewSet()
 	out.ends.words = make([]uint64, 0, nend*e.w)
 	out.merge(parts, nil)
 	return out
@@ -543,6 +630,7 @@ func (s *Set) withEnds(ends Marks) *Set { return graph{e: s.eng, s: s}.withEnds(
 // so the cone's rows above n are its occupancy.
 func (s *Set) subWithEnd(n Node) *Set {
 	e := s.eng
+	defer e.release(e.top)
 	cone := e.sweep(n.Depth + 1)
 	top := cone.at(n.Depth)
 	top.Add(int(n.Sym))
@@ -558,9 +646,14 @@ func (s *Set) subWithEnd(n Node) *Set {
 // endCones returns the union of the backward cones subWithEnd would
 // extract for every endpoint of s: the edges and roots from which some
 // endpoint is reachable, with all of s's endpoints. One backward sweep
-// (endReach) finds them; s need not be pruned.
+// (endReach) finds them; s need not be pruned. The cones of nil are
+// nil.
 func (s *Set) endCones() *Set {
+	if s == nil {
+		return nil
+	}
 	e := s.eng
+	defer e.release(e.top)
 	back := s.endReach()
 	occ := e.sweep(s.nd)
 	for d := 0; d < s.nd; d++ {
@@ -572,9 +665,12 @@ func (s *Set) endCones() *Set {
 }
 
 // Step applies one XPath step (axis + node test) to the set,
-// implementing AC/TC over the DAG. It returns the result set and, for
-// each input endpoint, whether the step produced anything from it (the
-// (STEPUH) used-chain filter).
+// implementing AC/TC over the DAG. It returns the result set and the
+// input endpoints the step produced anything from: the (STEPUH)
+// used-chain filter. Only (STEPUH) reads that marking, and it covers
+// every axis but self, child and descendant-or-self (the forward axes
+// of xquery.Axis.IsForward); for those three the marking is not
+// computed and comes back empty.
 func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 	switch axis {
 	case xquery.Descendant, xquery.DescendantOrSelf:
@@ -585,18 +681,20 @@ func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 		return s.siblingStep(axis == xquery.PrecedingSibling, test)
 	}
 	e := s.eng
+	defer e.release(e.top)
 	mask := e.testMask(test)
 	// Child results lie one depth below the deepest endpoint; reserve
 	// it so the result marking never regrows.
 	ends := e.marks(s.ends.depths + 1)
-	productive := e.marks(s.ends.depths)
+	var productive Marks
+	if axis == xquery.Parent {
+		productive = e.marks(s.ends.depths)
+	}
 	s.forEachEnd(func(end Node) {
-		any := false
 		switch axis {
 		case xquery.Self:
 			if mask.Has(int(end.Sym)) {
 				ends.add(end.Depth, end.Sym)
-				any = true
 			}
 		case xquery.Child:
 			if end.Depth+1 > e.MaxDepth {
@@ -610,20 +708,20 @@ func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 			if cs := e.childSet(end.Sym); cs.Intersects(mask) {
 				r := ends.row(end.Depth + 1)
 				r.OrAnd(cs, mask)
-				any = true
 			}
 		case xquery.Parent:
+			any := false
 			s.forPreds(end, func(p dtd.SymID) {
 				if mask.Has(int(p)) {
 					ends.add(end.Depth-1, p)
 					any = true
 				}
 			})
+			if any {
+				productive.add(end.Depth, end.Sym)
+			}
 		default:
 			panic(&guard.InternalError{Value: "cdag: unknown axis"})
-		}
-		if any {
-			productive.add(end.Depth, end.Sym)
 		}
 	})
 	src := graph{e: e, s: s}
@@ -644,10 +742,11 @@ func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 // none): the nodes at depths up to it are the ones whose child edges
 // the closure grew.
 func (e *Engine) childClosure(front *Marks, limit int, reached *Marks) int {
+	defer e.release(e.top)
 	last := -1
 	var kids bitset.Set
 	if reached == nil {
-		kids = make(bitset.Set, e.w)
+		kids = bitset.Set(e.sweep(1).words)
 	}
 	for d := 0; d < front.depths && d < limit; d++ {
 		bits := front.at(d)
@@ -684,16 +783,15 @@ func (e *Engine) chargeChildren(grow Marks) {
 // descendantStep handles descendant and descendant-or-self for all
 // endpoints in one ascending sweep (childClosure), whose child edges
 // are read on the fly and never stored in full. Per-endpoint
-// productivity — needed by (STEPUH) for plain descendant — is recovered
-// from a single descending backward closure of the passing nodes. Both
-// closures run in place on one scratch slab.
+// productivity — needed by (STEPUH) for plain descendant only — is
+// recovered from a single descending backward closure of the passing
+// nodes, computed in place over the reached rows.
 func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 	e := s.eng
+	defer e.release(e.top)
 	mask := e.testMask(test)
 	depths := max(s.ends.depths, e.MaxDepth+1)
-	scratch := e.sweep(2 * depths)
-	active := Marks{w: e.w, depths: depths, words: scratch.words[:depths*e.w]}
-	reached := Marks{w: e.w, depths: depths, words: scratch.words[depths*e.w:]}
+	active, reached := e.sweep(depths), e.sweep(depths)
 
 	// Forward closure below every endpoint, shared.
 	copy(active.words, s.ends.words)
@@ -721,9 +819,11 @@ func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 		}
 	}
 
+	if self {
+		return src.withEnds(ends), Marks{}
+	}
 	// Productivity: an endpoint is productive when a passing node is
-	// forward-reachable (strictly below for descendant; or itself for
-	// descendant-or-self). hasBelow = backward closure of passing,
+	// strictly below it. hasBelow = backward closure of passing,
 	// computed in place over the passing rows.
 	hasBelow := reached
 	for d := depths - 1; d > 0; d-- {
@@ -742,10 +842,6 @@ func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 				productive.add(d, dtd.SymID(a))
 			}
 		})
-		if self && s.ends.at(d).Intersects(mask) {
-			r := productive.row(d)
-			r.OrAnd(s.ends.at(d), mask)
-		}
 	}
 	return src.withEnds(ends), productive
 }
@@ -756,17 +852,16 @@ func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 // above[d+1]). An endpoint is productive when some proper ancestor
 // passes the test, i.e. when one forward sweep from the passing nodes,
 // below[d+1] = succ(below[d] ∪ mask), reaches it (or, for
-// ancestor-or-self, when it passes itself). Both sweeps share one
-// scratch slab; no endpoint walks the graph alone.
+// ancestor-or-self, when it passes itself). No endpoint walks the
+// graph alone.
 func (s *Set) ancestorStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 	e := s.eng
+	defer e.release(e.top)
 	mask := e.testMask(test)
 	self := axis == xquery.AncestorOrSelf
 	depths := s.ends.depths
-	scratch := e.sweep(2*depths + 1)
-	above := Marks{w: e.w, depths: depths, words: scratch.words[:depths*e.w]}
-	below := Marks{w: e.w, depths: depths, words: scratch.words[depths*e.w : 2*depths*e.w]}
-	front := bitset.Set(scratch.words[2*depths*e.w:]) // one row, reused per depth
+	above, below := e.sweep(depths), e.sweep(depths)
+	front := bitset.Set(e.sweep(1).words) // one row, reused per depth
 
 	for d := depths - 2; d >= 0; d-- {
 		front.Clear()
@@ -819,6 +914,7 @@ func (s *Set) ancestorStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks)
 // united with s before pruning.
 func (s *Set) siblingStep(preceding bool, test xquery.NodeTest) (*Set, Marks) {
 	e := s.eng
+	defer e.release(e.top)
 	mask := e.testMask(test)
 	sibs := func(p, a dtd.SymID) bitset.Set {
 		if preceding {
@@ -874,12 +970,15 @@ func (s *Set) allExtendNode(n Node) bool {
 			return false
 		}
 	}
-	seen := s.ends.clone()
+	e := s.eng
+	defer e.release(e.top)
+	seen := e.sweep(s.ends.depths)
+	copy(seen.words, s.ends.words)
 	for d := seen.depths - 1; d > n.Depth; d-- {
 		if !seen.at(d).Any() {
 			continue
 		}
-		s.eng.budget.Tick()
+		e.budget.Tick()
 		s.orPreds(seen.at(d-1), d, seen.at(d))
 	}
 	word, bit := int(n.Sym)/64, uint64(1)<<(uint(n.Sym)%64)
@@ -896,7 +995,11 @@ func (s *Set) allExtendNode(n Node) bool {
 
 // Extend returns the set τ̄ = { c.c' | c ∈ s }: s plus the forward
 // schema closure below every endpoint, all of it marked as endpoints.
+// The extension of nil is nil.
 func (s *Set) Extend() *Set {
+	if s == nil {
+		return nil
+	}
 	e := s.eng
 	ends := e.marks(max(s.ends.depths, e.MaxDepth+1))
 	ends.union(s.ends)
@@ -948,6 +1051,9 @@ func (e *Engine) suffixExtensions(sym dtd.SymID, budget int) *Set {
 // enumeration is exponential in general: every path prefix it visits
 // is charged to the engine's chain budget.
 func (s *Set) Chains(limit int) []chain.Chain {
+	if s == nil {
+		return nil
+	}
 	var out []chain.Chain
 	var path []string
 	occ := make([]int, s.eng.n) // occurrences of each symbol on path

@@ -39,8 +39,9 @@ func xmarkPair(t *testing.T, view, update string) (xquery.Query, xquery.Update) 
 }
 
 // TestIndependenceCompiledAllocs pins the allocation count of a whole
-// cold CDAG analysis, so per-row slab growth cannot creep back. Each
-// ceiling is twice the count measured with sparse rows written once.
+// cold CDAG analysis, so per-row slab growth and per-call sweep slabs
+// cannot creep back. Each ceiling is twice the count measured with
+// sweeps cut from the engine's scratch and nil as the empty set.
 func TestIndependenceCompiledAllocs(t *testing.T) {
 	c, err := dtd.Compile(xmark.Schema())
 	if err != nil {
@@ -50,13 +51,14 @@ func TestIndependenceCompiledAllocs(t *testing.T) {
 		update  string
 		ceiling float64
 	}{
-		// 157 measured; 308 with dense flat slabs, 41,308 when every
-		// row grew one bitset at a time.
-		{"UB2", 314},
-		// 152 measured; 286 with dense flat slabs, 123,121 when rows
-		// grew one at a time and the rename loop re-inferred its body
-		// per binding endpoint.
-		{"UN1", 304},
+		// 67 measured; 157 with a slab per sweep and an empty set per
+		// empty side, 308 with dense flat slabs, 41,308 when every row
+		// grew one bitset at a time.
+		{"UB2", 134},
+		// 65 measured; 152 with a slab per sweep, 286 with dense flat
+		// slabs, 123,121 when rows grew one at a time and the rename
+		// loop re-inferred its body per binding endpoint.
+		{"UN1", 130},
 	} {
 		q, u := xmarkPair(t, "A3", tc.update)
 		n := testing.AllocsPerRun(3, func() { IndependenceCompiled(c, q, u) })
@@ -82,7 +84,7 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestIndependenceCompiledBytes pins the bytes of a whole cold CDAG
 // analysis, so dense depth blocks cannot creep back. Each ceiling is
-// twice the bytes measured with sparse rows written once.
+// twice the bytes measured with sweeps cut from the engine's scratch.
 func TestIndependenceCompiledBytes(t *testing.T) {
 	c, err := dtd.Compile(xmark.Schema())
 	if err != nil {
@@ -92,11 +94,13 @@ func TestIndependenceCompiledBytes(t *testing.T) {
 		update  string
 		ceiling float64
 	}{
-		// 168,456 B measured; 3,199,104 B with a dense n·w-word
-		// block per depth, copied and pruned at every step.
-		{"UB2", 336_912},
-		// 149,360 B measured; 2,322,096 B with dense blocks.
-		{"UN1", 298_720},
+		// 105,864 B measured; 168,456 B with a slab per sweep,
+		// 3,199,104 B with a dense n·w-word block per depth, copied
+		// and pruned at every step.
+		{"UB2", 211_728},
+		// 96,328 B measured; 149,360 B with a slab per sweep,
+		// 2,322,096 B with dense blocks.
+		{"UN1", 192_656},
 	} {
 		q, u := xmarkPair(t, "A3", tc.update)
 		if n := bytesPerRun(5, func() { IndependenceCompiled(c, q, u) }); n > tc.ceiling {
@@ -245,11 +249,12 @@ func TestAddAllIntoDeepSetAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestConflictAllocs pins the three conflict checks at or below what
-// they allocated before the slab layout: 4 each on this pair, whose
-// return and used chains both share prefixes with the update, so every
-// check runs both of its sweeps (each then a slice header plus a
-// backing array; now one scratch slab, 2 allocations per check).
+// TestConflictAllocs pins the three conflict checks at zero
+// allocations on this pair, whose return and used chains both share
+// prefixes with the update, so every check runs both of its sweeps:
+// they are cut from the engine's scratch. A check allocated 2 with a
+// slab per sweep, and 4 before the slab layout (a slice header plus a
+// backing array per sweep).
 func TestConflictAllocs(t *testing.T) {
 	d := xmark.Schema()
 	q := xquery.Normalize(xquery.MustParseQuery("for $i in //item return if ($i/description) then $i/name else ()"))
@@ -260,14 +265,15 @@ func TestConflictAllocs(t *testing.T) {
 	if !commonNodes(uc.Full, qc.Ret).any() || !commonNodes(uc.Full, qc.Used).any() {
 		t.Fatal("the pair shares no prefix, so the sweeps are not exercised")
 	}
+	e.release(0)
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
 		check   func() bool
 	}{
-		{"ConflictRetUpdate", 4, func() bool { return ConflictRetUpdate(qc.Ret, uc) }},
-		{"ConflictUpdateRet", 4, func() bool { return ConflictUpdateRet(uc, qc.Ret) }},
-		{"ConflictUpdateUsed", 4, func() bool { return ConflictUpdateUsed(uc, qc.Used) }},
+		{"ConflictRetUpdate", 0, func() bool { return ConflictRetUpdate(qc.Ret, uc) }},
+		{"ConflictUpdateRet", 0, func() bool { return ConflictUpdateRet(uc, qc.Ret) }},
+		{"ConflictUpdateUsed", 0, func() bool { return ConflictUpdateUsed(uc, qc.Used) }},
 	} {
 		if n := testing.AllocsPerRun(100, func() { tc.check() }); n > tc.ceiling {
 			t.Errorf("%s allocates %.0f times, ceiling %.0f", tc.name, n, tc.ceiling)
@@ -403,6 +409,7 @@ func marksEqual(a, b Marks) bool {
 // replaced: every endpoint walks s's edges upward on its own.
 func refAncestorStep(s *Set, axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 	e := s.eng
+	defer e.release(e.top)
 	mask := e.testMask(test)
 	ends := e.marks(0)
 	productive := e.marks(0)

@@ -9,23 +9,20 @@ import (
 )
 
 // UpdateSet is the CDAG form of an inferred update-chain set. Full
-// chains c.c' are the root→endpoint paths of Full; ChangeRegion marks
-// the nodes strictly below a target prefix (the change branches),
-// which is what the used-chain conflict check needs.
+// chains c.c' are the root→endpoint paths of Full (nil when there are
+// none); ChangeRegion marks the nodes strictly below a target prefix
+// (the change branches), which is what the used-chain conflict check
+// needs.
 type UpdateSet struct {
 	Full         *Set
 	ChangeRegion Marks
-}
-
-func (e *Engine) newUpdateSet() *UpdateSet {
-	return &UpdateSet{Full: e.NewSet(), ChangeRegion: Marks{w: e.w}}
 }
 
 // AddAll unions t into u. Like Set.AddAll, an empty u takes over t's
 // storage, so t must be an update set the engine returned to this
 // caller and must not be used afterwards.
 func (u *UpdateSet) AddAll(t *UpdateSet) {
-	u.Full.AddAll(t.Full)
+	u.Full = addAll(u.Full, t.Full)
 	if u.ChangeRegion.depths == 0 {
 		u.ChangeRegion = t.ChangeRegion
 		return
@@ -42,7 +39,7 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 	e.budget.Tick()
 	switch n := u.(type) {
 	case xquery.UEmpty:
-		return e.newUpdateSet()
+		return &UpdateSet{}
 	case xquery.USeq:
 		out := e.Update(g, n.Left)
 		out.AddAll(e.Update(g, n.Right))
@@ -74,13 +71,13 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 		// Full chains are the target chains; the change suffix is the
 		// final symbol. The target set is this rule's own, so it
 		// becomes the full-chain set as it is.
-		r0 := e.Query(g, n.Target).Ret
+		r0 := e.target(g, n.Target)
 		return &UpdateSet{Full: r0, ChangeRegion: r0.ends.clone()}
 	case xquery.Rename:
-		return e.rename(e.Query(g, n.Target).Ret, e.internSym(n.As))
+		return e.rename(e.target(g, n.Target), e.internSym(n.As))
 	case xquery.Insert:
 		src := e.Query(g, n.Source)
-		r0 := e.Query(g, n.Target).Ret
+		r0 := e.target(g, n.Target)
 		exts := e.sourceExtensions(src)
 		var parts []part
 		r0.forEachEnd(func(end Node) {
@@ -95,15 +92,15 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 				parts = sourceParts(parts, Node{end.Depth - 1, p}, src, exts)
 			})
 		})
-		// Targets are prefixes, not ends: the full chains take over the
-		// target graph without its endpoints.
-		out := &UpdateSet{Full: e.NewSet(), ChangeRegion: Marks{w: e.w}}
-		out.Full.g, out.Full.nd = r0.g, r0.nd
+		// Targets are prefixes, not ends: the full chains are the
+		// target graph (this rule's own) without its endpoints.
+		r0.ends = Marks{w: e.w}
+		out := &UpdateSet{Full: r0, ChangeRegion: Marks{w: e.w}}
 		out.Full.merge(parts, &out.ChangeRegion)
 		return out
 	case xquery.Replace:
 		src := e.Query(g, n.Source)
-		r0 := e.Query(g, n.Target).Ret
+		r0 := e.target(g, n.Target)
 		exts := e.sourceExtensions(src)
 		var parts []part
 		r0.forEachEnd(func(end Node) {
@@ -114,7 +111,9 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 			if end.Depth == 0 {
 				// Replacing the root: the source chains become
 				// root-level change chains.
-				parts = append(parts, part{t: src.Elem})
+				if src.Elem != nil {
+					parts = append(parts, part{t: src.Elem})
+				}
 				for _, ext := range exts {
 					parts = append(parts, part{t: ext})
 				}
@@ -134,11 +133,21 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 // the body is inferred once per endpoint of the binding set, bound to
 // that endpoint's backward cone.
 func (e *Engine) updateEach(g Env, n xquery.UFor, bindings *Set) *UpdateSet {
-	out := e.newUpdateSet()
+	out := &UpdateSet{}
 	for _, end := range bindings.Ends() {
 		out.AddAll(e.Update(g.Bind(n.Var, bindings.subWithEnd(end)), n.Body))
 	}
 	return out
+}
+
+// target infers the target set of an update rule that writes into it:
+// the rule's own copy of the target chains, or a fresh empty set when
+// there are none.
+func (e *Engine) target(g Env, q xquery.Query) *Set {
+	if r0 := e.Query(g, q).Ret; r0 != nil {
+		return r0
+	}
+	return e.NewSet()
 }
 
 // targetsOnlyVar reports whether body is exactly `delete $v` or
@@ -164,6 +173,7 @@ func targetsOnlyVar(body xquery.Update, v string) bool {
 // written, and a renamed edge lands in a row its parent already has,
 // so the graph is written in place.
 func (e *Engine) rename(r0 *Set, as dtd.SymID) *UpdateSet {
+	defer e.release(e.top)
 	cr := r0.ends.clone()
 	parents := e.sweep(r0.ends.depths)
 	for d := 1; d < r0.ends.depths; d++ {
@@ -210,7 +220,9 @@ func (e *Engine) sourceExtensions(src QueryChains) []*Set {
 // ends.
 func sourceParts(parts []part, prefix Node, src QueryChains, exts []*Set) []part {
 	at := prefix.Depth + 1
-	parts = append(parts, part{t: src.Elem, off: at, at: prefix.Sym})
+	if src.Elem != nil {
+		parts = append(parts, part{t: src.Elem, off: at, at: prefix.Sym})
+	}
 	for _, ext := range exts {
 		parts = append(parts, part{t: ext, off: at, at: prefix.Sym})
 	}
