@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
+	"xqindep/internal/infer"
 	"xqindep/internal/xmark"
+	"xqindep/internal/xquery"
 )
 
 // truthCache shares one ground-truth computation across tests.
@@ -24,7 +30,8 @@ func truth(t *testing.T) *xmark.Truth {
 // TestFigure3bShape is the headline reproduction check: chains must be
 // sound, more precise than the type baseline on average, and the type
 // baseline more precise than the schema-less paths — the ordering the
-// paper reports (96% vs 49%, with paths below both).
+// paper reports (96% vs 49%, with paths below both). It also recomputes
+// EXPERIMENTS.md's deterministic cells (see checkExperimentsCells).
 func TestFigure3bShape(t *testing.T) {
 	rows, err := Figure3b(truth(t))
 	if err != nil {
@@ -68,6 +75,66 @@ func TestFigure3bShape(t *testing.T) {
 		t.Errorf("empty render")
 	}
 	t.Logf("\n%s", rendered)
+	checkExperimentsCells(t, rows)
+}
+
+// checkExperimentsCells compares EXPERIMENTS.md's deterministic cells
+// with the values they report, recomputed from the same ground truth
+// `xqbench -fig 3b` uses (3 documents at factor 1.2), so a document
+// that drifts from the code fails the suite: Figure 3.b's measured
+// chains, types and paths averages and the chains range, Figure 3.a's
+// k range across the 1,116 normalized pairs (infer.KPair), and |d|.
+// Timing cells are left unchecked.
+func checkExperimentsCells(t *testing.T, rows []Figure3bRow) {
+	t.Helper()
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	chains, types, paths := Averages(rows)
+	lo, hi := 100.0, 0.0
+	for _, r := range rows {
+		p := Percent(r.ChainsFound, r.TrueIndep)
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	kmin, kmax := 1<<30, 0
+	for _, u := range xmark.Updates() {
+		nu := xquery.NormalizeUpdate(u.AST)
+		for _, v := range xmark.Views() {
+			k := infer.KPair(xquery.Normalize(v.AST), nu)
+			kmin, kmax = min(kmin, k), max(kmax, k)
+		}
+	}
+	for _, c := range []struct{ row, want string }{
+		{"chains, average", fmt.Sprintf("%.0f %% (range %.0f–%.0f)", chains, lo, hi)},
+		{"types [6], average", fmt.Sprintf("%.0f %%", types)},
+		{"schema-less paths, average", fmt.Sprintf("%.0f %%", paths)},
+		{"k range across pairs", fmt.Sprintf("%d–%d", kmin, kmax)},
+	} {
+		if got := measuredCell(doc, c.row); got != c.want {
+			t.Errorf("EXPERIMENTS.md %q reads %q, the code gives %q", c.row, got, c.want)
+		}
+	}
+	size := ""
+	if m := regexp.MustCompile(`re-derivation has\s+(\d+) element types`).FindStringSubmatch(doc); m != nil {
+		size = m[1]
+	}
+	if want := fmt.Sprint(xmark.Schema().Size()); size != want {
+		t.Errorf("EXPERIMENTS.md gives |d| = %q, the XMark schema has %s types", size, want)
+	}
+}
+
+// measuredCell returns the last cell of the table row of doc whose
+// first cell is row ("" when there is none).
+func measuredCell(doc, row string) string {
+	for _, line := range strings.Split(doc, "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		if len(cells) > 1 && strings.TrimSpace(cells[0]) == row {
+			return strings.TrimSpace(cells[len(cells)-1])
+		}
+	}
+	return ""
 }
 
 func TestFigure3aRuns(t *testing.T) {

@@ -201,9 +201,8 @@ func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // readBody reads an /analyze body whole, at most maxBody bytes. A body
 // whose declared length is at most maxSized is read into one buffer of
-// exactly that size, instead of a decoder buffer that regrows as the
-// body streams in; a body that ends before its declared length is an
-// error.
+// exactly that size, so reading it allocates once; a body that ends
+// before its declared length is an error.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	if n := r.ContentLength; n > 0 && n <= maxSized {

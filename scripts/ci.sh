@@ -192,6 +192,16 @@ for cmd in xqindepd xqindep; do
   echo "$(wc -w <<<"${flag_names}") ${cmd} flags all documented"
 done
 
+# table_rows HEADER prints the sorted first cells (`name`) of the rows
+# of the DESIGN.md §14 table whose header row starts with "| HEADER |".
+table_rows() {
+  awk -v h="| $1 |" '/^## 14\./ { sec = 1; next } /^## / { sec = 0 }
+    sec && index($0, h) == 1 { tab = 1; next }
+    tab && !/^\|/ { tab = 0 }
+    sec && tab' DESIGN.md \
+    | { grep -oE '^\| `[a-z0-9:._/-]+` \|' || true; } | tr -d '|` ' | sort -u
+}
+
 echo "== fault-point grep (listed points are fired; fired points and DESIGN.md §14's point table agree)"
 # Every name in faultinject.Points and faultinject.PlanPoints must be
 # fired by non-test Go outside testdata, through .Point("…") or
@@ -209,8 +219,7 @@ if [ -z "${listed}" ] || [ -z "${fired}" ]; then
   echo "fault points: found no listed or no fired points; pattern stale?" >&2
   exit 1
 fi
-point_rows="$(awk '/^## 14\./ { on = 1; next } /^## / { on = 0 } on' DESIGN.md \
-  | { grep -oE '^\| `[a-z0-9._/]+` \|' || true; } | tr -d '|` ' | sort -u)"
+point_rows="$(table_rows point)"
 missing=0
 for name in ${listed}; do
   if ! grep -qxF -- "${name}" <<<"${fired}"; then
@@ -234,6 +243,42 @@ if [ "${missing}" -ne 0 ]; then
   exit 1
 fi
 echo "$(wc -w <<<"${listed}") listed points all fired; $(wc -w <<<"${fired}") fired points, one table row each"
+
+echo "== span-name grep (opened spans and DESIGN.md §14's span table agree)"
+# The spans the code opens are the string literals passed to .Start(
+# in non-test Go outside testdata and bench/, plus the values of
+# core.rungSpanNames, which the ladder opens by lookup. They must be
+# exactly the first cells of the rows of DESIGN.md §14's span table,
+# which says where each opens.
+opened="$( {
+  grep -rhoE --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=testdata --exclude-dir=bench --exclude-dir=.git \
+    '\.Start\("[^"]+"\)' . | grep -oE '"[^"]+"'
+  awk '/^var rungSpanNames = map\[Method\]string\{/,/^\}/' internal/core/core.go \
+    | grep -oE ':[[:space:]]*"[^"]+"' | grep -oE '"[^"]+"'
+} | tr -d '"' | sort -u)"
+span_rows="$(table_rows span)"
+if [ -z "${opened}" ]; then
+  echo "span names: found no opened spans; pattern stale?" >&2
+  exit 1
+fi
+missing=0
+for name in ${opened}; do
+  if ! grep -qxF -- "${name}" <<<"${span_rows}"; then
+    echo "span names: ${name} is opened but has no row in DESIGN.md §14's span table" >&2
+    missing=1
+  fi
+done
+for name in ${span_rows}; do
+  if ! grep -qxF -- "${name}" <<<"${opened}"; then
+    echo "span names: DESIGN.md §14's span table has a row for ${name}, which no code opens" >&2
+    missing=1
+  fi
+done
+if [ "${missing}" -ne 0 ]; then
+  exit 1
+fi
+echo "$(wc -w <<<"${opened}") opened spans, one table row each"
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
 fuzz() {
