@@ -63,7 +63,6 @@ import (
 	"xqindep"
 	"xqindep/internal/core"
 	"xqindep/internal/obs"
-	"xqindep/internal/quarantine"
 	"xqindep/internal/sentinel"
 	"xqindep/internal/xquery"
 )
@@ -273,10 +272,7 @@ func runAudit(schema *xqindep.Schema, queryText, updateText string) int {
 		fmt.Fprintln(os.Stderr, "xqindep: audit:", err)
 		return 2
 	}
-	aud := sentinel.New(sentinel.Config{
-		SampleRate: 1,
-		Quarantine: quarantine.NewRegistry(quarantine.Config{}),
-	})
+	aud := sentinel.New(sentinel.Config{SampleRate: 1})
 	defer aud.Close()
 	aud.Observe(sentinel.Observation{
 		D:          schema.DTD(),

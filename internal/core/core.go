@@ -145,8 +145,9 @@ type Options struct {
 	// analysis: while the schema's fingerprint is quarantined (a runtime
 	// audit caught a wrong Independent verdict on it), the verdict is
 	// downgraded to the conservative ladder rung without running the
-	// suspect engines. Nil selects the process-wide quarantine.Shared(),
-	// which downgrades nothing until an auditor records a disagreement.
+	// suspect engines. Nil downgrades nothing: only an auditor records
+	// the disagreements that quarantine a schema, and every auditor
+	// owns a registry.
 	Quarantine *quarantine.Registry
 	// Plans is the prepared-plan cache consulted by the CDAG chain
 	// rung: the staged pipeline (fingerprint → lookup → k-factors →
@@ -221,12 +222,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, q xquery.Query, u xquery.
 		return Result{}, cerr
 	}
 	start := time.Now()
-	reg := opts.Quarantine
-	if reg == nil {
-		reg = quarantine.Shared()
-	}
 	tr := obs.FromContext(ctx)
-	if m != MethodConservative && reg.Downgrade(a.D.Fingerprint()) {
+	if reg := opts.Quarantine; reg != nil && m != MethodConservative && reg.Downgrade(a.D.Fingerprint()) {
 		tr.Mark("core.quarantine", 0, 0)
 		// The fingerprint is quarantined: serve the conservative rung
 		// directly. This is a pure downgrade (Independent=false is

@@ -36,10 +36,7 @@ var (
 )
 
 // unlimited disables every bound so that only the context governs.
-var unlimited = guard.Limits{
-	MaxK: guard.NoLimit, MaxChains: guard.NoLimit, MaxNodes: guard.NoLimit,
-	MaxParseDepth: guard.NoLimit, MaxParseInput: guard.NoLimit,
-}
+var unlimited = guard.Limits{MaxK: guard.NoLimit, MaxChains: guard.NoLimit, MaxNodes: guard.NoLimit}
 
 // TestLadderDegradesOnChainBudget forces the exact engine over its
 // chain-set budget and checks the fallback bookkeeping.

@@ -32,22 +32,25 @@ import (
 // In classic notation the first declared element is the start symbol.
 // <!ATTLIST ...> declarations are accepted and ignored (the paper's
 // benchmark rewriting removes attribute use).
+//
+// The schema text may hold at most guard.DefaultMaxParseInput bytes,
+// and a content model may nest parentheses at most
+// guard.DefaultMaxParseDepth deep.
 func Parse(input string) (*DTD, error) {
-	return ParseLimited(input, guard.DefaultLimits())
+	return parse(input, guard.DefaultMaxParseDepth, guard.DefaultMaxParseInput)
 }
 
-// ParseLimited is Parse under explicit parser limits: MaxParseInput
-// bounds the schema text size and MaxParseDepth bounds parenthesis
-// nesting in content models. Zero limit fields take defaults.
-func ParseLimited(input string, lim guard.Limits) (*DTD, error) {
-	lim = lim.OrDefaults()
-	if len(input) > lim.MaxParseInput {
-		return nil, fmt.Errorf("dtd: input of %d bytes exceeds the %d-byte limit", len(input), lim.MaxParseInput)
+// parse is Parse under explicit bounds: maxInput bounds the schema
+// text size in bytes and maxDepth bounds parenthesis nesting in
+// content models.
+func parse(input string, maxDepth, maxInput int) (*DTD, error) {
+	if len(input) > maxInput {
+		return nil, fmt.Errorf("dtd: input of %d bytes exceeds the %d-byte limit", len(input), maxInput)
 	}
 	if strings.Contains(input, "<!ELEMENT") {
-		return parseClassic(input, lim)
+		return parseClassic(input, maxDepth)
 	}
-	return parseCompact(input, lim)
+	return parseCompact(input, maxDepth)
 }
 
 // MustParse is Parse, panicking on error; for fixtures.
@@ -59,7 +62,7 @@ func MustParse(input string) *DTD {
 	return d
 }
 
-func parseCompact(input string, lim guard.Limits) (*DTD, error) {
+func parseCompact(input string, maxDepth int) (*DTD, error) {
 	content := make(map[string]*Regex)
 	label := make(map[string]string)
 	start := ""
@@ -91,7 +94,7 @@ func parseCompact(input string, lim guard.Limits) (*DTD, error) {
 		if _, dup := content[name]; dup {
 			return nil, fmt.Errorf("dtd: line %d: type %q declared twice", ln+1, name)
 		}
-		r, err := parseRegexLimited(strings.TrimSpace(rhs), lim.MaxParseDepth)
+		r, err := parseRegexLimited(strings.TrimSpace(rhs), maxDepth)
 		if err != nil {
 			return nil, fmt.Errorf("dtd: line %d: %w", ln+1, err)
 		}
@@ -112,7 +115,7 @@ func parseCompact(input string, lim guard.Limits) (*DTD, error) {
 	return NewExtended(start, content, label)
 }
 
-func parseClassic(input string, lim guard.Limits) (*DTD, error) {
+func parseClassic(input string, maxDepth int) (*DTD, error) {
 	content := make(map[string]*Regex)
 	start := ""
 	rest := input
@@ -144,7 +147,7 @@ func parseClassic(input string, lim guard.Limits) (*DTD, error) {
 				return nil, fmt.Errorf("dtd: type %q declared twice", name)
 			}
 			model := strings.TrimSpace(strings.Join(fields[2:], " "))
-			r, err := parseContentModel(model, lim.MaxParseDepth)
+			r, err := parseContentModel(model, maxDepth)
 			if err != nil {
 				return nil, fmt.Errorf("dtd: element %s: %w", name, err)
 			}

@@ -11,30 +11,31 @@ func TestParseLimits(t *testing.T) {
 	nestedModel := func(n int) string {
 		return "doc <- " + strings.Repeat("(", n) + "a" + strings.Repeat(")", n) + "\na <- ()\n"
 	}
+	const defDepth, defInput = guard.DefaultMaxParseDepth, guard.DefaultMaxParseInput
 	cases := []struct {
-		name  string
-		input string
-		lim   guard.Limits
-		ok    bool
+		name               string
+		input              string
+		maxDepth, maxInput int
+		ok                 bool
 	}{
-		{"normal schema", "doc <- (a | b)*\na <- ()\nb <- ()", guard.Limits{MaxParseDepth: 64}, true},
-		{"nesting under limit", nestedModel(10), guard.Limits{MaxParseDepth: 64}, true},
-		{"nesting over limit", nestedModel(200), guard.Limits{MaxParseDepth: 64}, false},
-		{"default depth rejects pathological nesting", nestedModel(100000), guard.Limits{}, false},
-		{"input under size limit", "doc <- ()", guard.Limits{MaxParseInput: 64}, true},
-		{"input over size limit", "doc <- ()" + strings.Repeat(" ", 100), guard.Limits{MaxParseInput: 64}, false},
+		{"normal schema", "doc <- (a | b)*\na <- ()\nb <- ()", 64, defInput, true},
+		{"nesting under limit", nestedModel(10), 64, defInput, true},
+		{"nesting over limit", nestedModel(200), 64, defInput, false},
+		{"default depth rejects pathological nesting", nestedModel(100000), defDepth, defInput, false},
+		{"input under size limit", "doc <- ()", defDepth, 64, true},
+		{"input over size limit", "doc <- ()" + strings.Repeat(" ", 100), defDepth, 64, false},
 		{"classic notation nesting over limit",
 			"<!ELEMENT doc " + strings.Repeat("(", 200) + "a" + strings.Repeat(")", 200) + "><!ELEMENT a EMPTY>",
-			guard.Limits{MaxParseDepth: 64}, false},
+			64, defInput, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseLimited(c.input, c.lim)
+			_, err := parse(c.input, c.maxDepth, c.maxInput)
 			if c.ok && err != nil {
-				t.Errorf("ParseLimited = %v, want success", err)
+				t.Errorf("parse = %v, want success", err)
 			}
 			if !c.ok && err == nil {
-				t.Errorf("ParseLimited succeeded, want limit error")
+				t.Errorf("parse succeeded, want limit error")
 			}
 		})
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"xqindep/internal/infer"
 	"xqindep/internal/xmark"
@@ -82,9 +84,10 @@ func TestFigure3bShape(t *testing.T) {
 // with the values they report, recomputed from the same ground truth
 // `xqbench -fig 3b` uses (3 documents at factor 1.2), so a document
 // that drifts from the code fails the suite: Figure 3.b's measured
-// chains, types and paths averages and the chains range, Figure 3.a's
-// k range across the 1,116 normalized pairs (infer.KPair), and |d|.
-// Timing cells are left unchecked.
+// chains, types and paths averages and the chains range, its
+// per-update rows and matrix totals, Figure 3.a's k range across the
+// 1,116 normalized pairs (infer.KPair), and |d|. Timing cells are left
+// unchecked.
 func checkExperimentsCells(t *testing.T, rows []Figure3bRow) {
 	t.Helper()
 	raw, err := os.ReadFile("../../EXPERIMENTS.md")
@@ -116,6 +119,23 @@ func checkExperimentsCells(t *testing.T, rows []Figure3bRow) {
 			t.Errorf("EXPERIMENTS.md %q reads %q, the code gives %q", c.row, got, c.want)
 		}
 	}
+	views := len(xmark.Views())
+	var total [4]int
+	for _, r := range rows {
+		pct := func(found int) string { return fmt.Sprintf("%.0f %%", Percent(found, r.TrueIndep)) }
+		want := []string{fmt.Sprintf("%d/%d", r.TrueIndep, views), pct(r.ChainsFound), pct(r.TypesFound), pct(r.PathsFound)}
+		if got := tableRow(doc, r.Update); !slices.Equal(got, want) {
+			t.Errorf("EXPERIMENTS.md row %s reads %q, the code gives %q", r.Update, got, want)
+		}
+		for i, n := range []int{r.TrueIndep, r.ChainsFound, r.TypesFound, r.PathsFound} {
+			total[i] += n
+		}
+	}
+	totalsRow := fmt.Sprintf("pairs of the %d × %d matrix", views, len(rows))
+	want := []string{fmt.Sprint(total[0]), fmt.Sprint(total[1]), fmt.Sprint(total[2]), fmt.Sprint(total[3])}
+	if got := tableRow(doc, totalsRow); !slices.Equal(got, want) {
+		t.Errorf("EXPERIMENTS.md %q reads %q, the code gives %q", totalsRow, got, want)
+	}
 	size := ""
 	if m := regexp.MustCompile(`re-derivation has\s+(\d+) element types`).FindStringSubmatch(doc); m != nil {
 		size = m[1]
@@ -128,13 +148,25 @@ func checkExperimentsCells(t *testing.T, rows []Figure3bRow) {
 // measuredCell returns the last cell of the table row of doc whose
 // first cell is row ("" when there is none).
 func measuredCell(doc, row string) string {
+	if cells := tableRow(doc, row); len(cells) > 0 {
+		return cells[len(cells)-1]
+	}
+	return ""
+}
+
+// tableRow returns the cells after the first of the table row of doc
+// whose first cell is row (nil when there is none).
+func tableRow(doc, row string) []string {
 	for _, line := range strings.Split(doc, "\n") {
 		cells := strings.Split(strings.Trim(line, "| "), "|")
 		if len(cells) > 1 && strings.TrimSpace(cells[0]) == row {
-			return strings.TrimSpace(cells[len(cells)-1])
+			for i := range cells {
+				cells[i] = strings.TrimSpace(cells[i])
+			}
+			return cells[1:]
 		}
 	}
-	return ""
+	return nil
 }
 
 func TestFigure3aRuns(t *testing.T) {
@@ -151,6 +183,20 @@ func TestFigure3aRuns(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", RenderFigure3a(rows))
+}
+
+// TestFigure3aKUnderTimeout: Figure 3.a's k column is Table 3's k of
+// each pair, whatever the budget. Under a 1 µs deadline the chain
+// analyses overrun, and still no row's range may start below 2, the
+// smallest k of any XMark pair.
+func TestFigure3aKUnderTimeout(t *testing.T) {
+	defer func(d time.Duration) { AnalysisTimeout = d }(AnalysisTimeout)
+	AnalysisTimeout = time.Microsecond
+	for _, r := range Figure3a() {
+		if r.KMin < 2 {
+			t.Errorf("%s: k range %d-%d starts below 2", r.Update, r.KMin, r.KMax)
+		}
+	}
 }
 
 func TestFigure3cRuns(t *testing.T) {

@@ -7,9 +7,10 @@
 //   - Limits and Budget: a per-analysis resource budget (wall-clock
 //     deadline and cancellation via context.Context, maximum
 //     multiplicity k, maximum chain-set cardinality, maximum CDAG
-//     growth, maximum parser nesting depth and input size) with a
-//     cheap Tick()/Check() API that engine hot loops call
-//     cooperatively.
+//     growth) with a cheap Tick()/Check() API that engine hot loops
+//     call cooperatively. The parsers are bounded separately, by the
+//     fixed DefaultMaxParseDepth and DefaultMaxParseInput, because
+//     they run before any analysis and its Limits exist.
 //
 //   - Abort-by-panic with a typed sentinel: hot loops must stay free
 //     of error plumbing, so Tick and the Add* counters abort by
@@ -38,7 +39,7 @@ import (
 )
 
 // ErrBudgetExceeded is the sentinel matched by errors.Is for every
-// limit violation (deadline, k, chains, nodes, depth, input size).
+// limit violation (deadline, k, chains, nodes).
 var ErrBudgetExceeded = errors.New("analysis budget exceeded")
 
 // Chaos sentinels. A fault hook can only return an error or panic —
@@ -69,13 +70,8 @@ type Limits struct {
 	// explicit-set engine (and pattern count of the path baseline).
 	MaxChains int
 	// MaxNodes bounds graph growth: CDAG edge insertions in the
-	// polynomial engine and node counts of parsed XML trees.
+	// polynomial engine.
 	MaxNodes int
-	// MaxParseDepth bounds the nesting depth accepted by the schema,
-	// query/update and document parsers.
-	MaxParseDepth int
-	// MaxParseInput bounds parser input size in bytes.
-	MaxParseInput int
 }
 
 // NoLimit disables an individual bound.
@@ -83,7 +79,9 @@ const NoLimit = int(^uint(0) >> 1) // MaxInt
 
 // Default limit values. They are deliberately generous: ordinary
 // analyses stay far below them, while degenerate inputs hit them long
-// before exhausting memory.
+// before exhausting memory. Every parser enforces DefaultMaxParseDepth
+// (nesting) and DefaultMaxParseInput (bytes) as fixed bounds; the XML
+// document parser also caps a tree at DefaultMaxNodes nodes.
 const (
 	DefaultMaxK          = 64
 	DefaultMaxChains     = 1 << 18
@@ -95,11 +93,9 @@ const (
 // DefaultLimits returns the default budget.
 func DefaultLimits() Limits {
 	return Limits{
-		MaxK:          DefaultMaxK,
-		MaxChains:     DefaultMaxChains,
-		MaxNodes:      DefaultMaxNodes,
-		MaxParseDepth: DefaultMaxParseDepth,
-		MaxParseInput: DefaultMaxParseInput,
+		MaxK:      DefaultMaxK,
+		MaxChains: DefaultMaxChains,
+		MaxNodes:  DefaultMaxNodes,
 	}
 }
 
@@ -115,23 +111,16 @@ func (l Limits) OrDefaults() Limits {
 	if l.MaxNodes == 0 {
 		l.MaxNodes = d.MaxNodes
 	}
-	if l.MaxParseDepth == 0 {
-		l.MaxParseDepth = d.MaxParseDepth
-	}
-	if l.MaxParseInput == 0 {
-		l.MaxParseInput = d.MaxParseInput
-	}
 	return l
 }
 
 // Subdivide returns the per-share limits for splitting this budget
 // across n concurrent consumers (a serving pool's workers): the
 // cumulative resources — chain and node counts — are divided by n,
-// while the structural bounds (k, parser depth, input size), which
-// describe a single input rather than aggregate consumption, carry
-// over unchanged. Zero fields are defaulted first so the division is
-// well defined; NoLimit stays NoLimit; every share keeps at least a
-// minimal usable budget.
+// while the structural bound k, which describes a single input rather
+// than aggregate consumption, carries over unchanged. Zero fields are
+// defaulted first so the division is well defined; NoLimit stays
+// NoLimit; every share keeps at least a minimal usable budget.
 func (l Limits) Subdivide(n int) Limits {
 	if n <= 1 {
 		return l.OrDefaults()
@@ -155,8 +144,8 @@ func (l Limits) Subdivide(n int) Limits {
 // LimitError reports which bound was violated; it unwraps to
 // ErrBudgetExceeded.
 type LimitError struct {
-	// Resource names the exhausted bound: "deadline", "k", "chains",
-	// "nodes", "depth" or "input".
+	// Resource names the exhausted bound: "deadline", "k", "chains"
+	// or "nodes".
 	Resource string
 	// Limit is the configured bound (0 when not applicable, e.g. for
 	// the deadline).
@@ -211,17 +200,6 @@ func New(ctx context.Context, lim Limits) *Budget {
 		ctx = context.Background()
 	}
 	return &Budget{ctx: ctx, lim: lim.OrDefaults()}
-}
-
-// Limits returns the effective (defaulted) limits.
-func (b *Budget) Limits() Limits {
-	if b == nil {
-		return Limits{
-			MaxK: NoLimit, MaxChains: NoLimit, MaxNodes: NoLimit,
-			MaxParseDepth: NoLimit, MaxParseInput: NoLimit,
-		}
-	}
-	return b.lim
 }
 
 // Context returns the budget's context (Background for a nil budget).

@@ -122,8 +122,7 @@ func TestOrDefaultsFillsZeroFieldsOnly(t *testing.T) {
 	if l.MaxNodes != 7 {
 		t.Fatalf("explicit field overwritten: %d", l.MaxNodes)
 	}
-	if l.MaxK != DefaultMaxK || l.MaxChains != DefaultMaxChains ||
-		l.MaxParseDepth != DefaultMaxParseDepth || l.MaxParseInput != DefaultMaxParseInput {
+	if l.MaxK != DefaultMaxK || l.MaxChains != DefaultMaxChains {
 		t.Fatalf("defaults not applied: %+v", l)
 	}
 	if NoLimit <= 0 {

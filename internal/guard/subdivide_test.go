@@ -13,20 +13,20 @@ func TestSubdivideZeroAndOneWorker(t *testing.T) {
 			t.Fatalf("Subdivide(%d) divided cumulative bounds: %+v", n, got)
 		}
 		// Zero fields must still be defaulted on the n<=1 path.
-		if got.MaxK != DefaultMaxK || got.MaxParseDepth != DefaultMaxParseDepth {
+		if got.MaxK != DefaultMaxK {
 			t.Fatalf("Subdivide(%d) skipped defaulting: %+v", n, got)
 		}
 	}
 }
 
 func TestSubdivideDividesCumulativeOnly(t *testing.T) {
-	l := Limits{MaxK: 8, MaxChains: 1000, MaxNodes: 2000, MaxParseDepth: 64, MaxParseInput: 4096}
+	l := Limits{MaxK: 8, MaxChains: 1000, MaxNodes: 2000}
 	got := l.Subdivide(4)
 	if got.MaxChains != 250 || got.MaxNodes != 500 {
 		t.Fatalf("cumulative bounds not divided by 4: %+v", got)
 	}
-	if got.MaxK != 8 || got.MaxParseDepth != 64 || got.MaxParseInput != 4096 {
-		t.Fatalf("structural bounds must carry over unchanged: %+v", got)
+	if got.MaxK != 8 {
+		t.Fatalf("the structural bound must carry over unchanged: %+v", got)
 	}
 }
 

@@ -61,10 +61,9 @@ type Config struct {
 	// unsound verdict is already an incident).
 	QuarantineAfter int
 	// Backoff is the initial quarantine duration before a half-open
-	// retrial window opens (default 30s). It doubles on every re-trip
-	// up to MaxBackoff (default 1h).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// retrial window opens (default 30s). It doubles on every re-trip,
+	// up to one hour.
+	Backoff time.Duration
 	// RecoverAfter is the number of consecutive clean half-open
 	// retrials that lift the quarantine (default 3).
 	RecoverAfter int
@@ -77,14 +76,14 @@ func (c Config) withDefaults() Config {
 	if c.Backoff <= 0 {
 		c.Backoff = 30 * time.Second
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Hour
-	}
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 3
 	}
 	return c
 }
+
+// maxBackoff caps the doubling of a fingerprint's quarantine backoff.
+const maxBackoff = time.Hour
 
 type qState int
 
@@ -128,7 +127,8 @@ type FingerprintState struct {
 }
 
 // Registry holds the quarantined fingerprints. The zero value is not
-// usable; construct with NewRegistry or use Shared.
+// usable; construct with NewRegistry. A nil *Registry downgrades
+// nothing and reports zero Stats.
 type Registry struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -155,15 +155,6 @@ func (r *Registry) SetNow(now func() time.Time) {
 	defer r.mu.Unlock()
 	r.now = now
 }
-
-// shared is the process-wide registry consulted by core.AnalyzeContext
-// when the caller does not supply one.
-var shared = NewRegistry(Config{})
-
-// Shared returns the process-wide registry. An empty registry
-// downgrades nothing, so library users who never wire an auditor are
-// unaffected.
-func Shared() *Registry { return shared }
 
 // Downgrade reports whether verdicts for fp must be served
 // conservatively right now, and counts the downgrade when so. An
@@ -215,10 +206,7 @@ func (r *Registry) Quarantine(fp string) (purge bool) {
 	if e.backoff == 0 {
 		e.backoff = r.cfg.Backoff
 	} else {
-		e.backoff *= 2
-		if e.backoff > r.cfg.MaxBackoff {
-			e.backoff = r.cfg.MaxBackoff
-		}
+		e.backoff = min(2*e.backoff, maxBackoff)
 	}
 	e.state = qActive
 	e.openUntil = r.now().Add(e.backoff)
@@ -293,10 +281,7 @@ func (r *Registry) RecordProbe(fp string, o ProbeOutcome) {
 		}
 		r.journalLocked(fp)
 	case ProbeDirty:
-		e.backoff *= 2
-		if e.backoff > r.cfg.MaxBackoff {
-			e.backoff = r.cfg.MaxBackoff
-		}
+		e.backoff = min(2*e.backoff, maxBackoff)
 		e.state = qActive
 		e.openUntil = r.now().Add(e.backoff)
 		e.clean = 0
@@ -324,6 +309,9 @@ func (r *Registry) State(fp string) string {
 
 // Stats snapshots the registry.
 func (r *Registry) Stats() Stats {
+	if r == nil {
+		return Stats{}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := Stats{

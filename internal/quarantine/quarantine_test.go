@@ -2,6 +2,7 @@ package quarantine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -158,6 +159,9 @@ func TestNilAndUnknownSafe(t *testing.T) {
 	var r *Registry
 	if r.Downgrade("x") {
 		t.Fatal("nil registry downgraded")
+	}
+	if st := r.Stats(); !reflect.DeepEqual(st, Stats{}) {
+		t.Fatalf("nil registry stats: %+v", st)
 	}
 	reg := NewRegistry(Config{})
 	reg.RecordProbe("never-seen", ProbeClean) // must not panic

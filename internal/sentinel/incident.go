@@ -49,6 +49,9 @@ type Incident struct {
 	FaultSchedule string `json:"fault_schedule,omitempty"`
 }
 
+// ringSize bounds the in-memory incident ring.
+const ringSize = 128
+
 // ring is a fixed-size overwrite-oldest incident buffer.
 type ring struct {
 	buf  []Incident
@@ -56,12 +59,7 @@ type ring struct {
 	n    int
 }
 
-func newRing(size int) *ring {
-	if size < 1 {
-		size = 1
-	}
-	return &ring{buf: make([]Incident, size)}
-}
+func newRing() *ring { return &ring{buf: make([]Incident, ringSize)} }
 
 func (r *ring) add(in Incident) {
 	r.buf[r.next] = in

@@ -64,8 +64,8 @@ type Config struct {
 	// Callers typically pass their serving limits Subdivide()'d so the
 	// audit lane is strictly smaller than a serving lane.
 	Budget guard.Limits
-	// Quarantine is the registry incidents trip; nil selects the
-	// process-wide quarantine.Shared().
+	// Quarantine is the registry incidents trip; nil gives the auditor
+	// a registry of its own.
 	Quarantine *quarantine.Registry
 	// Plans is the prepared-plan cache the serving pool consults (see
 	// internal/plan); nil selects the process-wide plan.Shared(). When
@@ -78,8 +78,6 @@ type Config struct {
 	// generated per fingerprint for oracle replay (default 4; negative
 	// disables the oracle).
 	OracleDocs int
-	// RingSize bounds the in-memory incident ring (default 128).
-	RingSize int
 	// BaseContext, when non-nil, parents the auditor's lifecycle
 	// context (default context.Background()). Chaos harnesses attach
 	// fault schedules here to inject faults into the audit lane itself;
@@ -103,13 +101,10 @@ func (c Config) withDefaults() Config {
 		c.Workers = 1
 	}
 	if c.Quarantine == nil {
-		c.Quarantine = quarantine.Shared()
+		c.Quarantine = quarantine.NewRegistry(quarantine.Config{})
 	}
 	if c.OracleDocs == 0 {
 		c.OracleDocs = 4
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 128
 	}
 	return c
 }
@@ -196,7 +191,7 @@ func New(cfg Config) *Auditor {
 		queue:  make(chan job, cfg.QueueDepth),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		now:    time.Now, //xqvet:ignore clockinject injectable-clock default; tests replace via SetNow
-		ring:   newRing(cfg.RingSize),
+		ring:   newRing(),
 		docs:   lru.New[string, []xmltree.Tree](64, nil),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -453,13 +448,12 @@ func (a *Auditor) audit(o Observation) {
 }
 
 // retrial is the half-open recovery probe: the pair is re-analyzed on
-// the fast path (quarantine bypassed — the served verdict stays
-// conservative; only this off-path copy runs the suspect engines) and
-// re-audited. Clean retrials accumulate toward recovery, a dirty one
-// re-trips the quarantine with doubled backoff.
+// the fast path (quarantine bypassed by passing no registry — the
+// served verdict stays conservative; only this off-path copy runs the
+// suspect engines) and re-audited. Clean retrials accumulate toward
+// recovery, a dirty one re-trips the quarantine with doubled backoff.
 func (a *Auditor) retrial(o Observation) {
 	fp := o.D.Fingerprint()
-	bypass := quarantine.NewRegistry(quarantine.Config{})
 	res, err := core.NewAnalyzer(o.D).AnalyzeContext(
 		// Retrials run off the request path on the auditor's base
 		// context, so Shutdown can hard-cancel a wedged one. The plan
@@ -467,7 +461,7 @@ func (a *Auditor) retrial(o Observation) {
 		// re-run the suspect engines, not be answered by a verdict
 		// cached before the quarantine tripped.
 		a.base, o.Query, o.Update, core.MethodChains,
-		core.Options{Limits: a.cfg.Budget, Quarantine: bypass, Plans: plan.NewCache(1)})
+		core.Options{Limits: a.cfg.Budget, Plans: plan.NewCache(1)})
 	if err != nil || res.Degraded {
 		a.reg.RecordProbe(fp, quarantine.ProbeInconclusive)
 		return

@@ -118,6 +118,26 @@ func TestAuditCatchesFlippedVerdict(t *testing.T) {
 	}
 }
 
+// TestAuditorWithoutRegistryQuarantinesPrivately: an auditor given no
+// registry quarantines into one of its own, so an analysis handed no
+// registry is never downgraded by it.
+func TestAuditorWithoutRegistryQuarantinesPrivately(t *testing.T) {
+	faultinject.Enable()
+	a := New(Config{SampleRate: 1, Seed: 7})
+	defer a.Close()
+
+	sched := faultinject.NewSchedule(faultinject.Fault{Point: "core.verdict", Kind: faultinject.KindFlipVerdict})
+	analyzeAndObserve(t, a, nil, faultinject.With(context.Background(), sched), "//title", "delete //title", sched.String())
+	a.Flush()
+	if got := a.Registry().State(bib.Fingerprint()); got != "quarantined" {
+		t.Fatalf("auditor's own registry: state %s", got)
+	}
+	res := analyzeAndObserve(t, a, nil, context.Background(), "//title", "delete //price", "")
+	if !res.Independent || res.Degraded {
+		t.Fatalf("an analysis given no registry was downgraded: %+v", res)
+	}
+}
+
 func TestProbeRecoveryLiftsQuarantine(t *testing.T) {
 	faultinject.Enable()
 	reg := quarantine.NewRegistry(quarantine.Config{Backoff: 10 * time.Second, RecoverAfter: 2})

@@ -107,18 +107,14 @@ type Handler struct {
 }
 
 // NewHandler builds the HTTP front end of a server. Metric families
-// are registered in s's Config.Metrics registry (a private one when
-// nil) and the slow-trace ring is sized by Config.TraceRing.
+// are registered in a registry of the handler's own and the slow-trace
+// ring is sized by Config.TraceRing.
 func NewHandler(s *Server) *Handler {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	h := &Handler{
 		srv:     s,
 		schemas: lru.New[string, *core.Analyzer](128, nil),
 		mux:     http.NewServeMux(),
-		metrics: newHandlerMetrics(reg, s),
+		metrics: newHandlerMetrics(obs.NewRegistry(), s),
 		now:     time.Now, //xqvet:ignore clockinject injectable-clock default; tests and chaos harnesses replace Handler.now
 	}
 	if s.cfg.TraceRing > 0 {

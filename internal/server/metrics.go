@@ -168,7 +168,7 @@ func newHandlerMetrics(reg *obs.Registry, s *Server) *handlerMetrics {
 		reg.GaugeFunc(MetricCacheResident, "Residents currently cached, by tier.", cs(func(st lru.Stats) int64 { return st.Resident }), "tier", t.name)
 	}
 
-	quar := resolveQuarantine(s.cfg)
+	quar := s.cfg.Quarantine
 	reg.CounterFunc(MetricQuarantineTrips, "Schema fingerprints placed in quarantine after an audit disagreement.", func() float64 { return float64(quar.Stats().Trips) })
 	reg.CounterFunc(MetricQuarantineDowngrades, "Verdicts served conservatively because the schema was quarantined.", func() float64 { return float64(quar.Stats().Downgrades) })
 	reg.CounterFunc(MetricQuarantineRecovered, "Quarantined fingerprints released after clean retrials.", func() float64 { return float64(quar.Stats().Recovered) })

@@ -116,8 +116,8 @@ type Config struct {
 	// never waits on it: Observe is a bounded non-blocking enqueue.
 	Auditor *sentinel.Auditor
 	// Quarantine is the containment registry threaded into every
-	// analysis; nil selects the process-wide quarantine.Shared(). Wire
-	// the same registry here and into the Auditor.
+	// analysis; nil downgrades nothing. Wire the same registry here and
+	// into the Auditor.
 	Quarantine *quarantine.Registry
 	// Plans is the prepared-plan cache threaded into every analysis
 	// (see internal/plan): the CDAG chain rung resolves repeated
@@ -140,10 +140,6 @@ type Config struct {
 	// journal + incident spool). The server flushes it during drain —
 	// bounded by the drain deadline — and reports it under /statz.
 	State *DurableState
-	// Metrics is the registry NewHandler registers its metric families
-	// in (served on /metricz); nil gives the handler a private one.
-	// Supply a registry to add your own families to the same scrape.
-	Metrics *obs.Registry
 	// TraceRing sizes the handler's ring of slowest request traces
 	// (served on /tracez). Zero disables the ring; per-request traces
 	// (AnalyzeRequest.Trace) work either way.
@@ -411,18 +407,10 @@ func (s *Server) admit(fp string) (admitted, probe bool, err error) {
 // subdivision.
 func clamp(req, share guard.Limits) guard.Limits {
 	req = req.OrDefaults()
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
-	}
 	return guard.Limits{
-		MaxK:          min(req.MaxK, share.MaxK),
-		MaxChains:     min(req.MaxChains, share.MaxChains),
-		MaxNodes:      min(req.MaxNodes, share.MaxNodes),
-		MaxParseDepth: min(req.MaxParseDepth, share.MaxParseDepth),
-		MaxParseInput: min(req.MaxParseInput, share.MaxParseInput),
+		MaxK:      min(req.MaxK, share.MaxK),
+		MaxChains: min(req.MaxChains, share.MaxChains),
+		MaxNodes:  min(req.MaxNodes, share.MaxNodes),
 	}
 }
 

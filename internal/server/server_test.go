@@ -495,8 +495,8 @@ func TestSubdivideLimits(t *testing.T) {
 	if l.MaxChains != guard.NoLimit {
 		t.Fatalf("NoLimit must survive subdivision: %d", l.MaxChains)
 	}
-	if l.MaxK != guard.DefaultMaxK || l.MaxParseDepth != guard.DefaultMaxParseDepth {
-		t.Fatalf("structural bounds must not be divided: %+v", l)
+	if l.MaxK != guard.DefaultMaxK {
+		t.Fatalf("the structural bound must not be divided: %+v", l)
 	}
 	one := guard.Limits{MaxNodes: 3}.Subdivide(100)
 	if one.MaxNodes != 1 {

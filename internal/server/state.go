@@ -43,16 +43,10 @@ type DurableState struct {
 	closed      atomic.Bool
 }
 
-// StateConfig tunes OpenState. Zero fields select defaults.
+// StateConfig configures OpenState.
 type StateConfig struct {
 	// Dir is the state directory (required).
 	Dir string
-	// SpoolMaxBytes caps one incident spool file (default 8 MiB).
-	SpoolMaxBytes int64
-	// SpoolKeep is the number of rotated spool files kept (default 4).
-	SpoolKeep int
-	// Options tunes the underlying journal store.
-	Options statefile.Options
 }
 
 // DurabilityStatus is the /statz durability section and the boot
@@ -84,8 +78,10 @@ type DurabilityStatus struct {
 
 // OpenState mounts the state directory, replays the quarantine
 // journal into reg (rebasing backoff deadlines onto reg's clock) and
-// starts journaling reg's audit-lane transitions. Call before the
-// first request is admitted.
+// starts journaling reg's audit-lane transitions. The journal store
+// and the incident spool take the statefile defaults: 8 MiB per spool
+// file, four rotated files kept. Call before the first request is
+// admitted.
 func OpenState(fsys statefile.FS, cfg StateConfig, reg *quarantine.Registry) (*DurableState, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("server: state dir required")
@@ -93,11 +89,11 @@ func OpenState(fsys statefile.FS, cfg StateConfig, reg *quarantine.Registry) (*D
 	if reg == nil {
 		return nil, fmt.Errorf("server: state requires a quarantine registry")
 	}
-	store, rec, err := statefile.Open(fsys, cfg.Dir, cfg.Options)
+	store, rec, err := statefile.Open(fsys, cfg.Dir, statefile.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("server: open state: %w", err)
 	}
-	spool, err := statefile.OpenSpool(fsys, cfg.Dir, "incidents.jsonl", cfg.SpoolMaxBytes, cfg.SpoolKeep)
+	spool, err := statefile.OpenSpool(fsys, cfg.Dir, "incidents.jsonl", 0, 0)
 	if err != nil {
 		store.Close()
 		return nil, fmt.Errorf("server: open incident spool: %w", err)

@@ -16,14 +16,6 @@ import (
 	"xqindep/internal/sentinel"
 )
 
-// resolveQuarantine resolves the registry the pool consults.
-func resolveQuarantine(cfg Config) *quarantine.Registry {
-	if cfg.Quarantine != nil {
-		return cfg.Quarantine
-	}
-	return quarantine.Shared()
-}
-
 // resolvePlans resolves the prepared-plan cache the pool consults.
 func resolvePlans(cfg Config) *plan.Cache {
 	if cfg.Plans != nil {
@@ -43,7 +35,7 @@ type StatzPayload struct {
 	// (cfg.Plans, or the process-wide plan.Shared()).
 	PlanCache plan.CacheStats `json:"plan_cache"`
 	// Audit and Quarantine report the runtime verdict-audit layer;
-	// zero-valued when no auditor is wired.
+	// zero-valued when no auditor or registry is wired.
 	Audit      sentinel.Stats   `json:"audit"`
 	Quarantine quarantine.Stats `json:"quarantine"`
 	// Durability reports the crash-safe state layer (journal, snapshot,
@@ -65,7 +57,7 @@ func (h *Handler) statz() StatzPayload {
 		Server:       h.srv.Stats(),
 		CompileCache: dtd.CompileCacheStats(),
 		PlanCache:    resolvePlans(h.srv.cfg).Stats(),
-		Quarantine:   resolveQuarantine(h.srv.cfg).Stats(),
+		Quarantine:   h.srv.cfg.Quarantine.Stats(),
 		Metrics:      h.metrics.reg.Summaries(),
 	}
 	if a := h.srv.cfg.Auditor; a != nil {
@@ -98,7 +90,7 @@ type IncidentzPayload struct {
 
 func (h *Handler) handleIncidentz(w http.ResponseWriter, r *http.Request) {
 	p := IncidentzPayload{
-		Quarantine: resolveQuarantine(h.srv.cfg).Stats(),
+		Quarantine: h.srv.cfg.Quarantine.Stats(),
 		Incidents:  []sentinel.Incident{},
 	}
 	if a := h.srv.cfg.Auditor; a != nil {

@@ -33,25 +33,27 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 // and whitespace-only text between elements are discarded: the
 // paper's data model has element and text nodes only, and its
 // benchmark rewriting removes attribute use.
+//
+// The input may hold at most guard.DefaultMaxParseInput bytes, nest
+// elements at most guard.DefaultMaxParseDepth deep and yield at most
+// guard.DefaultMaxNodes nodes.
 func Parse(r io.Reader) (Tree, error) {
-	return ParseLimited(r, guard.DefaultLimits())
+	return parse(r, guard.DefaultMaxParseDepth, guard.DefaultMaxParseInput, guard.DefaultMaxNodes)
 }
 
-// ParseLimited is Parse under explicit resource limits: MaxParseInput
-// bounds the raw input size, MaxParseDepth the element nesting depth
-// and MaxNodes the total node count of the resulting tree. Zero limit
-// fields take defaults.
-func ParseLimited(r io.Reader, lim guard.Limits) (Tree, error) {
-	lim = lim.OrDefaults()
-	dec := xml.NewDecoder(&limitedReader{r: r, left: lim.MaxParseInput})
+// parse is Parse under explicit bounds: maxInput bounds the raw input
+// size in bytes, maxDepth the element nesting depth and maxNodes the
+// total node count of the resulting tree.
+func parse(r io.Reader, maxDepth, maxInput, maxNodes int) (Tree, error) {
+	dec := xml.NewDecoder(&limitedReader{r: r, left: maxInput})
 	s := NewStore()
 	var stack []Loc
 	var root Loc
 	nodes := 0
 	addNode := func() error {
 		nodes++
-		if nodes > lim.MaxNodes {
-			return fmt.Errorf("xmltree: parse: document has more than %d nodes", lim.MaxNodes)
+		if nodes > maxNodes {
+			return fmt.Errorf("xmltree: parse: document has more than %d nodes", maxNodes)
 		}
 		return nil
 	}
@@ -65,8 +67,8 @@ func ParseLimited(r io.Reader, lim guard.Limits) (Tree, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if len(stack) >= lim.MaxParseDepth {
-				return Tree{}, fmt.Errorf("xmltree: parse: element nesting exceeds the limit of %d", lim.MaxParseDepth)
+			if len(stack) >= maxDepth {
+				return Tree{}, fmt.Errorf("xmltree: parse: element nesting exceeds the limit of %d", maxDepth)
 			}
 			if err := addNode(); err != nil {
 				return Tree{}, err

@@ -22,29 +22,30 @@ func wideDoc(n int) string {
 }
 
 func TestParseLimits(t *testing.T) {
+	const defDepth, defInput, defNodes = guard.DefaultMaxParseDepth, guard.DefaultMaxParseInput, guard.DefaultMaxNodes
 	cases := []struct {
-		name string
-		doc  string
-		lim  guard.Limits
-		ok   bool
+		name                         string
+		doc                          string
+		maxDepth, maxInput, maxNodes int
+		ok                           bool
 	}{
-		{"normal document", "<doc><a>x</a></doc>", guard.Limits{MaxParseDepth: 16, MaxNodes: 64}, true},
-		{"depth at boundary", nestedDoc(16), guard.Limits{MaxParseDepth: 16}, true},
-		{"depth one past boundary", nestedDoc(17), guard.Limits{MaxParseDepth: 16}, false},
-		{"default depth rejects pathological nesting", nestedDoc(100000), guard.Limits{}, false},
-		{"node count at boundary", wideDoc(63), guard.Limits{MaxNodes: 64}, true},
-		{"node count past boundary", wideDoc(64), guard.Limits{MaxNodes: 64}, false},
-		{"input under size limit", "<doc/>", guard.Limits{MaxParseInput: 64}, true},
-		{"input over size limit", "<doc>" + strings.Repeat("x", 100) + "</doc>", guard.Limits{MaxParseInput: 64}, false},
+		{"normal document", "<doc><a>x</a></doc>", 16, defInput, 64, true},
+		{"depth at boundary", nestedDoc(16), 16, defInput, defNodes, true},
+		{"depth one past boundary", nestedDoc(17), 16, defInput, defNodes, false},
+		{"default depth rejects pathological nesting", nestedDoc(100000), defDepth, defInput, defNodes, false},
+		{"node count at boundary", wideDoc(63), defDepth, defInput, 64, true},
+		{"node count past boundary", wideDoc(64), defDepth, defInput, 64, false},
+		{"input under size limit", "<doc/>", defDepth, 64, defNodes, true},
+		{"input over size limit", "<doc>" + strings.Repeat("x", 100) + "</doc>", defDepth, 64, defNodes, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseLimited(strings.NewReader(c.doc), c.lim)
+			_, err := parse(strings.NewReader(c.doc), c.maxDepth, c.maxInput, c.maxNodes)
 			if c.ok && err != nil {
-				t.Errorf("ParseLimited = %v, want success", err)
+				t.Errorf("parse = %v, want success", err)
 			}
 			if !c.ok && err == nil {
-				t.Errorf("ParseLimited succeeded, want limit error")
+				t.Errorf("parse succeeded, want limit error")
 			}
 		})
 	}

@@ -21,20 +21,22 @@ import (
 //     benchmark rewriting, "[price > 40]" keeps only the path price —
 //     both operand paths become condition queries;
 //   - element constructors with nested content: <a><b/>{$x/c}</a>.
+//
+// The input may hold at most guard.DefaultMaxParseInput bytes and nest
+// at most guard.DefaultMaxParseDepth levels.
 func ParseQuery(input string) (Query, error) {
-	return ParseQueryLimited(input, guard.DefaultLimits())
+	return parseQuery(input, guard.DefaultMaxParseDepth, guard.DefaultMaxParseInput)
 }
 
-// ParseQueryLimited is ParseQuery under explicit parser limits:
-// MaxParseInput bounds the input size and MaxParseDepth bounds both
-// expression nesting and the number of steps per path (which the
-// desugaring turns into nesting). Zero limit fields take defaults.
-func ParseQueryLimited(input string, lim guard.Limits) (Query, error) {
-	lim = lim.OrDefaults()
-	if len(input) > lim.MaxParseInput {
-		return nil, fmt.Errorf("xquery: input of %d bytes exceeds the %d-byte limit", len(input), lim.MaxParseInput)
+// parseQuery is ParseQuery under explicit bounds: maxInput bounds the
+// input size in bytes and maxDepth bounds both expression nesting and
+// the number of steps per path (which the desugaring turns into
+// nesting).
+func parseQuery(input string, maxDepth, maxInput int) (Query, error) {
+	if len(input) > maxInput {
+		return nil, fmt.Errorf("xquery: input of %d bytes exceeds the %d-byte limit", len(input), maxInput)
 	}
-	p := &parser{in: input, maxDepth: lim.MaxParseDepth}
+	p := &parser{in: input, maxDepth: maxDepth}
 	q := p.parseExpr()
 	p.ws()
 	if p.err == nil && p.pos != len(p.in) {
@@ -59,19 +61,17 @@ func MustParseQuery(input string) Query {
 }
 
 // ParseUpdate parses an update expression of the fragment, with the
-// same path sugar as ParseQuery in embedded queries.
+// same path sugar and the same bounds as ParseQuery.
 func ParseUpdate(input string) (Update, error) {
-	return ParseUpdateLimited(input, guard.DefaultLimits())
+	return parseUpdate(input, guard.DefaultMaxParseDepth, guard.DefaultMaxParseInput)
 }
 
-// ParseUpdateLimited is ParseUpdate under explicit parser limits (see
-// ParseQueryLimited).
-func ParseUpdateLimited(input string, lim guard.Limits) (Update, error) {
-	lim = lim.OrDefaults()
-	if len(input) > lim.MaxParseInput {
-		return nil, fmt.Errorf("xquery: input of %d bytes exceeds the %d-byte limit", len(input), lim.MaxParseInput)
+// parseUpdate is ParseUpdate under explicit bounds (see parseQuery).
+func parseUpdate(input string, maxDepth, maxInput int) (Update, error) {
+	if len(input) > maxInput {
+		return nil, fmt.Errorf("xquery: input of %d bytes exceeds the %d-byte limit", len(input), maxInput)
 	}
-	p := &parser{in: input, maxDepth: lim.MaxParseDepth}
+	p := &parser{in: input, maxDepth: maxDepth}
 	u := p.parseUpdate()
 	p.ws()
 	if p.err == nil && p.pos != len(p.in) {

@@ -7,6 +7,9 @@ import (
 	"xqindep/internal/guard"
 )
 
+// The parser's fixed bounds, for cases that tighten only the other one.
+const defDepth, defInput = guard.DefaultMaxParseDepth, guard.DefaultMaxParseInput
+
 // nestedQuery builds n nested parenthesised expressions around $x.
 func nestedQuery(n int) string {
 	return strings.Repeat("(", n) + "$x" + strings.Repeat(")", n)
@@ -14,31 +17,32 @@ func nestedQuery(n int) string {
 
 func TestParseQueryLimits(t *testing.T) {
 	cases := []struct {
-		name  string
-		input string
-		lim   guard.Limits
-		ok    bool
+		name     string
+		input    string
+		maxDepth int
+		maxInput int
+		ok       bool
 	}{
-		{"depth under limit", nestedQuery(10), guard.Limits{MaxParseDepth: 64}, true},
-		{"depth at limit boundary", nestedQuery(30), guard.Limits{MaxParseDepth: 64}, true},
-		{"depth over limit", nestedQuery(200), guard.Limits{MaxParseDepth: 64}, false},
-		{"default depth accepts normal queries", "for $b in /bib/book return $b/title", guard.Limits{}, true},
-		{"default depth rejects pathological nesting", nestedQuery(100000), guard.Limits{}, false},
-		{"steps under limit", "/" + strings.Repeat("a/", 10) + "a", guard.Limits{MaxParseDepth: 64}, true},
-		{"steps over limit", "/" + strings.Repeat("a/", 200) + "a", guard.Limits{MaxParseDepth: 64}, false},
-		{"input under size limit", "//a", guard.Limits{MaxParseInput: 64}, true},
-		{"input over size limit", "//" + strings.Repeat("a", 100), guard.Limits{MaxParseInput: 64}, false},
-		{"nested predicates over limit", "//a" + strings.Repeat("[b", 200) + strings.Repeat("]", 200), guard.Limits{MaxParseDepth: 64}, false},
-		{"nested elements over limit", strings.Repeat("<a>", 200) + strings.Repeat("</a>", 200), guard.Limits{MaxParseDepth: 64}, false},
+		{"depth under limit", nestedQuery(10), 64, defInput, true},
+		{"depth at limit boundary", nestedQuery(30), 64, defInput, true},
+		{"depth over limit", nestedQuery(200), 64, defInput, false},
+		{"default depth accepts normal queries", "for $b in /bib/book return $b/title", defDepth, defInput, true},
+		{"default depth rejects pathological nesting", nestedQuery(100000), defDepth, defInput, false},
+		{"steps under limit", "/" + strings.Repeat("a/", 10) + "a", 64, defInput, true},
+		{"steps over limit", "/" + strings.Repeat("a/", 200) + "a", 64, defInput, false},
+		{"input under size limit", "//a", defDepth, 64, true},
+		{"input over size limit", "//" + strings.Repeat("a", 100), defDepth, 64, false},
+		{"nested predicates over limit", "//a" + strings.Repeat("[b", 200) + strings.Repeat("]", 200), 64, defInput, false},
+		{"nested elements over limit", strings.Repeat("<a>", 200) + strings.Repeat("</a>", 200), 64, defInput, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseQueryLimited(c.input, c.lim)
+			_, err := parseQuery(c.input, c.maxDepth, c.maxInput)
 			if c.ok && err != nil {
-				t.Errorf("ParseQueryLimited(%d bytes) = %v, want success", len(c.input), err)
+				t.Errorf("parseQuery(%d bytes) = %v, want success", len(c.input), err)
 			}
 			if !c.ok && err == nil {
-				t.Errorf("ParseQueryLimited(%d bytes) succeeded, want limit error", len(c.input))
+				t.Errorf("parseQuery(%d bytes) succeeded, want limit error", len(c.input))
 			}
 		})
 	}
@@ -49,24 +53,25 @@ func TestParseUpdateLimits(t *testing.T) {
 		return strings.Repeat("if ($x) then ", n) + "delete //a"
 	}
 	cases := []struct {
-		name  string
-		input string
-		lim   guard.Limits
-		ok    bool
+		name     string
+		input    string
+		maxDepth int
+		maxInput int
+		ok       bool
 	}{
-		{"normal update", "delete //a", guard.Limits{MaxParseDepth: 64}, true},
-		{"nesting under limit", deepUpdate(10), guard.Limits{MaxParseDepth: 64}, true},
-		{"nesting over limit", deepUpdate(200), guard.Limits{MaxParseDepth: 64}, false},
-		{"input over size limit", "delete //" + strings.Repeat("a", 100), guard.Limits{MaxParseInput: 64}, false},
+		{"normal update", "delete //a", 64, defInput, true},
+		{"nesting under limit", deepUpdate(10), 64, defInput, true},
+		{"nesting over limit", deepUpdate(200), 64, defInput, false},
+		{"input over size limit", "delete //" + strings.Repeat("a", 100), defDepth, 64, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseUpdateLimited(c.input, c.lim)
+			_, err := parseUpdate(c.input, c.maxDepth, c.maxInput)
 			if c.ok && err != nil {
-				t.Errorf("ParseUpdateLimited = %v, want success", err)
+				t.Errorf("parseUpdate = %v, want success", err)
 			}
 			if !c.ok && err == nil {
-				t.Errorf("ParseUpdateLimited succeeded, want limit error")
+				t.Errorf("parseUpdate succeeded, want limit error")
 			}
 		})
 	}

@@ -267,14 +267,10 @@ var ErrQuarantined = quarantine.ErrQuarantined
 // 0) and the quarantine registry snapshot.
 func (p *Pool) AuditStats() (AuditStats, QuarantineStats) {
 	var a AuditStats
-	var q QuarantineStats
 	if p.aud != nil {
 		a = p.aud.Stats()
 	}
-	if p.reg != nil {
-		q = p.reg.Stats()
-	}
-	return a, q
+	return a, p.reg.Stats()
 }
 
 // Flush blocks until every audit already handed to the audit lane has

@@ -71,6 +71,26 @@ go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold|B
 # sub-benchmark filter must not reach the benchmarks above.
 go test -run '^$' -bench 'BenchmarkFigure3aChains/(UB2|UN1)$' -benchtime 1x .
 
+echo "== xqbench smoke under tight budgets (Figure 3.b stays sound; Figure 3.a's k ignores the budget)"
+# xqbench counts a budget overrun as "not independent", so a 3 ms
+# budget must still give a sound Figure 3.b: xqbench exits 1 on a
+# SOUNDNESS VIOLATION. Under 20us most Figure 3.a analyses overrun, and
+# the k column must still be Table 3's k of each pair, which is at
+# least 2 on XMark, never a range starting at 0.
+xqbench_bin="$(mktemp -d)/xqbench"
+go build -o "${xqbench_bin}" ./cmd/xqbench
+"${xqbench_bin}" -fig 3b -truth-docs 1 -truth-factor 0.5 -timeout 3ms >/dev/null
+fig3a="$("${xqbench_bin}" -fig 3a -timeout 20us)"
+fig3a_rows="$(grep -cE '^U[A-Z][0-9]+ ' <<<"${fig3a}" || true)"
+if [ "${fig3a_rows}" -ne 31 ]; then
+  echo "xqbench smoke: Figure 3.a printed ${fig3a_rows} update rows, want 31" >&2
+  exit 1
+fi
+if grep -E '^U[A-Z][0-9]+ .*[[:space:]]0-[0-9]+$' <<<"${fig3a}" >&2; then
+  echo "xqbench smoke: the Figure 3.a rows above give a k range starting at 0" >&2
+  exit 1
+fi
+
 echo "== bench module (go vet + go test inside bench/)"
 # bench/ is a module of its own, so `go test ./...` above never reaches
 # it; an internal API change that breaks its layer entry points would

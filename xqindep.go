@@ -238,13 +238,15 @@ const (
 
 // Limits bounds the resources an analysis may consume. The zero value
 // of any field selects a generous default; use guard.NoLimit semantics
-// by setting very large values.
+// by setting very large values. Parsing is bounded before any Limits
+// apply: ParseSchema, ParseQuery, ParseUpdate and ParseDocument reject
+// input over 8 MiB or nested deeper than 512 levels.
 type Limits = guard.Limits
 
 // Options configures AnalyzeContext.
 type Options struct {
-	// Limits bounds chain/node counts, multiplicity k and parser
-	// recursion; zero fields take defaults.
+	// Limits bounds chain/node counts and multiplicity k; zero fields
+	// take defaults.
 	Limits Limits
 	// NoFallback disables the degradation ladder: budget overruns are
 	// returned as errors instead of weaker verdicts.
