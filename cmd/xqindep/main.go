@@ -28,9 +28,11 @@
 // in which case the overrun is an error.
 //
 // -show-plan reports whether the verdict came from a warm prepared
-// plan or a cold build, plus the plan cache key — the schema and pair
-// fingerprints, which sugared variants of the same logical pair share
-// — and, separately, the query and update fingerprints.
+// plan or a cold build, plus the plan cache key — the schema
+// fingerprint and the pair fingerprint, a 128-bit digest in 32 hex
+// characters that sugared variants of the same logical pair share —
+// and, separately, the query and update fingerprints, which are not
+// part of the key.
 //
 // -trace prints the per-phase span tree of the analysis after the
 // verdict: ladder rungs as spans, the engine's fault-point boundaries

@@ -1,13 +1,14 @@
 package plan
 
 import (
+	"encoding/hex"
 	"sort"
 
 	"xqindep/internal/lru"
 )
 
 // Cache is the (schema, pair) → plan tier: a bounded LRU of prepared
-// plans keyed by (schema fingerprint, expression-pair fingerprint).
+// plans keyed by (schema fingerprint, pair digest).
 // Verify runs on every hit, so a resident that fails its content
 // checksum is dropped and rebuilt instead of served. A hit allocates
 // nothing and holds the lock only for a constant-size check. A nil
@@ -16,24 +17,43 @@ type Cache struct {
 	c *lru.Cache[planKey, *CompiledExpr]
 }
 
-type planKey struct{ schemaFP, pairFP string }
+// planKey is a resident's identity: the schema fingerprint and the
+// pair digest, held as an array so a lookup hashes it in place.
+type planKey struct {
+	schemaFP string
+	pair     [16]byte
+}
 
 // NewCache returns a cache holding at most max plans (minimum 1).
 func NewCache(max int) *Cache {
 	return &Cache{c: lru.New[planKey, *CompiledExpr](max, (*CompiledExpr).Verify)}
 }
 
-// Get returns the resident plan for the key, building and caching one
-// on first sight. The build closure may abort via guard (budget
-// overrun, injected fault) — nothing is cached in that case. The
-// returned bool reports warm provenance: true only for a verified hit;
-// a request that loses a build race to a concurrent one reports cold,
-// since it paid the cold cost.
+// Get returns the resident plan for the schema fingerprint and the
+// printed pair fingerprint (xquery.FingerprintPair), building and
+// caching one on first sight. The build closure may abort via guard
+// (budget overrun, injected fault) — nothing is cached in that case.
+// The returned bool reports warm provenance: true only for a verified
+// hit; a request that loses a build race to a concurrent one reports
+// cold, since it paid the cold cost. A pairFP that is not a printed
+// pair fingerprint names no resident: the plan is built and not cached.
 func (pc *Cache) Get(schemaFP, pairFP string, build func() *CompiledExpr) (*CompiledExpr, bool) {
+	var pair [16]byte
+	if len(pairFP) != hex.EncodedLen(len(pair)) {
+		return build(), false
+	}
+	if _, err := hex.Decode(pair[:], []byte(pairFP)); err != nil {
+		return build(), false
+	}
+	return pc.get(planKey{schemaFP, pair}, build)
+}
+
+// get is Get under a decoded key.
+func (pc *Cache) get(key planKey, build func() *CompiledExpr) (*CompiledExpr, bool) {
 	if pc == nil {
 		return build(), false
 	}
-	ce, warm, _ := pc.c.Get(planKey{schemaFP, pairFP}, func() (*CompiledExpr, error) { return build(), nil })
+	ce, warm, _ := pc.c.Get(key, func() (*CompiledExpr, error) { return build(), nil })
 	return ce, warm
 }
 

@@ -2,19 +2,22 @@
 // decomposition of one chain-method analysis into reusable, immutable
 // artifacts. A CompiledExpr is what the CDAG rung of core serves for a
 // (schema, query-update pair) — the decision, its conflict reasons and
-// the k it was reached at — keyed by (schema fingerprint,
-// expression-pair fingerprint) so repeated requests over the same
-// logical pair (whitespace variants, renamed binders, sugared axes)
-// resolve to one cached plan. The key is the plan's identity, so the
-// plan does not repeat it; the chain DAGs the decision was derived from
-// are discarded when the build returns.
+// the k it was reached at — keyed by (schema fingerprint, pair digest)
+// so repeated requests over the same logical pair (whitespace variants,
+// renamed binders, sugared axes) resolve to one cached plan. The pair
+// digest is a 128-bit SHA-256 digest of the normalized query and update
+// (xquery.PairDigest). It is cryptographic because a cached verdict is
+// served to every pair with its key, and a string literal in a query is
+// free content to search for a collision over. The key is the plan's
+// identity, so the plan does not repeat it; the chain DAGs the decision
+// was derived from are discarded when the build returns.
 //
 // The stages mirror the analysis pipeline of the paper: fingerprint
-// (normalize the Section 2 sugar away and hash the pair), k-factors
-// (Table 3, Section 5), chain inference (Sections 3–6). Each stage is
-// budget-checked through guard and fault-injectable under a
-// core.plan/* point, so the degradation ladder and the sentinel audit
-// layer compose with the cache unchanged: a cached verdict is
+// (normalize the Section 2 sugar away, once per request, and digest the
+// pair), k-factors (Table 3, Section 5), chain inference (Sections
+// 3–6). Each stage is budget-checked through guard and fault-injectable
+// under a core.plan/* point, so the degradation ladder and the sentinel
+// audit layer compose with the cache unchanged: a cached verdict is
 // re-admitted against every request's own k limit, re-verified against
 // its content checksum on every hit, and purged wholesale when the
 // schema it was inferred under is quarantined.
@@ -133,12 +136,12 @@ func (ce *CompiledExpr) CorruptClone() *CompiledExpr {
 // Prepare resolves the prepared plan for the pair under the compiled
 // schema, running the staged pipeline:
 //
-//	core.plan/fingerprint  normalize both ASTs and hash the pair (the
-//	                       cache key)
+//	core.plan/fingerprint  normalize each side once and digest the
+//	                       pair (the cache key)
 //	core.plan/lookup       consult cache (verify-on-hit); on miss the
-//	                       builder runs the two cold stages:
-//	core.plan/kfactors       normalize again, k per Table 3, admission
-//	                         check
+//	                       builder runs the two cold stages on the
+//	                       normalized sides:
+//	core.plan/kfactors       k per Table 3, admission check
 //	core.plan/infer          CDAG chain inference, decision sealed
 //	core.plan/artifact     hand the plan to the caller (chaos
 //	                       corrupt-artifact injection point)
@@ -174,15 +177,17 @@ func PrepareSchema(cache *Cache, d *dtd.DTD, q xquery.Query, u xquery.Update, b 
 }
 
 // prepare is the pipeline shared by Prepare and PrepareSchema; resolve
-// yields the compiled schema and runs only inside a cold build. A warm
-// hit normalizes each side once, inside the pair fingerprint.
+// yields the compiled schema and runs only inside a cold build. A
+// request normalizes each side once, here: the pair digest and a cold
+// build both read the normalized sides.
 func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) (*CompiledExpr, bool, error) {
 	b.Point("core.plan/fingerprint")
-	pairFP := xquery.FingerprintPair(q, u)
+	nq, nu := xquery.Normalize(q), xquery.NormalizeUpdate(u)
+	key := planKey{schemaFP, xquery.PairDigest(nq, nu)}
 
 	b.Point("core.plan/lookup")
-	ce, warm := cache.Get(schemaFP, pairFP, func() *CompiledExpr {
-		return build(resolve, q, u, b)
+	ce, warm := cache.get(key, func() *CompiledExpr {
+		return build(resolve, nq, nu, b)
 	})
 
 	// Admission is per-request: a plan cached under one request's
@@ -205,12 +210,11 @@ func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xque
 	return ce, warm, nil
 }
 
-// build runs the cold stages. It charges b throughout and aborts via
-// guard on overrun; the cache never sees a partially built plan.
-func build(resolve func() *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) *CompiledExpr {
+// build runs the cold stages on the normalized pair. It charges b
+// throughout and aborts via guard on overrun; the cache never sees a
+// partially built plan.
+func build(resolve func() *dtd.Compiled, nq xquery.Query, nu xquery.Update, b *guard.Budget) *CompiledExpr {
 	b.Point("core.plan/kfactors")
-	nq := xquery.Normalize(q)
-	nu := xquery.NormalizeUpdate(u)
 	if err := b.CheckK(infer.KPair(nq, nu)); err != nil {
 		guard.Abort(err)
 	}

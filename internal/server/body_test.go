@@ -75,16 +75,11 @@ func TestAnalyzeBodyOverLimit(t *testing.T) {
 	}
 }
 
-// TestWarmAnalyzeBytes pins the bytes one warm /analyze request
-// allocates through the handler. An XMark request carries the schema
-// text, about 4.4 KiB, and is read into one buffer of its declared
-// length: 26,880 B measured (about 29,900 B under -race). A JSON
-// decoder growing its buffer 512 → 1,536 → 3,584 → 7,680 B as the body
-// streamed in made the same request allocate 36,536 B. The rest of the
-// request (parsing, fingerprint, plan hit, encoding) is most of the
-// total, so twice the measurement would not catch the decoder's return;
-// the ceiling is 1.25 times it.
-func TestWarmAnalyzeBytes(t *testing.T) {
+// warmAnalyze measures one warm A3 × UB2 /analyze request through the
+// handler: the bytes and the allocations it makes, each the mean of 50
+// requests after the cold build.
+func warmAnalyze(t *testing.T) (allocBytes, allocs float64) {
+	t.Helper()
 	h := obsHandler(t, 0)
 	v, _ := xmark.ViewByName("A3")
 	u, _ := xmark.UpdateByName("UB2")
@@ -107,7 +102,31 @@ func TestWarmAnalyzeBytes(t *testing.T) {
 		post()
 	}
 	runtime.ReadMemStats(&after)
-	if n, ceiling := float64(after.TotalAlloc-before.TotalAlloc)/runs, 33_600.0; n > ceiling {
-		t.Errorf("a warm /analyze request allocates %.0f B, ceiling %.0f", n, ceiling)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestWarmAnalyzeBytes pins the bytes one warm /analyze request
+// allocates through the handler. An XMark request carries the schema
+// text, about 4.4 KiB, and is read into one buffer of its declared
+// length: 24,712 B measured (about 25,700 B under -race). A JSON
+// decoder growing its buffer 512 → 1,536 → 3,584 → 7,680 B as the body
+// streamed in made the same request allocate 9,656 B more. The rest of
+// the request (parsing, fingerprint, plan hit, encoding) is most of the
+// total, so twice the measurement would not catch the decoder's return;
+// the ceiling, 1.25 times the 26,880 B measured before the plan key
+// became a digest, still does.
+func TestWarmAnalyzeBytes(t *testing.T) {
+	if n, _ := warmAnalyze(t); n > 33_600 {
+		t.Errorf("a warm /analyze request allocates %.0f B, ceiling 33,600", n)
+	}
+}
+
+// TestWarmAnalyzeAllocs pins the allocations of the same request at
+// 1.25 times the 103 measured (about 110 under -race). Printing both
+// sides canonically and hashing the prints for the plan key made it
+// 162.
+func TestWarmAnalyzeAllocs(t *testing.T) {
+	if _, n := warmAnalyze(t); n > 128 {
+		t.Errorf("a warm /analyze request makes %.1f allocations, ceiling 128", n)
 	}
 }

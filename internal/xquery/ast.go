@@ -19,6 +19,10 @@
 // After parsing, every path expression has been decomposed: the only
 // navigation construct is Step (one axis and node test applied to a
 // variable).
+//
+// Normalize un-nests for-expressions. The fingerprints (fingerprint.go)
+// digest a normalized AST for the plan cache without printing it; the
+// canonical printer (print.go) is the oracle they are tested against.
 package xquery
 
 import (

@@ -10,7 +10,9 @@ import (
 // FuzzParseQuery feeds arbitrary bytes to the query parser. Garbage
 // must come back as an error — never a panic or a hang — and anything
 // that parses must survive the standard AST walks, since every
-// analysis starts with them.
+// analysis starts with them. The canonical print of the normalized AST
+// must re-parse to an expression with the same fingerprint: the
+// fingerprint is the print's equivalence.
 func FuzzParseQuery(f *testing.F) {
 	for _, v := range xmark.Views() {
 		f.Add(v.Text)
@@ -28,10 +30,19 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		_ = q.String()
 		_ = xquery.QuasiClosedQuery(q)
+		canon := xquery.CanonicalQuery(xquery.Normalize(q))
+		q2, err := xquery.ParseQuery(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q does not re-parse: %v", canon, err)
+		}
+		if a, b := xquery.FingerprintQuery(q), xquery.FingerprintQuery(q2); a != b {
+			t.Fatalf("re-parsing the canonical form %q changed the fingerprint %s to %s", canon, a, b)
+		}
 	})
 }
 
-// FuzzParseUpdate is the update-side twin of FuzzParseQuery.
+// FuzzParseUpdate is the update-side twin of FuzzParseQuery, with the
+// same fingerprint check.
 func FuzzParseUpdate(f *testing.F) {
 	for _, u := range xmark.Updates() {
 		f.Add(u.Text)
@@ -50,5 +61,13 @@ func FuzzParseUpdate(f *testing.F) {
 		}
 		_ = u.String()
 		_ = xquery.QuasiClosedUpdate(u)
+		canon := xquery.CanonicalUpdate(xquery.NormalizeUpdate(u))
+		u2, err := xquery.ParseUpdate(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q does not re-parse: %v", canon, err)
+		}
+		if a, b := xquery.FingerprintUpdate(u), xquery.FingerprintUpdate(u2); a != b {
+			t.Fatalf("re-parsing the canonical form %q changed the fingerprint %s to %s", canon, a, b)
+		}
 	})
 }

@@ -8,10 +8,12 @@ import (
 // Canonical printing renders an AST of the core grammar back into a
 // single, deterministic surface form that ParseQuery/ParseUpdate
 // accept and re-parse into an AST printing identically — the
-// print→parse→print fixpoint the round-trip property test pins. The
-// canonical form is what expression fingerprints hash, so two inputs
-// that differ only in whitespace, sugar (paths vs nested for), binder
-// names or sequence association fingerprint equally once normalized.
+// print→parse→print fixpoint the round-trip property test pins. Two
+// inputs that differ only in whitespace, sugar (paths vs nested for),
+// binder names or sequence association print equally once normalized.
+// Expression fingerprints (fingerprint.go) have exactly this
+// equivalence but never print: the canonical form is the oracle their
+// encoding is tested against, and it is off the request path.
 //
 // Canonicalization rules:
 //

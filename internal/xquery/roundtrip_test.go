@@ -3,9 +3,9 @@ package xquery_test
 // The printer/parser round-trip property test: for every XMark view
 // and update, the canonical rendering re-parses, and re-printing the
 // re-parsed AST reproduces the rendering byte for byte. This pins the
-// canonical form that expression fingerprints hash — any printer or
-// parser change that breaks the fixpoint breaks plan-cache keying and
-// fails here first.
+// canonical form that expression fingerprints are tested against
+// (fingerprint_test.go): a printer or parser change that breaks the
+// fixpoint breaks that oracle and fails here first.
 
 import (
 	"testing"
@@ -47,8 +47,9 @@ func TestCanonicalRoundTripXMarkViews(t *testing.T) {
 	}
 	for _, v := range views {
 		roundTripQuery(t, v.Name, v.AST)
-		// The fingerprint hashes the canonical form of the normalized
-		// AST; normalization must not leave the printable fragment.
+		// The fingerprint's oracle is the canonical form of the
+		// normalized AST; normalization must not leave the printable
+		// fragment.
 		roundTripQuery(t, v.Name+"/normalized", xquery.Normalize(v.AST))
 	}
 }

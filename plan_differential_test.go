@@ -96,3 +96,57 @@ func TestPairFingerprintIsThePlanCacheKey(t *testing.T) {
 		t.Fatalf("Get under PairFingerprint: warm=%v, same plan=%v", warm, got == built)
 	}
 }
+
+// TestCollidingPairsBuildTheirOwnPlans: a plan key that two pairs share
+// serves the first pair's verdict to the second. Each row below is two
+// queries whose former 64-bit FNV-64a fingerprints collided, and so did
+// their pair keys with UN1; the string literals were found by a
+// distinguished-point birthday search over 16-hex-digit literal
+// content, about 10^10 FNV-64a evaluations each. With one cache serving
+// both, as a Pool's does, the independent pair went first and the
+// dependent one was then served warm and Independent. Each must build
+// its own plan and get its own verdict.
+func TestCollidingPairsBuildTheirOwnPlans(t *testing.T) {
+	s, err := ParseSchema(xmark.SchemaText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	un1, ok := xmark.UpdateByName("UN1")
+	if !ok {
+		t.Fatal("no update UN1")
+	}
+	u := MustParseUpdate(un1.Text)
+	collisions := []struct{ independent, dependent string }{
+		{`(//person/name, "26c8c6e4ceed86e3")`, `(//closed_auction//bold, "0d9285e29982f9c0")`},
+		{`(//person/name, "807a89534ad18017")`, `(//closed_auction//bold, "452ee8b9297572d0")`},
+	}
+	queryFPs := make(map[string]string)
+	pairFPs := make(map[string]string)
+	distinct := func(seen map[string]string, fp, name string) {
+		if other, dup := seen[fp]; dup {
+			t.Errorf("%s and %s share the fingerprint %s", other, name, fp)
+		}
+		seen[fp] = name
+	}
+	ctx := context.Background()
+	for _, c := range collisions {
+		p := NewPool(PoolOptions{Workers: 1})
+		for _, want := range []struct {
+			query       string
+			independent bool
+		}{{c.independent, true}, {c.dependent, false}} {
+			q := MustParseQuery(want.query)
+			distinct(queryFPs, q.Fingerprint(), want.query)
+			distinct(pairFPs, PairFingerprint(q, u), want.query+" × UN1")
+			rep, err := p.Analyze(ctx, s, q, u, Chains, Options{})
+			if err != nil {
+				t.Fatalf("%s × UN1: %v", want.query, err)
+			}
+			if rep.Plan != "cold" || rep.Independent != want.independent {
+				t.Errorf("%s × UN1: plan %q, independent %v; want a cold build, independent %v",
+					want.query, rep.Plan, rep.Independent, want.independent)
+			}
+		}
+		p.Close()
+	}
+}

@@ -91,6 +91,41 @@ if grep -E '^U[A-Z][0-9]+ .*[[:space:]]0-[0-9]+$' <<<"${fig3a}" >&2; then
   exit 1
 fi
 
+echo "== show-plan smoke (one pair key per logical pair, 32 hex characters)"
+# xqindep -show-plan prints the plan cache key. //title and its
+# unsugared spelling are one logical query, so their pair keys must be
+# equal; //price is another, so its key must differ. A pair key is a
+# 128-bit digest: 32 lowercase hex characters.
+show_plan_dir="$(mktemp -d)"
+go build -o "${show_plan_dir}/xqindep" ./cmd/xqindep
+printf 'bib <- book*\nbook <- title, author*, price?\ntitle <- #PCDATA\nauthor <- #PCDATA\nprice <- #PCDATA\n' \
+  > "${show_plan_dir}/bib.dtd"
+pair_key() {
+  local out
+  # Exit status 1 (dependent) is a verdict, not a failure; a usage error
+  # prints no key and fails the format check below.
+  out="$("${show_plan_dir}/xqindep" -schema "${show_plan_dir}/bib.dtd" \
+    -query "$1" -update 'delete //price' -show-plan)" || true
+  awk '$1 == "pair" { print $2 }' <<<"${out}"
+}
+title_key="$(pair_key '//title')"
+unsugared_key="$(pair_key '/descendant-or-self::node()/child::title')"
+price_key="$(pair_key '//price')"
+for key in "${title_key}" "${unsugared_key}" "${price_key}"; do
+  if ! grep -qxE '[0-9a-f]{32}' <<<"${key}"; then
+    echo "show-plan smoke: pair key '${key}' is not 32 lowercase hex characters" >&2
+    exit 1
+  fi
+done
+if [ "${title_key}" != "${unsugared_key}" ]; then
+  echo "show-plan smoke: //title and its unsugared spelling have different pair keys" >&2
+  exit 1
+fi
+if [ "${title_key}" = "${price_key}" ]; then
+  echo "show-plan smoke: //title and //price share the pair key ${title_key}" >&2
+  exit 1
+fi
+
 echo "== bench module (go vet + go test inside bench/)"
 # bench/ is a module of its own, so `go test ./...` above never reaches
 # it; an internal API change that breaks its layer entry points would

@@ -173,9 +173,12 @@ func (q *Query) String() string { return q.src }
 // Core returns the desugared core-fragment form.
 func (q *Query) Core() string { return q.ast.String() }
 
-// Fingerprint returns a stable content hash of the desugared query:
-// sugared variants and whitespace differences of the same logical
-// query share it. It is one half of the prepared-plan cache key.
+// Fingerprint returns a stable content hash of the desugared query, 32
+// hex characters: sugared variants, whitespace differences, renamed
+// binders and reassociated sequences of the same logical query share
+// it. It identifies the query alone and is not part of the
+// prepared-plan cache key, which is (Schema.Fingerprint,
+// PairFingerprint).
 func (q *Query) Fingerprint() string { return xquery.FingerprintQuery(q.ast) }
 
 // Update is a parsed update of the supported XQuery Update Facility
@@ -209,13 +212,16 @@ func (u *Update) String() string { return u.src }
 // Core returns the desugared core-fragment form.
 func (u *Update) Core() string { return u.ast.String() }
 
-// Fingerprint returns a stable content hash of the desugared update;
-// see Query.Fingerprint.
+// Fingerprint returns a stable content hash of the desugared update,
+// with the same equivalences as Query.Fingerprint. Like it, it is not
+// part of the prepared-plan cache key.
 func (u *Update) Fingerprint() string { return xquery.FingerprintUpdate(u.ast) }
 
 // PairFingerprint returns the content hash of the (query, update)
-// pair, the second component of the prepared-plan cache key (the first
-// is the schema fingerprint).
+// pair, 32 hex characters: the second component of the prepared-plan
+// cache key (the first is the schema fingerprint). It is a 128-bit
+// SHA-256 digest of the normalized pair, not a combination of the two
+// sides' fingerprints.
 func PairFingerprint(q *Query, u *Update) string {
 	return xquery.FingerprintPair(q.ast, u.ast)
 }
