@@ -1,6 +1,7 @@
 // Command xqbench regenerates the evaluation of the paper (Figure 3):
 //
-//	xqbench -fig 3a            per-update analysis time vs all 36 views
+//	xqbench -fig 3a            per-update analysis time vs all 36 views,
+//	                           each pair alone and through one plan cache
 //	xqbench -fig 3b            precision vs ground truth (chains / types / paths)
 //	xqbench -fig 3c            view re-materialisation savings
 //	xqbench -fig 3d            R-benchmark scalability surface

@@ -146,14 +146,24 @@ type Verdict struct {
 // this engine's depth bound. The pair must already be normalized
 // (xquery.Normalize, xquery.NormalizeUpdate), which un-nests
 // for-chains so pure navigation prefixes batch; the raw-AST wrappers
-// below and the plan builder do it once per build. Its three guard
-// points — cdag.infer_query, cdag.infer_update and cdag.conflict —
-// split a traced build into its stages and are fault points too.
+// below and the plan builder do it once per build. The update side
+// goes first: the engine adopts the side it was handed (WithUpdate) or
+// infers u itself, so on a fresh engine the update's constructed tags
+// take the first extra symbol IDs either way. Its guard points —
+// cdag.infer_update (fired here only when the engine infers the
+// update; the plan builder fires it before its update-tier lookup),
+// cdag.infer_query and cdag.conflict — split a traced build into its
+// stages and are fault points too.
 func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
+	var uc *UpdateSet
+	if e.side != nil {
+		uc = e.adopt(e.side)
+	} else {
+		e.budget.Point("cdag.infer_update")
+		uc = e.Update(e.RootEnv(), u)
+	}
 	e.budget.Point("cdag.infer_query")
 	qc := e.Query(e.RootEnv(), q)
-	e.budget.Point("cdag.infer_update")
-	uc := e.Update(e.RootEnv(), u)
 	e.budget.Point("cdag.conflict")
 	var reasons []string
 	if ConflictRetUpdate(qc.Ret, uc) {

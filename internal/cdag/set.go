@@ -193,7 +193,10 @@ type Set struct {
 // Engine holds the schema context shared by all sets of one analysis.
 // An engine and its sets belong to one goroutine at a time: inference
 // interns symbols, and every sweep, conflict checks included, is cut
-// from the engine's scratch.
+// from the engine's scratch. The one exception is an adopted update
+// side (WithUpdate): its full-chain set is a Set header of this engine
+// over slabs that other engines read at the same time, so nothing
+// writes them.
 type Engine struct {
 	D *dtd.DTD
 	// C is the compiled schema artifact all sets index by.
@@ -221,6 +224,10 @@ type Engine struct {
 	// the engine.
 	scratch []uint64
 	top     int
+
+	// side, when non-nil, is the update side CheckIndependence adopts
+	// instead of inferring the update (WithUpdate).
+	side *UpdateSide
 
 	// built, when non-nil, sees every set the engine creates; the
 	// layout tests use it to inspect each one.

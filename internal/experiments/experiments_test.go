@@ -175,7 +175,7 @@ func TestFigure3aRuns(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Chains <= 0 || r.Types <= 0 {
+		if r.Chains <= 0 || r.Shared <= 0 || r.Types <= 0 {
 			t.Errorf("%s: non-positive timings", r.Update)
 		}
 		if r.KMin < 1 || r.KMax > 12 {

@@ -1,7 +1,8 @@
 // Package lru is the module's one bounded cache: a hit-ordered
 // least-recently-used memo that every cache tier (schema text → parsed
-// schema, fingerprint → compiled schema, (schema, pair) → plan, and the
-// audit lane's oracle documents) is an instance of.
+// schema, fingerprint → compiled schema, (schema, pair) → plan,
+// (schema, update) → update side, and the audit lane's oracle
+// documents) is an instance of.
 //
 // Eviction is deterministic — the least-recently-hit resident goes
 // first — so purge→rebuild behaviour is reproducible under chaos
@@ -16,10 +17,12 @@ import "sync"
 type Stats struct {
 	Hits int64 `json:"hits"`
 	// Misses counts lookups that ran a build, including those that
-	// found a resident failing verification.
+	// found a resident failing verification or one Lookup's fits
+	// rejected.
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// Purges counts residents dropped by Purge (quarantine containment).
+	// Purges counts residents dropped by Purge (quarantine containment)
+	// only: Put replacing a resident is neither a purge nor an eviction.
 	Purges int64 `json:"purges"`
 	// VerifyFailures counts hits whose resident failed verification and
 	// was dropped and rebuilt instead of served.
@@ -36,9 +39,9 @@ type entry[K comparable, V any] struct {
 }
 
 // Cache is a bounded LRU from K to V, safe for concurrent use. The
-// verify function, Purge's predicate and Range's callback run under the
-// cache lock: they must be quick, must not block and must not call
-// back into the cache.
+// verify function, Lookup's fits, Put's replace, Purge's predicate and
+// Range's callback run under the cache lock: they must be quick, must
+// not block and must not call back into the cache.
 type Cache[K comparable, V any] struct {
 	mu     sync.Mutex
 	max    int
@@ -69,7 +72,7 @@ func New[K comparable, V any](max int, verify func(V) error) *Cache[K, V] {
 // of its own result and still reports a miss, since it paid for a
 // build. A hit allocates nothing.
 func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, bool, error) {
-	if v, ok := c.lookup(key); ok {
+	if v, ok := c.Lookup(key, nil); ok {
 		return v, true, nil
 	}
 	v, err := build()
@@ -79,20 +82,24 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, bool, error) {
 	return c.insert(key, v), false, nil
 }
 
-// lookup returns the verified resident for key, counting the hit or
-// the miss.
-func (c *Cache[K, V]) lookup(key K) (V, bool) {
+// Lookup returns the verified resident for key when fits accepts it (a
+// nil fits accepts any), counting the hit or the miss. A resident fits
+// rejects stays cached: the caller builds a value of its own and may
+// offer it with Put. A hit allocates nothing.
+func (c *Cache[K, V]) Lookup(key K, fits func(V) bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.m[key]; e != nil {
-		if c.verify == nil || c.verify(e.val) == nil {
+		switch {
+		case c.verify != nil && c.verify(e.val) != nil:
+			c.st.VerifyFailures++
+			c.remove(e)
+		case fits == nil || fits(e.val):
 			c.st.Hits++
 			c.unlink(e)
 			c.pushFront(e)
 			return e.val, true
 		}
-		c.st.VerifyFailures++
-		c.remove(e)
 	}
 	c.st.Misses++
 	var zero V
@@ -109,6 +116,27 @@ func (c *Cache[K, V]) insert(key K, v V) V {
 		c.pushFront(e)
 		return e.val
 	}
+	c.add(key, v)
+	return v
+}
+
+// Put caches v under key. A resident already under key keeps its
+// place and is replaced only when replace(resident) holds.
+func (c *Cache[K, V]) Put(key K, v V, replace func(resident V) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.m[key]; e != nil {
+		if replace(e.val) {
+			e.val = v
+		}
+		return
+	}
+	c.add(key, v)
+}
+
+// add caches v under a key with no resident, evicting the least
+// recently hit residents to make room.
+func (c *Cache[K, V]) add(key K, v V) {
 	for len(c.m) >= c.max {
 		c.remove(c.root.prev)
 		c.st.Evictions++
@@ -116,7 +144,6 @@ func (c *Cache[K, V]) insert(key K, v V) V {
 	e := &entry[K, V]{key: key, val: v}
 	c.m[key] = e
 	c.pushFront(e)
-	return v
 }
 
 // Purge drops every resident for which pred holds and returns how many

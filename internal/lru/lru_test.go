@@ -54,6 +54,41 @@ func TestEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestLookupFitsAndPut: a resident Lookup's fits rejects is a miss
+// and stays cached; Put replaces a resident only when asked, which is
+// neither a purge nor an eviction, and puts a new key in the LRU slot.
+func TestLookupFitsAndPut(t *testing.T) {
+	c := New[string, int](1, nil)
+	atLeast := func(n int) func(int) bool { return func(v int) bool { return v >= n } }
+	deeper := func(v int) func(int) bool { return func(old int) bool { return v > old } }
+	if _, ok := c.Lookup("u", atLeast(3)); ok {
+		t.Fatal("empty cache hit")
+	}
+	c.Put("u", 3, deeper(3))
+	if v, ok := c.Lookup("u", atLeast(2)); !ok || v != 3 {
+		t.Fatalf("Lookup of a fitting resident = %d, %v", v, ok)
+	}
+	if _, ok := c.Lookup("u", atLeast(5)); ok {
+		t.Fatal("a resident fits rejects was served")
+	}
+	c.Put("u", 2, deeper(2))
+	if v, _ := c.Lookup("u", nil); v != 3 {
+		t.Fatalf("Put replaced the resident with a shallower value: %d", v)
+	}
+	c.Put("u", 5, deeper(5))
+	if v, _ := c.Lookup("u", nil); v != 5 {
+		t.Fatalf("Put kept the resident over a deeper value: %d", v)
+	}
+	c.Put("w", 1, deeper(1))
+	if got, want := keys(c), []string{"w"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("residents after a new key = %v, want %v", got, want)
+	}
+	want := Stats{Hits: 3, Misses: 2, Evictions: 1, Resident: 1}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
 func TestPurge(t *testing.T) {
 	c := New[string, int](8, nil)
 	for i, k := range []string{"a1", "b1", "a2", "b2"} {

@@ -173,3 +173,57 @@ func TestChaosPlanScheduleDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosCorruptSchemaLeavesNoUpdateSide: a build under a
+// WithCorruption schema (core.artifact's corrupt-artifact fault) runs
+// with no plan cache, so it never leaves an update-tier resident. Over
+// 20 seeded schedules that arm such a fault beside a plan-stage one,
+// every request whose own schedule fired it leaves the update tier's
+// counters and resident exactly as they were, and after the faults the
+// cache serves every pair of the corpus its ground-truth verdict.
+func TestChaosCorruptSchemaLeavesNoUpdateSide(t *testing.T) {
+	faultinject.Enable()
+	seed := int64(chaosEnvInt("CHAOS_SEED", 7))
+	pairs := planChaosCorpus(t)
+	corrupted := 0
+	for run := 0; run < 20; run++ {
+		rng := rand.New(rand.NewSource(seed + int64(run)))
+		sched := faultinject.NewSchedule(
+			faultinject.Fault{Point: "core.artifact", Kind: faultinject.KindCorruptArtifact, After: 1 + rng.Intn(len(pairs))},
+			faultinject.Fault{
+				Point: faultinject.PlanPoints[rng.Intn(len(faultinject.PlanPoints))],
+				Kind:  faultinject.Kind(rng.Intn(3)),
+				After: 1 + rng.Intn(3),
+			})
+		cache := plan.NewCache(256)
+		opts := core.Options{Plans: cache}
+		analyzer := core.NewAnalyzer(bib)
+		ctx := faultinject.With(context.Background(), sched)
+		for round := 0; round < 2; round++ {
+			for _, p := range pairs {
+				before, fired := cache.Stats().Update, len(sched.Fired())
+				analyzer.AnalyzeContext(ctx, p.q, p.u, core.MethodChains, opts)
+				for _, f := range sched.Fired()[fired:] {
+					if !strings.HasPrefix(f, "core.artifact/corrupt-artifact") {
+						continue
+					}
+					corrupted++
+					if after := cache.Stats().Update; after != before {
+						t.Fatalf("run %d: a build under a corrupted schema moved the update tier from %+v to %+v (schedule %s)",
+							run, before, after, sched)
+					}
+				}
+			}
+		}
+		for _, p := range pairs {
+			res, err := analyzer.AnalyzeContext(context.Background(), p.q, p.u, core.MethodChains, opts)
+			if err != nil || res.Independent != p.indep {
+				t.Fatalf("run %d: post-chaos verdict for %s | %s = %+v, %v; ground truth %v (schedule %s)",
+					run, p.qs, p.us, res, err, p.indep, sched)
+			}
+		}
+	}
+	if corrupted == 0 {
+		t.Fatal("no schedule fired a corrupt-schema build")
+	}
+}

@@ -9,8 +9,13 @@
 // (xquery.PairDigest). It is cryptographic because a cached verdict is
 // served to every pair with its key, and a string literal in a query is
 // free content to search for a collision over. The key is the plan's
-// identity, so the plan does not repeat it; the chain DAGs the decision
-// was derived from are discarded when the build returns.
+// identity, so the plan does not repeat it; the query's chain DAGs are
+// discarded when the build returns. The update's are not always: a
+// second tier of the cache holds one detached update side
+// (cdag.UpdateSide), keyed by (schema fingerprint, update digest), and
+// the next cold build of the same update adopts it when it was inferred
+// under a depth bound at least the pair's, so a pass of one update over
+// many views infers the update once per bound instead of once per view.
 //
 // The stages mirror the analysis pipeline of the paper: fingerprint
 // (normalize the Section 2 sugar away, once per request, and digest the
@@ -19,8 +24,8 @@
 // under a core.plan/* point, so the degradation ladder and the sentinel
 // audit layer compose with the cache unchanged: a cached verdict is
 // re-admitted against every request's own k limit, re-verified against
-// its content checksum on every hit, and purged wholesale when the
-// schema it was inferred under is quarantined.
+// its content checksum on every hit, and purged wholesale, with the
+// update sides, when the schema it was inferred under is quarantined.
 package plan
 
 import (
@@ -142,7 +147,9 @@ func (ce *CompiledExpr) CorruptClone() *CompiledExpr {
 //	                       builder runs the two cold stages on the
 //	                       normalized sides:
 //	core.plan/kfactors       k per Table 3, admission check
-//	core.plan/infer          CDAG chain inference, decision sealed
+//	core.plan/infer          CDAG chain inference (the update side
+//	                         from the update tier when one fits),
+//	                         decision sealed
 //	core.plan/artifact     hand the plan to the caller (chaos
 //	                       corrupt-artifact injection point)
 //
@@ -187,7 +194,7 @@ func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xque
 
 	b.Point("core.plan/lookup")
 	ce, warm := cache.get(key, func() *CompiledExpr {
-		return build(resolve, nq, nu, b)
+		return build(cache, schemaFP, resolve, nq, nu, b)
 	})
 
 	// Admission is per-request: a plan cached under one request's
@@ -212,24 +219,29 @@ func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xque
 
 // build runs the cold stages on the normalized pair. It charges b
 // throughout and aborts via guard on overrun; the cache never sees a
-// partially built plan.
-func build(resolve func() *dtd.Compiled, nq xquery.Query, nu xquery.Update, b *guard.Budget) *CompiledExpr {
+// partially built plan. The update side comes from the cache's update
+// tier (nil has none), so only the query side and the conflict checks
+// are sure to run per pair.
+func build(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, nq xquery.Query, nu xquery.Update, b *guard.Budget) *CompiledExpr {
 	b.Point("core.plan/kfactors")
 	if err := b.CheckK(infer.KPair(nq, nu)); err != nil {
 		guard.Abort(err)
 	}
 
 	b.Point("core.plan/infer")
-	// cdag.build marks the build entry and times engine construction;
-	// CheckIndependence marks query inference, update inference and the
-	// conflict checks. Chaos schedules arming any of them reach it on
-	// every cold build.
+	// cdag.build marks the build entry and times engine construction.
+	// cdag.infer_update is fired here, before the update-tier lookup,
+	// so it times the lookup and any inference, and chaos schedules
+	// arming it reach every cold build, hit or miss. CheckIndependence
+	// marks query inference and the conflict checks.
 	b.Point("cdag.build")
 	e := cdag.EngineForCompiled(resolve(), nq, nu).WithBudget(b)
-	v := e.CheckIndependence(nq, nu)
+	b.Point("cdag.infer_update")
+	v := e.WithUpdate(cache.updateSide(schemaFP, nu, e)).CheckIndependence(nq, nu)
 
-	// Keep the decision, drop the derivation: the chain sets (and the
-	// engine and request budget they reference) die with the build.
+	// Keep the decision, drop the derivation: the query's chain sets
+	// (and the engine and request budget they reference) die with the
+	// build, and the update side lives on only in the update tier.
 	ce := &CompiledExpr{
 		verdict: cdag.Verdict{Independent: v.Independent, Reasons: v.Reasons, K: v.K},
 	}

@@ -1,0 +1,199 @@
+package plan_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"xqindep/internal/cdag"
+	"xqindep/internal/dtd"
+	"xqindep/internal/guard"
+	"xqindep/internal/plan"
+	"xqindep/internal/xmark"
+	"xqindep/internal/xquery"
+)
+
+// coldBuild runs one plan.Prepare under the guard boundary a
+// production caller installs and returns its verdict; a failed or a
+// warm build is an error.
+func coldBuild(cache *plan.Cache, c *dtd.Compiled, q xquery.Query, u xquery.Update) (v cdag.Verdict, err error) {
+	defer guard.Recover(&err)
+	ce, warm, err := plan.Prepare(cache, c, q, u, guard.New(context.Background(), guard.Limits{}))
+	if err != nil {
+		return v, err
+	}
+	if warm {
+		return v, fmt.Errorf("%s | %s: served warm, want a cold build", q, u)
+	}
+	return ce.Verdict(), nil
+}
+
+// sameVerdict fails the test unless the build succeeded and got
+// decides as want does. It does not stop the test, so goroutines may
+// call it.
+func sameVerdict(t *testing.T, pair string, got cdag.Verdict, err error, want cdag.Verdict) {
+	t.Helper()
+	if err != nil {
+		t.Errorf("%s: %v", pair, err)
+		return
+	}
+	if got.Independent != want.Independent || strings.Join(got.Reasons, ",") != strings.Join(want.Reasons, ",") {
+		t.Errorf("%s: the plan cache decides %s, the per-pair engine %s", pair, got, want)
+	}
+}
+
+// TestUpdateTierMissesOncePerShape runs the 1,116 XMark pairs in
+// cold-fig3a's order — updates in a seeded order, each against the 36
+// views back to back — through one cache. Every pair is a cold plan
+// build, and the update tier infers an update again only when a view
+// needs a deeper bound or another row width than the resident: 155
+// times instead of 1,116. Every verdict equals the per-pair engine's.
+func TestUpdateTierMissesOncePerShape(t *testing.T) {
+	c, err := dtd.Compile(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, updates := xmark.Views(), xmark.Updates()
+	cache := plan.NewCache(plan.DefaultCacheSize)
+	for _, i := range rand.New(rand.NewSource(5)).Perm(len(updates)) {
+		u := updates[i]
+		for _, v := range views {
+			got, err := coldBuild(cache, c, v.AST, u.AST)
+			sameVerdict(t, v.Name+" × "+u.Name, got, err, cdag.IndependenceCompiled(c, v.AST, u.AST))
+		}
+	}
+	st := cache.Stats()
+	pairs := int64(len(views) * len(updates))
+	if st.Misses != pairs {
+		t.Errorf("plan tier: %d misses, want %d", st.Misses, pairs)
+	}
+	if st.Update.Misses != 155 || st.Update.Hits != pairs-155 {
+		t.Errorf("update tier: %d misses and %d hits, want 155 and %d", st.Update.Misses, st.Update.Hits, pairs-155)
+	}
+	if st.Update.Resident != 1 || st.Update.Purges != 0 {
+		t.Errorf("update tier: %d residents and %d purges, want 1 and 0", st.Update.Resident, st.Update.Purges)
+	}
+}
+
+// TestUpdateTierAdoptsOnlyFittingSides: a resident inferred under a
+// shallower bound, or with another row width, is never adopted. The
+// build infers the update itself, and its side replaces the resident
+// only when it is deeper; a replacement is not a purge or an eviction.
+func TestUpdateTierAdoptsOnlyFittingSides(t *testing.T) {
+	// 62 element types and the string type: a pair that constructs one
+	// tag outside Σ has rows of one word, a pair that constructs two
+	// has rows of two, and one more constructed tag deepens the bound.
+	var text strings.Builder
+	text.WriteString("r <- (")
+	for i := 1; i <= 61; i++ {
+		if i > 1 {
+			text.WriteString(" | ")
+		}
+		fmt.Fprintf(&text, "t%d", i)
+	}
+	text.WriteString(")*\n")
+	for i := 1; i <= 61; i++ {
+		fmt.Fprintf(&text, "t%d <- #PCDATA\n", i)
+	}
+	wide, err := dtd.Compile(dtd.MustParse(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		query string
+		hit   bool // the build adopts the tier's resident
+	}
+	for _, tc := range []struct {
+		name   string
+		c      *dtd.Compiled
+		update string
+		steps  []step
+	}{
+		{"shallower bound", compiled(t), "delete //price", []step{
+			{"//title", false},          // empty tier
+			{"<r>{//title}</r>", false}, // one tag deeper: the resident is shallower
+			{"//author", true},          // the deeper resident fits
+			{"<s>{//author}</s>", true}, // so does the same bound
+			{"<r><s>{//title}</s></r>", false},
+		}},
+		{"other row width", wide, "for $x in //t1 return rename $x as z1", []step{
+			{"//t2", false},          // empty tier: one-word rows
+			{"<y>{//t1}</y>", false}, // two-word rows, deeper: replaces
+			{"//t3", false},          // one-word rows against two-word: the build infers, the resident stays
+			{"<y>{//t3}</y>", true},  // the resident fits
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := plan.NewCache(16)
+			u := xquery.MustParseUpdate(tc.update)
+			for i, step := range tc.steps {
+				q := xquery.MustParseQuery(step.query)
+				before := cache.Stats().Update
+				got, err := coldBuild(cache, tc.c, q, u)
+				sameVerdict(t, step.query, got, err, cdag.IndependenceCompiled(tc.c, q, u))
+				after := cache.Stats().Update
+				if hit := after.Hits == before.Hits+1; hit != step.hit || after.Hits+after.Misses != before.Hits+before.Misses+1 {
+					t.Errorf("step %d (%s): tier %+v after %+v, want hit=%v", i, step.query, after, before, step.hit)
+				}
+			}
+			if st := cache.Stats().Update; st.Resident != 1 || st.Purges != 0 || st.Evictions != 0 {
+				t.Errorf("tier %+v: one resident, replaced in place, want no purge or eviction", st)
+			}
+		})
+	}
+}
+
+// TestUpdateTierConcurrentBuilds: goroutines cold-build different
+// views of one update, and of two alternating updates, through one
+// cache, so they race on the tier's one slot. Every verdict equals the
+// per-pair engine's. Run it under -race -count=10.
+func TestUpdateTierConcurrentBuilds(t *testing.T) {
+	c, err := dtd.Compile(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub2, _ := xmark.UpdateByName("UB2")
+	un1, _ := xmark.UpdateByName("UN1")
+	views := xmark.Views()
+	for _, tc := range []struct {
+		name    string
+		updates []xmark.Upd
+	}{
+		{"one update", []xmark.Upd{ub2}},
+		{"two alternating updates", []xmark.Upd{ub2, un1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type job struct {
+				v    xmark.View
+				u    xmark.Upd
+				want cdag.Verdict
+			}
+			var jobs []job
+			for i, v := range views {
+				u := tc.updates[i%len(tc.updates)]
+				jobs = append(jobs, job{v, u, cdag.IndependenceCompiled(c, v.AST, u.AST)})
+			}
+			cache := plan.NewCache(plan.DefaultCacheSize)
+			const workers = 4
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < len(jobs); i += workers {
+						j := jobs[i]
+						got, err := coldBuild(cache, c, j.v.AST, j.u.AST)
+						sameVerdict(t, j.v.Name+" × "+j.u.Name, got, err, j.want)
+					}
+				}(w)
+			}
+			wg.Wait()
+			if st := cache.Stats(); st.Update.Hits+st.Update.Misses != int64(len(jobs)) {
+				t.Errorf("update tier: %+v over %d cold builds", st.Update, len(jobs))
+			}
+		})
+	}
+}

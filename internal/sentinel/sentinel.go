@@ -459,7 +459,8 @@ func (a *Auditor) retrial(o Observation) {
 		// context, so Shutdown can hard-cancel a wedged one. The plan
 		// cache is bypassed with a throwaway: a retrial must actually
 		// re-run the suspect engines, not be answered by a verdict
-		// cached before the quarantine tripped.
+		// cached before the quarantine tripped. The throwaway's update
+		// tier starts empty too, so the retrial infers both sides.
 		a.base, o.Query, o.Update, core.MethodChains,
 		core.Options{Limits: a.cfg.Budget, Plans: plan.NewCache(1)})
 	if err != nil || res.Degraded {

@@ -28,7 +28,8 @@ func compiledNow(t *testing.T, d *dtd.DTD) *dtd.Compiled {
 // after a schema's fingerprint is purged from the compile and plan
 // tiers, the next cold build from any holder of the schema — the HTTP
 // handler's schema tier, a library Schema served by a Pool — recompiles
-// it instead of reusing the purged artifact.
+// it instead of reusing the purged artifact, and infers the update
+// again instead of adopting a side from the plan cache's update tier.
 func TestPurgeReachesEveryHolder(t *testing.T) {
 	t.Run("http", func(t *testing.T) {
 		const schema = "shelf <- box*\nbox <- label, weight?\nlabel <- #PCDATA\nweight <- #PCDATA"
@@ -52,9 +53,15 @@ func TestPurgeReachesEveryHolder(t *testing.T) {
 		if resp := analyze(); resp.Plan != "cold" || !resp.Independent {
 			t.Fatalf("first request: %+v", resp)
 		}
+		if st := plans.Stats().Update; st.Resident != 1 || st.Misses != 1 {
+			t.Fatalf("update tier after the first request: %+v", st)
+		}
 		purged := compiledNow(t, d)
 		dtd.PurgeCompiled(d.Fingerprint())
 		plans.PurgeSchema(d.Fingerprint())
+		if st := plans.Stats().Update; st.Resident != 0 || st.Purges != 1 {
+			t.Fatalf("update tier after the purge: %+v, want nothing of the schema resident", st)
+		}
 
 		before := dtd.CompileCacheStats().Misses
 		if resp := analyze(); resp.Plan != "cold" || !resp.Independent {
@@ -62,6 +69,9 @@ func TestPurgeReachesEveryHolder(t *testing.T) {
 		}
 		if got := dtd.CompileCacheStats().Misses - before; got != 1 {
 			t.Fatalf("request after purge compiled %d times, want 1", got)
+		}
+		if st := plans.Stats().Update; st.Misses != 2 || st.Hits != 0 {
+			t.Fatalf("update tier after the rebuild: %+v, want the update inferred again as a second miss", st)
 		}
 		if compiledNow(t, d) == purged {
 			t.Fatal("the purged artifact is still resident")

@@ -36,8 +36,9 @@ const (
 	MetricBreakerReject = "xqindep_breaker_rejected_total"
 	MetricBreakerProbes = "xqindep_breaker_probes_total"
 
-	// Cache families, bridged from the compile and plan tiers' stats:
-	// one series per tier, labelled tier="compile" or tier="plan".
+	// Cache families, bridged from the compile, plan and update tiers'
+	// stats: one series per tier, labelled tier="compile", tier="plan"
+	// or tier="update" (the plan cache's update-side tier).
 	MetricCacheHits           = "xqindep_cache_hits_total"
 	MetricCacheMisses         = "xqindep_cache_misses_total"
 	MetricCacheEvictions      = "xqindep_cache_evictions_total"
@@ -154,14 +155,15 @@ func newHandlerMetrics(reg *obs.Registry, s *Server) *handlerMetrics {
 		stats func() lru.Stats
 	}{
 		{"compile", func() lru.Stats { return dtd.CompileCacheStats().Stats }},
-		{"plan", func() lru.Stats { return plans.Stats().Stats }},
+		{"plan", func() lru.Stats { st, _ := plans.TierStats(); return st }},
+		{"update", func() lru.Stats { _, st := plans.TierStats(); return st }},
 	}
 	for _, t := range tiers {
 		cs := func(f func(lru.Stats) int64) func() float64 {
 			return func() float64 { return float64(f(t.stats())) }
 		}
 		reg.CounterFunc(MetricCacheHits, "Cache hits (a verified resident was served), by tier.", cs(func(st lru.Stats) int64 { return st.Hits }), "tier", t.name)
-		reg.CounterFunc(MetricCacheMisses, "Cache misses (the tier built: a schema compilation or a plan inference), by tier.", cs(func(st lru.Stats) int64 { return st.Misses }), "tier", t.name)
+		reg.CounterFunc(MetricCacheMisses, "Cache misses (the tier built: a schema compilation, a plan inference or an update inference), by tier.", cs(func(st lru.Stats) int64 { return st.Misses }), "tier", t.name)
 		reg.CounterFunc(MetricCacheEvictions, "LRU evictions, by tier.", cs(func(st lru.Stats) int64 { return st.Evictions }), "tier", t.name)
 		reg.CounterFunc(MetricCachePurges, "Residents purged by quarantine containment, by tier.", cs(func(st lru.Stats) int64 { return st.Purges }), "tier", t.name)
 		reg.CounterFunc(MetricCacheVerifyFailures, "Hits whose resident failed verification and was rebuilt, by tier.", cs(func(st lru.Stats) int64 { return st.VerifyFailures }), "tier", t.name)

@@ -105,7 +105,7 @@ func TestMetriczFrozenClock(t *testing.T) {
 			t.Errorf("/metricz missing family %s", fam)
 		}
 	}
-	for _, tier := range []string{"compile", "plan"} {
+	for _, tier := range []string{"compile", "plan", "update"} {
 		if series := fmt.Sprintf("%s{tier=%q} ", MetricCacheMisses, tier); !strings.Contains(out, series) {
 			t.Errorf("/metricz missing series %s", series)
 		}

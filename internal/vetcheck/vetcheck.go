@@ -151,6 +151,7 @@ func DefaultConfig() Config {
 		),
 		FrozenTypes: set(
 			"internal/dtd.Compiled", "internal/plan.CompiledExpr",
+			"internal/cdag.UpdateSide",
 		),
 		FrozenHomePackages: set(
 			"internal/dtd", "internal/bitset", "internal/plan",

@@ -91,10 +91,18 @@ func FingerprintQuery(q Query) string {
 	return hexString(digest(appendQueryEncoding(append(buf[:0], domainQuery), Normalize(q))))
 }
 
-// FingerprintUpdate returns the content fingerprint of u.
-func FingerprintUpdate(u Update) string {
+// UpdateDigest returns the 128-bit digest of an already normalized
+// update: the plan cache's update-tier key. It allocates nothing for
+// updates whose encoding fits the stack buffer.
+func UpdateDigest(nu Update) [16]byte {
 	var buf [encodingBuf]byte
-	return hexString(digest(appendUpdateEncoding(append(buf[:0], domainUpdate), NormalizeUpdate(u))))
+	return digest(appendUpdateEncoding(append(buf[:0], domainUpdate), nu))
+}
+
+// FingerprintUpdate returns the content fingerprint of u: UpdateDigest
+// of the normalized update, in hex.
+func FingerprintUpdate(u Update) string {
+	return hexString(UpdateDigest(NormalizeUpdate(u)))
 }
 
 // FingerprintPair returns the printed pair key the plan cache uses:

@@ -205,4 +205,12 @@ func TestFingerprintPairAllocs(t *testing.T) {
 	if n != 0 {
 		t.Errorf("PairDigest over the XMark matrix allocates %v times, want 0", n)
 	}
+	n = testing.AllocsPerRun(1, func() {
+		for _, u := range nu {
+			xquery.UpdateDigest(u)
+		}
+	})
+	if n != 0 {
+		t.Errorf("UpdateDigest over the XMark updates allocates %v times, want 0", n)
+	}
 }

@@ -102,9 +102,11 @@ type PoolOptions struct {
 	// analysis plans (fingerprinted pair + verdict) are reused across
 	// requests on the same schema, keyed by (schema fingerprint, pair
 	// fingerprint). 0 selects the default (4096 plans); negative
-	// disables reuse with a single-slot cache. The pool owns a private
-	// cache so that an audit-lane quarantine purges exactly the plans
-	// this pool built for the offending schema.
+	// keeps a single plan. Either way the cache also holds one
+	// inferred update side, which cold builds of the same update adopt.
+	// The pool owns a private cache so that an audit-lane quarantine
+	// purges exactly the plans and the update side this pool built for
+	// the offending schema.
 	PlanCacheSize int
 	// TraceRing sizes the HTTP front end's ring of the slowest request
 	// traces, served on GET /tracez (0 disables the ring). Per-request

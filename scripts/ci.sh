@@ -189,7 +189,7 @@ for fam in xqindep_request_latency_seconds xqindep_requests_total \
     exit 1
   fi
 done
-for tier in compile plan; do
+for tier in compile plan update; do
   if ! grep -q "^xqindep_cache_misses_total{tier=\"${tier}\"} " <<<"${scrape}"; then
     echo "metricz smoke: cache tier ${tier} missing from /metricz" >&2
     exit 1
