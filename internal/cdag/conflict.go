@@ -159,12 +159,12 @@ func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
 	if e.side != nil {
 		uc = e.adopt(e.side)
 	} else {
-		e.budget.Point("cdag.infer_update")
+		e.budget.Phase("cdag.infer_update")
 		uc = e.Update(e.RootEnv(), u)
 	}
-	e.budget.Point("cdag.infer_query")
+	e.budget.Phase("cdag.infer_query")
 	qc := e.Query(e.RootEnv(), q)
-	e.budget.Point("cdag.conflict")
+	e.budget.Phase("cdag.conflict")
 	var reasons []string
 	if ConflictRetUpdate(qc.Ret, uc) {
 		reasons = append(reasons, "confl(r,U)")
@@ -210,7 +210,7 @@ func IndependenceCompiled(c *dtd.Compiled, q xquery.Query, u xquery.Update) Verd
 // deadline cooperatively, aborting via guard.Abort when exhausted
 // (recover with guard.Recover or guard.Do at the caller).
 func IndependenceBudget(d *dtd.DTD, q xquery.Query, u xquery.Update, b *guard.Budget) Verdict {
-	b.Point("cdag.build")
+	b.Phase("cdag.build")
 	e := EngineFor(d, q, u).WithBudget(b)
 	return e.CheckIndependence(xquery.Normalize(q), xquery.NormalizeUpdate(u))
 }

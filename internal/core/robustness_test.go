@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -275,6 +276,34 @@ func TestInjectedPanicBecomesInternalError(t *testing.T) {
 		t.Error("InternalError carries no stack trace")
 	}
 	assertNoVerdict(t, res)
+}
+
+// TestPhaseDeadlineDegradesShortAnalysis: a deadline that has passed
+// before a short cold chains analysis ticks at all aborts it at its
+// first engine phase point, and the ladder degrades to the type
+// baseline, which still answers. Tick alone would read the deadline
+// only after a stride of ticks, and the analysis would return a full
+// chains verdict.
+func TestPhaseDeadlineDegradesShortAnalysis(t *testing.T) {
+	a := NewAnalyzer(stress)
+	q := xquery.MustParseQuery("//z")
+	u := xquery.MustParseUpdate("delete //x//z")
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := a.AnalyzeContext(ctx, q, u, MethodChains, Options{Plans: plan.NewCache(8)})
+	if err != nil {
+		t.Fatalf("AnalyzeContext: %v", err)
+	}
+	if !res.Degraded || res.Method != MethodTypes {
+		t.Fatalf("method %s degraded %v, want the types rung after a missed deadline", res.Method, res.Degraded)
+	}
+	if want := []Method{MethodChains, MethodTypes}; !reflect.DeepEqual(res.FallbackChain, want) {
+		t.Errorf("FallbackChain = %v, want %v", res.FallbackChain, want)
+	}
+	var le *guard.LimitError
+	if !errors.As(res.Err, &le) || le.Resource != "deadline" {
+		t.Errorf("Result.Err = %v, want a deadline LimitError", res.Err)
+	}
 }
 
 // TestConservativeBottomRung checks the bottom of the ladder: with an

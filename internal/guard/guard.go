@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
+	"time"
 )
 
 // ErrBudgetExceeded is the sentinel matched by errors.Is for every
@@ -238,13 +239,19 @@ func (b *Budget) Check() error {
 
 // ctxErr translates the context state: a missed deadline is a budget
 // error (the ladder may still degrade), explicit cancellation
-// propagates as context.Canceled.
+// propagates as context.Canceled. The deadline is also read against
+// the clock: ctx learns of it from a runtime timer, which fires up to
+// a millisecond late when no goroutine is waiting to run, and a cold
+// XMark chain analysis often takes less than that.
 func (b *Budget) ctxErr() error {
 	if err := b.ctx.Err(); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return &LimitError{Resource: "deadline"}
 		}
 		return err
+	}
+	if dl, ok := b.ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return &LimitError{Resource: "deadline"}
 	}
 	return nil
 }
@@ -302,13 +309,13 @@ func (b *Budget) CheckK(k int) error {
 
 // Fault and trace hooks. The analysis engines mark their phase
 // boundaries — chain inference, CDAG construction, conflict check,
-// parsing — by calling Point (inside budgeted code) or FirePoint
-// (outside it). In production with both hooks absent a point costs
-// two nil atomic loads; the faultinject package installs the fault
-// hook during chaos testing to deterministically turn named points
-// into injected budget exhaustion, errors, or panics, and the obs
-// package installs the trace hook (once, on first trace) to turn the
-// same points into per-request phase marks.
+// parsing — by calling Point or Phase (inside budgeted code) or
+// FirePoint (outside it). In production with both hooks absent a
+// point costs two nil atomic loads; the faultinject package installs
+// the fault hook during chaos testing to deterministically turn named
+// points into injected budget exhaustion, errors, or panics, and the
+// obs package installs the trace hook (once, on first trace) to turn
+// the same points into per-request phase marks.
 
 // FaultHook inspects a named point under the given context and
 // returns a non-nil error to make the point fail.
@@ -382,6 +389,19 @@ func (b *Budget) Point(name string) {
 		return
 	}
 	if err := (*h)(b.Context(), name); err != nil {
+		Abort(err)
+	}
+}
+
+// Phase is Point at the start of an engine phase, followed by a
+// deadline and cancellation check that aborts like Tick's. Tick reads
+// the context only every tickStride ticks, so an analysis shorter than
+// a stride would otherwise run past its deadline to a full verdict.
+// The ladder's rung entry and the cheap baselines mark their points
+// with Point, so a rung that follows a missed deadline still answers.
+func (b *Budget) Phase(name string) {
+	b.Point(name)
+	if err := b.Check(); err != nil {
 		Abort(err)
 	}
 }

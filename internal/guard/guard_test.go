@@ -67,6 +67,49 @@ func TestDeadlineBecomesBudgetError(t *testing.T) {
 	}
 }
 
+// A deadline that passed before the first Tick aborts at the next
+// Phase, while Point and Tick let it pass until Tick's stride.
+func TestPhaseChecksDeadlineWithoutTicks(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	b := New(ctx, Limits{})
+	if err := Do(func() {
+		b.Point("core.analyze")
+		for i := 1; i < tickStride; i++ {
+			b.Tick()
+		}
+	}); err != nil {
+		t.Fatalf("Point and %d Ticks aborted: %v", tickStride-1, err)
+	}
+	err := Do(func() { b.Phase("cdag.build") })
+	var le *LimitError
+	if !errors.As(err, &le) || le.Resource != "deadline" {
+		t.Fatalf("Phase after the deadline = %v, want a deadline LimitError", err)
+	}
+	if err := Do(func() { New(context.Background(), Limits{}).Phase("cdag.build") }); err != nil {
+		t.Fatalf("Phase without a deadline aborted: %v", err)
+	}
+}
+
+// lateTimer is a context whose deadline has passed but whose timer
+// has not fired yet, so its Err is still nil.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// The budget reads a deadline against the clock, not only through the
+// context's timer, which can fire a millisecond late.
+func TestDeadlineReadBeforeTimerFires(t *testing.T) {
+	b := New(lateTimer{context.Background()}, Limits{})
+	var le *LimitError
+	if err := b.Check(); !errors.As(err, &le) || le.Resource != "deadline" {
+		t.Fatalf("Check past the deadline = %v, want a deadline LimitError", err)
+	}
+	if err := Do(func() { b.Phase("cdag.build") }); !errors.As(err, &le) {
+		t.Fatalf("Phase past the deadline = %v, want a deadline LimitError", err)
+	}
+}
+
 func TestCancellationIsNotBudgetError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

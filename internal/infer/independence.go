@@ -74,7 +74,7 @@ type Verdict struct {
 func (in *Inferrer) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
 	qc := in.Query(in.RootEnv(), q)
 	uc := in.Update(in.RootEnv(), u)
-	in.B.Point("infer.conflict")
+	in.B.Phase("infer.conflict")
 	full := uc.FullChains()
 
 	var conflicts []Conflict
@@ -121,7 +121,7 @@ func Independence(d *dtd.DTD, q xquery.Query, u xquery.Update) Verdict {
 // deadline cooperatively, aborting via guard.Abort when exhausted
 // (recover with guard.Recover or guard.Do at the caller).
 func IndependenceBudget(d *dtd.DTD, q xquery.Query, u xquery.Update, b *guard.Budget) Verdict {
-	b.Point("infer.chains")
+	b.Phase("infer.chains")
 	in := NewBudget(d, KPair(q, u), b)
 	return in.CheckIndependence(q, u)
 }

@@ -1,8 +1,8 @@
 // Package lru is the module's one bounded cache: a hit-ordered
-// least-recently-used memo that every cache tier (schema text → parsed
-// schema, fingerprint → compiled schema, (schema, pair) → plan,
-// (schema, update) → update side, and the audit lane's oracle
-// documents) is an instance of.
+// least-recently-used memo that every cache tier (the schema member's
+// bytes as sent → parsed schema, fingerprint → compiled schema,
+// (schema, pair) → plan, (schema, update) → update side, and the audit
+// lane's oracle documents) is an instance of.
 //
 // Eviction is deterministic — the least-recently-hit resident goes
 // first — so purge→rebuild behaviour is reproducible under chaos
@@ -89,7 +89,37 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, bool, error) {
 func (c *Cache[K, V]) Lookup(key K, fits func(V) bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.m[key]; e != nil {
+	return c.serve(c.m[key], fits)
+}
+
+// GetBytes is Get for a string-keyed cache, looked up by the bytes of
+// the key. A hit indexes the map with string(key), which the compiler
+// does without converting, so it copies and allocates nothing and
+// keeps no reference to key. Only a miss stores a copy of key, so key
+// may live in a buffer that is reused once GetBytes returns.
+func GetBytes[V any](c *Cache[string, V], key []byte, build func() (V, error)) (V, bool, error) {
+	if v, ok := lookupBytes(c, key); ok {
+		return v, true, nil
+	}
+	v, err := build()
+	if err != nil {
+		return v, false, err
+	}
+	return c.insert(string(key), v), false, nil
+}
+
+// lookupBytes is Lookup by the bytes of the key, accepting any
+// verified resident.
+func lookupBytes[V any](c *Cache[string, V], key []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.serve(c.m[string(key)], nil)
+}
+
+// serve counts a lookup that found e (nil: no resident) and returns
+// e's value when it verifies and fits. The caller holds c.mu.
+func (c *Cache[K, V]) serve(e *entry[K, V], fits func(V) bool) (V, bool) {
+	if e != nil {
 		switch {
 		case c.verify != nil && c.verify(e.val) != nil:
 			c.st.VerifyFailures++

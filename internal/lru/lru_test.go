@@ -229,3 +229,29 @@ func TestHitAllocatesNothing(t *testing.T) {
 		t.Fatalf("hit allocates %v times, want 0", n)
 	}
 }
+
+// GetBytes finds a resident by the bytes of its key without allocating,
+// and a miss keys the new resident by a copy: overwriting the bytes it
+// was built from leaves the resident where it was.
+func TestGetBytesHitAllocatesNothing(t *testing.T) {
+	c := New[string, *int](4, nil)
+	buf := []byte("schema A")
+	GetBytes(c, buf, func() (*int, error) { return new(int), nil })
+	cold := func() (*int, error) {
+		t.Fatal("hit ran the build")
+		return nil, nil
+	}
+	if n := testing.AllocsPerRun(100, func() { GetBytes(c, buf, cold) }); n != 0 {
+		t.Fatalf("GetBytes hit allocates %v times, want 0", n)
+	}
+	copy(buf, "schema B")
+	if _, hit, _ := GetBytes(c, buf, func() (*int, error) { return new(int), nil }); hit {
+		t.Fatal("schema B hit the resident built for schema A")
+	}
+	if _, hit, _ := GetBytes(c, []byte("schema A"), cold); !hit {
+		t.Fatal("schema A's resident lost its key when its bytes were overwritten")
+	}
+	if st := c.Stats(); st.Hits != 102 || st.Misses != 2 || st.Resident != 2 {
+		t.Fatalf("stats = %+v, want 102 hits, 2 misses, 2 resident", st)
+	}
+}

@@ -26,10 +26,11 @@ type RingEntry struct {
 }
 
 // SlowRing retains the N slowest finished traces, slowest first — the
-// store behind GET /tracez. Add is called once per traced request
-// (after Finish), under one short mutex hold; a request faster than
-// the current N slowest is discarded immediately, so steady state
-// costs one comparison.
+// store behind GET /tracez. Add is called once per traced request,
+// under one short mutex hold; a request faster than the current N
+// slowest is discarded immediately, so steady state costs one
+// comparison. Admits tells a caller beforehand whether Add would keep
+// an entry, so it can skip finishing a trace the ring would discard.
 type SlowRing struct {
 	mu      sync.Mutex
 	max     int
@@ -57,7 +58,7 @@ func (r *SlowRing) Add(e RingEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.added++
-	if len(r.entries) >= r.max && e.TotalUS <= r.entries[len(r.entries)-1].TotalUS {
+	if !r.admits(e.TotalUS) {
 		r.evicted++
 		return
 	}
@@ -73,6 +74,24 @@ func (r *SlowRing) Add(e RingEntry) {
 		r.entries = r.entries[:r.max]
 		r.evicted++
 	}
+}
+
+// Admits reports whether Add would keep an entry of the given total
+// now; a nil ring admits nothing. Once the ring is full the bar an entry
+// must pass only rises, so an entry Admits rejects is rejected by a
+// later Add as well, and is counted there as added and evicted.
+func (r *SlowRing) Admits(totalUS int64) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.admits(totalUS)
+}
+
+// admits is Admits under r.mu.
+func (r *SlowRing) admits(totalUS int64) bool {
+	return len(r.entries) < r.max || totalUS > r.entries[len(r.entries)-1].TotalUS
 }
 
 // RingStatus snapshots the ring counters for /statz and /tracez.

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // The ring keeps exactly the N slowest traces, slowest first, and ties
 // rank by arrival so a flood of identical requests cannot churn it.
@@ -35,6 +38,34 @@ func TestSlowRingStableTies(t *testing.T) {
 	got := r.Snapshot()
 	if len(got) != 2 || got[0].Query != "first" || got[1].Query != "second" {
 		t.Errorf("tie order churned: %+v", got)
+	}
+}
+
+// Admits agrees with Add: it admits anything while the ring has room,
+// then only an entry slower than the fastest kept, and the bar never
+// falls, so an entry it rejects stays rejected.
+func TestSlowRingAdmits(t *testing.T) {
+	r := NewSlowRing(2)
+	for _, us := range []int64{100, 200} {
+		if !r.Admits(us) {
+			t.Fatalf("a ring with room rejected %dµs", us)
+		}
+		r.Add(RingEntry{TotalUS: us})
+	}
+	for _, us := range []int64{50, 100, 101, 300} {
+		held := r.Snapshot()
+		added := r.Admits(us)
+		r.Add(RingEntry{TotalUS: us})
+		if kept := !reflect.DeepEqual(held, r.Snapshot()); kept != added {
+			t.Errorf("Admits(%d) = %v, but Add kept it: %v", us, added, kept)
+		}
+	}
+	if r.Admits(101) {
+		t.Error("the bar fell: 101µs admitted after 300µs")
+	}
+	var none *SlowRing
+	if none.Admits(1 << 40) {
+		t.Error("a nil ring admitted an entry")
 	}
 }
 

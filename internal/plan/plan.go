@@ -223,20 +223,20 @@ func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xque
 // tier (nil has none), so only the query side and the conflict checks
 // are sure to run per pair.
 func build(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, nq xquery.Query, nu xquery.Update, b *guard.Budget) *CompiledExpr {
-	b.Point("core.plan/kfactors")
+	b.Phase("core.plan/kfactors")
 	if err := b.CheckK(infer.KPair(nq, nu)); err != nil {
 		guard.Abort(err)
 	}
 
-	b.Point("core.plan/infer")
+	b.Phase("core.plan/infer")
 	// cdag.build marks the build entry and times engine construction.
 	// cdag.infer_update is fired here, before the update-tier lookup,
 	// so it times the lookup and any inference, and chaos schedules
 	// arming it reach every cold build, hit or miss. CheckIndependence
 	// marks query inference and the conflict checks.
-	b.Point("cdag.build")
+	b.Phase("cdag.build")
 	e := cdag.EngineForCompiled(resolve(), nq, nu).WithBudget(b)
-	b.Point("cdag.infer_update")
+	b.Phase("cdag.infer_update")
 	v := e.WithUpdate(cache.updateSide(schemaFP, nu, e)).CheckIndependence(nq, nu)
 
 	// Keep the decision, drop the derivation: the query's chain sets

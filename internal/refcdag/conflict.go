@@ -129,7 +129,7 @@ func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
 	// (xquery.Normalize); the semantics is unchanged.
 	qc := e.Query(e.RootEnv(), xquery.Normalize(q))
 	uc := e.Update(e.RootEnv(), xquery.NormalizeUpdate(u))
-	e.budget.Point("cdag.conflict")
+	e.budget.Phase("cdag.conflict")
 	var reasons []string
 	if ConflictRetUpdate(qc.Ret, uc) {
 		reasons = append(reasons, "confl(r,U)")
@@ -169,7 +169,7 @@ func Independence(d *dtd.DTD, q xquery.Query, u xquery.Update) Verdict {
 // deadline cooperatively, aborting via guard.Abort when exhausted
 // (recover with guard.Recover or guard.Do at the caller).
 func IndependenceBudget(d *dtd.DTD, q xquery.Query, u xquery.Update, b *guard.Budget) Verdict {
-	b.Point("cdag.build")
+	b.Phase("cdag.build")
 	e := EngineFor(d, q, u).WithBudget(b)
 	return e.CheckIndependence(q, u)
 }

@@ -1,0 +1,69 @@
+package server
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"xqindep/internal/dtd"
+	"xqindep/internal/xmark"
+)
+
+// FuzzAnalyzeBody checks the /analyze decode, which keeps the schema
+// member raw, against json.Unmarshal into AnalyzeRequest. For any body
+// both reject it as a bad request (400: malformed JSON, a field of the
+// wrong type, or no schema) or neither does, with the same other
+// fields. When both accept it, the schema tier, whose keys are the
+// member's bytes, resolves a schema with the fingerprint of
+// dtd.Parse(req.Schema), or both fail to parse it. One handler serves
+// every input, so its tier holds the schemas of earlier inputs, keyed
+// by copies of bytes the fuzzer has since reused.
+func FuzzAnalyzeBody(f *testing.F) {
+	xmarkBody, err := json.Marshal(AnalyzeRequest{Schema: xmark.SchemaText, Query: "//person/name", Update: "delete //price"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(xmarkBody) // json.Marshal writes < as \u003c
+	f.Add([]byte(strings.ReplaceAll(string(xmarkBody), `\u003c`, "<")))
+	for _, body := range []string{
+		`{"schema":null,"query":"//a","update":"delete //a"}`,
+		`{"schema":5,"query":"//a","update":"delete //a"}`,
+		`{"schema":{"a":"a <- #PCDATA"},"query":"//a","update":"delete //a"}`,
+		`{"schema":"a <- b*\nb <- #PCDATA","schema":"a <- #PCDATA","query":"//a","update":"delete //a"}`,
+		`{"schema":"a <- #PCDATA","schema":null,"query":"//a","update":"delete //a"}`,
+		`{"Schema":"a <- #PCDATA","query":"//a","update":"delete //a"}`,
+		`{"query":"//a","update":"delete //a"}`,
+		`{"schema":"","query":"//a","update":"delete //a"}`,
+		`{"schema":"a <- \x #PCDATA","query":"//a","update":"delete //a"}`,
+		`{"schema":"a <- #PCDATA","max_k":"2"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	s := New(Config{Workers: 1})
+	f.Cleanup(func() { s.Close() })
+	h := NewHandler(s)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var ref AnalyzeRequest
+		refErr := json.Unmarshal(body, &ref)
+		req, err := decodeRequest(body)
+		if refBad, bad := refErr != nil || ref.Schema == "", err != nil || req.Schema.empty(); refBad != bad {
+			t.Fatalf("json.Unmarshal bad request %v (err %v, schema %q), decodeRequest %v (err %v, member %q)\nbody: %q",
+				refBad, refErr, ref.Schema, bad, err, req.Schema, body)
+		} else if bad {
+			return
+		}
+		rest := ref
+		rest.Schema = ""
+		if req.AnalyzeRequest != rest {
+			t.Fatalf("decodeRequest fields %+v, json.Unmarshal %+v\nbody: %q", req.AnalyzeRequest, rest, body)
+		}
+		a, err := h.schema(req.Schema)
+		d, refErr := dtd.Parse(ref.Schema)
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("schema tier error %v, dtd.Parse error %v\nschema: %q", err, refErr, ref.Schema)
+		case err == nil && a.D.Fingerprint() != d.Fingerprint():
+			t.Fatalf("schema tier resolved %s, dtd.Parse %s\nschema: %q", a.D.Fingerprint(), d.Fingerprint(), ref.Schema)
+		}
+	})
+}

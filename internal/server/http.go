@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -48,6 +50,54 @@ type AnalyzeRequest struct {
 	// finished tree is returned in AnalyzeResponse.Trace.
 	Trace bool `json:"trace,omitempty"`
 }
+
+// wireRequest is how both fronts decode an AnalyzeRequest: the schema
+// member, which shadows AnalyzeRequest.Schema, stays raw.
+type wireRequest struct {
+	AnalyzeRequest
+	Schema rawMember `json:"schema,omitempty"`
+}
+
+// decodeRequest decodes one /analyze body or batch line. The fields
+// are AnalyzeRequest's and a bad body is rejected as json.Unmarshal
+// into AnalyzeRequest rejects it, but the schema member is not copied:
+// it aliases data.
+func decodeRequest(data []byte) (*wireRequest, error) {
+	req := new(wireRequest)
+	err := json.Unmarshal(data, req)
+	if err != nil {
+		// Name the field as a member of AnalyzeRequest, the documented
+		// wire form, not of the type it was decoded into.
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) {
+			te.Struct, te.Field = "AnalyzeRequest", strings.TrimPrefix(te.Field, "AnalyzeRequest.")
+		}
+	}
+	return req, err
+}
+
+// rawMember is a JSON string member kept as the bytes it was sent as,
+// quotes and escapes included. json.Unmarshal hands UnmarshalJSON a
+// sub-slice of its input, which rawMember keeps, so a rawMember
+// aliases the decoded buffer and must not outlive it.
+type rawMember []byte
+
+// UnmarshalJSON keeps a string literal and, as for a string field,
+// leaves the member as it was on null and rejects every other value.
+func (m *rawMember) UnmarshalJSON(b []byte) error {
+	switch b[0] {
+	case '"':
+		*m = b
+		return nil
+	case 'n':
+		return nil
+	}
+	var s string
+	return json.Unmarshal(b, &s)
+}
+
+// empty reports whether the member is absent or the empty string "".
+func (m rawMember) empty() bool { return len(m) <= len(`""`) }
 
 // AnalyzeResponse is the wire form of a verdict.
 type AnalyzeResponse struct {
@@ -90,9 +140,11 @@ type AnalyzeResponse struct {
 // closed, 500 internal errors.
 type Handler struct {
 	srv *Server
-	// schemas is the schema text → parsed schema tier, so a hot serving
-	// loop parses each schema once. Its analyzers hold only the parsed
-	// DTD; the compiled schema lives in the fingerprint-keyed tier.
+	// schemas is the parsed schema tier, so a hot serving loop parses
+	// each schema once. It is keyed by the schema member's bytes as
+	// sent, quotes and escapes included, so a hit copies nothing. Its
+	// analyzers hold only the parsed DTD; the compiled schema lives in
+	// the fingerprint-keyed tier.
 	schemas *lru.Cache[string, *core.Analyzer]
 	mux     *http.ServeMux
 	metrics *handlerMetrics
@@ -180,35 +232,61 @@ const maxBody = 16 << 20
 // bytes do.
 const maxSized = 1 << 20
 
+// maxPooled is the largest body buffer bodyPool takes back.
+const maxPooled = 64 << 10
+
+// bodyPool recycles the buffers of /analyze bodies of declared length,
+// so a warm request reads its body without allocating.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
-	data, err := readBody(w, r)
+	data, buf, err := readBody(w, r)
+	// The buffer goes back to the pool once the response is written.
+	// Nothing the request leaves behind aliases it: the schema tier
+	// copies its keys, and every other field is decoded into a string.
+	defer putBody(buf)
+	var req *wireRequest
 	if err == nil {
-		err = json.Unmarshal(data, &req)
+		req, err = decodeRequest(data)
 	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, AnalyzeResponse{Error: "bad request: " + err.Error()})
 		return
 	}
-	resp, code := h.Analyze(r.Context(), req)
+	resp, code := h.analyze(r.Context(), req)
 	setRetryAfter(w, resp.RetryAfterSec)
 	writeJSON(w, code, resp)
 }
 
 // readBody reads an /analyze body whole, at most maxBody bytes. A body
-// whose declared length is at most maxSized is read into one buffer of
-// exactly that size, so reading it allocates once; a body that ends
-// before its declared length is an error.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// whose declared length is at most maxSized is read into a buffer from
+// bodyPool, grown to that length if it is shorter, and the buffer is
+// returned for the caller to hand back with putBody once nothing reads
+// the body. A body that ends before its declared length is an error.
+func readBody(w http.ResponseWriter, r *http.Request) (data []byte, buf *[]byte, err error) {
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	if n := r.ContentLength; n > 0 && n <= maxSized {
-		data := make([]byte, n)
-		if _, err := io.ReadFull(body, data); err != nil {
-			return nil, err
+		buf = bodyPool.Get().(*[]byte)
+		if int64(cap(*buf)) < n {
+			*buf = make([]byte, n)
 		}
-		return data, nil
+		data = (*buf)[:n]
+		if _, err := io.ReadFull(body, data); err != nil {
+			putBody(buf)
+			return nil, nil, err
+		}
+		return data, buf, nil
 	}
-	return io.ReadAll(body)
+	data, err = io.ReadAll(body)
+	return data, nil, err
+}
+
+// putBody hands a body buffer from readBody back to bodyPool unless it
+// is larger than maxPooled; nil is a no-op.
+func putBody(buf *[]byte) {
+	if buf != nil && cap(*buf) <= maxPooled {
+		bodyPool.Put(buf)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -230,17 +308,19 @@ func truncate(s string, n int) string {
 	return s[:n] + "…"
 }
 
-// Analyze runs one wire-form request through parsing (with fault
-// points at every parser boundary) and the pool, returning the wire
-// response and the HTTP status it maps to. It is the shared core of
-// the HTTP endpoint and the batch line protocol.
+// analyze runs one decoded request through parsing (with fault points
+// at every parser boundary) and the pool, returning the wire response
+// and the HTTP status it maps to. It is the shared core of the HTTP
+// endpoint and the batch line protocol.
 //
 // Observability happens here so both fronts get it: the latency,
 // outcome, verdict and plan-provenance metrics record every request,
 // and a span trace is recorded when the request asked for one
 // (req.Trace) or the slow-trace ring is on. An untraced request
-// allocates nothing for tracing — no trace object, no context value.
-func (h *Handler) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, int) {
+// allocates nothing for tracing — no trace object, no context value —
+// and the spans of a traced one are built only when the request asked
+// for them or the ring will keep them.
+func (h *Handler) analyze(ctx context.Context, req *wireRequest) (AnalyzeResponse, int) {
 	start := h.now()
 	var tr *obs.Trace
 	if req.Trace || h.ring != nil {
@@ -253,13 +333,17 @@ func (h *Handler) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 	elapsed := h.now().Sub(start)
 	outcome := h.metrics.record(resp, code, elapsed)
 	if tr != nil {
-		spans := tr.Finish()
+		total := elapsed.Microseconds()
+		var spans []obs.Span
+		if req.Trace || h.ring.Admits(total) {
+			spans = tr.Finish()
+		}
 		if req.Trace {
 			resp.Trace = spans
 		}
 		h.ring.Add(obs.RingEntry{
 			When:    start,
-			TotalUS: elapsed.Microseconds(),
+			TotalUS: total,
 			Schema:  resp.Schema,
 			Query:   truncate(req.Query, 200),
 			Update:  truncate(req.Update, 200),
@@ -272,8 +356,8 @@ func (h *Handler) Analyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRespo
 	return resp, code
 }
 
-// doAnalyze is the uninstrumented request path shared by Analyze.
-func (h *Handler) doAnalyze(ctx context.Context, req AnalyzeRequest) (AnalyzeResponse, int) {
+// doAnalyze is the uninstrumented request path shared by analyze.
+func (h *Handler) doAnalyze(ctx context.Context, req *wireRequest) (AnalyzeResponse, int) {
 	start := h.now()
 	fail := func(code int, format string, args ...any) (AnalyzeResponse, int) {
 		return AnalyzeResponse{
@@ -281,19 +365,13 @@ func (h *Handler) doAnalyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRes
 			ElapsedUS: h.now().Sub(start).Microseconds(),
 		}, code
 	}
-	if req.Schema == "" {
+	if req.Schema.empty() {
 		return fail(http.StatusBadRequest, "missing schema")
 	}
 	if err := guard.FirePoint(ctx, "parse.schema"); err != nil {
 		return fail(http.StatusBadRequest, "schema: %v", err)
 	}
-	a, _, err := h.schemas.Get(req.Schema, func() (*core.Analyzer, error) {
-		d, err := dtd.Parse(req.Schema)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewAnalyzer(d), nil
-	})
+	a, err := h.schema(req.Schema)
 	if err != nil {
 		return fail(http.StatusBadRequest, "schema: %v", err)
 	}
@@ -380,13 +458,37 @@ func (h *Handler) doAnalyze(ctx context.Context, req AnalyzeRequest) (AnalyzeRes
 	return resp, http.StatusOK
 }
 
+// schema resolves a schema member through the schema tier. A resident
+// keyed by the member's bytes is served without copying them; a miss
+// unquotes the member, parses it and keys the result by a copy.
+func (h *Handler) schema(member rawMember) (*core.Analyzer, error) {
+	a, _, err := lru.GetBytes(h.schemas, member, func() (*core.Analyzer, error) {
+		var text string
+		if err := json.Unmarshal(member, &text); err != nil {
+			return nil, err
+		}
+		d, err := dtd.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewAnalyzer(d), nil
+	})
+	return a, err
+}
+
 // RunBatch is the stdin line protocol: one AnalyzeRequest JSON object
 // per input line, one AnalyzeResponse JSON object per output line, in
 // order. Blank lines and #-comments are skipped. A request without a
 // schema inherits defaultSchema (the daemon's -schema flag). The
 // first read or write error stops the loop; per-request failures are
-// reported in the response's error field and do not stop it.
+// reported in the response's error field and do not stop it. Lines are
+// decoded as /analyze bodies are, and defaultSchema is quoted once, so
+// every request without a schema hits one schema-tier resident.
 func RunBatch(ctx context.Context, h *Handler, r io.Reader, w io.Writer, defaultSchema string) error {
+	dflt, err := json.Marshal(defaultSchema)
+	if err != nil {
+		return err
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	enc := json.NewEncoder(w)
@@ -398,15 +500,14 @@ func RunBatch(ctx context.Context, h *Handler, r io.Reader, w io.Writer, default
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		var req AnalyzeRequest
 		var resp AnalyzeResponse
-		if err := json.Unmarshal(line, &req); err != nil {
+		if req, err := decodeRequest(line); err != nil {
 			resp = AnalyzeResponse{Error: "bad request line: " + err.Error()}
 		} else {
-			if req.Schema == "" {
-				req.Schema = defaultSchema
+			if req.Schema.empty() {
+				req.Schema = dflt
 			}
-			resp, _ = h.Analyze(ctx, req)
+			resp, _ = h.analyze(ctx, req)
 		}
 		if err := enc.Encode(resp); err != nil {
 			return err

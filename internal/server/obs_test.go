@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +178,54 @@ func TestTracezRingAndRequestTrace(t *testing.T) {
 	}
 	if len(p.Slowest) != 2 || p.Slowest[0].TotalUS != 300 || p.Slowest[1].TotalUS != 200 {
 		t.Errorf("slowest = %+v, want [300 200]µs", p.Slowest)
+	}
+}
+
+// A request the ring rejects is counted as added and evicted, and its
+// spans are never built: it allocates about a span slice less than the
+// same request asking for its trace, whose spans go into the response.
+// Half a slice is the margin, as other goroutines allocate too.
+func TestRingRejectedRequestBuildsNoSpans(t *testing.T) {
+	h := obsHandler(t, 1)
+	// Under the frozen clock every request totals 0µs, which a full
+	// ring of slower entries rejects.
+	h.ring.Add(obs.RingEntry{TotalUS: 100, Outcome: "ok"})
+	member, _ := json.Marshal(obsSchema)
+	untraced := &wireRequest{AnalyzeRequest: AnalyzeRequest{Query: "//name", Update: "delete //cost"}, Schema: member}
+	traced := &wireRequest{AnalyzeRequest: AnalyzeRequest{Query: "//name", Update: "delete //cost", Trace: true}, Schema: member}
+	analyze := func(req *wireRequest) AnalyzeResponse {
+		resp, code := h.analyze(context.Background(), req)
+		if code != 200 {
+			t.Fatalf("analyze = %d: %+v", code, resp)
+		}
+		return resp
+	}
+	analyze(untraced) // the cold build
+	before := h.ring.Status()
+	analyze(untraced)
+	if st := h.ring.Status(); st.Added != before.Added+1 || st.Evicted != before.Evicted+1 || st.Held != 1 {
+		t.Fatalf("ring %+v after %+v, want the request added and evicted", st, before)
+	}
+	if got := h.ring.Snapshot(); got[0].TotalUS != 100 {
+		t.Fatalf("ring = %+v, want the 100µs entry kept", got)
+	}
+	spans := len(analyze(traced).Trace)
+	if spans == 0 {
+		t.Fatal("a traced request the ring rejects returned no spans")
+	}
+	const runs = 50
+	bytesPer := func(req *wireRequest) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			analyze(req)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	plain, withTrace := bytesPer(untraced), bytesPer(traced)
+	if slice := float64(spans) * float64(reflect.TypeOf(obs.Span{}).Size()); withTrace-plain < slice/2 {
+		t.Fatalf("a rejected request allocates %.0f B and a traced one %.0f B; want about the %.0f B of its %d spans between them", plain, withTrace, slice, spans)
 	}
 }
 

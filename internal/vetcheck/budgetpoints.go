@@ -24,7 +24,7 @@ func checkBudgetPoints(p *pass) {
 			continue
 		}
 		p.report("budgetpoints", n.decl.Pos(),
-			"recursive function %s never consults the guard.Budget: call a Budget method (Point/Tick/Check/AddNodes/AddChains/CheckK) or delegate to a callee that does",
+			"recursive function %s never consults the guard.Budget: call a Budget method (Point/Phase/Tick/Check/AddNodes/AddChains/CheckK) or delegate to a callee that does",
 			n.decl.Name.Name)
 	}
 }

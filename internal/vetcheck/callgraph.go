@@ -51,7 +51,7 @@ type cgNode struct {
 	scc            int
 }
 
-var budgetMethods = set("Tick", "Check", "AddNodes", "AddChains", "CheckK", "Point")
+var budgetMethods = set("Tick", "Check", "AddNodes", "AddChains", "CheckK", "Point", "Phase")
 
 // buildCallGraph constructs the graph for the whole module.
 func buildCallGraph(p *pass) *callGraph {

@@ -74,9 +74,10 @@ go test -run '^$' -bench 'BenchmarkFigure3aChains/(UB2|UN1)$' -benchtime 1x .
 echo "== xqbench smoke under tight budgets (Figure 3.b stays sound; Figure 3.a's k ignores the budget)"
 # xqbench counts a budget overrun as "not independent", so a 3 ms
 # budget must still give a sound Figure 3.b: xqbench exits 1 on a
-# SOUNDNESS VIOLATION. Under 20us most Figure 3.a analyses overrun, and
-# the k column must still be Table 3's k of each pair, which is at
-# least 2 on XMark, never a range starting at 0.
+# SOUNDNESS VIOLATION. Under 20us every Figure 3.a analysis overruns
+# (the budget reads its deadline at each engine phase), and the k
+# column must still be Table 3's k of each pair, which is at least 2
+# on XMark, never a range starting at 0.
 xqbench_bin="$(mktemp -d)/xqbench"
 go build -o "${xqbench_bin}" ./cmd/xqbench
 "${xqbench_bin}" -fig 3b -truth-docs 1 -truth-factor 0.5 -timeout 3ms >/dev/null
@@ -259,16 +260,16 @@ table_rows() {
 
 echo "== fault-point grep (listed points are fired; fired points and DESIGN.md §14's point table agree)"
 # Every name in faultinject.Points and faultinject.PlanPoints must be
-# fired by non-test Go outside testdata, through .Point("…") or
-# guard.FirePoint(…, "…"): a listed point nothing fires makes every
-# chaos draw of it test nothing. And the names fired there must be
-# exactly the first cells of the rows of DESIGN.md §14's point table,
-# which says where each fires.
+# fired by non-test Go outside testdata, through .Point("…"),
+# .Phase("…") or guard.FirePoint(…, "…"): a listed point nothing fires
+# makes every chaos draw of it test nothing. And the names fired there
+# must be exactly the first cells of the rows of DESIGN.md §14's point
+# table, which says where each fires.
 listed="$(awk '/^var (Points|PlanPoints) = \[\]string\{/,/^\}/' internal/faultinject/faultinject.go \
   | grep -oE '^[[:space:]]*"[a-z0-9._/]+"' | tr -d ' \t"' | sort -u)"
 fired="$(grep -rhoE --include='*.go' --exclude='*_test.go' \
   --exclude-dir=testdata --exclude-dir=.git --exclude-dir=.bench_build \
-  '(\.Point\("[a-z0-9._/]+"\)|FirePoint\([^,]*, "[a-z0-9._/]+"\))' . \
+  '(\.(Point|Phase)\("[a-z0-9._/]+"\)|FirePoint\([^,]*, "[a-z0-9._/]+"\))' . \
   | grep -oE '"[a-z0-9._/]+"' | tr -d '"' | sort -u)"
 if [ -z "${listed}" ] || [ -z "${fired}" ]; then
   echo "fault points: found no listed or no fired points; pattern stale?" >&2
@@ -346,6 +347,7 @@ fuzz ./internal/dtd FuzzParseSchema
 fuzz ./internal/xquery FuzzParseQuery
 fuzz ./internal/xquery FuzzParseUpdate
 fuzz . FuzzAnalyzeContext
+fuzz ./internal/server FuzzAnalyzeBody
 fuzz . FuzzParseDocument
 
 echo "== ok"
