@@ -42,11 +42,14 @@
 // -audit-spool, as a size-capped rotating JSONL trail.
 //
 // With -state-dir the containment state is durable: every quarantine
-// transition is journaled (one fsynced record each) and incidents
-// spool under the directory; a restarted daemon replays the journal
-// before admitting work, so a fingerprint quarantined before a crash
-// is still refused after it. The boot recovery summary goes to stderr
-// and the live counters to /statz under "durability".
+// transition replaces one checksummed state file with the whole
+// registry (fsynced before the transition returns) and incidents
+// spool under the directory; a restarted daemon restores the state
+// file before admitting work, so a fingerprint quarantined before a
+// crash is still refused after it. The boot recovery summary goes to
+// stderr and the live counters to /statz under "durability". A
+// directory holding a non-empty journal.<gen> from the release that
+// kept a journal is refused with exit status 2.
 //
 // Batch mode reads one JSON request per stdin line and writes one
 // JSON response per stdout line, in order:
@@ -137,7 +140,7 @@ func run() int {
 		if dir == "" {
 			dir = "."
 		}
-		sp, err := statefile.OpenSpool(statefile.OS(), filepath.Clean(dir), base, *spoolMax, 0)
+		sp, err := statefile.OpenSpool(statefile.OS(), filepath.Clean(dir), base, *spoolMax)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xqindepd:", err)
 			return 2
@@ -184,12 +187,11 @@ func run() int {
 			return 2
 		}
 		fmt.Fprintf(os.Stderr,
-			"xqindepd: state %s: restored %d quarantined fingerprint(s) (replayed %d journal record(s), snapshot=%v)\n",
-			st.Dir, st.RestoredFingerprints, st.RecoveredRecords, st.SnapshotLoaded)
-		if st.DiscardedRecords > 0 || st.SnapshotCorrupt || st.MalformedRecords > 0 {
+			"xqindepd: state %s: restored %d quarantined fingerprint(s) (snapshot=%v)\n",
+			st.Dir, st.RestoredFingerprints, st.SnapshotLoaded)
+		if st.SnapshotCorrupt {
 			fmt.Fprintf(os.Stderr,
-				"xqindepd: state %s: recovery discarded a torn tail (records=%d bytes=%d malformed=%d snapshot_corrupt=%v)\n",
-				st.Dir, st.DiscardedRecords, st.DiscardedBytes, st.MalformedRecords, st.SnapshotCorrupt)
+				"xqindepd: state %s: the state file is corrupt; the quarantine registry starts empty\n", st.Dir)
 		}
 	}
 

@@ -61,8 +61,8 @@ func (k FSFaultKind) String() string {
 }
 
 // FSFault arms one injection at the Op-th (1-based) counted mutating
-// operation. Counted operations: OpenFile, Write, Sync, Truncate,
-// Rename, Remove, SyncDir.
+// operation. Counted operations: OpenFile, Write, Sync, Rename,
+// Remove, SyncDir.
 type FSFault struct {
 	Op   int
 	Kind FSFaultKind
@@ -236,13 +236,6 @@ func (cf *crashFile) Sync() error {
 		return ErrInjectedFS
 	}
 	return cf.f.Sync()
-}
-
-func (cf *crashFile) Truncate(size int64) error {
-	if _, err := cf.fs.step("truncate"); err != nil {
-		return err
-	}
-	return cf.f.Truncate(size)
 }
 
 func (cf *crashFile) Size() (int64, error) {

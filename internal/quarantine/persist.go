@@ -11,15 +11,15 @@ import (
 // changes verdict behaviour: a fingerprint quarantined before a crash
 // must still be downgraded after the restart, or the process reboots
 // into trusting an engine the auditor already caught lying. The
-// registry therefore journals every AUDIT-LANE transition — the ones
-// driven by evidence (Quarantine, RecordProbe) — through a hook
-// installed with SetJournal, and rebuilds itself from the replayed
-// records via Restore at boot.
+// registry therefore hands its whole Export to a hook installed with
+// SetPersist after every AUDIT-LANE transition — the ones driven by
+// evidence (Quarantine, RecordProbe) — and rebuilds itself from the
+// last stored export via Restore at boot.
 //
 // Clock-derived transitions (an active quarantine aging into
 // half-open inside Downgrade/TryProbe, a probe slot being claimed)
-// are deliberately NOT journaled: they carry no evidence, they are
-// recomputed from the restored deadlines, and journaling them would
+// are deliberately NOT persisted: they carry no evidence, they are
+// recomputed from the restored deadlines, and persisting them would
 // put an fsync on the verdict-serving path.
 //
 // Deadlines are persisted as durations-remaining, not wall-clock
@@ -29,15 +29,11 @@ import (
 // never silently expire one.
 
 // Record is the durable snapshot of one fingerprint's containment
-// state. Records are last-writer-wins per fingerprint: replaying a
-// sequence of them in order and keeping the final state per
-// fingerprint reproduces the registry, which makes journal replay
-// trivially idempotent.
+// state; an Export holds one per tracked fingerprint.
 type Record struct {
 	Fingerprint string `json:"fp"`
 	// State is one of "watched" (disagreements below the engagement
-	// threshold), "quarantined", "half-open", or "clean" (lifted —
-	// replay removes the fingerprint).
+	// threshold), "quarantined" or "half-open".
 	State         string        `json:"state"`
 	Disagreements int           `json:"disagreements,omitempty"`
 	Trips         int           `json:"trips,omitempty"`
@@ -54,32 +50,44 @@ const (
 	StateWatched     = "watched"
 	StateQuarantined = "quarantined"
 	StateHalfOpen    = "half-open"
-	StateClean       = "clean"
 )
 
-// SetJournal installs the journal hook. After every audit-lane
-// transition the registry calls fn with the fingerprint's new Record,
-// under the registry lock — so transition order on disk matches
-// transition order in memory. fn must not call back into the registry
-// and should return quickly (it typically appends to a
-// statefile.Store, i.e. one fsync); audit-lane transitions are rare
-// and off the verdict-serving path, so the held lock is acceptable.
-// A nil fn disables journaling.
-func (r *Registry) SetJournal(fn func(Record)) {
+// SetPersist installs the persistence hook. After every audit-lane
+// transition the registry calls fn with its whole Export, outside the
+// registry lock, so Downgrade never waits on fn's I/O. Calls run under
+// a mutex of their own and take the export inside it: they never
+// overlap, and each export holds every transition the one before it
+// held, so a store that keeps the latest export only moves forward.
+// The transition returns after fn does, so fn's durability is the
+// transition's. fn must not call SetPersist or Persist, which wait
+// for it. A nil fn disables persistence.
+func (r *Registry) SetPersist(fn func([]Record) error) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.journal = fn
+	r.hookMu.Lock()
+	defer r.hookMu.Unlock()
+	r.hook = fn
 }
 
-// recordLocked captures fp's current state as a Record.
-func (r *Registry) recordLocked(fp string) Record {
-	e := r.m[fp]
-	if e == nil {
-		return Record{Fingerprint: fp, State: StateClean}
+// Persist calls the persistence hook with the current Export, in
+// turn with the transitions' calls, and returns its error (nil when
+// no hook is installed). The serving layer calls it once at shutdown
+// so a clean restart resumes each backoff where it stopped.
+func (r *Registry) Persist() error {
+	if r == nil {
+		return nil
 	}
+	r.hookMu.Lock()
+	defer r.hookMu.Unlock()
+	if r.hook == nil {
+		return nil
+	}
+	return r.hook(r.Export())
+}
+
+// recordLocked captures the state of the tracked fingerprint fp.
+func (r *Registry) recordLocked(fp string, e *entry) Record {
 	rec := Record{
 		Fingerprint:   fp,
 		Disagreements: e.disagreements,
@@ -102,16 +110,9 @@ func (r *Registry) recordLocked(fp string) Record {
 	return rec
 }
 
-// journalLocked emits fp's current record to the installed hook.
-func (r *Registry) journalLocked(fp string) {
-	if r.journal != nil {
-		r.journal(r.recordLocked(fp))
-	}
-}
-
-// Export captures every tracked fingerprint, sorted, for a snapshot.
-// Replaying Restore(Export()) on a fresh registry reproduces the
-// containment state (with backoff deadlines rebased).
+// Export captures every tracked fingerprint, sorted. Restore(Export())
+// on a fresh registry reproduces the containment state (with backoff
+// deadlines rebased).
 func (r *Registry) Export() []Record {
 	if r == nil {
 		return nil
@@ -125,19 +126,18 @@ func (r *Registry) Export() []Record {
 	sort.Strings(fps)
 	recs := make([]Record, 0, len(fps))
 	for _, fp := range fps {
-		recs = append(recs, r.recordLocked(fp))
+		recs = append(recs, r.recordLocked(fp, r.m[fp]))
 	}
 	return recs
 }
 
-// Restore replays records into the registry, last writer winning per
-// fingerprint, rebasing every Remaining onto the registry clock. It
-// is meant to run once at boot, before the registry serves Downgrade
-// decisions; restored records are NOT re-journaled (the caller's next
-// snapshot compacts them). A restored half-open fingerprint forgets
-// any in-flight probe — the slot re-opens, which can only delay
-// recovery, never weaken containment. Restore returns the number of
-// fingerprints held (quarantined or half-open) afterwards.
+// Restore loads an Export into the registry, rebasing every Remaining
+// onto the registry clock. It is meant to run once at boot, before the
+// registry serves Downgrade decisions, and does not call the
+// persistence hook. A restored half-open fingerprint forgets any
+// in-flight probe — the slot re-opens, which can only delay recovery,
+// never weaken containment. Restore returns the number of fingerprints
+// held (quarantined or half-open) afterwards.
 func (r *Registry) Restore(recs []Record) int {
 	if r == nil {
 		return 0
@@ -146,10 +146,6 @@ func (r *Registry) Restore(recs []Record) int {
 	defer r.mu.Unlock()
 	for _, rec := range recs {
 		if rec.Fingerprint == "" {
-			continue
-		}
-		if rec.State == StateClean {
-			delete(r.m, rec.Fingerprint)
 			continue
 		}
 		e := &entry{

@@ -1,6 +1,8 @@
 package quarantine
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -13,16 +15,20 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newClock() *fakeClock { return &fakeClock{t: time.Unix(1700000000, 0)} }
 
-func TestJournalHookEmitsAuditLaneTransitions(t *testing.T) {
+func TestPersistHookRunsOnAuditLaneTransitions(t *testing.T) {
 	clk := newClock()
 	r := NewRegistry(Config{Backoff: 10 * time.Second, RecoverAfter: 2})
 	r.SetNow(clk.now)
-	var recs []Record
-	r.SetJournal(func(rec Record) { recs = append(recs, rec) })
+	var exports [][]Record
+	r.SetPersist(func(recs []Record) error {
+		exports = append(exports, recs)
+		return nil
+	})
 
 	r.Quarantine("fp1")
-	if len(recs) != 1 || recs[0].State != StateQuarantined || recs[0].Remaining != 10*time.Second {
-		t.Fatalf("after quarantine: %+v", recs)
+	if len(exports) != 1 || len(exports[0]) != 1 ||
+		exports[0][0].State != StateQuarantined || exports[0][0].Remaining != 10*time.Second {
+		t.Fatalf("after quarantine: %+v", exports)
 	}
 
 	clk.advance(11 * time.Second)
@@ -30,23 +36,96 @@ func TestJournalHookEmitsAuditLaneTransitions(t *testing.T) {
 		t.Fatal("fp1 not downgraded")
 	}
 	// The active→half-open aging inside Downgrade is clock-derived and
-	// must NOT journal.
-	if len(recs) != 1 {
-		t.Fatalf("clock transition journaled: %+v", recs)
+	// must NOT persist.
+	if len(exports) != 1 {
+		t.Fatalf("clock transition persisted: %+v", exports)
 	}
 
 	if !r.TryProbe("fp1") {
 		t.Fatal("probe slot not claimed")
 	}
+	r.RecordProbe("fp1", ProbeInconclusive) // no transition: nothing written
+	r.TryProbe("fp1")
 	r.RecordProbe("fp1", ProbeClean)
-	if len(recs) != 2 || recs[1].State != StateHalfOpen || recs[1].Clean != 1 {
-		t.Fatalf("after clean probe: %+v", recs)
+	if len(exports) != 2 || exports[1][0].State != StateHalfOpen || exports[1][0].Clean != 1 {
+		t.Fatalf("after clean probe: %+v", exports)
+	}
+
+	// Every export is the whole registry: fp2's write carries fp1.
+	r.Quarantine("fp2")
+	if len(exports) != 3 || len(exports[2]) != 2 {
+		t.Fatalf("after quarantining fp2: %+v", exports)
 	}
 
 	r.TryProbe("fp1")
 	r.RecordProbe("fp1", ProbeClean) // second clean lifts it
-	if len(recs) != 3 || recs[2].State != StateClean {
-		t.Fatalf("after recovery: %+v", recs)
+	if len(exports) != 4 || len(exports[3]) != 1 || exports[3][0].Fingerprint != "fp2" {
+		t.Fatalf("after recovery: %+v", exports)
+	}
+	if err := r.Persist(); err != nil || len(exports) != 5 {
+		t.Fatalf("Persist: %v, %d exports", err, len(exports))
+	}
+}
+
+// TestPersistRunsOutsideTheRegistryLock: a hook that is still writing
+// does not hold up Downgrade on the request path.
+func TestPersistRunsOutsideTheRegistryLock(t *testing.T) {
+	r := NewRegistry(Config{Backoff: time.Hour})
+	entered, release := make(chan struct{}), make(chan struct{})
+	r.SetPersist(func([]Record) error {
+		close(entered)
+		<-release
+		return nil
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Quarantine("fp")
+	}()
+	<-entered
+	downgraded := make(chan bool)
+	go func() { downgraded <- r.Downgrade("fp") }()
+	select {
+	case ok := <-downgraded:
+		if !ok {
+			t.Fatal("quarantined fingerprint not downgraded while its write is in flight")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Downgrade waited on the persistence hook")
+	}
+	close(release)
+	<-done
+}
+
+// TestPersistExportsOnlyMoveForward: concurrent transitions hand the
+// hook exports in order, each holding every fingerprint the one before
+// it held, so the last write is the whole registry.
+func TestPersistExportsOnlyMoveForward(t *testing.T) {
+	r := NewRegistry(Config{Backoff: time.Hour})
+	var sizes []int
+	r.SetPersist(func(recs []Record) error {
+		sizes = append(sizes, len(recs)) // calls never overlap
+		return nil
+	})
+	const workers, each = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Quarantine(fmt.Sprintf("fp-%d-%d", w, i))
+			}
+		}()
+	}
+	wg.Wait()
+	if len(sizes) != workers*each || sizes[len(sizes)-1] != workers*each {
+		t.Fatalf("%d writes, last of %d records", len(sizes), sizes[len(sizes)-1])
+	}
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i] < sizes[i-1] {
+			t.Fatalf("write %d holds %d records, after a write of %d", i, sizes[i], sizes[i-1])
+		}
 	}
 }
 
@@ -82,26 +161,24 @@ func TestRestoreRebasesBackoffOntoNewClock(t *testing.T) {
 	}
 }
 
-func TestRestoreLastWriterWinsAndClean(t *testing.T) {
-	r := NewRegistry(Config{})
+// TestRestoreWatchedAndGarbage: a watched entry keeps its
+// disagreement count across a restore, and a record without a
+// fingerprint is ignored.
+func TestRestoreWatchedAndGarbage(t *testing.T) {
+	r := NewRegistry(Config{QuarantineAfter: 2})
 	n := r.Restore([]Record{
-		{Fingerprint: "a", State: StateQuarantined, Trips: 1, Backoff: time.Second},
-		{Fingerprint: "b", State: StateQuarantined, Trips: 2, Backoff: time.Second},
-		{Fingerprint: "a", State: StateClean}, // later record wins
+		{Fingerprint: "b", State: StateQuarantined, Trips: 2, Backoff: time.Second, Remaining: time.Second},
 		{Fingerprint: "c", State: StateWatched, Disagreements: 1},
 		{Fingerprint: "", State: StateQuarantined}, // garbage: ignored
 	})
 	if n != 1 {
 		t.Fatalf("held after restore: %d", n)
 	}
-	if r.State("a") != "clean" || r.State("b") != "quarantined" || r.State("c") != "clean" {
-		t.Fatalf("states: a=%s b=%s c=%s", r.State("a"), r.State("b"), r.State("c"))
+	if r.State("b") != "quarantined" || r.State("c") != "clean" {
+		t.Fatalf("states: b=%s c=%s", r.State("b"), r.State("c"))
 	}
-	// The watched entry's disagreement count survived: one more
-	// disagreement with QuarantineAfter=2 engages.
-	r2 := NewRegistry(Config{QuarantineAfter: 2})
-	r2.Restore([]Record{{Fingerprint: "c", State: StateWatched, Disagreements: 1}})
-	if purge := r2.Quarantine("c"); !purge {
+	// One more disagreement on c reaches QuarantineAfter=2.
+	if purge := r.Quarantine("c"); !purge {
 		t.Fatal("restored watched count did not engage quarantine")
 	}
 }

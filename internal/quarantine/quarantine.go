@@ -130,13 +130,17 @@ type FingerprintState struct {
 // usable; construct with NewRegistry. A nil *Registry downgrades
 // nothing and reports zero Stats.
 type Registry struct {
-	mu      sync.Mutex
-	cfg     Config
-	m       map[string]*entry
-	now     func() time.Time
-	journal func(Record) // audit-lane transition hook; see persist.go
+	mu  sync.Mutex
+	cfg Config
+	m   map[string]*entry
+	now func() time.Time
 
 	trips, disagreements, probes, recovered, downgrades int64
+
+	// hookMu serializes calls of hook, the audit-lane persistence hook
+	// (see persist.go). It is taken before mu, never while mu is held.
+	hookMu sync.Mutex
+	hook   func([]Record) error
 }
 
 // NewRegistry builds an empty registry with cfg (zero fields
@@ -188,8 +192,14 @@ func (r *Registry) Downgrade(fp string) bool {
 // reached. It returns purge=true exactly once per fingerprint — on the
 // first engagement — telling the caller to purge and recompile the
 // schema's cached compiled artifact before the quarantine becomes
-// sticky.
+// sticky. It returns after the persistence hook has run.
 func (r *Registry) Quarantine(fp string) (purge bool) {
+	purge = r.quarantine(fp)
+	_ = r.Persist() // the hook counts its own failures
+	return purge
+}
+
+func (r *Registry) quarantine(fp string) (purge bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.m[fp]
@@ -200,7 +210,6 @@ func (r *Registry) Quarantine(fp string) (purge bool) {
 	e.disagreements++
 	r.disagreements++
 	if e.disagreements < r.cfg.QuarantineAfter && e.trips == 0 {
-		r.journalLocked(fp)
 		return false
 	}
 	if e.backoff == 0 {
@@ -216,7 +225,6 @@ func (r *Registry) Quarantine(fp string) (purge bool) {
 	r.trips++
 	purge = !e.purged
 	e.purged = true
-	r.journalLocked(fp)
 	return purge
 }
 
@@ -260,17 +268,25 @@ const (
 
 // RecordProbe releases the retrial slot claimed by TryProbe and feeds
 // the outcome back: RecoverAfter consecutive clean retrials lift the
-// quarantine, a dirty retrial re-trips it.
+// quarantine, a dirty retrial re-trips it. A clean or dirty outcome
+// returns after the persistence hook has run.
 func (r *Registry) RecordProbe(fp string, o ProbeOutcome) {
+	if r.recordProbe(fp, o) {
+		_ = r.Persist() // the hook counts its own failures
+	}
+}
+
+// recordProbe applies o and reports whether fp's state changed.
+func (r *Registry) recordProbe(fp string, o ProbeOutcome) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.m[fp]
 	if e == nil {
-		return
+		return false
 	}
 	e.probing = false
 	if e.state != qHalfOpen {
-		return
+		return false
 	}
 	switch o {
 	case ProbeClean:
@@ -279,7 +295,7 @@ func (r *Registry) RecordProbe(fp string, o ProbeOutcome) {
 			delete(r.m, fp)
 			r.recovered++
 		}
-		r.journalLocked(fp)
+		return true
 	case ProbeDirty:
 		e.backoff = min(2*e.backoff, maxBackoff)
 		e.state = qActive
@@ -287,8 +303,9 @@ func (r *Registry) RecordProbe(fp string, o ProbeOutcome) {
 		e.clean = 0
 		e.trips++
 		r.trips++
-		r.journalLocked(fp)
+		return true
 	}
+	return false
 }
 
 // State reports fp's state: "clean", "quarantined" or "half-open". It

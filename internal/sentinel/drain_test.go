@@ -17,7 +17,7 @@ import (
 
 // The drain-vs-budget satellite proof: an in-flight audit whose guard
 // budget would outlive the drain deadline is hard-cancelled by
-// Shutdown, and nothing already journaled — neither the spooled
+// Shutdown, and nothing already persisted — neither the spooled
 // incident nor the quarantine transition — is lost. The wedge is a
 // KindStall fault on the audit lane's own base context: the shadow
 // engine blocks at "cdag.build" until that context dies, which is
@@ -26,25 +26,27 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 	faultinject.Enable()
 
 	mem := statefile.NewMemFS()
-	store, _, err := statefile.Open(mem, "state", statefile.Options{})
+	store, _, err := statefile.Open(mem, "state")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spool, err := statefile.OpenSpool(mem, "state", "incidents.jsonl", 0, 0)
+	spool, err := statefile.OpenSpool(mem, "state", "incidents.jsonl", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-	reg.SetJournal(func(rec quarantine.Record) {
-		b, merr := json.Marshal(rec)
+	reg.SetPersist(func(recs []quarantine.Record) error {
+		b, merr := json.Marshal(recs)
 		if merr != nil {
-			t.Errorf("marshal quarantine record: %v", merr)
-			return
+			t.Errorf("marshal quarantine records: %v", merr)
+			return merr
 		}
-		if aerr := store.Append(b); aerr != nil {
-			t.Errorf("journal quarantine record: %v", aerr)
+		if werr := store.Write(b); werr != nil {
+			t.Errorf("persist quarantine records: %v", werr)
+			return werr
 		}
+		return nil
 	})
 
 	// The audit lane's schedule: the SECOND audit to reach the shadow
@@ -66,7 +68,7 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 
 	// Audit 1: a flipped Independent verdict for a dependent pair →
 	// disagreement → incident spooled, fingerprint quarantined and
-	// journaled.
+	// persisted.
 	q := xquery.MustParseQuery("//title")
 	u := xquery.MustParseUpdate("delete //title")
 	flip := faultinject.NewSchedule(faultinject.Fault{Point: "core.verdict", Kind: faultinject.KindFlipVerdict})
@@ -115,22 +117,15 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 		t.Fatalf("incident not durable after drain: %q", durable)
 	}
 
-	// The quarantine journal survived too: a fresh registry restored
-	// from the replayed records still refuses the fingerprint.
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec, err := statefile.Open(mem, "state", statefile.Options{})
+	// The quarantine state survived too: a fresh registry restored
+	// from the state file still refuses the fingerprint.
+	_, rec, err := statefile.Open(mem, "state")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recs []quarantine.Record
-	for _, raw := range rec.Records {
-		var qr quarantine.Record
-		if err := json.Unmarshal(raw, &qr); err != nil {
-			t.Fatalf("replayed record does not decode: %v (%q)", err, raw)
-		}
-		recs = append(recs, qr)
+	if err := json.Unmarshal(rec.State, &recs); err != nil {
+		t.Fatalf("state file does not decode: %v (%q)", err, rec.State)
 	}
 	reg2 := quarantine.NewRegistry(quarantine.Config{})
 	if held := reg2.Restore(recs); held != 1 {

@@ -137,8 +137,8 @@ type Config struct {
 	// tests.
 	MemoryUsage func() uint64
 	// State, when non-nil, is the durable runtime state (quarantine
-	// journal + incident spool). The server flushes it during drain —
-	// bounded by the drain deadline — and reports it under /statz.
+	// state file + incident spool). The server flushes its spool during
+	// drain and reports it under /statz.
 	State *DurableState
 	// TraceRing sizes the handler's ring of slowest request traces
 	// (served on /tracez). Zero disables the ring; per-request traces
@@ -537,12 +537,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			<-drained  // cancellation is cooperative, so this terminates
 		}
 		s.cancel()
-		// Drain-time state flush, after the last admitted request has
-		// returned and still bounded by the caller's drain deadline (a
-		// blown deadline skips the snapshot compaction; per-append
-		// journal durability already holds).
+		// Drain-time spool flush, after the last admitted request has
+		// returned (every quarantine transition is durable already).
 		if s.cfg.State != nil {
-			if err := s.cfg.State.Drain(ctx); err != nil && s.shutdownErr == nil {
+			if err := s.cfg.State.Drain(); err != nil && s.shutdownErr == nil {
 				s.shutdownErr = err
 			}
 		}

@@ -2,10 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,9 +50,9 @@ func TestRestartRefusesPreCrashQuarantinedFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The crash: everything unsynced is gone. Journal appends and the
-	// drain snapshot are individually fsynced, so this must lose
-	// nothing that was acknowledged.
+	// The crash: everything unsynced is gone. Every state-file write
+	// is fsynced before it returns, so this must lose nothing that was
+	// acknowledged.
 	mem.Crash(nil)
 
 	// Life 2: fresh registry, fresh server, same state directory.
@@ -86,11 +90,13 @@ func TestRestartRefusesPreCrashQuarantinedFingerprint(t *testing.T) {
 	ds2.Close()
 }
 
-// Registry-level crash chaos: quarantine transitions journaled through
-// OpenState on a faulty filesystem, killed at seeded points. Invariant:
-// every transition whose journal append was ACKNOWLEDGED (observable
-// as a clean append in the store stats) survives the crash — the
-// restored registry still refuses those fingerprints.
+// Registry-level crash chaos: quarantine transitions persisted
+// through OpenState on a faulty filesystem, killed at seeded points.
+// Invariant: every transition that an ACKNOWLEDGED state-file write
+// carried (observable as a completed write in the status counters)
+// survives the crash — the restored registry still refuses those
+// fingerprints. A write carries every transition before it, including
+// those whose own write failed.
 func TestStateCrashChaosQuarantineJournal(t *testing.T) {
 	runs := 100
 	if testing.Short() {
@@ -118,20 +124,23 @@ func TestStateCrashChaosQuarantineJournal(t *testing.T) {
 				return
 			}
 			acked := map[string]bool{}
+			var pending []string // quarantined, not yet carried by an acked write
 			for i := 0; i < 12 && !cfs.Crashed(); i++ {
-				fp := fmt.Sprintf("fp-%02d", i%5)
 				before := ds.Status()
 				if rng.Intn(6) == 0 {
-					_ = ds.Snapshot()
-					continue
+					// The shutdown write: no transition of its own.
+					_ = reg.Persist()
+				} else {
+					fp := fmt.Sprintf("fp-%02d", i%5)
+					reg.Quarantine(fp)
+					pending = append(pending, fp)
 				}
-				reg.Quarantine(fp)
 				after := ds.Status()
-				// The transition is acknowledged iff its journal append
-				// reached stable storage.
-				if after.Journal.Appends == before.Journal.Appends+1 &&
-					after.JournalErrors == before.JournalErrors {
-					acked[fp] = true
+				if after.Writes == before.Writes+1 && after.WriteErrors == before.WriteErrors {
+					for _, fp := range pending {
+						acked[fp] = true
+					}
+					pending = nil
 				}
 			}
 			if !cfs.Crashed() {
@@ -150,7 +159,136 @@ func TestStateCrashChaosQuarantineJournal(t *testing.T) {
 						fp, cfs.Fired(), ds2.Status(), mem.Dump())
 				}
 			}
+			if st := ds2.Status(); st.SnapshotCorrupt {
+				t.Fatalf("crash left a corrupt state file (fired %v)\n%s", cfs.Fired(), mem.Dump())
+			}
 			ds2.Close()
 		})
+	}
+}
+
+// TestFailedWriteIsCarriedByTheNextWrite: the data write of fp-a's
+// transition fails, then fp-b's transition writes on a healthy disk.
+// The state file holds the whole registry, so fp-b's write carries
+// fp-a: both are held after a clean Close, and after a kill -9 instead
+// of the Close.
+func TestFailedWriteIsCarriedByTheNextWrite(t *testing.T) {
+	for _, end := range []string{"close", "kill-9"} {
+		t.Run(end, func(t *testing.T) {
+			mem := statefile.NewMemFS()
+			// OpenState counts three operations: clearing snapshot.tmp,
+			// opening the state file and opening the spool. fp-a's write
+			// is operations 4 to 8; operation 5 is its data write.
+			cfs := faultinject.NewCrashFS(mem, faultinject.FSFault{Op: 5, Kind: faultinject.FSErrWrite})
+			reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+			ds, err := OpenState(cfs, StateConfig{Dir: "state"}, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg.Quarantine("fp-a")
+			if st := ds.Status(); st.Writes != 0 || st.WriteErrors != 1 {
+				t.Fatalf("the fault missed fp-a's write: %+v (fired %v)", st, cfs.Fired())
+			}
+			reg.Quarantine("fp-b")
+			if st := ds.Status(); st.Writes != 1 || st.WriteErrors != 1 {
+				t.Fatalf("fp-b's write on a healthy disk: %+v (fired %v)", st, cfs.Fired())
+			}
+			if end == "close" {
+				if err := ds.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				mem.Crash(nil)
+			}
+
+			reg2 := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+			ds2, err := OpenState(mem, StateConfig{Dir: "state"}, reg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds2.Close()
+			for _, fp := range []string{"fp-a", "fp-b"} {
+				if !reg2.Downgrade(fp) {
+					t.Fatalf("%s not held after %s (status %+v)", fp, end, ds2.Status())
+				}
+			}
+		})
+	}
+}
+
+// parentStateDir plants a state directory as the journal-keeping
+// release leaves it after a drain, byte for byte: its snapshot frame (a
+// 4-byte big-endian length, the 8-byte big-endian FNV-64a of the
+// payload, and a JSON envelope of gen, unix and the base64 of the
+// registry export) beside journal.<gen>, empty unless journal holds
+// bytes.
+func parentStateDir(t *testing.T, mem *statefile.MemFS, recs []quarantine.Record, journal []byte) {
+	t.Helper()
+	state, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(struct {
+		Gen   uint64 `json:"gen"`
+		Unix  int64  `json:"unix"`
+		State []byte `json:"state"`
+	}{Gen: 4, Unix: 1700000000000000000, State: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(payload)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.BigEndian.AppendUint64(frame, h.Sum64())
+	frame = append(frame, payload...)
+	for name, b := range map[string][]byte{"state/snapshot": frame, "state/journal.4": journal} {
+		f, err := mem.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(b)
+		f.Sync()
+		f.Close()
+	}
+}
+
+// TestParentDrainedDirectoryRestores: a directory the journal-keeping
+// release drained restores its quarantines unchanged, and its empty
+// journal is deleted.
+func TestParentDrainedDirectoryRestores(t *testing.T) {
+	mem := statefile.NewMemFS()
+	parentStateDir(t, mem, []quarantine.Record{
+		{Fingerprint: "fp-a", State: quarantine.StateQuarantined, Disagreements: 1, Trips: 1, Purged: true,
+			Backoff: time.Hour, Remaining: 40 * time.Minute},
+		{Fingerprint: "fp-b", State: quarantine.StateHalfOpen, Disagreements: 2, Trips: 2, Purged: true,
+			Backoff: 2 * time.Hour, Clean: 1},
+		{Fingerprint: "fp-c", State: quarantine.StateWatched, Disagreements: 1},
+	}, nil)
+	reg := quarantine.NewRegistry(quarantine.Config{})
+	ds, err := OpenState(mem, StateConfig{Dir: "state"}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if st := ds.Status(); st.RestoredFingerprints != 2 || !st.SnapshotLoaded || st.SnapshotCorrupt {
+		t.Fatalf("status: %+v", st)
+	}
+	if reg.State("fp-a") != "quarantined" || reg.State("fp-b") != "half-open" || reg.State("fp-c") != "clean" {
+		t.Fatalf("states: a=%s b=%s c=%s", reg.State("fp-a"), reg.State("fp-b"), reg.State("fp-c"))
+	}
+	if names, _ := mem.ReadDir("state"); strings.Join(names, ",") != "incidents.jsonl,snapshot" {
+		t.Fatalf("directory after open: %v", names)
+	}
+}
+
+// TestParentJournalWithRecordsRefused: a crashed journal-keeping
+// release leaves acknowledged records in its journal. OpenState cannot
+// replay them and fails rather than serve without them.
+func TestParentJournalWithRecordsRefused(t *testing.T) {
+	mem := statefile.NewMemFS()
+	parentStateDir(t, mem, nil, []byte(`not empty`))
+	_, err := OpenState(mem, StateConfig{Dir: "state"}, quarantine.NewRegistry(quarantine.Config{}))
+	if err == nil || !strings.Contains(err.Error(), "state/journal.4") {
+		t.Fatalf("OpenState over a non-empty journal: %v", err)
 	}
 }

@@ -38,7 +38,7 @@ type StatzPayload struct {
 	// zero-valued when no auditor or registry is wired.
 	Audit      sentinel.Stats   `json:"audit"`
 	Quarantine quarantine.Stats `json:"quarantine"`
-	// Durability reports the crash-safe state layer (journal, snapshot,
+	// Durability reports the crash-safe state layer (state file,
 	// incident spool); nil when the daemon runs without -state-dir.
 	Durability *DurabilityStatus `json:"durability,omitempty"`
 	// Metrics digests every latency histogram (count, sum and

@@ -1,32 +1,30 @@
-// Crash-chaos suite for the durable-state layer: every run drives a
-// deterministic append/snapshot workload against a Store mounted on a
-// faultinject.CrashFS, which injects failed writes, torn writes,
+// Crash-chaos suite for the state file: every run drives a
+// deterministic workload of whole-state writes against a Store mounted
+// on a faultinject.CrashFS, which injects failed writes, torn writes,
 // failed fsyncs, and kill-9 crashes at seeded operation indices. After
 // the "machine dies", the store is re-opened on the surviving durable
 // bytes and the recovered state is checked against the model:
 //
-//   - every acknowledged record (Append/Snapshot returned nil) is
-//     recovered, in order — the acked sequence is a PREFIX of the
-//     recovered sequence;
-//   - anything extra is an unacknowledged write that happened to
-//     survive, byte-identical to what was attempted — never a torn or
-//     fabricated record;
-//   - a second crash DURING recovery leaves all of the above intact
-//     (recovery's mutations are idempotent).
+//   - it is the last acknowledged state (Write returned nil) or a
+//     state attempted after it — never an older one, so no
+//     acknowledged write is lost;
+//   - it is byte-identical to a state that was attempted, and the file
+//     is never reported corrupt — no torn or fabricated state;
+//   - a crash DURING Open leaves all of the above intact (Open's
+//     removals are idempotent), and the reopened store accepts writes.
 //
 // Schedules are deterministic per (CHAOS_SEED, run index); override
 // the defaults with CHAOS_SEED / CHAOS_RUNS to reproduce or extend.
 package statefile_test
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
-	"time"
 
 	"xqindep/internal/faultinject"
 	"xqindep/internal/statefile"
@@ -41,63 +39,37 @@ func chaosEnvInt(name string, def int) int {
 	return def
 }
 
-func chaosNow() time.Time { return time.Unix(1700000000, 0) }
-
-// chaosModel tracks what the "application" believes is durable.
+// chaosModel tracks what the "application" offered and what the store
+// acknowledged.
 type chaosModel struct {
-	acked     []string        // records whose Append (or covering Snapshot) was acknowledged
-	attempted map[string]bool // every payload ever offered to the store
+	attempted []string // every state offered to Write, in order
+	acked     int      // index in attempted of the last acknowledged state; -1 for none
 }
 
-func (m *chaosModel) payload(i int) string { return fmt.Sprintf("rec-%04d", i) }
-
-// snapshotState encodes the acked list the way the application under
-// test would: the full in-memory state at snapshot time.
-func (m *chaosModel) snapshotState() []byte {
-	b, err := json.Marshal(m.acked)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// recovered flattens a Recovery into the application's reconstructed
-// record sequence: snapshot state first, then journal records.
-func recoveredSequence(t *testing.T, rec statefile.Recovery) []string {
-	t.Helper()
-	var seq []string
-	if rec.Snapshot != nil {
-		if err := json.Unmarshal(rec.Snapshot, &seq); err != nil {
-			t.Fatalf("recovered snapshot does not decode: %v (%q)", err, rec.Snapshot)
-		}
-	}
-	for _, r := range rec.Records {
-		seq = append(seq, string(r))
-	}
-	return seq
+// chaosState returns the i-th state: unique, and of a length that
+// varies, so a torn or stale file cannot pass for another state.
+func chaosState(i int) string {
+	return fmt.Sprintf("state-%04d:%s", i, strings.Repeat("x", i%37))
 }
 
 func checkInvariant(t *testing.T, m *chaosModel, rec statefile.Recovery, phase string) {
 	t.Helper()
-	seq := recoveredSequence(t, rec)
-	if len(seq) < len(m.acked) {
-		t.Fatalf("%s: lost acknowledged records: acked %d, recovered %d\nacked=%v\nrecovered=%v",
-			phase, len(m.acked), len(seq), m.acked, seq)
+	if rec.Corrupt {
+		t.Fatalf("%s: the state file is corrupt; a crash must never tear it", phase)
 	}
-	for i, want := range m.acked {
-		if seq[i] != want {
-			t.Fatalf("%s: acked record %d mutated: want %q, got %q", phase, i, want, seq[i])
+	if rec.State == nil {
+		if m.acked >= 0 {
+			t.Fatalf("%s: acknowledged state %q lost: no state recovered", phase, m.attempted[m.acked])
+		}
+		return
+	}
+	for i := len(m.attempted) - 1; i >= max(m.acked, 0); i-- {
+		if m.attempted[i] == string(rec.State) {
+			return
 		}
 	}
-	// Unacknowledged survivors are fine, torn or fabricated ones never:
-	// every extra must be byte-identical to an attempted payload. This
-	// also proves no torn frame was replayed — a truncated payload
-	// would not be in the attempted set.
-	for _, extra := range seq[len(m.acked):] {
-		if !m.attempted[extra] {
-			t.Fatalf("%s: recovered record %q was never written (torn/fabricated)", phase, extra)
-		}
-	}
+	t.Fatalf("%s: recovered %q is older than the acknowledged state, torn, or never written (acked %d of %d attempts)",
+		phase, rec.State, m.acked, len(m.attempted))
 }
 
 // chaosFaults builds a deterministic schedule: 1-3 faults at distinct
@@ -125,10 +97,9 @@ func runCrashChaos(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	mem := statefile.NewMemFS()
 	cfs := faultinject.NewCrashFS(mem, chaosFaults(rng)...)
-	opts := statefile.Options{Now: chaosNow}
-	m := &chaosModel{attempted: map[string]bool{}}
+	m := &chaosModel{acked: -1}
 
-	store, _, err := statefile.Open(cfs, "state", opts)
+	store, _, err := statefile.Open(cfs, "state")
 	alive := err == nil
 	if err != nil && !errors.Is(err, faultinject.ErrCrashed) && !errors.Is(err, faultinject.ErrInjectedFS) {
 		t.Fatalf("initial open failed with uninjected error: %v", err)
@@ -136,24 +107,15 @@ func runCrashChaos(t *testing.T, seed int64) {
 
 	steps := 30 + rng.Intn(30)
 	for i := 0; alive && i < steps; i++ {
-		if rng.Intn(100) < 15 {
-			if err := store.Snapshot(m.snapshotState()); err != nil {
-				if errors.Is(err, faultinject.ErrCrashed) {
-					alive = false
-				}
-				continue // not acked; store may be poisoned — keep driving
-			}
-			continue
-		}
-		p := m.payload(i)
-		m.attempted[p] = true
-		if err := store.Append([]byte(p)); err != nil {
+		s := chaosState(i)
+		m.attempted = append(m.attempted, s)
+		if err := store.Write([]byte(s)); err != nil {
 			if errors.Is(err, faultinject.ErrCrashed) {
 				alive = false
 			}
-			continue // not acked
+			continue // not acked; the next write carries on
 		}
-		m.acked = append(m.acked, p)
+		m.acked = len(m.attempted) - 1
 	}
 
 	// If no injected crash ended the run, pull the plug now: kill -9
@@ -164,38 +126,37 @@ func runCrashChaos(t *testing.T, seed int64) {
 	}
 
 	// Reboot on the surviving bytes — recovery itself must succeed.
-	s2, rec, err := statefile.Open(mem, "state", opts)
+	_, rec, err := statefile.Open(mem, "state")
 	if err != nil {
 		t.Fatalf("recovery open failed: %v (fired: %v)\n%s", err, cfs.Fired(), mem.Dump())
 	}
 	checkInvariant(t, m, rec, "first recovery")
-	s2.Close()
 
-	// Crash DURING recovery: re-open through a fresh CrashFS armed
-	// with one early fault, then recover once more on the bare FS.
+	// Crash DURING recovery: re-open through a fresh CrashFS that
+	// kills the process at one of Open's two counted operations
+	// (clearing snapshot.tmp, opening the state file), then recover
+	// once more on the bare FS.
 	cfs2 := faultinject.NewCrashFS(mem, faultinject.FSFault{
-		Op:   1 + rng.Intn(8),
-		Kind: faultinject.FSFaultKind(rng.Intn(4)),
+		Op:   1 + rng.Intn(2),
+		Kind: faultinject.FSCrash,
 		Keep: rng.Intn(16),
 	})
-	if s3, _, err := statefile.Open(cfs2, "state", opts); err == nil {
-		s3.Close()
+	if _, _, err := statefile.Open(cfs2, "state"); !errors.Is(err, faultinject.ErrCrashed) {
+		t.Fatalf("the crash during recovery did not fire: %v (fired: %v)", err, cfs2.Fired())
 	}
-	if !cfs2.Crashed() {
-		keep := rng.Intn(8)
-		mem.Crash(func(string, int) int { return keep })
-	}
-	s4, rec2, err := statefile.Open(mem, "state", opts)
+	s4, rec2, err := statefile.Open(mem, "state")
 	if err != nil {
 		t.Fatalf("post-recovery-crash open failed: %v (fired: %v)\n%s", err, cfs2.Fired(), mem.Dump())
 	}
 	checkInvariant(t, m, rec2, "recovery after crashed recovery")
 
 	// The rebooted store must accept writes again.
-	if err := s4.Append([]byte("post-recovery")); err != nil {
-		t.Fatalf("rebooted store refuses appends: %v", err)
+	if err := s4.Write([]byte("post-recovery")); err != nil {
+		t.Fatalf("rebooted store refuses writes: %v", err)
 	}
-	s4.Close()
+	if _, rec3, err := statefile.Open(mem, "state"); err != nil || string(rec3.State) != "post-recovery" {
+		t.Fatalf("write after recovery not read back: %+v, %v", rec3, err)
+	}
 }
 
 func TestCrashChaos(t *testing.T) {

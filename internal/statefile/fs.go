@@ -1,5 +1,5 @@
 // Package statefile is the crash-safe durable-state substrate of the
-// serving layer: the quarantine registry's journaled state machine
+// serving layer: the quarantine registry's containment decisions
 // (package quarantine) and the sentinel's incident spool (package
 // sentinel) must survive daemon restarts, or a restart silently
 // forgets which schema fingerprints an audit already refuted and
@@ -7,12 +7,11 @@
 //
 // The package offers two durable primitives, both stdlib-only:
 //
-//   - Store (journal.go): a checksummed, length-prefixed append-only
-//     journal with an atomic snapshot+rotate protocol (write temp,
-//     fsync, rename, fsync dir, switch to a fresh journal generation).
-//     Replay tolerates torn writes and corruption by truncating the
-//     journal at the first bad record and counting what it recovered
-//     and discarded.
+//   - Store (store.go): one checksummed state file that every Write
+//     replaces whole and atomically (write temp, fsync, rename, fsync
+//     dir). The state it guards is a few records written only on
+//     audit-lane transitions, so rewriting all of it costs less than
+//     any log structure would save.
 //
 //   - Spool (spool.go): a size-capped rotating append-only byte spool
 //     (one record per Write) with explicit Flush-to-disk, used for the
@@ -26,10 +25,9 @@
 //
 // Crash model. Renames, removes and file creation are atomic and
 // durable once SyncDir returns (the journaling-filesystem guarantee
-// the snapshot protocol leans on); file *data* is durable only up to
+// the state file's rename leans on); file *data* is durable only up to
 // the last successful Sync, and a crash may persist any prefix of the
-// unsynced tail — which is exactly the torn-write case replay
-// truncates away.
+// unsynced tail.
 package statefile
 
 import (
@@ -39,14 +37,12 @@ import (
 
 // File is one open file of an FS. Reads and writes share the usual
 // os.File semantics for the flags the file was opened with; Sync
-// makes previously written data durable; Truncate discards the tail
-// (used by replay to cut a torn record).
+// makes previously written data durable.
 type File interface {
 	io.Reader
 	io.Writer
 	io.Closer
 	Sync() error
-	Truncate(size int64) error
 	Size() (int64, error)
 }
 

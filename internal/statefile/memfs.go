@@ -12,14 +12,14 @@ import (
 )
 
 // MemFS is the in-memory FS used by tests and the crash-chaos
-// harness. It models the durability semantics the snapshot protocol
-// assumes of a journaling filesystem:
+// harness. It models the durability semantics the state file's
+// rename assumes of a journaling filesystem:
 //
 //   - metadata operations (create, rename, remove) are atomic and
 //     durable immediately;
 //   - file data is durable only up to the last successful Sync; a
 //     Crash may keep any prefix of the unsynced tail, which is how the
-//     harness manufactures torn records.
+//     harness manufactures torn writes.
 //
 // All methods are safe for concurrent use.
 type MemFS struct {
@@ -153,19 +153,6 @@ func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	h.f.synced = len(h.f.data)
-	return nil
-}
-
-func (h *memHandle) Truncate(size int64) error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if size < 0 || size > int64(len(h.f.data)) {
-		return &fs.PathError{Op: "truncate", Path: h.name, Err: fs.ErrInvalid}
-	}
-	h.f.data = h.f.data[:size]
-	if h.f.synced > int(size) {
-		h.f.synced = int(size)
-	}
 	return nil
 }
 

@@ -23,7 +23,6 @@ func (o osFile) Read(p []byte) (int, error)  { return o.f.Read(p) }
 func (o osFile) Write(p []byte) (int, error) { return o.f.Write(p) }
 func (o osFile) Close() error                { return o.f.Close() }
 func (o osFile) Sync() error                 { return o.f.Sync() }
-func (o osFile) Truncate(size int64) error   { return o.f.Truncate(size) }
 
 func (o osFile) Size() (int64, error) {
 	st, err := o.f.Stat()

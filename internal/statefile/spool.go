@@ -20,12 +20,16 @@ type SpoolStats struct {
 	CurrentBytes int64 `json:"current_bytes"`
 }
 
+// spoolKeep is the number of rotated files a Spool keeps besides the
+// current one.
+const spoolKeep = 4
+
 // Spool is a size-capped rotating append-only record spool: the
 // incident JSONL trail's durable home. Each Write is one record (the
 // sentinel's json.Encoder emits one line per call); when the current
 // file would exceed the cap it rotates —
 //
-//	<base> → <base>.1 → <base>.2 → … (dropped past keep)
+//	<base> → <base>.1 → <base>.2 → … → <base>.4 (dropped past spoolKeep)
 //
 // with the outgoing file fsynced first, so rotation never loses
 // acknowledged records. Writes land in the file immediately but are
@@ -38,7 +42,6 @@ type Spool struct {
 	dir      string
 	base     string
 	maxBytes int64
-	keep     int
 
 	mu     sync.Mutex
 	f      File
@@ -49,23 +52,18 @@ type Spool struct {
 }
 
 // OpenSpool opens (creating if necessary) the spool <dir>/<base>.
-// maxBytes caps one file (default 8 MiB, minimum 4 KiB); keep is the
-// number of rotated files retained besides the current one (default
-// 4, minimum 1).
-func OpenSpool(fsys FS, dir, base string, maxBytes int64, keep int) (*Spool, error) {
+// maxBytes caps one file (default 8 MiB, minimum 4 KiB).
+func OpenSpool(fsys FS, dir, base string, maxBytes int64) (*Spool, error) {
 	if maxBytes <= 0 {
 		maxBytes = 8 << 20
 	}
 	if maxBytes < 4<<10 {
 		maxBytes = 4 << 10
 	}
-	if keep <= 0 {
-		keep = 4
-	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("statefile: spool mkdir: %w", err)
 	}
-	sp := &Spool{fsys: fsys, dir: dir, base: base, maxBytes: maxBytes, keep: keep}
+	sp := &Spool{fsys: fsys, dir: dir, base: base, maxBytes: maxBytes}
 	if err := sp.openCurrent(); err != nil {
 		return nil, err
 	}
@@ -117,17 +115,32 @@ func (sp *Spool) Write(p []byte) (int, error) {
 }
 
 // rotateLocked fsyncs and closes the current file, shifts the rotated
-// chain, and opens a fresh current file.
+// chain, and opens a fresh current file. Whichever step fails, the
+// current file is reopened, so the next Write retries the rotation on
+// a live handle instead of failing on a closed one for good.
 func (sp *Spool) rotateLocked() error {
+	err := sp.shiftLocked()
+	if oerr := sp.openCurrent(); err == nil {
+		err = oerr
+	}
+	if err == nil {
+		sp.rotations++
+	}
+	return err
+}
+
+// shiftLocked closes the current file and moves it to <base>.1, each
+// rotated file one place down the chain.
+func (sp *Spool) shiftLocked() error {
 	serr := sp.f.Sync()
 	cerr := sp.f.Close()
 	if serr != nil || cerr != nil {
 		return fmt.Errorf("statefile: spool rotate flush: %w", errors.Join(serr, cerr))
 	}
-	if err := sp.fsys.Remove(sp.rotated(sp.keep)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := sp.fsys.Remove(sp.rotated(spoolKeep)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("statefile: spool rotate drop: %w", err)
 	}
-	for i := sp.keep - 1; i >= 1; i-- {
+	for i := spoolKeep - 1; i >= 1; i-- {
 		if err := sp.fsys.Rename(sp.rotated(i), sp.rotated(i+1)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("statefile: spool rotate shift: %w", err)
 		}
@@ -138,8 +151,7 @@ func (sp *Spool) rotateLocked() error {
 	if err := sp.fsys.SyncDir(sp.dir); err != nil {
 		return fmt.Errorf("statefile: spool rotate sync dir: %w", err)
 	}
-	sp.rotations++
-	return sp.openCurrent()
+	return nil
 }
 
 // Flush makes every record written so far durable.

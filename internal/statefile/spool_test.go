@@ -2,13 +2,15 @@ package statefile
 
 import (
 	"bytes"
+	"path"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestSpoolWriteAndReopen(t *testing.T) {
 	mem := NewMemFS()
-	sp, err := OpenSpool(mem, "state", "incidents.jsonl", 0, 0)
+	sp, err := OpenSpool(mem, "state", "incidents.jsonl", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +22,7 @@ func TestSpoolWriteAndReopen(t *testing.T) {
 	}
 
 	// Reopen appends; the earlier record survives.
-	sp2, err := OpenSpool(mem, "state", "incidents.jsonl", 0, 0)
+	sp2, err := OpenSpool(mem, "state", "incidents.jsonl", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +39,8 @@ func TestSpoolWriteAndReopen(t *testing.T) {
 func TestSpoolRotation(t *testing.T) {
 	mem := NewMemFS()
 	// maxBytes is clamped to 4 KiB; write 1 KiB records so each file
-	// holds 4 and the chain keeps 2 rotated files.
-	sp, err := OpenSpool(mem, "state", "sp", 4<<10, 2)
+	// holds 4 and 12 records rotate twice, short of spoolKeep.
+	sp, err := OpenSpool(mem, "state", "sp", 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,28 +79,40 @@ func TestSpoolRotation(t *testing.T) {
 
 func TestSpoolDropsPastKeep(t *testing.T) {
 	mem := NewMemFS()
-	sp, err := OpenSpool(mem, "state", "sp", 4<<10, 1)
+	sp, err := OpenSpool(mem, "state", "sp", 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := func(i int) []byte {
 		return append(bytes.Repeat([]byte{byte('a' + i)}, 2047), '\n')
 	}
-	for i := 0; i < 9; i++ {
+	// Two records per file: spoolKeep+2 rotations, so the two oldest
+	// rotated files are dropped.
+	for i := 0; i < 2*(spoolKeep+2)+1; i++ {
 		if _, err := sp.Write(rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sp.Close()
+	want := []string{"sp"}
+	for i := 1; i <= spoolKeep; i++ {
+		want = append(want, "sp."+strconv.Itoa(i))
+	}
 	names, _ := mem.ReadDir("state")
-	if strings.Join(names, ",") != "sp,sp.1" {
-		t.Fatalf("chain with keep=1: %v", names)
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("chain with spoolKeep=%d: %v", spoolKeep, names)
+	}
+	// The oldest kept file starts with the fifth record: the first four
+	// went with the two dropped files.
+	oldest, _ := mem.Contents("state/sp." + strconv.Itoa(spoolKeep))
+	if !bytes.HasPrefix(oldest, rec(4)) {
+		t.Fatalf("oldest kept file starts %q", oldest[:8])
 	}
 }
 
 func TestSpoolOversizedRecordStillLands(t *testing.T) {
 	mem := NewMemFS()
-	sp, err := OpenSpool(mem, "state", "sp", 4<<10, 2)
+	sp, err := OpenSpool(mem, "state", "sp", 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +132,7 @@ func TestSpoolOversizedRecordStillLands(t *testing.T) {
 
 func TestSpoolFlushMakesDurable(t *testing.T) {
 	mem := NewMemFS()
-	sp, err := OpenSpool(mem, "state", "sp", 0, 0)
+	sp, err := OpenSpool(mem, "state", "sp", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,4 +150,49 @@ func TestSpoolFlushMakesDurable(t *testing.T) {
 		t.Fatalf("flush counter: %+v", st)
 	}
 	sp.Close()
+}
+
+// TestSpoolRotationFailureDoesNotWedge: a rotation that fails midway
+// must leave the spool writable once the fault is gone. It runs on
+// OS(), because MemFS's Close is a no-op and cannot show a write
+// through a closed handle.
+func TestSpoolRotationFailureDoesNotWedge(t *testing.T) {
+	fsys, dir := OS(), t.TempDir()
+	sp, err := OpenSpool(fsys, dir, "sp", 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	rec := append(bytes.Repeat([]byte("r"), 1023), '\n')
+	for i := 0; i < 4; i++ { // fills the current file to the cap
+		if _, err := sp.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A non-empty directory where the rotation drops its oldest file
+	// fails the next rotation.
+	blocker := path.Join(dir, "sp."+strconv.Itoa(spoolKeep))
+	if err := fsys.MkdirAll(path.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Write(rec); err == nil {
+		t.Fatal("rotation over a non-empty directory succeeded")
+	}
+	if err := fsys.Remove(path.Join(blocker, "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := sp.Write(rec); err != nil {
+			t.Fatalf("write %d after the fault cleared: %v", i, err)
+		}
+	}
+	if err := sp.Flush(); err != nil {
+		t.Fatalf("flush after the fault cleared: %v", err)
+	}
+	if st := sp.Stats(); st.WriteErrors != 1 || st.Rotations != 1 || st.Writes != 7 {
+		t.Fatalf("stats: %+v", st)
+	}
 }

@@ -85,12 +85,13 @@ type PoolOptions struct {
 	// incident ring is bounded).
 	AuditSpool io.Writer
 	// StateDir, when non-empty, makes the pool's containment state
-	// durable under this directory: quarantine decisions are journaled
-	// on every audit-lane transition (each append individually fsynced)
-	// and audit incidents land in a size-capped, rotated
-	// incidents.jsonl spool there. A restarted pool pointed at the same
-	// directory replays the journal before admitting work, so a
-	// fingerprint quarantined before a crash is still refused after it.
+	// durable under this directory: every audit-lane transition
+	// replaces one checksummed state file with the whole quarantine
+	// registry (fsynced before the transition returns), and audit
+	// incidents land in a size-capped, rotated incidents.jsonl spool
+	// there. A restarted pool pointed at the same directory restores
+	// the state file before admitting work, so a fingerprint
+	// quarantined before a crash is still refused after it.
 	// Open failures do not fail NewPool — the pool runs without
 	// durability and StateStatus reports the error; callers that
 	// require durability must check it.
@@ -297,9 +298,9 @@ func (p *Pool) Incidents() []Incident {
 }
 
 // DurabilityStatus summarises the durable-state layer: what boot
-// recovery replayed (records recovered, torn tails discarded, snapshot
-// health, fingerprints re-armed) and the live journal/spool counters.
-// It is also the "durability" section of /statz.
+// restored (state file loaded or corrupt, fingerprints re-armed) and
+// the live state-file and spool counters. It is also the "durability"
+// section of /statz.
 type DurabilityStatus = server.DurabilityStatus
 
 // StateStatus reports the durable-state summary. The error is non-nil
@@ -372,10 +373,10 @@ func (p *Pool) RunBatch(ctx context.Context, r io.Reader, w io.Writer, defaultSc
 // The audit lane drains after the requests under the same ctx — pending
 // audits finish, a wedged one is hard-cancelled at the deadline rather
 // than holding the exit hostage to its budget. Durable state is closed
-// last (audits may journal quarantine transitions right up to their
-// cancellation), flushing the incident spool and compacting the
-// quarantine journal into a snapshot. The pool is fully stopped when
-// Shutdown returns.
+// last (audits may persist quarantine transitions right up to their
+// cancellation): it writes the state file once more, so a clean
+// restart resumes each backoff where it stopped, and closes the
+// incident spool. The pool is fully stopped when Shutdown returns.
 func (p *Pool) Shutdown(ctx context.Context) error {
 	err := p.srv.Shutdown(ctx)
 	if p.aud != nil {

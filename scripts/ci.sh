@@ -153,12 +153,57 @@ CHAOS_SEED="${CHAOS_SEED:-424242}" CHAOS_RUNS="${CHAOS_RUNS:-60}" \
   go test ./internal/sentinel -race -count=1 -run 'TestChaos'
 
 echo "== crash-recovery chaos smoke (fixed seed, ${CHAOS_RUNS:-60} runs)"
-# And for the durable-state layer: the statefile journal/snapshot
-# protocol under injected short writes, failed fsyncs and kill-9, with
-# the invariant that every acknowledged record survives recovery (the
+# And for the durable-state layer: the atomically replaced state file
+# under injected short writes, failed fsyncs and kill-9, with the
+# invariant that recovery reads the last acknowledged state or one
+# attempted after it, never an older, torn or fabricated one (the
 # default-seed 200-run suite already ran above).
 CHAOS_SEED="${CHAOS_SEED:-424242}" CHAOS_RUNS="${CHAOS_RUNS:-60}" \
   go test ./internal/statefile -race -count=1 -run 'TestCrashChaos'
+
+echo "== state-dir smoke (daemon on the real filesystem)"
+# The crash chaos runs on MemFS; this drives xqindepd -state-dir on a
+# real directory. Two batch lives on one directory both exit 0, the
+# second boot line reports the state file loaded, and the directory
+# then holds only the state file and the incident spool. A -state-dir
+# that is a regular file, or a directory holding a non-empty
+# journal.<gen> (acknowledged records of the release that kept a
+# journal), must exit 2 rather than serve without durability.
+state_tmp="$(mktemp -d)"
+go build -o "${state_tmp}/xqindepd" ./cmd/xqindepd
+state_dir="${state_tmp}/state"
+for life in 1 2; do
+  "${state_tmp}/xqindepd" -batch -state-dir "${state_dir}" </dev/null 2>"${state_tmp}/boot${life}.log"
+done
+if ! grep -qF "state ${state_dir}: restored 0 quarantined fingerprint(s) (snapshot=true)" "${state_tmp}/boot2.log"; then
+  echo "state-dir smoke: the second boot did not report the state file loaded:" >&2
+  cat "${state_tmp}/boot2.log" >&2
+  exit 1
+fi
+state_left="$(ls -A "${state_dir}" | tr '\n' ' ')"
+if [ "${state_left}" != "incidents.jsonl snapshot " ]; then
+  echo "state-dir smoke: ${state_dir} holds '${state_left}', want only incidents.jsonl and snapshot" >&2
+  exit 1
+fi
+expect_exit2() {
+  local status=0
+  "${state_tmp}/xqindepd" -batch -state-dir "$1" </dev/null 2>"${state_tmp}/refused.log" || status=$?
+  if [ "${status}" -ne 2 ]; then
+    echo "state-dir smoke: -state-dir $1 exited ${status}, want 2 ($2)" >&2
+    cat "${state_tmp}/refused.log" >&2
+    exit 1
+  fi
+}
+touch "${state_tmp}/regular-file"
+expect_exit2 "${state_tmp}/regular-file" "a regular file"
+printf 'x' >"${state_dir}/journal.7"
+expect_exit2 "${state_dir}" "a non-empty journal.7"
+if ! grep -qF "journal.7" "${state_tmp}/refused.log"; then
+  echo "state-dir smoke: the refusal does not name journal.7:" >&2
+  cat "${state_tmp}/refused.log" >&2
+  exit 1
+fi
+rm -rf "${state_tmp}"
 
 echo "== metricz smoke (boot daemon, scrape, check families)"
 # Boot the real daemon and scrape /metricz once: proves the ops
