@@ -39,7 +39,8 @@
 // is an unsoundness incident that quarantines the schema fingerprint —
 // its verdicts degrade to the conservative "not independent" until
 // clean retrials recover it. Incidents appear on /incidentz and, with
-// -audit-spool, as a size-capped rotating JSONL trail.
+// -audit-spool, as a size-capped rotating JSONL trail; -audit-spool
+// without -audit-rate exits with status 2.
 //
 // With -state-dir the containment state is durable: every quarantine
 // transition replaces one checksummed state file with the whole
@@ -118,6 +119,13 @@ func run() int {
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "usage: xqindepd [-addr :8080 | -batch] [flags]")
 		flag.PrintDefaults()
+		return 2
+	}
+
+	if *auditSpool != "" && *auditRate <= 0 {
+		// Only the audit lane writes incidents: without it the spool
+		// would stay empty for the life of the daemon.
+		fmt.Fprintln(os.Stderr, "xqindepd: -audit-spool records audit incidents and needs -audit-rate > 0")
 		return 2
 	}
 

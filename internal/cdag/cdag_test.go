@@ -281,18 +281,13 @@ func TestEngineDepthBound(t *testing.T) {
 	}
 }
 
-func TestRebaseAndSuffixExtensions(t *testing.T) {
+func TestSuffixExtensions(t *testing.T) {
 	e := NewEngine(bib, 1, 1)
-	inner := e.SingletonSet(chain.MustParseChain("first.S"))
-	reb := inner.Rebase("author")
-	if got := reb.Strings(0); !reflect.DeepEqual(got, []string{"author.first.S"}) {
-		t.Errorf("Rebase = %v", got)
-	}
-	ext := e.SuffixExtensions("author", e.MaxDepth)
+	ext := e.suffixExtensions(e.internSym("author"), e.MaxDepth)
 	want := []string{"author", "author.email", "author.email.S", "author.first",
 		"author.first.S", "author.last", "author.last.S"}
 	if got := ext.Strings(0); !reflect.DeepEqual(got, want) {
-		t.Errorf("SuffixExtensions = %v, want %v", got, want)
+		t.Errorf("suffixExtensions = %v, want %v", got, want)
 	}
 }
 

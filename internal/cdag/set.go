@@ -1016,24 +1016,9 @@ func (s *Set) Extend() *Set {
 	return out
 }
 
-// Rebase returns a set whose chains are tag.c for every chain c of s —
-// the element-chain composition a.c of the (ELT) rule.
-func (s *Set) Rebase(tag string) *Set {
-	out := s.eng.NewSet()
-	sym := s.eng.internSym(tag)
-	out.merge([]part{{t: s, off: 1, at: sym}}, nil)
-	out.addRoot(sym)
-	return out
-}
-
-// SuffixExtensions returns the element-style set
+// suffixExtensions returns the element-style set
 // { sym.c” | c” schema extension of sym } rooted at depth 0 — the
-// suffix α.c' used by (ELT) and by copied-source update chains.
-func (e *Engine) SuffixExtensions(sym string, budget int) *Set {
-	return e.suffixExtensions(e.internSym(sym), budget)
-}
-
-// suffixExtensions is SuffixExtensions over an interned symbol. The
+// suffix α.c' used by (ELT) and by copied-source update chains. The
 // whole closure is one ascending sweep of the endpoint rows: every
 // reached node is an endpoint, so the frontier at depth d is exactly
 // ends[d].

@@ -1,7 +1,6 @@
 // Package chain implements the paper's central data objects: chains
-// of types (Definition 2.1), update chains c:c' (Section 3), the
-// prefix relation and conflict sets (Definition 4.1), k-chains and the
-// folding relation ↪→d (Section 5).
+// of types (Definition 2.1), update chains c:c' (Section 3), and the
+// prefix relation and conflict sets (Definition 4.1).
 package chain
 
 import (
@@ -104,31 +103,6 @@ func (c Chain) IsPrefixOf(d Chain) bool {
 	}
 	return true
 }
-
-// TagCounts returns the multiplicity of each symbol in c.
-func (c Chain) TagCounts() map[string]int {
-	m := make(map[string]int, len(c))
-	for _, s := range c {
-		m[s]++
-	}
-	return m
-}
-
-// MaxTagCount returns the largest multiplicity of any symbol in c;
-// 0 for the empty chain.
-func (c Chain) MaxTagCount() int {
-	max := 0
-	for _, n := range c.TagCounts() {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// IsKChain reports whether c is a k-chain: every tag occurs at most k
-// times (Section 5).
-func (c Chain) IsKChain(k int) bool { return c.MaxTagCount() <= k }
 
 // Clone returns a copy of c.
 func (c Chain) Clone() Chain { return append(Chain(nil), c...) }
@@ -279,20 +253,6 @@ func Union(sets ...*Set) *Set {
 	return out
 }
 
-// Filter returns the chains satisfying pred.
-func (s *Set) Filter(pred func(Chain) bool) *Set {
-	out := NewSet()
-	if s == nil {
-		return out
-	}
-	for _, c := range s.m {
-		if pred(c) {
-			out.Add(c)
-		}
-	}
-	return out
-}
-
 // String renders the set as {c1, c2, ...} in sorted order.
 func (s *Set) String() string {
 	return "{" + strings.Join(s.Strings(), ", ") + "}"
@@ -319,17 +279,4 @@ func Conflicts(t1, t2 *Set) []ConflictPair {
 		}
 	}
 	return out
-}
-
-// HasConflict reports whether confl(τ1, τ2) is non-empty, without
-// materialising the pairs.
-func HasConflict(t1, t2 *Set) bool {
-	for _, c1 := range t1.Chains() {
-		for _, c2 := range t2.Chains() {
-			if c1.IsPrefixOf(c2) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -129,16 +129,6 @@ func (d *DTD) LabelOf(t string) string {
 	return t
 }
 
-// IsExtended reports whether some type's label differs from its name.
-func (d *DTD) IsExtended() bool {
-	for t, l := range d.Label {
-		if t != l {
-			return true
-		}
-	}
-	return false
-}
-
 // HasType reports whether t is a declared element type or StringType.
 func (d *DTD) HasType(t string) bool {
 	if t == StringType {

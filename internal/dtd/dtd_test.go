@@ -154,22 +154,6 @@ func TestRegexMatches(t *testing.T) {
 	}
 }
 
-func TestNullable(t *testing.T) {
-	cases := []struct {
-		re   string
-		want bool
-	}{
-		{"a*", true}, {"a+", false}, {"a?", true}, {"()", true},
-		{"a, b*", false}, {"a?, b*", true}, {"a | b*", true}, {"a | b", false},
-	}
-	for _, c := range cases {
-		r, _ := parseRegex(c.re)
-		if got := r.Nullable(); got != c.want {
-			t.Errorf("Nullable(%q) = %v, want %v", c.re, got, c.want)
-		}
-	}
-}
-
 // TestPrecedesPaperExample checks the paper's worked example:
 // <_{a,(b|c)*} = {(a,b),(a,c),(b,c),(c,b),(c,c),(b,b)}.
 func TestPrecedesPaperExample(t *testing.T) {
@@ -369,9 +353,6 @@ cname[name] <- #PCDATA
 first <- #PCDATA
 last <- #PCDATA
 `)
-	if !d.IsExtended() {
-		t.Errorf("schema should be an EDTD")
-	}
 	if d.LabelOf("pname") != "name" || d.LabelOf("first") != "first" {
 		t.Errorf("labels wrong")
 	}

@@ -125,36 +125,6 @@ func (r *Regex) Validate() error {
 	return nil
 }
 
-// Nullable reports whether r matches the empty word. An invalid Op is
-// read as non-nullable — the conservative choice (it forces validation
-// to demand content that can never appear, failing loudly rather than
-// silently accepting).
-func (r *Regex) Nullable() bool {
-	switch r.Op {
-	case OpEpsilon, OpStar, OpOpt:
-		return true
-	case OpSym:
-		return false
-	case OpSeq:
-		for _, k := range r.Kids {
-			if !k.Nullable() {
-				return false
-			}
-		}
-		return true
-	case OpAlt:
-		for _, k := range r.Kids {
-			if k.Nullable() {
-				return true
-			}
-		}
-		return false
-	case OpPlus:
-		return r.Kids[0].Nullable()
-	}
-	return false
-}
-
 // Symbols appends every symbol syntactically occurring in r to set.
 // Since the grammar has no empty-language constructor, every such
 // symbol occurs in some word of L(r).

@@ -119,17 +119,17 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-// runUpdate applies the update text to the document and returns the
-// re-serialised document.
+// runUpdate applies the update text to a copy of the document and
+// returns the re-serialised copy.
 func runUpdate(t *testing.T, doc, update string) string {
 	t.Helper()
 	tr := xmltree.MustParse(doc)
-	u := xquery.MustParseUpdate(update)
-	out, err := UpdateTree(tr, u)
-	if err != nil {
+	s := xmltree.NewStore()
+	root := s.Copy(tr.Store, tr.Root)
+	if err := Update(s, RootEnv(root), xquery.MustParseUpdate(update)); err != nil {
 		t.Fatalf("Update(%q): %v", update, err)
 	}
-	return out.Store.String(out.Root)
+	return s.String(root)
 }
 
 func TestUpdateEvaluation(t *testing.T) {

@@ -30,20 +30,6 @@ type Command struct {
 	Name   string           // rename only
 }
 
-func (c Command) String() string {
-	switch c.Kind {
-	case CmdInsert:
-		return fmt.Sprintf("ins(%v, %s, %d)", c.Source, c.Pos, c.Target)
-	case CmdDelete:
-		return fmt.Sprintf("del(%d)", c.Target)
-	case CmdReplace:
-		return fmt.Sprintf("repl(%d, %v)", c.Target, c.Source)
-	case CmdRename:
-		return fmt.Sprintf("ren(%d, %s)", c.Target, c.Name)
-	}
-	return "?"
-}
-
 // PendingList is the update pending list w.
 type PendingList []Command
 
@@ -257,13 +243,4 @@ func Update(s *xmltree.Store, env Env, u xquery.Update) error {
 		return err
 	}
 	return w.Apply(s)
-}
-
-// UpdateTree applies u to the tree t with the root environment and
-// returns u(t) — the same tree value, since stores mutate in place.
-func UpdateTree(t xmltree.Tree, u xquery.Update) (xmltree.Tree, error) {
-	if err := Update(t.Store, RootEnv(t.Root), u); err != nil {
-		return xmltree.Tree{}, err
-	}
-	return t, nil
 }

@@ -379,6 +379,3 @@ func RenderFigure3d(rows []Figure3dRow) string {
 	}
 	return b.String()
 }
-
-// AnalyzerPairCount is the size of the benchmark matrix.
-func AnalyzerPairCount() int { return len(xmark.Views()) * len(xmark.Updates()) }

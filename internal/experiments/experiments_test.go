@@ -237,9 +237,3 @@ func TestPercent(t *testing.T) {
 		t.Errorf("Percent(0,0) = %v", Percent(0, 0))
 	}
 }
-
-func TestPairCount(t *testing.T) {
-	if AnalyzerPairCount() != 36*31 {
-		t.Errorf("pair count = %d", AnalyzerPairCount())
-	}
-}

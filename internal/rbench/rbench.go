@@ -50,14 +50,3 @@ func ExprM(m int) xquery.Query {
 	}
 	return xquery.MustParseQuery(b.String())
 }
-
-// ExprText renders em's surface form.
-func ExprText(m int) string {
-	return strings.Repeat("/descendant::node()", m)
-}
-
-// UpdateM builds the natural update counterpart used by the
-// scalability experiment when a pair is needed: delete em.
-func UpdateM(m int) xquery.Update {
-	return xquery.MustParseUpdate("delete " + ExprText(m))
-}

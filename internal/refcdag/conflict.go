@@ -1,8 +1,6 @@
 package refcdag
 
 import (
-	"fmt"
-
 	"xqindep/internal/dtd"
 	"xqindep/internal/guard"
 	"xqindep/internal/infer"
@@ -147,13 +145,6 @@ func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
 		Update:      uc,
 		K:           e.K,
 	}
-}
-
-func (v Verdict) String() string {
-	if v.Independent {
-		return "independent"
-	}
-	return fmt.Sprintf("dependent (%v)", v.Reasons)
 }
 
 // Independence runs the complete finite CDAG analysis of Section 5/6:

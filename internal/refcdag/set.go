@@ -1,4 +1,6 @@
-// Package cdag is the production chain-inference engine: it
+// Package refcdag is the map-based CDAG engine that package cdag's
+// dense engine replaced. It stays as the reference the dense engine is
+// tested against and as the audit lane's shadow (package sentinel). It
 // represents inferred chain sets as depth-indexed DAGs over
 // (depth, type) nodes, the paper's CDAG (Section 6.1), making the
 // finite analysis polynomial in the schema size and multiplicity k
@@ -127,20 +129,6 @@ func (e *Engine) RootSet() *Set {
 	return s
 }
 
-// SingletonSet returns the set holding exactly the given chain.
-func (e *Engine) SingletonSet(c chain.Chain) *Set {
-	s := e.NewSet()
-	if c.IsEmpty() {
-		return s
-	}
-	s.roots[c[0]] = true
-	for i := 0; i+1 < len(c); i++ {
-		s.addEdge(Node{i, c[i]}, c[i+1])
-	}
-	s.ends[Node{len(c) - 1, c.Last()}] = true
-	return s
-}
-
 // Clone returns a deep copy.
 func (s *Set) Clone() *Set {
 	out := s.eng.NewSet()
@@ -167,34 +155,6 @@ func (s *Set) Ends() []Node {
 		}
 		return out[i].Sym < out[j].Sym
 	})
-	return out
-}
-
-// EndpointParent describes one endpoint of a set together with the
-// parent symbols of its incoming edges; IsRoot marks endpoints at
-// depth 0 (document-root chains).
-type EndpointParent struct {
-	Sym     string
-	Parents []string
-	IsRoot  bool
-}
-
-// EndpointParents lists every endpoint with its possible parent
-// symbols, the information schema-preservation checks need.
-func (s *Set) EndpointParents() []EndpointParent {
-	var out []EndpointParent
-	for _, n := range s.Ends() {
-		ep := EndpointParent{Sym: n.Sym, IsRoot: n.Depth == 0}
-		seen := map[string]bool{}
-		for _, p := range s.preds(n) {
-			if !seen[p.Sym] {
-				seen[p.Sym] = true
-				ep.Parents = append(ep.Parents, p.Sym)
-			}
-		}
-		sort.Strings(ep.Parents)
-		out = append(out, ep)
-	}
 	return out
 }
 
@@ -675,15 +635,6 @@ func (s *Set) graft(base Node, t *Set) {
 			s.ends[Node{off + n.Depth, n.Sym}] = true
 		}
 	}
-}
-
-// Rebase returns a set whose chains are tag.c for every chain c of s —
-// the element-chain composition a.c of the (ELT) rule.
-func (s *Set) Rebase(tag string) *Set {
-	out := s.eng.NewSet()
-	out.roots[tag] = true
-	out.graft(Node{Depth: 0, Sym: tag}, s)
-	return out
 }
 
 // SuffixExtensions returns the element-style set

@@ -28,9 +28,6 @@ func (u *UpdateSet) AddAll(t *UpdateSet) {
 	}
 }
 
-// IsEmpty reports whether no update chains were inferred.
-func (u *UpdateSet) IsEmpty() bool { return u.Full.IsEmpty() }
-
 // Update infers the update-chain DAG of u under Γ, mirroring Table 2
 // (with the same (REPLACE) correction as package infer).
 func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {

@@ -162,14 +162,19 @@ type Auditor struct {
 
 	queue   chan job
 	workers sync.WaitGroup
-	pending sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
-	rng    *rand.Rand
-	now    func() time.Time
-	ring   *ring
-	st     Stats
+	// pending counts enqueued audits not yet completed. drained is
+	// closed when pending falls to zero and replaced when it rises from
+	// zero, so Flush waits on it without holding mu. A WaitGroup would
+	// not do: Observe may enqueue while Flush waits.
+	pending int
+	drained chan struct{}
+	rng     *rand.Rand
+	now     func() time.Time
+	ring    *ring
+	st      Stats
 
 	// docs holds the oracle documents generated per schema fingerprint.
 	docs *lru.Cache[string, []xmltree.Tree]
@@ -194,6 +199,8 @@ func New(cfg Config) *Auditor {
 		ring:   newRing(),
 		docs:   lru.New[string, []xmltree.Tree](64, nil),
 	}
+	a.drained = make(chan struct{})
+	close(a.drained)
 	for i := 0; i < cfg.Workers; i++ {
 		a.workers.Add(1)
 		go a.run()
@@ -249,11 +256,13 @@ func (a *Auditor) Observe(o Observation) {
 // enqueueLocked enqueues without blocking; a full queue drops (and,
 // for a probe, releases the retrial slot so recovery is not wedged).
 func (a *Auditor) enqueueLocked(j job, fp string) {
-	a.pending.Add(1)
 	select {
 	case a.queue <- j:
+		if a.pending == 0 {
+			a.drained = make(chan struct{})
+		}
+		a.pending++
 	default:
-		a.pending.Done()
 		a.st.Dropped++
 		if j.probe {
 			a.reg.RecordProbe(fp, quarantine.ProbeInconclusive)
@@ -262,8 +271,15 @@ func (a *Auditor) enqueueLocked(j job, fp string) {
 }
 
 // Flush blocks until every enqueued audit has completed. It does not
-// stop the auditor.
-func (a *Auditor) Flush() { a.pending.Wait() }
+// stop the auditor, and it may run while other goroutines Observe: it
+// then returns when the audits enqueued so far, and any enqueued
+// meanwhile, have completed.
+func (a *Auditor) Flush() {
+	a.mu.Lock()
+	drained := a.drained
+	a.mu.Unlock()
+	<-drained
+}
 
 // Close drains and stops the workers, waiting however long the
 // in-flight audits take. Observe becomes a no-op.
@@ -347,7 +363,11 @@ func (a *Auditor) run() {
 	defer guard.OnPanic(func(*guard.InternalError) {})
 	for j := range a.queue {
 		a.process(j)
-		a.pending.Done()
+		a.mu.Lock()
+		if a.pending--; a.pending == 0 {
+			close(a.drained)
+		}
+		a.mu.Unlock()
 	}
 }
 

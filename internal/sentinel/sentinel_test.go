@@ -286,3 +286,39 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 		t.Fatalf("accounting: %+v", st)
 	}
 }
+
+// TestFlushWhileObserving: Flush may run while another goroutine
+// observes, as Pool.Flush may while the pool serves. Each Flush waits
+// for the audits enqueued so far; an enqueue during the wait must not
+// be the WaitGroup misuse the race detector reports (an Add from zero
+// concurrent with Wait), on which Wait can also panic.
+func TestFlushWhileObserving(t *testing.T) {
+	a := New(Config{SampleRate: 1, Workers: 2, Seed: 7})
+	defer a.Close()
+	q := xquery.MustParseQuery("//title")
+	u := xquery.MustParseUpdate("delete //price")
+	res, err := core.NewAnalyzer(bib).Analyze(q, u, core.MethodChains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			a.Observe(Observation{D: bib, Query: q, Update: u, Result: res})
+		}
+	}()
+	for observing := true; observing; {
+		select {
+		case <-done:
+			observing = false
+		default:
+		}
+		a.Flush()
+	}
+	st := a.Stats()
+	if st.Sampled != n || st.Audited+st.Dropped != n {
+		t.Fatalf("after the last Flush: %+v", st)
+	}
+}

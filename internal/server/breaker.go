@@ -98,8 +98,10 @@ type breakerStats struct {
 	probes   uint64
 }
 
-// breakerSet holds one breaker per schema fingerprint. All methods
-// are safe for concurrent use; the clock is injectable for tests.
+// breakerSet holds a breaker for each schema fingerprint that has
+// consecutive blowups or is open or half-open. An absent fingerprint
+// is closed, so healthy schemas keep no entry. All methods are safe
+// for concurrent use; the clock is injectable for tests.
 type breakerSet struct {
 	mu    sync.Mutex
 	cfg   BreakerConfig
@@ -120,15 +122,6 @@ func newBreakerSet(cfg BreakerConfig) *breakerSet {
 
 func (bs *breakerSet) disabled() bool { return bs.cfg.Threshold < 0 }
 
-func (bs *breakerSet) get(fp string) *breaker {
-	b := bs.m[fp]
-	if b == nil {
-		b = &breaker{}
-		bs.m[fp] = b
-	}
-	return b
-}
-
 // allow decides admission for a schema: (true, false) when closed,
 // (true, true) for the single half-open probe, (false, false) while
 // open or while a probe is already in flight.
@@ -138,11 +131,11 @@ func (bs *breakerSet) allow(fp string) (admit, probe bool) {
 	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	b := bs.get(fp)
-	switch b.state {
-	case stClosed:
+	b := bs.m[fp]
+	switch {
+	case b == nil || b.state == stClosed:
 		return true, false
-	case stOpen:
+	case b.state == stOpen:
 		if bs.now().Before(b.openUntil) {
 			bs.stats.rejected++
 			return false, false
@@ -169,13 +162,15 @@ func (bs *breakerSet) record(fp string, o outcome, probe bool) {
 	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	b := bs.get(fp)
+	b := bs.m[fp]
 	if probe {
+		// allow left fp half-open with the probe slot taken, and only
+		// this record ends that, so the entry is there.
 		b.probing = false
 		switch o {
 		case outcomeOK:
-			// Recovery: reset completely.
-			*b = breaker{}
+			// Recovery: a closed breaker without blowups is no entry.
+			delete(bs.m, fp)
 		case outcomeBlowup:
 			bs.trip(b)
 		default:
@@ -183,15 +178,19 @@ func (bs *breakerSet) record(fp string, o outcome, probe bool) {
 		}
 		return
 	}
-	if b.state != stClosed {
+	if b != nil && b.state != stClosed {
 		// A request admitted before the trip finished late; the open
 		// timer already reflects the failure pattern.
 		return
 	}
 	switch o {
 	case outcomeOK:
-		b.consecutive = 0
+		delete(bs.m, fp)
 	case outcomeBlowup:
+		if b == nil {
+			b = &breaker{}
+			bs.m[fp] = b
+		}
 		b.consecutive++
 		if b.consecutive >= bs.cfg.Threshold {
 			bs.trip(b)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -471,6 +472,80 @@ func TestBreakerIsPerSchema(t *testing.T) {
 	res, err := s.Do(context.Background(), other)
 	if err != nil || errors.Is(res.Err, ErrCircuitOpen) {
 		t.Fatalf("other schema tripped too: %v %+v", err, res)
+	}
+}
+
+// TestBreakerKeepsNoEntryForHealthySchemas: a fingerprint has an entry
+// only while it has consecutive blowups or an open or half-open
+// breaker. Distinct healthy schemas served from several goroutines
+// leave none, and neither does a blowup followed by a success or a
+// recovered probe.
+func TestBreakerKeepsNoEntryForHealthySchemas(t *testing.T) {
+	s := New(Config{
+		Workers: 2,
+		Breaker: BreakerConfig{Threshold: 2, Backoff: time.Second},
+		Plans:   plan.NewCache(64), // blowups fire inside cold builds
+	})
+	defer s.Close()
+	now := time.Unix(0, 0)
+	s.breakers.now = func() time.Time { return now }
+	entries := func() int {
+		s.breakers.mu.Lock()
+		defer s.breakers.mu.Unlock()
+		return len(s.breakers.m)
+	}
+
+	const schemas, clients = 200, 4
+	tasks := make([]Task, schemas)
+	for i := range tasks {
+		tasks[i] = mustTask(t, fmt.Sprintf("r <- e%d*\ne%d <- #PCDATA", i, i), "//r", fmt.Sprintf("delete //e%d", i))
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < schemas; i += clients {
+				if res, err := s.Do(context.Background(), tasks[i]); err != nil || res.Degraded {
+					t.Errorf("schema %d: %v %+v", i, err, res)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := entries(); n != 0 {
+		t.Fatalf("%d healthy schemas left %d breaker entries, want 0", schemas, n)
+	}
+
+	bib := mustTask(t, bibSchema, "//title", "delete //price")
+	if _, err := s.Do(blowupCtx(t), bib); err != nil {
+		t.Fatal(err)
+	}
+	if n := entries(); n != 1 {
+		t.Fatalf("after one blowup: %d entries, want 1", n)
+	}
+	if res, err := s.Do(context.Background(), bib); err != nil || res.Degraded {
+		t.Fatalf("clean request: %v %+v", err, res)
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("a success after a blowup left %d entries, want 0", n)
+	}
+
+	other := mustTask(t, "doc <- a*\na <- #PCDATA", "//a", "delete //a")
+	for i := 0; i < 2; i++ {
+		if _, err := s.Do(blowupCtx(t), other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.BreakerState(other.Analyzer.D.Fingerprint()); st != "open" {
+		t.Fatalf("after 2 blowups want open, got %s", st)
+	}
+	now = now.Add(2 * time.Second) // past the 1s backoff and its jitter
+	if res, err := s.Do(context.Background(), other); err != nil || res.Degraded {
+		t.Fatalf("recovery probe: %v %+v", err, res)
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("a recovered probe left %d entries, want 0", n)
 	}
 }
 

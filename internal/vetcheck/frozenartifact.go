@@ -5,8 +5,9 @@ package vetcheck
 // (plan.CompiledExpr) leaves its constructor, nothing outside the
 // configured home packages may mutate it — not its fields, not the
 // bitset rows and symbol slices its accessors expose as shared views.
-// The sentinel catches such mutations at runtime via checksums; this
-// check catches them at vet time.
+// At runtime the compile and plan cache tiers catch such mutations,
+// verifying each resident's checksum on every hit; this check catches
+// them at vet time.
 //
 // The analysis is a forward taint flow per function. An expression is
 // frozen-rooted when its static type is a frozen artifact type, when

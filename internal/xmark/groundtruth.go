@@ -15,8 +15,6 @@ import (
 // (most pairs are evidently independent or evidently dependent; the
 // multi-seed sampling plays the manual audit's role here).
 type Truth struct {
-	// ViewNames lists every view of the matrix.
-	ViewNames []string
 	// Dependent[update][view] records witnessed dependence; views
 	// absent from the inner map are independent.
 	Dependent map[string]map[string]bool
@@ -27,18 +25,6 @@ func (t *Truth) IsDependent(update, view string) bool {
 	return t.Dependent[update][view]
 }
 
-// IndependentPairs counts the pairs recorded independent for one
-// update across all views.
-func (t *Truth) IndependentPairs(update string) int {
-	n := 0
-	for _, v := range t.ViewNames {
-		if !t.Dependent[update][v] {
-			n++
-		}
-	}
-	return n
-}
-
 // GroundTruth evaluates every view before and after every update on
 // each sample document and records observed dependence. Runtime
 // errors (which the benchmark workload avoids) fail loudly.
@@ -46,9 +32,6 @@ func GroundTruth(docs []xmltree.Tree) (*Truth, error) {
 	views := Views()
 	ups := Updates()
 	out := &Truth{Dependent: make(map[string]map[string]bool, len(ups))}
-	for _, v := range views {
-		out.ViewNames = append(out.ViewNames, v.Name)
-	}
 	for _, u := range ups {
 		out.Dependent[u.Name] = make(map[string]bool, len(views))
 	}

@@ -428,22 +428,6 @@ func QuasiClosedUpdate(u Update) bool {
 	return len(free) == 0
 }
 
-// Size returns the number of AST nodes of q — the |exp| of the
-// complexity statements (Theorem 6.1).
-func Size(q Query) int {
-	n := 0
-	walkQuery(q, func(Query) { n++ })
-	return n
-}
-
-// UpdateSize returns the number of AST nodes of u, counting embedded
-// queries.
-func UpdateSize(u Update) int {
-	n := 0
-	walkUpdate(u, func(Update) { n++ }, func(Query) { n++ })
-	return n
-}
-
 func walkQuery(q Query, f func(Query)) {
 	f(q)
 	switch n := q.(type) {
@@ -462,35 +446,6 @@ func walkQuery(q Query, f func(Query)) {
 		walkQuery(n.Cond, f)
 		walkQuery(n.Then, f)
 		walkQuery(n.Else, f)
-	}
-}
-
-func walkUpdate(u Update, fu func(Update), fq func(Query)) {
-	fu(u)
-	switch n := u.(type) {
-	case USeq:
-		walkUpdate(n.Left, fu, fq)
-		walkUpdate(n.Right, fu, fq)
-	case UFor:
-		walkQuery(n.In, fq)
-		walkUpdate(n.Body, fu, fq)
-	case ULet:
-		walkQuery(n.Bind, fq)
-		walkUpdate(n.Body, fu, fq)
-	case UIf:
-		walkQuery(n.Cond, fq)
-		walkUpdate(n.Then, fu, fq)
-		walkUpdate(n.Else, fu, fq)
-	case Delete:
-		walkQuery(n.Target, fq)
-	case Rename:
-		walkQuery(n.Target, fq)
-	case Insert:
-		walkQuery(n.Source, fq)
-		walkQuery(n.Target, fq)
-	case Replace:
-		walkQuery(n.Target, fq)
-		walkQuery(n.Source, fq)
 	}
 }
 

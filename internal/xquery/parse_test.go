@@ -273,20 +273,6 @@ func TestFreeVars(t *testing.T) {
 	}
 }
 
-func TestSizes(t *testing.T) {
-	if Size(MustParseQuery("()")) != 1 {
-		t.Errorf("Size(()) != 1")
-	}
-	q := MustParseQuery("for $x in //a return $x/b")
-	if Size(q) < 5 {
-		t.Errorf("Size too small: %d", Size(q))
-	}
-	u := MustParseUpdate("delete //b")
-	if UpdateSize(u) < 4 {
-		t.Errorf("UpdateSize too small: %d", UpdateSize(u))
-	}
-}
-
 func TestAxisPredicates(t *testing.T) {
 	if Self.IsRecursive() || Child.IsRecursive() || FollowingSibling.IsRecursive() || Parent.IsRecursive() {
 		t.Errorf("non-recursive axes misclassified")

@@ -279,8 +279,8 @@ func (p *Pool) AuditStats() (AuditStats, QuarantineStats) {
 // Flush blocks until every audit already handed to the audit lane has
 // completed, so a following AuditStats or Incidents call observes them.
 // Audits run asynchronously off the request path; without a Flush the
-// counters are only eventually consistent. No-op when auditing is
-// disabled.
+// counters are only eventually consistent. It may run while other
+// goroutines use the pool. No-op when auditing is disabled.
 func (p *Pool) Flush() {
 	if p.aud != nil {
 		p.aud.Flush()

@@ -138,6 +138,13 @@ echo "== bench module (go vet + go test inside bench/)"
   go test ./...
 )
 
+echo "== breaker and audit-flush regressions (-race -count=10)"
+# Healthy schemas must leave no breaker entry, and Flush must not race
+# a concurrent Observe; both are concurrent, so run them repeatedly
+# under the race detector.
+go test ./internal/server -race -count=10 -run '^TestBreakerKeepsNoEntryForHealthySchemas$'
+go test ./internal/sentinel -race -count=10 -run '^TestFlushWhileObserving$'
+
 echo "== chaos smoke (fixed seed, ${CHAOS_RUNS:-60} runs)"
 # A second, differently-seeded pass over the serving layer's chaos
 # harness (the default-seed 200-run suite already ran above). Seed and
@@ -201,6 +208,23 @@ expect_exit2 "${state_dir}" "a non-empty journal.7"
 if ! grep -qF "journal.7" "${state_tmp}/refused.log"; then
   echo "state-dir smoke: the refusal does not name journal.7:" >&2
   cat "${state_tmp}/refused.log" >&2
+  exit 1
+fi
+
+echo "== audit-spool smoke (-audit-spool without -audit-rate is refused)"
+# Only the audit lane writes incidents, so -audit-spool without
+# -audit-rate would leave a spool that never receives one: the daemon
+# (built by the state-dir smoke) must exit 2 before creating the file.
+spool_status=0
+"${state_tmp}/xqindepd" -batch -audit-spool "${state_tmp}/spool.jsonl" </dev/null \
+  2>"${state_tmp}/refused.log" || spool_status=$?
+if [ "${spool_status}" -ne 2 ]; then
+  echo "audit-spool smoke: -audit-spool without -audit-rate exited ${spool_status}, want 2" >&2
+  cat "${state_tmp}/refused.log" >&2
+  exit 1
+fi
+if [ -e "${state_tmp}/spool.jsonl" ]; then
+  echo "audit-spool smoke: the refused daemon created its spool file" >&2
   exit 1
 fi
 rm -rf "${state_tmp}"
