@@ -6,11 +6,11 @@
 // a short word-wise loop instead of a nested map walk.
 //
 // A Set is either standalone or a fixed-width view. A standalone set
-// grows on Add/Or, and every operation tolerates operands of different
+// grows on Add/OrAnd, and every operation tolerates operands of different
 // lengths (missing words read as zero). A view is a cap-limited slice
 // of a larger pointer-free slab, one row of w = ⌈n/64⌉ words over a
 // fixed universe of n symbols; the CDAG engine keeps all its rows this
-// way. Add/Or never grow a view whose operands fit the universe, and
+// way. Add/OrAnd never grow a view whose operands fit the universe, and
 // the slab helpers OrCount, AndOf and Clear never grow at all: they
 // write in place and report bit counts, so a sweep over a slab
 // allocates nothing.
@@ -66,24 +66,6 @@ func (s Set) Remove(i int) {
 func (s Set) Has(i int) bool {
 	w := i / 64
 	return w < len(s) && s[w]&(uint64(1)<<(i%64)) != 0
-}
-
-// Or unions t into s and returns the number of newly set bits.
-func (s *Set) Or(t Set) int {
-	if len(t) > len(*s) {
-		s.grow(len(t)*64 - 1)
-	}
-	n := 0
-	d := *s
-	for w, tw := range t {
-		if tw == 0 {
-			continue
-		}
-		nw := d[w] | tw
-		n += bits.OnesCount64(nw ^ d[w])
-		d[w] = nw
-	}
-	return n
 }
 
 // OrAnd unions a∧b into s without materialising the intersection —

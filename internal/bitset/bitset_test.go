@@ -39,30 +39,6 @@ func TestAddHasRemove(t *testing.T) {
 	}
 }
 
-func TestOrCountsNewBits(t *testing.T) {
-	var a, b Set
-	a.Add(1)
-	a.Add(64)
-	b.Add(1)
-	b.Add(2)
-	b.Add(130)
-	if got := a.Or(b); got != 2 {
-		t.Errorf("Or new bits = %d, want 2", got)
-	}
-	if got := collect(a); !reflect.DeepEqual(got, []int{1, 2, 64, 130}) {
-		t.Errorf("union = %v", got)
-	}
-	if got := a.Or(b); got != 0 {
-		t.Errorf("repeat Or new bits = %d, want 0", got)
-	}
-	// Or into a longer set from a shorter one.
-	var c Set
-	c.Add(500)
-	if got := c.Or(a); got != 4 {
-		t.Errorf("short<-long Or = %d", got)
-	}
-}
-
 func TestAndIntersects(t *testing.T) {
 	var a, b Set
 	for _, i := range []int{0, 5, 70, 128} {

@@ -2,8 +2,8 @@
 // (Section 6.2) as structured rows: per-update analysis runtime (3.a),
 // precision of chains vs the type baseline (3.b), view
 // re-materialisation savings (3.c) and the R-benchmark scalability
-// surface (3.d). The rows are rendered by cmd/xqbench and measured by
-// the testing.B benchmarks in the repository root.
+// surface (3.d). The rows are rendered by cmd/xqbench; the package's
+// testing.B benchmarks time the same units the Figure3x functions time.
 package experiments
 
 import (
@@ -50,13 +50,58 @@ func budgeted(f func(b *guard.Budget)) error {
 	return guard.Do(func() { f(b) })
 }
 
-// chainVerdict runs the CDAG analysis under the package budget.
-func chainVerdict(d *dtd.DTD, q xquery.Query, u xquery.Update) cdag.Verdict {
-	var v cdag.Verdict
-	if err := budgeted(func(b *guard.Budget) { v = cdag.IndependenceBudget(d, q, u, b) }); err != nil {
-		return cdag.Verdict{Independent: false, Reasons: []string{fmt.Sprintf("budget exceeded: %v", err)}}
+// analysis names one of the static analyses Figure 3 compares.
+type analysis string
+
+const (
+	chains analysis = "chains" // the CDAG engine, under the package budget
+	types  analysis = "types"  // the type-set baseline [6]
+	paths  analysis = "paths"  // the schema-less path baseline
+)
+
+// verdicts is one update's pass over the 36 views under a: element i
+// reports whether a proves u independent of the i-th view. A chain
+// analysis that overruns the package budget counts as dependent.
+func verdicts(a analysis, u xmark.Upd) ([]bool, error) {
+	d, views := xmark.Schema(), xmark.Views()
+	var ta *typeanalysis.Analyzer
+	if a == types {
+		ta = typeanalysis.New(d)
 	}
-	return v
+	indep := make([]bool, len(views))
+	for i, v := range views {
+		switch a {
+		case chains:
+			budgeted(func(b *guard.Budget) { indep[i] = cdag.IndependenceBudget(d, v.AST, u.AST, b).Independent })
+		case types:
+			indep[i] = ta.CheckIndependence(v.AST, u.AST).Independent
+		case paths:
+			pv, err := pathanalysis.Independence(v.AST, u.AST)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: path analysis %s-%s: %v", u.Name, v.Name, err)
+			}
+			indep[i] = pv.Independent
+		}
+	}
+	return indep, nil
+}
+
+// shared builds u against the 36 views cold through one fresh plan
+// cache, whose update tier infers u once per depth bound the views
+// need rather than once per view. An overrun is timed like a verdict.
+func shared(u xmark.Upd) {
+	d, views := xmark.Schema(), xmark.Views()
+	cache := plan.NewCache(len(views))
+	for _, v := range views {
+		budgeted(func(b *guard.Budget) { plan.PrepareSchema(cache, d, v.AST, u.AST, b) })
+	}
+}
+
+// timed returns how long f takes.
+func timed(f func()) time.Duration {
+	start := time.Now()
+	f()
+	return time.Since(start)
 }
 
 // Figure3aRow is one bar of Figure 3.a: the time to analyse one update
@@ -82,34 +127,17 @@ type Figure3aRow struct {
 // Figure3a measures per-update analysis time against the whole view
 // set.
 func Figure3a() []Figure3aRow {
-	d := xmark.Schema()
-	views := xmark.Views()
 	var rows []Figure3aRow
 	for _, u := range xmark.Updates() {
 		row := Figure3aRow{Update: u.Name, KMin: 1 << 30}
 		nu := xquery.NormalizeUpdate(u.AST)
-		for _, v := range views {
+		for _, v := range xmark.Views() {
 			k := infer.KPair(xquery.Normalize(v.AST), nu)
 			row.KMin, row.KMax = min(row.KMin, k), max(row.KMax, k)
 		}
-		start := time.Now()
-		for _, v := range views {
-			chainVerdict(d, v.AST, u.AST)
-		}
-		row.Chains = time.Since(start)
-		start = time.Now()
-		cache := plan.NewCache(len(views))
-		for _, v := range views {
-			// An overrun is timed like a verdict, as in chainVerdict.
-			budgeted(func(b *guard.Budget) { plan.PrepareSchema(cache, d, v.AST, u.AST, b) })
-		}
-		row.Shared = time.Since(start)
-		start = time.Now()
-		ta := typeanalysis.New(d)
-		for _, v := range views {
-			ta.CheckIndependence(v.AST, u.AST)
-		}
-		row.Types = time.Since(start)
+		row.Chains = timed(func() { verdicts(chains, u) })
+		row.Shared = timed(func() { shared(u) })
+		row.Types = timed(func() { verdicts(types, u) })
 		rows = append(rows, row)
 	}
 	return rows
@@ -138,37 +166,32 @@ func Percent(found, trueIndep int) float64 {
 // truth. Soundness is asserted: an analysis may never deem a
 // dependent pair independent.
 func Figure3b(truth *xmark.Truth) ([]Figure3bRow, error) {
-	d := xmark.Schema()
-	views := xmark.Views()
-	ta := typeanalysis.New(d)
 	var rows []Figure3bRow
 	for _, u := range xmark.Updates() {
+		c, _ := verdicts(chains, u) // only the path analysis fails
+		t, _ := verdicts(types, u)
+		p, err := verdicts(paths, u)
+		if err != nil {
+			return nil, err
+		}
 		row := Figure3bRow{Update: u.Name}
-		for _, v := range views {
-			dep := truth.IsDependent(u.Name, v.Name)
-			if !dep {
-				row.TrueIndep++
-			}
-			cv := chainVerdict(d, v.AST, u.AST)
-			tv := ta.CheckIndependence(v.AST, u.AST)
-			pv, perr := pathanalysis.Independence(v.AST, u.AST)
-			if perr != nil {
-				return nil, fmt.Errorf("experiments: path analysis %s-%s: %v", u.Name, v.Name, perr)
-			}
-			if dep && (cv.Independent || tv.Independent || pv.Independent) {
-				return nil, fmt.Errorf("experiments: unsound verdict for %s-%s (chains=%v types=%v paths=%v)",
-					u.Name, v.Name, cv.Independent, tv.Independent, pv.Independent)
-			}
-			if !dep {
-				if cv.Independent {
-					row.ChainsFound++
+		for i, v := range xmark.Views() {
+			if truth.IsDependent(u.Name, v.Name) {
+				if c[i] || t[i] || p[i] {
+					return nil, fmt.Errorf("experiments: unsound verdict for %s-%s (chains=%v types=%v paths=%v)",
+						u.Name, v.Name, c[i], t[i], p[i])
 				}
-				if tv.Independent {
-					row.TypesFound++
-				}
-				if pv.Independent {
-					row.PathsFound++
-				}
+				continue
+			}
+			row.TrueIndep++
+			if c[i] {
+				row.ChainsFound++
+			}
+			if t[i] {
+				row.TypesFound++
+			}
+			if p[i] {
+				row.PathsFound++
 			}
 		}
 		rows = append(rows, row)
@@ -209,6 +232,32 @@ func (r Figure3cRow) SavingsChains() float64 {
 	return 100 * (1 - float64(r.Chains)/float64(r.RefreshAll))
 }
 
+// figure3cSeed seeds every Figure 3.c base document, so the document
+// at a factor is the same whichever other factors are listed.
+const figure3cSeed = 500
+
+// strategy is one refresh policy of Figure 3.c: skip[i] marks the
+// views it leaves stale after the i-th update (nil: none).
+type strategy struct {
+	name string
+	skip [][]bool
+}
+
+// strategies returns Figure 3.c's policies in row order: refresh-all,
+// then refresh what the type baseline and what chains do not prove
+// independent. Their verdicts are Figure 3.a's work, done here once.
+func strategies() []strategy {
+	s := []strategy{{name: "refresh-all"}, {name: "types"}, {name: "chains"}}
+	for _, u := range xmark.Updates() {
+		t, _ := verdicts(types, u) // only the path analysis fails
+		c, _ := verdicts(chains, u)
+		s[0].skip = append(s[0].skip, nil)
+		s[1].skip = append(s[1].skip, t)
+		s[2].skip = append(s[2].skip, c)
+	}
+	return s
+}
+
 // Figure3c measures view re-materialisation time on documents of the
 // given scale factors: for each update, all 36 views are re-evaluated
 // on the updated document (refresh-all), and only the views not deemed
@@ -216,54 +265,39 @@ func (r Figure3cRow) SavingsChains() float64 {
 // evaluator substitutes the paper's commercial engines; the relative
 // savings are the reproduced quantity.
 func Figure3c(factors []float64) []Figure3cRow {
-	d := xmark.Schema()
-	views := xmark.Views()
-	updates := xmark.Updates()
-
-	// Static verdicts (computed once; their cost is Figure 3.a).
-	ta := typeanalysis.New(d)
-	chainIndep := make(map[string]map[string]bool)
-	typeIndep := make(map[string]map[string]bool)
-	for _, u := range updates {
-		chainIndep[u.Name] = make(map[string]bool)
-		typeIndep[u.Name] = make(map[string]bool)
-		for _, v := range views {
-			chainIndep[u.Name][v.Name] = chainVerdict(d, v.AST, u.AST).Independent
-			typeIndep[u.Name][v.Name] = ta.CheckIndependence(v.AST, u.AST).Independent
-		}
-	}
-
+	strats, updates := strategies(), xmark.Updates()
 	var rows []Figure3cRow
-	for fi, factor := range factors {
-		base := xmark.GenerateDocument(int64(500+fi), factor)
-		row := Figure3cRow{Factor: factor, Bytes: len(base.Store.String(base.Root))}
-		var all, types, chains time.Duration
-		for _, u := range updates {
-			s2 := xmltree.NewStore()
-			root2 := s2.Copy(base.Store, base.Root)
-			if err := eval.Update(s2, eval.RootEnv(root2), u.AST); err != nil {
-				panic(fmt.Sprintf("experiments: update %s: %v", u.Name, err))
+	for _, factor := range factors {
+		base := xmark.GenerateDocument(figure3cSeed, factor)
+		var spent [3]time.Duration
+		for i, u := range updates {
+			doc := updated(base, u)
+			for j, s := range strats {
+				spent[j] += timed(func() { refresh(doc, s.skip[i]) })
 			}
-			updated := xmltree.NewTree(s2, root2)
-			all += refresh(updated, views, nil)
-			types += refresh(updated, views, typeIndep[u.Name])
-			chains += refresh(updated, views, chainIndep[u.Name])
 		}
 		n := time.Duration(len(updates))
-		row.RefreshAll = all / n
-		row.Types = types / n
-		row.Chains = chains / n
-		rows = append(rows, row)
+		rows = append(rows, Figure3cRow{Factor: factor, Bytes: len(base.Store.String(base.Root)),
+			RefreshAll: spent[0] / n, Types: spent[1] / n, Chains: spent[2] / n})
 	}
 	return rows
 }
 
-// refresh evaluates the views not marked independent and returns the
-// elapsed time.
-func refresh(doc xmltree.Tree, views []xmark.View, indep map[string]bool) time.Duration {
-	start := time.Now()
-	for _, v := range views {
-		if indep != nil && indep[v.Name] {
+// updated returns a copy of base with u applied.
+func updated(base xmltree.Tree, u xmark.Upd) xmltree.Tree {
+	s := xmltree.NewStore()
+	root := s.Copy(base.Store, base.Root)
+	if err := eval.Update(s, eval.RootEnv(root), u.AST); err != nil {
+		panic(fmt.Sprintf("experiments: update %s: %v", u.Name, err))
+	}
+	return xmltree.NewTree(s, root)
+}
+
+// refresh re-evaluates on doc, each on its own copy, the views that
+// skip does not mark.
+func refresh(doc xmltree.Tree, skip []bool) {
+	for i, v := range xmark.Views() {
+		if skip != nil && skip[i] {
 			continue
 		}
 		s := xmltree.NewStore()
@@ -272,7 +306,6 @@ func refresh(doc xmltree.Tree, views []xmark.View, indep map[string]bool) time.D
 			panic(fmt.Sprintf("experiments: view %s: %v", v.Name, err))
 		}
 	}
-	return time.Since(start)
 }
 
 // Figure3dRow is one point of the scalability surface: chain inference
@@ -285,41 +318,44 @@ type Figure3dRow struct {
 	Inferred time.Duration
 }
 
+// figure3dGrid calls f on each point of Figure 3.d's grid in row
+// order: em over dn for n in ns, then over the XMark schema (the
+// "auctions" column), for m in ms and k in {m, m+5, m+10}. Each schema
+// is compiled once, before its points.
+func figure3dGrid(ns, ms []int, f func(r Figure3dRow, c *dtd.Compiled, q xquery.Query)) {
+	schema := func(name string, n int, d *dtd.DTD) {
+		c, err := dtd.Compile(d)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: schema %s: %v", name, err))
+		}
+		for _, m := range ms {
+			q := rbench.ExprM(m)
+			for _, dk := range []int{0, 5, 10} {
+				f(Figure3dRow{Schema: name, N: n, M: m, K: m + dk}, c, q)
+			}
+		}
+	}
+	for _, n := range ns {
+		schema(fmt.Sprintf("d%d", n), n, rbench.SchemaN(n))
+	}
+	schema("auctions", 0, xmark.Schema())
+}
+
+// inferAt infers q's chains over c at multiplicity k on a fresh
+// engine.
+func inferAt(c *dtd.Compiled, q xquery.Query, k int) {
+	e := cdag.NewEngineCompiled(c, k, 0)
+	e.Query(e.RootEnv(), q)
+}
+
 // Figure3d runs the R-benchmark grid of the paper: n over ns, m over
 // ms, and k ∈ {m, m+5, m+10} for each, plus the XMark column.
 func Figure3d(ns, ms []int) []Figure3dRow {
 	var rows []Figure3dRow
-	for _, n := range ns {
-		d := rbench.SchemaN(n)
-		for _, m := range ms {
-			q := rbench.ExprM(m)
-			for _, dk := range []int{0, 5, 10} {
-				k := m + dk
-				e := cdag.NewEngine(d, k, 0)
-				start := time.Now()
-				e.Query(e.RootEnv(), q)
-				rows = append(rows, Figure3dRow{
-					Schema: fmt.Sprintf("d%d", n), N: n, M: m, K: k,
-					Inferred: time.Since(start),
-				})
-			}
-		}
-	}
-	// The "auctions" column: em over the XMark schema.
-	d := xmark.Schema()
-	for _, m := range ms {
-		q := rbench.ExprM(m)
-		for _, dk := range []int{0, 5, 10} {
-			k := m + dk
-			e := cdag.NewEngine(d, k, 0)
-			start := time.Now()
-			e.Query(e.RootEnv(), q)
-			rows = append(rows, Figure3dRow{
-				Schema: "auctions", M: m, K: k,
-				Inferred: time.Since(start),
-			})
-		}
-	}
+	figure3dGrid(ns, ms, func(r Figure3dRow, c *dtd.Compiled, q xquery.Query) {
+		r.Inferred = timed(func() { inferAt(c, q, r.K) })
+		rows = append(rows, r)
+	})
 	return rows
 }
 

@@ -216,6 +216,16 @@ func TestFigure3cRuns(t *testing.T) {
 	t.Logf("\n%s", RenderFigure3c(rows))
 }
 
+// A Figure 3.c document depends on its factor alone, not on the
+// factors listed before it, so xqbench and BenchmarkFigure3cRefresh
+// refresh the same documents.
+func TestFigure3cDocumentDependsOnFactorAlone(t *testing.T) {
+	alone, second := Figure3c([]float64{0.5})[0].Bytes, Figure3c([]float64{1, 0.5})[1].Bytes
+	if alone != second {
+		t.Errorf("factor 0.5 gives %d bytes listed alone and %d listed after factor 1", alone, second)
+	}
+}
+
 func TestFigure3dRuns(t *testing.T) {
 	rows := Figure3d([]int{1, 3}, []int{1, 5})
 	if len(rows) != 2*2*3+2*3 {

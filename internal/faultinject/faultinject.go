@@ -261,17 +261,6 @@ func (s *Schedule) Fired() []string {
 	return append([]string(nil), s.fired...)
 }
 
-// Hits returns the per-point hit counts observed so far.
-func (s *Schedule) Hits() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.hits))
-	for k, v := range s.hits {
-		out[k] = v
-	}
-	return out
-}
-
 // String summarises the armed faults, sorted for stable output.
 func (s *Schedule) String() string {
 	s.mu.Lock()

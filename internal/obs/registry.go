@@ -12,17 +12,14 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing counter. Inc/Add are single
-// atomic adds: safe for concurrent use on the hot path, no allocation.
+// Counter is a monotonically increasing counter. Inc is a single
+// atomic add: safe for concurrent use on the hot path, no allocation.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }

@@ -18,7 +18,9 @@ func TestExpositionGolden(t *testing.T) {
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.001, 0.01, 0.1})
 	r.GaugeFunc("test_resident", "Resident things.", func() float64 { return 3 })
 
-	c.Add(5)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	cBad.Inc()
 	h.Observe(0.0005) // first bucket
 	h.Observe(0.0005) // first bucket

@@ -40,7 +40,7 @@ type rec struct {
 }
 
 // maxSpans bounds one trace; a pathological ladder cannot balloon the
-// recorder. Overflow is counted, not grown.
+// recorder. Overflow is discarded, not grown.
 const maxSpans = 256
 
 // Trace records the span tree of one request. Construct with
@@ -59,7 +59,6 @@ type Trace struct {
 	t0       time.Time
 	recs     []rec
 	stack    []int // open span indices, innermost last
-	dropped  int
 	finished bool
 	total    time.Duration
 }
@@ -91,7 +90,6 @@ func (t *Trace) Start(name string) SpanHandle {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.finished || len(t.recs) >= maxSpans {
-		t.dropped++
 		return SpanHandle{}
 	}
 	parent := -1
@@ -160,7 +158,6 @@ func (t *Trace) Mark(point string, nodes, chains int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.finished || len(t.recs) >= maxSpans {
-		t.dropped++
 		return
 	}
 	parent := -1
@@ -178,16 +175,6 @@ func (t *Trace) Mark(point string, nodes, chains int) {
 		nodes:  nodes,
 		chains: chains,
 	})
-}
-
-// Dropped reports spans discarded after the recorder filled.
-func (t *Trace) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Finish seals the trace and returns the span tree in recording
@@ -247,16 +234,6 @@ func (t *Trace) Finish() []Span {
 		}
 	}
 	return out
-}
-
-// Total returns the sealed trace duration (zero before Finish).
-func (t *Trace) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // WriteTree renders a finished span list as an indented tree — the

@@ -46,9 +46,6 @@ func TestTraceSpanTree(t *testing.T) {
 	if s := spans[2]; s.Name != "m2" || s.StartUS != 30 || s.DurUS != 10 {
 		t.Errorf("mark m2 = %+v, want start 30 dur 10 (extends to parent end)", s)
 	}
-	if got := tr.Total(); got != 50*time.Microsecond {
-		t.Errorf("total = %v, want 50µs", got)
-	}
 }
 
 // Finish is idempotent, seals open spans at the finish instant, and
@@ -66,9 +63,6 @@ func TestTraceFinishSealsAndDropsLate(t *testing.T) {
 	again := tr.Finish()
 	if len(again) != 1 {
 		t.Errorf("late records leaked into a sealed trace: %+v", again)
-	}
-	if tr.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", tr.Dropped())
 	}
 }
 
@@ -96,7 +90,7 @@ func TestNilTraceSafe(t *testing.T) {
 	sp.Annotate("y")
 	sp.End()
 	tr.Mark("m", 0, 0)
-	if tr.Finish() != nil || tr.Dropped() != 0 || tr.Total() != 0 {
+	if tr.Finish() != nil {
 		t.Error("nil trace methods must return zero values")
 	}
 	if FromContext(context.Background()) != nil {
@@ -110,8 +104,8 @@ func TestNilTraceSafe(t *testing.T) {
 	}
 }
 
-// The recorder is bounded: past maxSpans records are counted, not
-// stored — a pathological ladder cannot balloon one trace.
+// The recorder is bounded: past maxSpans records are discarded — a
+// pathological ladder cannot balloon one trace.
 func TestTraceBounded(t *testing.T) {
 	tr := NewTrace(tick(time.Microsecond))
 	for i := 0; i < maxSpans+10; i++ {
@@ -119,9 +113,6 @@ func TestTraceBounded(t *testing.T) {
 	}
 	if got := len(tr.Finish()); got != maxSpans {
 		t.Errorf("spans = %d, want bound %d", got, maxSpans)
-	}
-	if tr.Dropped() != 10 {
-		t.Errorf("dropped = %d, want 10", tr.Dropped())
 	}
 }
 

@@ -59,19 +59,25 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== bench smoke (compiled-schema, prepared-plan, audit-overhead and Figure 3.a chain benchmarks, 1 iteration)"
+echo "== bench smoke (compiled-schema, prepared-plan, audit-overhead and Figure 3 benchmarks, 1 iteration)"
 # One iteration only — this proves the engine/phase, cold/warm and
-# audit off/on benchmarks, and the Figure 3.a passes the cold-path
-# profiles are taken from, still compile and run. Measure one with
-# `go test -run '^$' -bench <name> -benchmem .`;
+# audit off/on benchmarks, and every Figure 3 benchmark (the 3.a
+# passes are the ones the cold-path profiles are taken from), still
+# compile and run. Measure one with
+# `go test -run '^$' -bench <name> -benchmem <package>`;
 # BENCH_compiledschema.json and BENCH_sentinel.json are the historical
 # records of the first and last.
 go test -run '^$' -bench 'BenchmarkCompiledVsReference|BenchmarkPreparedVsCold|BenchmarkAuditOverhead' -benchtime 1x .
-# A second run: -bench applies its /-separated parts per level, so the
-# sub-benchmark filter must not reach the benchmarks above.
-go test -run '^$' -bench 'BenchmarkFigure3aChains/(UB2|UN1)$' -benchtime 1x .
+# One run per Figure 3 benchmark: -bench applies its /-separated parts
+# per level, so one benchmark's sub-benchmark filter must not reach
+# another's. Each filter keeps a cheap sub-benchmark.
+for filter in 'BenchmarkFigure3aChains/(UB2|UN1)$' 'BenchmarkFigure3aTypes/UB2$' \
+  'BenchmarkFigure3bMatrix/paths$' 'BenchmarkFigure3cRefresh/factor=1$/chains$' \
+  'BenchmarkFigure3dInference/d3$/e5$/k=5$'; do
+  go test -run '^$' -bench "${filter}" -benchtime 1x ./internal/experiments
+done
 
-echo "== xqbench smoke under tight budgets (Figure 3.b stays sound; Figure 3.a's k ignores the budget)"
+echo "== xqbench smoke under tight budgets (Figure 3.b stays sound; Figure 3.a's k ignores the budget; counts below 1 are refused)"
 # xqbench counts a budget overrun as "not independent", so a 3 ms
 # budget must still give a sound Figure 3.b: xqbench exits 1 on a
 # SOUNDNESS VIOLATION. Under 20us every Figure 3.a analysis overruns
@@ -81,6 +87,15 @@ echo "== xqbench smoke under tight budgets (Figure 3.b stays sound; Figure 3.a's
 xqbench_bin="$(mktemp -d)/xqbench"
 go build -o "${xqbench_bin}" ./cmd/xqbench
 "${xqbench_bin}" -fig 3b -truth-docs 1 -truth-factor 0.5 -timeout 3ms >/dev/null
+# A count below 1 is a usage error (exit 2) with a message, not a panic
+# inside the R-benchmark generator.
+count_status=0
+"${xqbench_bin}" -fig 3d -d-ns 0 >/dev/null 2>"${xqbench_bin}.err" || count_status=$?
+if [ "${count_status}" -ne 2 ] || grep -q 'panic:' "${xqbench_bin}.err"; then
+  echo "xqbench smoke: -fig 3d -d-ns 0 exited ${count_status}, want 2 without a panic:" >&2
+  cat "${xqbench_bin}.err" >&2
+  exit 1
+fi
 fig3a="$("${xqbench_bin}" -fig 3a -timeout 20us)"
 fig3a_rows="$(grep -cE '^U[A-Z][0-9]+ ' <<<"${fig3a}" || true)"
 if [ "${fig3a_rows}" -ne 31 ]; then
