@@ -153,7 +153,9 @@ type Verdict struct {
 // cdag.infer_update (fired here only when the engine infers the
 // update; the plan builder fires it before its update-tier lookup),
 // cdag.infer_query and cdag.conflict — split a traced build into its
-// stages and are fault points too.
+// stages and are fault points too. It returns with every sweep
+// released and hands the engine's scratch back to the package pool, so
+// the next build reuses it; a later sweep on e takes a slab anew.
 func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
 	var uc *UpdateSet
 	if e.side != nil {
@@ -175,6 +177,7 @@ func (e *Engine) CheckIndependence(q xquery.Query, u xquery.Update) Verdict {
 	if ConflictUpdateUsed(uc, qc.Used) {
 		reasons = append(reasons, "confl(U,v)")
 	}
+	e.recycle()
 	return Verdict{
 		Independent: len(reasons) == 0,
 		Reasons:     reasons,

@@ -149,3 +149,53 @@ func TestNilSetReads(t *testing.T) {
 		t.Error("addAll does not take over its first set")
 	}
 }
+
+// TestRecycledScratchIsNotShared: CheckIndependence hands its scratch
+// back to the pool, so the engine holds none afterwards, and the three
+// conflict checks rerun on its verdict's sets cut their sweeps from a
+// slab taken anew while another goroutine's engines build on the
+// pooled one. The rerun must give the verdict's reasons; under -race
+// two engines writing one slab would be reported. Every engine is
+// poisoned, so each slab it hands back is filled with ones.
+func TestRecycledScratchIsNotShared(t *testing.T) {
+	c, err := dtd.Compile(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := xmark.Views()
+	build := func(v xmark.View, u xmark.Upd) (*Engine, Verdict) {
+		nq, nu := xquery.Normalize(v.AST), xquery.NormalizeUpdate(u.AST)
+		e := EngineForCompiled(c, nq, nu)
+		e.poison = true
+		return e, e.CheckIndependence(nq, nu)
+	}
+	for _, name := range []string{"UB2", "UN1", "UI5"} {
+		u, _ := xmark.UpdateByName(name)
+		for i, v := range views {
+			e, got := build(v, u)
+			if e.scratch != nil || e.top != 0 {
+				t.Fatalf("%s × %s: CheckIndependence leaves the engine a scratch slab (%d words taken)", v.Name, name, e.top)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				build(views[(i+1)%len(views)], u)
+				build(views[(i+2)%len(views)], u)
+			}()
+			var again []string
+			if ConflictRetUpdate(got.Query.Ret, got.Update) {
+				again = append(again, "confl(r,U)")
+			}
+			if ConflictUpdateRet(got.Update, got.Query.Ret) {
+				again = append(again, "confl(U,r)")
+			}
+			if ConflictUpdateUsed(got.Update, got.Query.Used) {
+				again = append(again, "confl(U,v)")
+			}
+			<-done
+			if !reflect.DeepEqual(again, got.Reasons) {
+				t.Errorf("%s × %s: rerun checks fire %v, the verdict %v", v.Name, name, again, got.Reasons)
+			}
+		}
+	}
+}

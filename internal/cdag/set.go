@@ -29,15 +29,17 @@
 // and the rules leave an empty side nil. The set algebra — union,
 // intersection, pruning, prefix-conflict probing — runs as word loops
 // over those rows; the level-wise sweeps behind them are cut from one
-// scratch slab the engine owns and released last-in-first-out, so a
-// build allocates only the sets and markings it keeps. The retained
-// map-based engine lives in internal/refcdag as the
-// differential-testing reference.
+// scratch slab the engine takes from a package pool and released
+// last-in-first-out. CheckIndependence hands the slab back to the pool
+// once every sweep is released, so a run of builds allocates only the
+// sets and markings they keep. The retained map-based engine lives in
+// internal/refcdag as the differential-testing reference.
 package cdag
 
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"xqindep/internal/bitset"
 	"xqindep/internal/chain"
@@ -220,9 +222,10 @@ type Engine struct {
 	extraIdx   map[string]dtd.SymID
 
 	// scratch is the slab every sweep and node-test mask of a build is
-	// cut from; its first top words are taken (see sweep). It dies with
-	// the engine.
-	scratch []uint64
+	// cut from; its first top words are taken (see sweep). The engine
+	// takes it from scratchPool at its first sweep; CheckIndependence
+	// hands it back and sets the field to nil (recycle).
+	scratch *[]uint64
 	top     int
 
 	// side, when non-nil, is the update side CheckIndependence adopts
@@ -326,12 +329,21 @@ func (e *Engine) marks(depths int) Marks {
 // least twice as large; live sweeps keep the old slab alive, and their
 // words in the new one stay unused until they are released. A sweep
 // never becomes a set's storage: layout copies occupancy out of it.
+// The first sweep takes the slab from scratchPool and replaces one
+// shorter than scratchFloor by one of that length, so the pooled slab
+// ends as long as the deepest build needs, not twice that.
 func (e *Engine) sweep(depths int) Marks {
 	n := depths * e.w
-	if e.top+n > len(e.scratch) {
-		e.scratch = make([]uint64, max(2*len(e.scratch), e.top+n, e.scratchFloor()))
+	if e.scratch == nil {
+		e.scratch = scratchPool.Get().(*[]uint64)
+		if len(*e.scratch) < e.scratchFloor() {
+			*e.scratch = make([]uint64, e.scratchFloor())
+		}
 	}
-	words := e.scratch[e.top : e.top+n : e.top+n]
+	if e.top+n > len(*e.scratch) {
+		*e.scratch = make([]uint64, max(2*len(*e.scratch), e.top+n, e.scratchFloor()))
+	}
+	words := (*e.scratch)[e.top : e.top+n : e.top+n]
 	clear(words)
 	e.top += n
 	return Marks{w: e.w, depths: depths, words: words}
@@ -341,17 +353,47 @@ func (e *Engine) sweep(depths int) Marks {
 // slab: the deepest nesting of sweeps a build reaches, which is a
 // descendant or ancestor step's two sweeps, mask and front row under
 // the three sweeps of the pruning it ends in, each of at most
-// MaxDepth+2 rows. So a build usually allocates its scratch once.
+// MaxDepth+2 rows. So a build usually never grows its slab.
 func (e *Engine) scratchFloor() int { return (5*(e.MaxDepth+2) + 2) * e.w }
 
 // release gives back every sweep taken since the scratch top was top.
 func (e *Engine) release(top int) {
 	if e.poison {
 		for i := top; i < e.top; i++ {
-			e.scratch[i] = ^uint64(0)
+			(*e.scratch)[i] = ^uint64(0)
 		}
 	}
 	e.top = top
+}
+
+// maxPooledScratch is the longest slab, in words, scratchPool takes
+// back: 64 KiB, seven times the longest a build over XMark takes.
+const maxPooledScratch = 8 << 10
+
+// scratchPool recycles sweep slabs from one engine to the next. It
+// holds the slab's slice header by pointer, and the engine keeps that
+// pointer, so handing a slab back allocates nothing.
+var scratchPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// recycle hands the scratch back to scratchPool once every sweep is
+// released (top is 0). Sweeps are released last-in-first-out and never
+// become a set's storage, so then nothing views the slab, and the
+// engine that takes it next owns every word. A poisoned engine fills
+// it with ones first, so a view that survived would read garbage. A
+// later sweep on e takes a slab anew.
+func (e *Engine) recycle() {
+	if e.scratch == nil || e.top != 0 {
+		return
+	}
+	if e.poison {
+		for i := range *e.scratch {
+			(*e.scratch)[i] = ^uint64(0)
+		}
+	}
+	if len(*e.scratch) <= maxPooledScratch {
+		scratchPool.Put(e.scratch)
+	}
+	e.scratch = nil
 }
 
 // symName resolves an interned ID to its type name.

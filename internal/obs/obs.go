@@ -17,7 +17,8 @@
 //     bucket bounds) — safe for concurrent use from every worker, no
 //     allocation, no locks. Tracing does allocate (spans are data),
 //     but only on requests that asked for it or when the server keeps
-//     a slow-trace ring.
+//     a slow-trace ring; the recorder itself comes from a pool
+//     (NewTrace) and goes back to it (Trace.Release).
 //
 //   - Injectable time. Every wall-clock read goes through a caller
 //     supplied clock, so handler tests freeze it and golden outputs

@@ -44,15 +44,15 @@ type rec struct {
 const maxSpans = 256
 
 // Trace records the span tree of one request. Construct with
-// NewTrace, carry through the request with NewContext, finish exactly
-// once with Finish. A nil *Trace is valid: every method no-ops, so
-// instrumentation sites never branch on whether tracing is on.
+// NewTrace, carry through the request with NewContext, finish with
+// Finish, and hand back with Release once nothing reads it. A nil
+// *Trace is valid: every method no-ops, so instrumentation sites never
+// branch on whether tracing is on.
 //
-// The handler and the pool worker touch the trace from different
-// goroutines (sequentially in the normal case, concurrently only when
-// the client gives up and the worker finishes in the background), so
-// every method takes the mutex; after Finish, late records are
-// dropped.
+// A request runs on its caller's goroutine, so one goroutine records
+// into its trace; every method still takes the mutex, so code that
+// hands the request's context to another goroutine cannot corrupt the
+// recorder. After Finish, late records are dropped.
 type Trace struct {
 	mu       sync.Mutex
 	now      func() time.Time
@@ -60,8 +60,15 @@ type Trace struct {
 	recs     []rec
 	stack    []int // open span indices, innermost last
 	finished bool
-	total    time.Duration
 }
+
+// maxPooledRecs is the largest record buffer, in records, a released
+// trace may hold and still be pooled: twice the 32 a new one reserves.
+const maxPooledRecs = 64
+
+// tracePool recycles released traces with their record and stack
+// buffers, so a traced request allocates neither.
+var tracePool = sync.Pool{New: func() any { return &Trace{recs: make([]rec, 0, maxPooledRecs/2)} }}
 
 // NewTrace starts a trace on the given clock (required: the serving
 // layer injects its clock so tests freeze it). Creating the first
@@ -69,9 +76,28 @@ type Trace struct {
 // existing fault-point boundaries into phase marks.
 func NewTrace(now func() time.Time) *Trace {
 	arm()
-	t := &Trace{now: now, t0: now()}
-	t.recs = make([]rec, 0, 32)
+	t := tracePool.Get().(*Trace)
+	t.now, t.t0 = now, now()
 	return t
+}
+
+// Release empties t and hands it back for a later NewTrace, unless its
+// record buffer grew past maxPooledRecs. Call it at most once, when
+// nothing holds t or a context carrying it any more; spans an earlier
+// Finish returned are copies and stay valid.
+func (t *Trace) Release() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	clear(t.recs)
+	t.recs, t.stack = t.recs[:0], t.stack[:0]
+	t.now, t.finished = nil, false
+	keep := cap(t.recs) <= maxPooledRecs
+	t.mu.Unlock()
+	if keep {
+		tracePool.Put(t)
+	}
 }
 
 // SpanHandle ends or annotates one started span. The zero value (from
@@ -180,9 +206,9 @@ func (t *Trace) Mark(point string, nodes, chains int) {
 // Finish seals the trace and returns the span tree in recording
 // (pre-order) order: open spans are closed at the finish instant,
 // each mark is extended to the start of the next record under the
-// same parent (or the parent's end), and late records from a
-// background worker are dropped from then on. Finish is idempotent —
-// later calls return the sealed result.
+// same parent (or the parent's end), and late records are dropped
+// from then on. Finish is idempotent — later calls return the sealed
+// result, each a copy of its own.
 func (t *Trace) Finish() []Span {
 	if t == nil {
 		return nil
@@ -191,10 +217,10 @@ func (t *Trace) Finish() []Span {
 	defer t.mu.Unlock()
 	if !t.finished {
 		t.finished = true
-		t.total = t.now().Sub(t.t0)
+		total := t.now().Sub(t.t0)
 		for i := range t.recs {
 			if t.recs[i].end < 0 {
-				t.recs[i].end = t.total
+				t.recs[i].end = total
 			}
 		}
 		// Extend marks: a mark's phase lasts until the next record under
@@ -203,7 +229,7 @@ func (t *Trace) Finish() []Span {
 			if !t.recs[i].mark {
 				continue
 			}
-			end := t.total
+			end := total
 			if p := t.recs[i].parent; p >= 0 {
 				end = t.recs[p].end
 			}

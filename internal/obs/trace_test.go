@@ -93,6 +93,7 @@ func TestNilTraceSafe(t *testing.T) {
 	if tr.Finish() != nil {
 		t.Error("nil trace methods must return zero values")
 	}
+	tr.Release()
 	if FromContext(context.Background()) != nil {
 		t.Error("FromContext on a bare context must be nil")
 	}
@@ -113,6 +114,53 @@ func TestTraceBounded(t *testing.T) {
 	}
 	if got := len(tr.Finish()); got != maxSpans {
 		t.Errorf("spans = %d, want bound %d", got, maxSpans)
+	}
+}
+
+// A released trace comes back from NewTrace empty: no record or open
+// span of its last use, not finished, and timed from a t0 of its own.
+// sync.Pool may drop what it is handed (a quarter of it under -race),
+// so the test releases traces until one comes back.
+func TestReleasedTraceComesBackEmpty(t *testing.T) {
+	clock := tick(10 * time.Microsecond)
+	for try := 0; try < 100; try++ {
+		old := NewTrace(clock)
+		old.Start("old").Annotate("stale")
+		old.Start("open")
+		old.Mark("old.mark", 1, 1)
+		old.Finish()
+		old.Release()
+		tr := NewTrace(clock)
+		if tr != old {
+			continue
+		}
+		if len(tr.recs) != 0 || len(tr.stack) != 0 || tr.finished {
+			t.Fatalf("a reused trace holds %d records and %d open spans, finished %v", len(tr.recs), len(tr.stack), tr.finished)
+		}
+		tr.Start("new").End()
+		spans := tr.Finish()
+		if len(spans) != 1 || spans[0].Name != "new" || spans[0].Detail != "" || spans[0].StartUS != 10 || spans[0].DurUS != 10 {
+			t.Fatalf("a reused trace records %+v, want only span new, 10µs after its own t0", spans)
+		}
+		return
+	}
+	t.Fatal("no released trace came back from NewTrace in 100 tries")
+}
+
+// A trace whose record buffer grew past maxPooledRecs is not pooled, so
+// one long request cannot pin a large buffer.
+func TestLargeTraceIsNotPooled(t *testing.T) {
+	clock := tick(time.Microsecond)
+	big := NewTrace(clock)
+	for i := 0; i <= maxPooledRecs; i++ {
+		big.Mark("m", 0, 0)
+	}
+	big.Finish()
+	big.Release()
+	for i := 0; i < 10; i++ {
+		if tr := NewTrace(clock); tr == big || cap(tr.recs) > maxPooledRecs {
+			t.Fatalf("NewTrace returns a trace of %d records' capacity, more than %d", cap(tr.recs), maxPooledRecs)
+		}
 	}
 }
 

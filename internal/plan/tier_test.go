@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -196,4 +197,55 @@ func TestUpdateTierConcurrentBuilds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestColdBuildBytes pins the bytes of one cold build: the mean over
+// one update's 36 views built back to back through a fresh cache, as
+// cold-fig3a sends them. Each ceiling is 1.25 times the bytes measured
+// with the sweep scratch handed from build to build; under -race,
+// where sync.Pool drops a quarter of what it is handed, about one
+// build in four makes its slab anew. A build that made its own scratch
+// slab (7,072 to 9,072 B over XMark) read 35,689 B on UN1, 38,023 B
+// on UB2 and 24,961 B on UI5, over every ceiling.
+func TestColdBuildBytes(t *testing.T) {
+	c, err := dtd.Compile(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := xmark.Views()
+	for _, tc := range []struct {
+		update  string
+		ceiling float64
+	}{
+		{"UN1", 34_090}, // 27,269 B measured, about 31,100 B under -race
+		{"UB2", 36_340}, // 29,070 B, about 32,600 B under -race
+		{"UI5", 21_680}, // 17,341 B, about 20,800 B under -race
+	} {
+		u, _ := xmark.UpdateByName(tc.update)
+		pass := func() {
+			cache := plan.NewCache(plan.DefaultCacheSize)
+			for _, v := range views {
+				if _, err := coldBuild(cache, c, v.AST, u.AST); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if n := bytesPerRun(10, pass) / float64(len(views)); n > tc.ceiling {
+			t.Errorf("%s: a cold build allocates %.0f B, ceiling %.0f", tc.update, n, tc.ceiling)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean number of
+// bytes f allocates over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -80,14 +80,15 @@ func TestAnalyzeBodyOverLimit(t *testing.T) {
 	}
 }
 
-// warmAnalyze measures one warm A3 × UB2 /analyze request through the
-// handler: the bytes and the allocations it makes, each the mean of 400
-// requests after the cold build. Under -race a sync.Pool drops a
-// quarter of what it is handed, so about one body buffer in four is
-// made anew; 400 requests keep that spread well inside the ceilings.
-func warmAnalyze(t *testing.T) (allocBytes, allocs float64) {
+// warmAnalyze measures one warm A3 × UB2 /analyze request through a
+// handler with a slow-trace ring of ring entries (0: off): the bytes
+// and the allocations it makes, each the mean of 400 requests after the
+// cold build. Under -race a sync.Pool drops a quarter of what it is
+// handed, so about one body buffer and one trace in four are made
+// anew; 400 requests keep that spread well inside the ceilings.
+func warmAnalyze(t *testing.T, ring int) (allocBytes, allocs float64) {
 	t.Helper()
-	h := obsHandler(t, 0)
+	h := obsHandler(t, ring)
 	v, _ := xmark.ViewByName("A3")
 	u, _ := xmark.UpdateByName("UB2")
 	body, err := json.Marshal(AnalyzeRequest{Schema: xmark.SchemaText, Query: v.Text, Update: u.Text})
@@ -122,7 +123,7 @@ func warmAnalyze(t *testing.T) (allocBytes, allocs float64) {
 // the request allocate 24,712 B, and any one of the three would break
 // the ceiling.
 func TestWarmAnalyzeBytes(t *testing.T) {
-	if n, _ := warmAnalyze(t); n > 14_470 {
+	if n, _ := warmAnalyze(t, 0); n > 14_470 {
 		t.Errorf("a warm /analyze request allocates %.0f B, ceiling 14,470", n)
 	}
 }
@@ -132,8 +133,25 @@ func TestWarmAnalyzeBytes(t *testing.T) {
 // sides canonically and hashing the prints for the plan key made it
 // 162.
 func TestWarmAnalyzeAllocs(t *testing.T) {
-	if _, n := warmAnalyze(t); n > 126 {
+	if _, n := warmAnalyze(t, 0); n > 126 {
 		t.Errorf("a warm /analyze request makes %.1f allocations, ceiling 126", n)
+	}
+}
+
+// TestWarmAnalyzeBytesWithRing pins the same request on a handler
+// with the daemon's 64-entry slow-trace ring, which records a trace of
+// every request, at 1.25 times the 11,355 B measured. Under -race it
+// measures about 14,480 B, as sync.Pool drops a quarter of the traces
+// and body buffers it is handed, and the ceiling is 1.1 times that. A
+// trace made anew per request, its 32-record buffer and its stack read
+// 15,028 B, and 17,260 B under -race: over either ceiling.
+func TestWarmAnalyzeBytesWithRing(t *testing.T) {
+	ceiling := 14_190.0
+	if raceEnabled {
+		ceiling = 15_930
+	}
+	if n, _ := warmAnalyze(t, 64); n > ceiling {
+		t.Errorf("a warm /analyze request with the trace ring on allocates %.0f B, ceiling %.0f", n, ceiling)
 	}
 }
 

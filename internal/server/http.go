@@ -319,7 +319,10 @@ func truncate(s string, n int) string {
 // (req.Trace) or the slow-trace ring is on. An untraced request
 // allocates nothing for tracing — no trace object, no context value —
 // and the spans of a traced one are built only when the request asked
-// for them or the ring will keep them.
+// for them or the ring will keep them. The trace itself comes from
+// obs's pool and goes back to it (Release) once the response and the
+// ring entry hold their copies of the spans: the request ran on this
+// goroutine, and nothing it leaves behind holds its context.
 func (h *Handler) analyze(ctx context.Context, req *wireRequest) (AnalyzeResponse, int) {
 	start := h.now()
 	var tr *obs.Trace
@@ -352,6 +355,7 @@ func (h *Handler) analyze(ctx context.Context, req *wireRequest) (AnalyzeRespons
 			Outcome: outcome,
 			Spans:   spans,
 		})
+		tr.Release()
 	}
 	return resp, code
 }

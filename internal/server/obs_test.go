@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -227,6 +228,75 @@ func TestRingRejectedRequestBuildsNoSpans(t *testing.T) {
 	if slice := float64(spans) * float64(reflect.TypeOf(obs.Span{}).Size()); withTrace-plain < slice/2 {
 		t.Fatalf("a rejected request allocates %.0f B and a traced one %.0f B; want about the %.0f B of its %d spans between them", plain, withTrace, slice, spans)
 	}
+}
+
+// Concurrent traced requests through a ring-64 handler each get a span
+// tree of their own, though their traces come from one pool: one serve
+// root, one chains rung annotated with the response's own plan
+// provenance, and cdag marks only in a cold build's tree. The pairs are
+// shared, so some requests build cold and some hit. Run it under -race.
+func TestConcurrentTracesAreTheirOwn(t *testing.T) {
+	const clients = 4
+	s := New(Config{Workers: 2, QueueDepth: clients, Plans: plan.NewCache(64), TraceRing: 64})
+	t.Cleanup(func() { s.Close() })
+	h := NewHandler(s)
+	var reqs []AnalyzeRequest
+	for _, q := range []string{"//name", "//cost", "//item", "//item/name", "/store/item/cost"} {
+		for _, u := range []string{"delete //cost", "delete //name", "rename //item as good"} {
+			reqs = append(reqs, AnalyzeRequest{Schema: obsSchema, Query: q, Update: u, Trace: true})
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for n := range reqs {
+				req := reqs[(n+c)%len(reqs)]
+				body, _ := json.Marshal(req)
+				rw := httptest.NewRecorder()
+				h.ServeHTTP(rw, httptest.NewRequest("POST", "/analyze", bytes.NewReader(body)))
+				var resp AnalyzeResponse
+				if err := json.Unmarshal(rw.Body.Bytes(), &resp); err != nil || rw.Code != 200 {
+					t.Errorf("%s | %s: status %d: %s", req.Query, req.Update, rw.Code, rw.Body.String())
+					return
+				}
+				if err := ownTrace(resp); err != nil {
+					t.Errorf("%s | %s: %v: %+v", req.Query, req.Update, err, resp.Trace)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// ownTrace reports how resp's span tree fails to be one request's.
+func ownTrace(resp AnalyzeResponse) error {
+	var roots, rungs, builds int
+	for _, sp := range resp.Trace {
+		if sp.Depth == 0 {
+			roots++
+		}
+		switch sp.Name {
+		case "rung:chains":
+			rungs++
+			if sp.Detail != resp.Plan {
+				return fmt.Errorf("the chains rung says %q, the response %q", sp.Detail, resp.Plan)
+			}
+		case "cdag.build":
+			builds++
+		}
+	}
+	switch {
+	case len(resp.Trace) == 0 || resp.Trace[0].Name != "serve" || roots != 1:
+		return fmt.Errorf("%d roots, want one serve span", roots)
+	case rungs != 1:
+		return fmt.Errorf("%d chains rungs, want 1", rungs)
+	case (resp.Plan == "cold") != (builds == 1) || builds > 1:
+		return fmt.Errorf("a %s plan with %d cdag.build marks", resp.Plan, builds)
+	}
+	return nil
 }
 
 // With the ring off, /tracez still answers (empty), and an untraced

@@ -430,17 +430,21 @@ func (s *Server) process(ctx context.Context, t Task, fp string, probe bool) (re
 	outcome := outcomeBlowup
 	defer func() { s.breakers.record(fp, outcome, probe) }()
 
-	actx, cancel := context.WithCancel(ctx)
+	// One context bounds the analysis: RequestTimeout, when set, is its
+	// deadline, and a hard drain cancels it when the server's base
+	// context dies.
+	var (
+		actx   context.Context
+		cancel context.CancelFunc
+	)
+	if s.cfg.RequestTimeout > 0 {
+		actx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	} else {
+		actx, cancel = context.WithCancel(ctx)
+	}
 	defer cancel()
-	// Hard drain: when the server's base context dies, every running
-	// analysis is cancelled too.
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
-	if s.cfg.RequestTimeout > 0 {
-		var tcancel context.CancelFunc
-		actx, tcancel = context.WithTimeout(actx, s.cfg.RequestTimeout)
-		defer tcancel()
-	}
 
 	res, err = t.Analyzer.AnalyzeContext(actx, t.Query, t.Update, t.Method, core.Options{
 		Limits:     clamp(t.Limits, s.share),

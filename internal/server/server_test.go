@@ -251,6 +251,38 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	}
 }
 
+// TestDrainCancelsAnalysisUnderRequestTimeout: with RequestTimeout
+// positive, the analysis runs under the request's deadline, and a drain
+// deadline that passes still hard-cancels it. The timeout is an hour,
+// so only the drain can end the stall.
+func TestDrainCancelsAnalysisUnderRequestTimeout(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})
+	task, ctx, cancel, stalled := stalledTask(t, bibSchema)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Do(ctx, task)
+		done <- err
+	}()
+	<-stalled
+
+	sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer scancel()
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(sctx) }()
+	select {
+	case err := <-shut:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("want DeadlineExceeded from forced drain, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the drain did not cancel an analysis running under RequestTimeout")
+	}
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("want the stalled request cancelled, got %v", err)
+	}
+}
+
 func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	s := New(Config{Workers: 1})
 	res, err := s.Do(context.Background(), mustTask(t, bibSchema, "//title", "delete //price"))

@@ -69,7 +69,7 @@ var faBreakers = set("Clone")
 
 // faMutators are the bitset methods that write through their receiver,
 // the fixed-width slab helpers (OrCount, AndOf, Clear) included.
-var faMutators = set("Add", "Remove", "Or", "OrAnd", "grow",
+var faMutators = set("Add", "Remove", "OrAnd", "grow",
 	"OrCount", "AndOf", "Clear")
 
 func checkFrozenArtifact(p *pass) {

@@ -1,6 +1,8 @@
 package vetcheck
 
 import (
+	"go/ast"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,40 @@ func TestNoStalePragmas(t *testing.T) {
 		}
 		if strings.TrimSpace(pr.reason) == "" {
 			t.Errorf("%s: pragma for %q has no reason", pr.pos, pr.check)
+		}
+	}
+}
+
+// TestFrozenMutatorsAreDeclared: every faMutators name is declared as a
+// method by some type of a FrozenHomePackages package, so the list
+// cannot go on naming a mutator that was deleted.
+func TestFrozenMutatorsAreDeclared(t *testing.T) {
+	mod, err := Load("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	homes := DefaultConfig().FrozenHomePackages
+	declared := make(map[string]bool)
+	for _, pkg := range mod.Pkgs {
+		if !homes[pkg.Rel] {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					declared[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	var names []string
+	for name := range faMutators {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !declared[name] {
+			t.Errorf("faMutators names %s, which no type in a FrozenHomePackages package declares as a method", name)
 		}
 	}
 }

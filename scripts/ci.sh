@@ -160,6 +160,15 @@ echo "== breaker and audit-flush regressions (-race -count=10)"
 go test ./internal/server -race -count=10 -run '^TestBreakerKeepsNoEntryForHealthySchemas$'
 go test ./internal/sentinel -race -count=10 -run '^TestFlushWhileObserving$'
 
+echo "== recycled sweep slabs and traces (-race -count=10)"
+# A pooled sweep slab or trace must never be reachable from two
+# requests at once: rerun the checks that share them across goroutines
+# under the race detector, which also drops a quarter of what a
+# sync.Pool is handed.
+go test ./internal/cdag -race -count=10 -run '^TestRecycledScratchIsNotShared$'
+go test ./internal/obs -race -count=10 -run '^(TestReleasedTraceComesBackEmpty|TestLargeTraceIsNotPooled)$'
+go test ./internal/server -race -count=10 -run '^(TestConcurrentTracesAreTheirOwn|TestWarmAnalyzeBytesWithRing)$'
+
 echo "== chaos smoke (fixed seed, ${CHAOS_RUNS:-60} runs)"
 # A second, differently-seeded pass over the serving layer's chaos
 # harness (the default-seed 200-run suite already ran above). Seed and
