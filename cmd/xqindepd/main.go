@@ -111,7 +111,7 @@ func run() int {
 		spoolMax    = flag.Int64("audit-spool-max", 0, "rotate -audit-spool after this many bytes (0 = 8 MiB); 4 rotated files are kept")
 		stateDir    = flag.String("state-dir", "", "durable state directory: quarantine decisions and audit incidents survive restarts (empty disables)")
 		memMark     = flag.Uint64("mem-watermark", 0, "shed admissions while heap usage exceeds this many bytes (0 disables)")
-		planCache   = flag.Int("plan-cache", 0, "resident prepared-plan bound; repeated (schema, query, update) pairs reuse the compiled analysis (0 = 4096, negative disables reuse)")
+		planCache   = flag.Int("plan-cache", 0, "resident prepared-plan bound; repeated (schema, query, update) pairs reuse the compiled analysis (0 = 4096, below 0 keeps one plan)")
 		traceRing   = flag.Int("trace-ring", 64, "retain the N slowest request traces for GET /tracez (0 disables)")
 		debugAddr   = flag.String("debug-addr", "", "opt-in debug listener serving net/http/pprof (keep it off public interfaces; empty disables)")
 	)
@@ -226,7 +226,7 @@ func run() int {
 
 	fmt.Fprintf(os.Stderr, "xqindepd: serving on %s (workers=%d queue=%d)\n",
 		*addr, *workers, *queue)
-	if err := xqindep.Serve(ctx, *addr, pool, *drain); err != nil {
+	if err := xqindep.Serve(ctx, *addr, pool); err != nil {
 		fmt.Fprintln(os.Stderr, "xqindepd:", err)
 		return 1
 	}

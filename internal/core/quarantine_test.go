@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"xqindep/internal/dtd"
 	"xqindep/internal/faultinject"
@@ -26,7 +25,7 @@ func TestQuarantineDowngradesToConservative(t *testing.T) {
 		t.Fatalf("clean analysis: %+v, %v", r, err)
 	}
 
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+	reg := quarantine.NewRegistry(1)
 	reg.Quarantine(bib.Fingerprint())
 	r, err = a.AnalyzeContext(context.Background(), q, u, MethodChains, Options{Quarantine: reg})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"xqindep/internal/core"
 	"xqindep/internal/faultinject"
@@ -89,7 +88,7 @@ func TestChaosPlanCacheContainment(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + int64(run)))
 			sched := faultinject.RandomPlanSchedule(rng, 1+rng.Intn(3))
 			cache := plan.NewCache(256)
-			reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+			reg := quarantine.NewRegistry(1)
 			opts := core.Options{Plans: cache, Quarantine: reg}
 			analyzer := core.NewAnalyzer(bib)
 			ctx := faultinject.With(context.Background(), sched)

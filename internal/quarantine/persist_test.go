@@ -17,7 +17,7 @@ func newClock() *fakeClock { return &fakeClock{t: time.Unix(1700000000, 0)} }
 
 func TestPersistHookRunsOnAuditLaneTransitions(t *testing.T) {
 	clk := newClock()
-	r := NewRegistry(Config{Backoff: 10 * time.Second, RecoverAfter: 2})
+	r := NewRegistry(1)
 	r.SetNow(clk.now)
 	var exports [][]Record
 	r.SetPersist(func(recs []Record) error {
@@ -27,11 +27,11 @@ func TestPersistHookRunsOnAuditLaneTransitions(t *testing.T) {
 
 	r.Quarantine("fp1")
 	if len(exports) != 1 || len(exports[0]) != 1 ||
-		exports[0][0].State != StateQuarantined || exports[0][0].Remaining != 10*time.Second {
+		exports[0][0].State != StateQuarantined || exports[0][0].Remaining != 30*time.Second {
 		t.Fatalf("after quarantine: %+v", exports)
 	}
 
-	clk.advance(11 * time.Second)
+	clk.advance(31 * time.Second)
 	if !r.Downgrade("fp1") {
 		t.Fatal("fp1 not downgraded")
 	}
@@ -58,11 +58,16 @@ func TestPersistHookRunsOnAuditLaneTransitions(t *testing.T) {
 	}
 
 	r.TryProbe("fp1")
-	r.RecordProbe("fp1", ProbeClean) // second clean lifts it
-	if len(exports) != 4 || len(exports[3]) != 1 || exports[3][0].Fingerprint != "fp2" {
+	r.RecordProbe("fp1", ProbeClean)
+	if len(exports) != 4 || exports[3][0].State != StateHalfOpen || exports[3][0].Clean != 2 {
+		t.Fatalf("after the second clean probe: %+v", exports)
+	}
+	r.TryProbe("fp1")
+	r.RecordProbe("fp1", ProbeClean) // the third clean lifts it
+	if len(exports) != 5 || len(exports[4]) != 1 || exports[4][0].Fingerprint != "fp2" {
 		t.Fatalf("after recovery: %+v", exports)
 	}
-	if err := r.Persist(); err != nil || len(exports) != 5 {
+	if err := r.Persist(); err != nil || len(exports) != 6 {
 		t.Fatalf("Persist: %v, %d exports", err, len(exports))
 	}
 }
@@ -70,7 +75,7 @@ func TestPersistHookRunsOnAuditLaneTransitions(t *testing.T) {
 // TestPersistRunsOutsideTheRegistryLock: a hook that is still writing
 // does not hold up Downgrade on the request path.
 func TestPersistRunsOutsideTheRegistryLock(t *testing.T) {
-	r := NewRegistry(Config{Backoff: time.Hour})
+	r := NewRegistry(1)
 	entered, release := make(chan struct{}), make(chan struct{})
 	r.SetPersist(func([]Record) error {
 		close(entered)
@@ -101,7 +106,7 @@ func TestPersistRunsOutsideTheRegistryLock(t *testing.T) {
 // hook exports in order, each holding every fingerprint the one before
 // it held, so the last write is the whole registry.
 func TestPersistExportsOnlyMoveForward(t *testing.T) {
-	r := NewRegistry(Config{Backoff: time.Hour})
+	r := NewRegistry(1)
 	var sizes []int
 	r.SetPersist(func(recs []Record) error {
 		sizes = append(sizes, len(recs)) // calls never overlap
@@ -131,7 +136,7 @@ func TestPersistExportsOnlyMoveForward(t *testing.T) {
 
 func TestRestoreRebasesBackoffOntoNewClock(t *testing.T) {
 	clk := newClock()
-	r := NewRegistry(Config{Backoff: 30 * time.Second})
+	r := NewRegistry(1)
 	r.SetNow(clk.now)
 	r.Quarantine("fp1")
 	clk.advance(10 * time.Second) // 20s of backoff left
@@ -143,7 +148,7 @@ func TestRestoreRebasesBackoffOntoNewClock(t *testing.T) {
 	// "Reboot" onto a clock that jumped far backwards: the quarantine
 	// must still hold for its remaining 20s, not expire or extend.
 	clk2 := &fakeClock{t: time.Unix(1000, 0)}
-	r2 := NewRegistry(Config{Backoff: 30 * time.Second})
+	r2 := NewRegistry(1)
 	r2.SetNow(clk2.now)
 	if held := r2.Restore(recs); held != 1 {
 		t.Fatalf("restored %d held", held)
@@ -165,7 +170,7 @@ func TestRestoreRebasesBackoffOntoNewClock(t *testing.T) {
 // disagreement count across a restore, and a record without a
 // fingerprint is ignored.
 func TestRestoreWatchedAndGarbage(t *testing.T) {
-	r := NewRegistry(Config{QuarantineAfter: 2})
+	r := NewRegistry(2)
 	n := r.Restore([]Record{
 		{Fingerprint: "b", State: StateQuarantined, Trips: 2, Backoff: time.Second, Remaining: time.Second},
 		{Fingerprint: "c", State: StateWatched, Disagreements: 1},
@@ -185,14 +190,14 @@ func TestRestoreWatchedAndGarbage(t *testing.T) {
 
 func TestRestoreHalfOpenForgetsProbe(t *testing.T) {
 	clk := newClock()
-	r := NewRegistry(Config{Backoff: time.Second})
+	r := NewRegistry(1)
 	r.SetNow(clk.now)
 	r.Quarantine("fp")
-	clk.advance(2 * time.Second)
+	clk.advance(31 * time.Second)
 	r.TryProbe("fp") // slot claimed, probe in flight
 	recs := r.Export()
 
-	r2 := NewRegistry(Config{Backoff: time.Second})
+	r2 := NewRegistry(1)
 	r2.SetNow(clk.now)
 	r2.Restore(recs)
 	if r2.State("fp") != "half-open" {
@@ -205,14 +210,14 @@ func TestRestoreHalfOpenForgetsProbe(t *testing.T) {
 
 func TestExportRestoreRoundTripReproducesRegistry(t *testing.T) {
 	clk := newClock()
-	r := NewRegistry(Config{Backoff: 5 * time.Second, RecoverAfter: 3})
+	r := NewRegistry(1)
 	r.SetNow(clk.now)
 	r.Quarantine("x")
 	r.Quarantine("y")
 	r.Quarantine("y") // re-trip: doubled backoff
 	clk.advance(3 * time.Second)
 
-	r2 := NewRegistry(Config{Backoff: 5 * time.Second, RecoverAfter: 3})
+	r2 := NewRegistry(1)
 	r2.SetNow(clk.now)
 	r2.Restore(r.Export())
 	for _, fp := range []string{"x", "y"} {
@@ -223,9 +228,9 @@ func TestExportRestoreRoundTripReproducesRegistry(t *testing.T) {
 			t.Fatalf("%s not downgraded after restore", fp)
 		}
 	}
-	// x had 2s of its 5s backoff left; y re-tripped to 10s with 7s
-	// advanced... confirm the windows re-open independently.
-	clk.advance(3 * time.Second) // x's remaining elapsed, y's (10s-? ) not
+	// x had 27s of its 30s backoff left and y, re-tripped to 60s, had
+	// 57s: the windows re-open independently.
+	clk.advance(27 * time.Second) // x's remaining elapsed, y's not
 	r2.Downgrade("x")
 	r2.Downgrade("y")
 	if r2.State("x") != "half-open" || r2.State("y") != "quarantined" {

@@ -16,11 +16,11 @@
 // Lifecycle of one fingerprint, mirroring the serving layer's circuit
 // breaker (DESIGN.md §4c):
 //
-//	clean ──disagreement──▶ quarantined (active)
+//	clean ──disagreement──▶ quarantined (active, 30s)
 //	   ▲                         │ backoff elapses
 //	   │                         ▼
-//	   └──RecoverAfter clean──half-open ──dirty retrial──▶ quarantined
-//	        retrials                                        (doubled backoff)
+//	   └──3 clean retrials──half-open ──dirty retrial──▶ quarantined
+//	                                                  (backoff doubled, ≤1h)
 //
 // On the FIRST disagreement the caller is told to purge the schema's
 // compiled-schema cache entry (Quarantine returns purge=true): a corrupted
@@ -53,37 +53,14 @@ var ErrQuarantined = fmt.Errorf("quarantine: schema fingerprint quarantined afte
 // IsQuarantined reports whether err marks a quarantine downgrade.
 func IsQuarantined(err error) bool { return errors.Is(err, ErrQuarantined) }
 
-// Config tunes a Registry. The zero value of every field selects a
-// default.
-type Config struct {
-	// QuarantineAfter is the number of recorded disagreements on one
-	// fingerprint that engages its quarantine (default 1: the first
-	// unsound verdict is already an incident).
-	QuarantineAfter int
-	// Backoff is the initial quarantine duration before a half-open
-	// retrial window opens (default 30s). It doubles on every re-trip,
-	// up to one hour.
-	Backoff time.Duration
-	// RecoverAfter is the number of consecutive clean half-open
-	// retrials that lift the quarantine (default 3).
-	RecoverAfter int
-}
-
-func (c Config) withDefaults() Config {
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 1
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 30 * time.Second
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 3
-	}
-	return c
-}
-
-// maxBackoff caps the doubling of a fingerprint's quarantine backoff.
-const maxBackoff = time.Hour
+// The backoff of a fingerprint's first trip is initialBackoff. Every
+// re-trip doubles it, up to maxBackoff; recoverAfter consecutive clean
+// half-open retrials lift the quarantine.
+const (
+	initialBackoff = 30 * time.Second
+	maxBackoff     = time.Hour
+	recoverAfter   = 3
+)
 
 type qState int
 
@@ -130,8 +107,11 @@ type FingerprintState struct {
 // usable; construct with NewRegistry. A nil *Registry downgrades
 // nothing and reports zero Stats.
 type Registry struct {
+	// quarantineAfter is the number of recorded disagreements on one
+	// fingerprint that engages its quarantine; it never changes.
+	quarantineAfter int
+
 	mu  sync.Mutex
-	cfg Config
 	m   map[string]*entry
 	now func() time.Time
 
@@ -143,13 +123,14 @@ type Registry struct {
 	hook   func([]Record) error
 }
 
-// NewRegistry builds an empty registry with cfg (zero fields
-// defaulted).
-func NewRegistry(cfg Config) *Registry {
+// NewRegistry builds an empty registry whose quarantine engages on a
+// fingerprint's quarantineAfter-th recorded disagreement. A value below
+// 1 is taken as 1: the first unsound verdict is already an incident.
+func NewRegistry(quarantineAfter int) *Registry {
 	return &Registry{
-		cfg: cfg.withDefaults(),
-		m:   make(map[string]*entry),
-		now: time.Now, //xqvet:ignore clockinject injectable-clock default; tests and chaos harnesses replace via SetNow
+		quarantineAfter: max(quarantineAfter, 1),
+		m:               make(map[string]*entry),
+		now:             time.Now, //xqvet:ignore clockinject injectable-clock default; tests and chaos harnesses replace via SetNow
 	}
 }
 
@@ -188,7 +169,7 @@ func (r *Registry) Downgrade(fp string) bool {
 }
 
 // Quarantine records one audit disagreement for fp and engages (or
-// re-engages) its quarantine once the configured threshold is
+// re-engages) its quarantine once the registry's threshold is
 // reached. It returns purge=true exactly once per fingerprint — on the
 // first engagement — telling the caller to purge and recompile the
 // schema's cached compiled artifact before the quarantine becomes
@@ -209,11 +190,11 @@ func (r *Registry) quarantine(fp string) (purge bool) {
 	}
 	e.disagreements++
 	r.disagreements++
-	if e.disagreements < r.cfg.QuarantineAfter && e.trips == 0 {
+	if e.disagreements < r.quarantineAfter && e.trips == 0 {
 		return false
 	}
 	if e.backoff == 0 {
-		e.backoff = r.cfg.Backoff
+		e.backoff = initialBackoff
 	} else {
 		e.backoff = min(2*e.backoff, maxBackoff)
 	}
@@ -267,7 +248,7 @@ const (
 )
 
 // RecordProbe releases the retrial slot claimed by TryProbe and feeds
-// the outcome back: RecoverAfter consecutive clean retrials lift the
+// the outcome back: three consecutive clean retrials lift the
 // quarantine, a dirty retrial re-trips it. A clean or dirty outcome
 // returns after the persistence hook has run.
 func (r *Registry) RecordProbe(fp string, o ProbeOutcome) {
@@ -291,7 +272,7 @@ func (r *Registry) recordProbe(fp string, o ProbeOutcome) bool {
 	switch o {
 	case ProbeClean:
 		e.clean++
-		if e.clean >= r.cfg.RecoverAfter {
+		if e.clean >= recoverAfter {
 			delete(r.m, fp)
 			r.recovered++
 		}

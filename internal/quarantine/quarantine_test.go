@@ -22,7 +22,7 @@ func TestErrQuarantinedIsBudgetError(t *testing.T) {
 }
 
 func TestLifecycle(t *testing.T) {
-	r := NewRegistry(Config{Backoff: 10 * time.Second, RecoverAfter: 2})
+	r := NewRegistry(1)
 	now := frozen(r)
 	const fp = "abc"
 
@@ -44,14 +44,18 @@ func TestLifecycle(t *testing.T) {
 	if got := r.State(fp); got != "quarantined" {
 		t.Fatalf("state = %q, want quarantined", got)
 	}
-	// A retrial before the backoff elapses must not be admitted.
+	// A retrial before the 30s backoff elapses must not be admitted.
 	if r.TryProbe(fp) {
 		t.Fatal("probe admitted before backoff elapsed")
+	}
+	*now = now.Add(30*time.Second - time.Nanosecond)
+	if r.TryProbe(fp) || r.State(fp) != "quarantined" {
+		t.Fatal("probe admitted before the 30s backoff elapsed")
 	}
 
 	// Backoff elapses: still downgraded (half-open never upgrades),
 	// but a single retrial slot opens.
-	*now = now.Add(11 * time.Second)
+	*now = now.Add(time.Nanosecond)
 	if !r.Downgrade(fp) {
 		t.Fatal("half-open fingerprint must still be downgraded")
 	}
@@ -70,16 +74,20 @@ func TestLifecycle(t *testing.T) {
 	if !r.TryProbe(fp) {
 		t.Fatal("slot not freed after inconclusive probe")
 	}
-	r.RecordProbe(fp, ProbeClean)
-	if got := r.State(fp); got != "half-open" {
-		t.Fatalf("one clean retrial of two lifted quarantine: %q", got)
-	}
-	if !r.TryProbe(fp) {
-		t.Fatal("probe slot closed after clean retrial")
+	// Two clean retrials of three leave it half-open; the third lifts
+	// it.
+	for i := 1; i <= 2; i++ {
+		r.RecordProbe(fp, ProbeClean)
+		if got := r.State(fp); got != "half-open" {
+			t.Fatalf("%d clean retrials of three lifted quarantine: %q", i, got)
+		}
+		if !r.TryProbe(fp) {
+			t.Fatalf("probe slot closed after clean retrial %d", i)
+		}
 	}
 	r.RecordProbe(fp, ProbeClean)
 	if got := r.State(fp); got != "clean" {
-		t.Fatalf("state after RecoverAfter clean retrials = %q, want clean", got)
+		t.Fatalf("state after three clean retrials = %q, want clean", got)
 	}
 	if r.Downgrade(fp) {
 		t.Fatal("recovered fingerprint still downgraded")
@@ -92,34 +100,54 @@ func TestLifecycle(t *testing.T) {
 }
 
 func TestDirtyRetrialDoublesBackoff(t *testing.T) {
-	r := NewRegistry(Config{Backoff: 10 * time.Second, RecoverAfter: 1})
+	r := NewRegistry(1)
 	now := frozen(r)
 	const fp = "fp"
 
 	if !r.Quarantine(fp) {
 		t.Fatal("want purge on first trip")
 	}
-	*now = now.Add(11 * time.Second)
+	// The first backoff is 30s.
+	*now = now.Add(30*time.Second - time.Nanosecond)
+	if r.TryProbe(fp) {
+		t.Fatal("probe admitted before the 30s backoff elapsed")
+	}
+	*now = now.Add(time.Nanosecond)
 	if !r.TryProbe(fp) {
-		t.Fatal("no probe slot after backoff")
+		t.Fatal("no probe slot after the 30s backoff")
 	}
 	r.RecordProbe(fp, ProbeDirty)
 	if got := r.State(fp); got != "quarantined" {
 		t.Fatalf("dirty retrial must re-trip, state %q", got)
 	}
-	// Doubled backoff: 20s now. 11s is not enough.
-	*now = now.Add(11 * time.Second)
+	// Doubled backoff: 60s now.
+	*now = now.Add(60*time.Second - time.Nanosecond)
 	if r.TryProbe(fp) {
-		t.Fatal("probe admitted before doubled backoff elapsed")
+		t.Fatal("probe admitted before the doubled 60s backoff elapsed")
 	}
-	*now = now.Add(10 * time.Second)
+	*now = now.Add(time.Nanosecond)
 	if !r.TryProbe(fp) {
-		t.Fatal("probe not admitted after doubled backoff")
+		t.Fatal("probe not admitted after the doubled 60s backoff")
+	}
+}
+
+// TestBackoffDoublesUpToAnHour: re-trips double the backoff from 30s
+// and stop at one hour.
+func TestBackoffDoublesUpToAnHour(t *testing.T) {
+	r := NewRegistry(1)
+	frozen(r)
+	want := []time.Duration{30 * time.Second, time.Minute, 2 * time.Minute, 4 * time.Minute,
+		8 * time.Minute, 16 * time.Minute, 32 * time.Minute, time.Hour, time.Hour}
+	for i, w := range want {
+		r.Quarantine("fp")
+		if got := r.Export()[0].Remaining; got != w {
+			t.Fatalf("trip %d: backoff %v, want %v", i+1, got, w)
+		}
 	}
 }
 
 func TestPurgeRequestedExactlyOnce(t *testing.T) {
-	r := NewRegistry(Config{Backoff: time.Second})
+	r := NewRegistry(1)
 	frozen(r)
 	if !r.Quarantine("fp") {
 		t.Fatal("first trip must purge")
@@ -133,7 +161,7 @@ func TestPurgeRequestedExactlyOnce(t *testing.T) {
 }
 
 func TestQuarantineAfterThreshold(t *testing.T) {
-	r := NewRegistry(Config{QuarantineAfter: 3, Backoff: time.Second})
+	r := NewRegistry(3)
 	frozen(r)
 	const fp = "fp"
 	if r.Quarantine(fp) || r.Downgrade(fp) {
@@ -163,15 +191,21 @@ func TestNilAndUnknownSafe(t *testing.T) {
 	if st := r.Stats(); !reflect.DeepEqual(st, Stats{}) {
 		t.Fatalf("nil registry stats: %+v", st)
 	}
-	reg := NewRegistry(Config{})
+	reg := NewRegistry(1)
 	reg.RecordProbe("never-seen", ProbeClean) // must not panic
 	if reg.TryProbe("never-seen") {
 		t.Fatal("probe on unknown fingerprint")
 	}
+	// A threshold below 1 is taken as 1: the first disagreement engages.
+	for _, after := range []int{0, -1} {
+		if r := NewRegistry(after); !r.Quarantine("fp") || r.State("fp") != "quarantined" {
+			t.Fatalf("NewRegistry(%d): the first disagreement did not engage", after)
+		}
+	}
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	r := NewRegistry(Config{Backoff: time.Second})
+	r := NewRegistry(1)
 	frozen(r)
 	r.Quarantine("b")
 	r.Quarantine("a")

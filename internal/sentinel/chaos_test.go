@@ -90,14 +90,11 @@ func TestChaosAuditContainment(t *testing.T) {
 		t.Run(fmt.Sprintf("run%03d", run), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + int64(run)))
 			sched := faultinject.RandomAuditSchedule(rng, 1+rng.Intn(3))
-			reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+			reg := quarantine.NewRegistry(1)
 			aud := New(Config{
 				SampleRate: 1,
 				Seed:       seed + int64(run),
 				Quarantine: reg,
-				QueueDepth: 64,
-				Workers:    1 + rng.Intn(2),
-				OracleDocs: 2,
 			})
 			defer aud.Close()
 
@@ -187,11 +184,10 @@ func TestChaosRecoveryAfterQuarantine(t *testing.T) {
 	pairs := chaosCorpus(t)
 	seed := int64(chaosEnvInt("CHAOS_SEED", 1))
 	for run := 0; run < 20; run++ {
-		rng := rand.New(rand.NewSource(seed + 1000 + int64(run)))
-		reg := quarantine.NewRegistry(quarantine.Config{Backoff: 10 * time.Second, RecoverAfter: 1 + rng.Intn(3)})
+		reg := quarantine.NewRegistry(1)
 		now := time.Unix(0, 0)
 		reg.SetNow(func() time.Time { return now })
-		aud := New(Config{SampleRate: 1, Seed: seed + int64(run), Quarantine: reg, OracleDocs: 2})
+		aud := New(Config{SampleRate: 1, Seed: seed + int64(run), Quarantine: reg})
 
 		// Pick a dependent pair and flip its verdict once.
 		var dep chaosPair
@@ -213,8 +209,9 @@ func TestChaosRecoveryAfterQuarantine(t *testing.T) {
 			t.Fatalf("run %d: not quarantined: %s", run, got)
 		}
 
-		// Backoff elapses; clean retrials (no fault armed now) recover.
-		now = now.Add(11 * time.Second)
+		// The 30s backoff elapses; clean retrials (no fault armed now)
+		// recover.
+		now = now.Add(31 * time.Second)
 		for i := 0; i < 16 && reg.State(bib.Fingerprint()) != "clean"; i++ {
 			res, err := analyzer.AnalyzeContext(context.Background(), pairs[0].q, pairs[0].u, core.MethodChains, core.Options{Quarantine: reg})
 			if err != nil {

@@ -2,7 +2,6 @@ package sentinel
 
 import (
 	"testing"
-	"time"
 
 	"xqindep/internal/cdag"
 	"xqindep/internal/core"
@@ -67,8 +66,8 @@ func TestCorruptArtifactChangesVerdictsAndAuditContainsThem(t *testing.T) {
 		t.Fatal("no corrupted verdict is an unsound Independent")
 	}
 
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-	a := New(Config{SampleRate: 1, Quarantine: reg, OracleDocs: -1, Plans: plan.NewCache(1)})
+	reg := quarantine.NewRegistry(1)
+	a := New(Config{SampleRate: 1, Quarantine: reg, Plans: plan.NewCache(1)})
 	defer a.Close()
 	s := unsound[0]
 	a.Observe(Observation{
@@ -93,8 +92,8 @@ func TestCorruptArtifactChangesVerdictsAndAuditContainsThem(t *testing.T) {
 func TestIncidentEvidenceFromShadow(t *testing.T) {
 	v, _ := xmark.ViewByName("q1")
 	u, _ := xmark.UpdateByName("UB7")
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-	a := New(Config{SampleRate: 1, Quarantine: reg, OracleDocs: -1, Plans: plan.NewCache(1)})
+	reg := quarantine.NewRegistry(1)
+	a := New(Config{SampleRate: 1, Quarantine: reg, Plans: plan.NewCache(1)})
 	defer a.Close()
 	a.Observe(Observation{
 		D: xmark.Schema(), Query: v.AST, Update: u.AST,

@@ -35,7 +35,7 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+	reg := quarantine.NewRegistry(1)
 	reg.SetPersist(func(recs []quarantine.Record) error {
 		b, merr := json.Marshal(recs)
 		if merr != nil {
@@ -61,7 +61,6 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 	aud := New(Config{
 		SampleRate:  1,
 		Quarantine:  reg,
-		OracleDocs:  -1, // shadow-only: keeps the stall the sole blocker
 		Spool:       spool,
 		BaseContext: faultinject.With(context.Background(), sched),
 	})
@@ -127,7 +126,7 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 	if err := json.Unmarshal(rec.State, &recs); err != nil {
 		t.Fatalf("state file does not decode: %v (%q)", err, rec.State)
 	}
-	reg2 := quarantine.NewRegistry(quarantine.Config{})
+	reg2 := quarantine.NewRegistry(1)
 	if held := reg2.Restore(recs); held != 1 {
 		t.Fatalf("restored %d held fingerprints, want 1 (records %+v)", held, recs)
 	}

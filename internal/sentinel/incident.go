@@ -37,9 +37,9 @@ type Incident struct {
 	// ShadowReasons lists the conflict checks that fired in the shadow.
 	ShadowReasons []string `json:"shadow_reasons,omitempty"`
 	// OracleWitness is the index of the example document on which
-	// replaying the pair changed the query result (-1: no witness or
-	// oracle disabled). A witness is a concrete counterexample — proof,
-	// not suspicion.
+	// replaying the pair changed the query result (-1: no document
+	// did). A witness is a concrete counterexample — proof, not
+	// suspicion.
 	OracleWitness int `json:"oracle_witness"`
 	// Method and FallbackChain echo the served result's provenance.
 	Method        string   `json:"method"`

@@ -2,19 +2,19 @@
 // samples live Independent verdicts and re-derives them on machinery
 // independent of the fast path — the retained reference CDAG engine
 // (refcdag.IndependenceBudget, run from the source DTD, never from a
-// compiled artifact) and, when example documents are available,
-// concrete oracle replay (eval.DependentOnAny on schema-valid
-// documents). A disagreement is an incident: the schema fingerprint is
-// quarantined (package quarantine; core downgrades every later verdict
-// for it to the conservative rung), its compiled-schema cache entry is
-// purged once so a corrupted artifact recompiles, and a structured
-// Incident lands in an in-memory ring (served via /incidentz) and an
-// optional JSONL spool.
+// compiled artifact) and concrete oracle replay (eval.DependentOnAny
+// on schema-valid documents generated per schema). A disagreement is
+// an incident: the schema fingerprint is quarantined (package
+// quarantine; core downgrades every later verdict for it to the
+// conservative rung), its compiled-schema cache entry is purged once
+// so a corrupted artifact recompiles, and a structured Incident lands
+// in an in-memory ring (served via /incidentz) and an optional JSONL
+// spool.
 //
 // Auditing is off the request path: Observe only samples, packages and
 // enqueues — the bounded queue never blocks, and when it is full the
-// audit is dropped and counted. Workers run under their own
-// guard.Limits sub-budget, so auditing can never starve serving.
+// audit is dropped and counted. One worker drains the queue under its
+// own guard.Limits sub-budget, so auditing can never starve serving.
 //
 // Soundness: the sentinel only ever *downgrades*. A caught
 // disagreement does not retract the already-served verdict (it
@@ -45,6 +45,16 @@ import (
 	"xqindep/internal/xquery"
 )
 
+// The audit lane's fixed shape. One worker goroutine drains a queue of
+// queueDepth audits: the queue absorbs a burst of sampled verdicts
+// while the worker audits, and Observe drops what does not fit rather
+// than block the request path. Oracle replay runs every audited pair
+// over oracleDocs schema-valid documents generated per fingerprint.
+const (
+	queueDepth = 256
+	oracleDocs = 4
+)
+
 // Config tunes an Auditor. Zero fields select defaults.
 type Config struct {
 	// SampleRate is the fraction of Independent verdicts audited
@@ -54,12 +64,6 @@ type Config struct {
 	// Seed drives the sampling and document-generation randomness;
 	// audits are reproducible for a fixed seed and observation order.
 	Seed int64
-	// QueueDepth bounds the audit queue (default 256). A full queue
-	// drops the audit (counted in Stats.Dropped) rather than block the
-	// request path.
-	QueueDepth int
-	// Workers is the number of audit goroutines (default 1).
-	Workers int
 	// Budget bounds each single audit; zero fields take guard defaults.
 	// Callers typically pass their serving limits Subdivide()'d so the
 	// audit lane is strictly smaller than a serving lane.
@@ -74,10 +78,6 @@ type Config struct {
 	// cache entry: a cached verdict must not outlive the suspicion about
 	// the schema it was derived from.
 	Plans *plan.Cache
-	// OracleDocs is the number of schema-valid example documents
-	// generated per fingerprint for oracle replay (default 4; negative
-	// disables the oracle).
-	OracleDocs int
 	// BaseContext, when non-nil, parents the auditor's lifecycle
 	// context (default context.Background()). Chaos harnesses attach
 	// fault schedules here to inject faults into the audit lane itself;
@@ -94,17 +94,8 @@ func (c Config) withDefaults() Config {
 	if c.SampleRate > 1 {
 		c.SampleRate = 1
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	if c.Quarantine == nil {
-		c.Quarantine = quarantine.NewRegistry(quarantine.Config{})
-	}
-	if c.OracleDocs == 0 {
-		c.OracleDocs = 4
+		c.Quarantine = quarantine.NewRegistry(1)
 	}
 	return c
 }
@@ -160,8 +151,10 @@ type Auditor struct {
 	base   context.Context
 	cancel context.CancelFunc
 
+	// queue holds at most queueDepth audits; stopped is closed when
+	// the worker that drains it has returned.
 	queue   chan job
-	workers sync.WaitGroup
+	stopped chan struct{}
 
 	mu     sync.Mutex
 	closed bool
@@ -180,7 +173,7 @@ type Auditor struct {
 	docs *lru.Cache[string, []xmltree.Tree]
 }
 
-// New starts an auditor with cfg's workers running.
+// New starts an auditor and its worker.
 func New(cfg Config) *Auditor {
 	cfg = cfg.withDefaults()
 	parent := cfg.BaseContext
@@ -189,22 +182,20 @@ func New(cfg Config) *Auditor {
 	}
 	base, cancel := context.WithCancel(parent)
 	a := &Auditor{
-		cfg:    cfg,
-		reg:    cfg.Quarantine,
-		base:   base,
-		cancel: cancel,
-		queue:  make(chan job, cfg.QueueDepth),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		now:    time.Now, //xqvet:ignore clockinject injectable-clock default; tests replace via SetNow
-		ring:   newRing(),
-		docs:   lru.New[string, []xmltree.Tree](64, nil),
+		cfg:     cfg,
+		reg:     cfg.Quarantine,
+		base:    base,
+		cancel:  cancel,
+		queue:   make(chan job, queueDepth),
+		stopped: make(chan struct{}),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		now:     time.Now, //xqvet:ignore clockinject injectable-clock default; tests replace via SetNow
+		ring:    newRing(),
+		docs:    lru.New[string, []xmltree.Tree](64, nil),
 	}
 	a.drained = make(chan struct{})
 	close(a.drained)
-	for i := 0; i < cfg.Workers; i++ {
-		a.workers.Add(1)
-		go a.run()
-	}
+	go a.run()
 	return a
 }
 
@@ -281,7 +272,7 @@ func (a *Auditor) Flush() {
 	<-drained
 }
 
-// Close drains and stops the workers, waiting however long the
+// Close drains and stops the worker, waiting however long the
 // in-flight audits take. Observe becomes a no-op.
 func (a *Auditor) Close() {
 	//xqvet:ignore ctxflow lifecycle teardown: Close is the unbounded variant of Shutdown
@@ -292,10 +283,10 @@ func (a *Auditor) Close() {
 // are refused immediately; queued and in-flight audits run until ctx
 // expires, at which point the auditor's base context is cancelled —
 // hard-cancelling any audit whose own guard budget would outlive the
-// drain — and Shutdown waits for the workers to unwind (prompt, since
+// drain — and Shutdown waits for the worker to unwind (prompt, since
 // every audit budget observes the base context at its guard points).
 // The spool, when it supports flushing (statefile.Spool does), is
-// flushed after the workers exit so every recorded incident is
+// flushed after the worker exits so every recorded incident is
 // durable before the process goes away. Returns ctx.Err() when the
 // deadline forced a hard cancel, nil on a clean drain.
 func (a *Auditor) Shutdown(ctx context.Context) error {
@@ -306,19 +297,13 @@ func (a *Auditor) Shutdown(ctx context.Context) error {
 	}
 	a.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		defer guard.OnPanic(func(*guard.InternalError) {})
-		a.workers.Wait()
-		close(done)
-	}()
 	var err error
 	select {
-	case <-done:
+	case <-a.stopped:
 	case <-ctx.Done():
 		err = ctx.Err()
 		a.cancel()
-		<-done
+		<-a.stopped
 	}
 	a.cancel()
 	a.flushSpool()
@@ -355,11 +340,11 @@ func (a *Auditor) Incidents() []Incident {
 }
 
 func (a *Auditor) run() {
-	defer a.workers.Done()
+	defer close(a.stopped)
 	// Goroutine boundary: process contains per-audit panics behind its
 	// own Recover; anything unwinding to here is a bug in the loop
 	// itself — absorb it rather than crash the daemon (the lost worker
-	// still releases its WaitGroup slot).
+	// still signals stopped, so Shutdown returns).
 	defer guard.OnPanic(func(*guard.InternalError) {})
 	for j := range a.queue {
 		a.process(j)
@@ -412,15 +397,13 @@ func (a *Auditor) verdictOf(o Observation) (unsound bool, witness int, shadow re
 		shadow = refcdag.IndependenceBudget(o.D, o.Query, o.Update, b)
 	}()
 	witness = -1
-	if a.cfg.OracleDocs > 0 {
-		trees := a.docsFor(o.D)
-		// The oracle is best-effort: replay errors on individual trees
-		// are skipped inside DependentOnAny, and a panic (hostile AST
-		// shape) is absorbed here.
-		_ = guard.Do(func() {
-			witness = eval.DependentOnAny(trees, o.Query, o.Update)
-		})
-	}
+	trees := a.docsFor(o.D)
+	// The oracle is best-effort: replay errors on individual trees are
+	// skipped inside DependentOnAny, and a panic (hostile AST shape) is
+	// absorbed here.
+	_ = guard.Do(func() {
+		witness = eval.DependentOnAny(trees, o.Query, o.Update)
+	})
 	if shadowErr == nil && !shadow.Independent {
 		unsound = true
 	}
@@ -587,7 +570,7 @@ func (a *Auditor) docsFor(d *dtd.DTD) []xmltree.Tree {
 		fmt.Fprint(h, fp)
 		rng := rand.New(rand.NewSource(a.cfg.Seed ^ int64(h.Sum64())))
 		var trees []xmltree.Tree
-		for attempt := 0; attempt < a.cfg.OracleDocs*3 && len(trees) < a.cfg.OracleDocs; attempt++ {
+		for attempt := 0; attempt < oracleDocs*3 && len(trees) < oracleDocs; attempt++ {
 			t, err := d.GenerateTree(rng, 0.4, 12)
 			if err != nil {
 				continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func analyzeAndObserve(t *testing.T, a *Auditor, reg *quarantine.Registry, ctx c
 }
 
 func TestAuditAgreesOnSoundVerdict(t *testing.T) {
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+	reg := quarantine.NewRegistry(1)
 	a := New(Config{SampleRate: 1, Quarantine: reg, Seed: 1})
 	defer a.Close()
 
@@ -62,7 +63,7 @@ func TestAuditAgreesOnSoundVerdict(t *testing.T) {
 
 func TestAuditCatchesFlippedVerdict(t *testing.T) {
 	faultinject.Enable()
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
+	reg := quarantine.NewRegistry(1)
 	var spooled bytes.Buffer
 	a := New(Config{SampleRate: 1, Quarantine: reg, Seed: 2, Spool: &spooled})
 	defer a.Close()
@@ -140,7 +141,7 @@ func TestAuditorWithoutRegistryQuarantinesPrivately(t *testing.T) {
 
 func TestProbeRecoveryLiftsQuarantine(t *testing.T) {
 	faultinject.Enable()
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: 10 * time.Second, RecoverAfter: 2})
+	reg := quarantine.NewRegistry(1)
 	now := time.Unix(0, 0)
 	reg.SetNow(func() time.Time { return now })
 	a := New(Config{SampleRate: 1, Quarantine: reg, Seed: 3})
@@ -161,10 +162,10 @@ func TestProbeRecoveryLiftsQuarantine(t *testing.T) {
 		t.Fatalf("probe before backoff elapsed: %+v", st)
 	}
 
-	// Backoff elapses: each downgraded request claims the retrial slot;
-	// two clean retrials lift the quarantine.
-	now = now.Add(11 * time.Second)
-	for i := 0; i < 2; i++ {
+	// The 30s backoff elapses: each downgraded request claims the
+	// retrial slot; three clean retrials lift the quarantine.
+	now = now.Add(31 * time.Second)
+	for i := 0; i < 3; i++ {
 		res := analyzeAndObserve(t, a, reg, context.Background(), "//title", "delete //price", "")
 		if res.Independent {
 			t.Fatalf("half-open served an Independent verdict (upgrade): %+v", res)
@@ -172,7 +173,7 @@ func TestProbeRecoveryLiftsQuarantine(t *testing.T) {
 		a.Flush()
 	}
 	st := a.Stats()
-	if st.Probes != 2 || st.ProbesClean != 2 {
+	if st.Probes != 3 || st.ProbesClean != 3 {
 		t.Fatalf("probe stats: %+v", st)
 	}
 	if got := reg.State(bib.Fingerprint()); got != "clean" {
@@ -187,7 +188,7 @@ func TestProbeRecoveryLiftsQuarantine(t *testing.T) {
 
 func TestDirtyProbeReTrips(t *testing.T) {
 	faultinject.Enable()
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: 10 * time.Second, RecoverAfter: 1})
+	reg := quarantine.NewRegistry(1)
 	now := time.Unix(0, 0)
 	reg.SetNow(func() time.Time { return now })
 	a := New(Config{SampleRate: 1, Quarantine: reg, Seed: 4})
@@ -197,7 +198,7 @@ func TestDirtyProbeReTrips(t *testing.T) {
 	analyzeAndObserve(t, a, reg, faultinject.With(context.Background(), sched), "//title", "delete //title", sched.String())
 	a.Flush()
 
-	now = now.Add(11 * time.Second)
+	now = now.Add(31 * time.Second)
 	// The probe re-runs the *observed* pair; this dependent pair now
 	// re-derives dependent on the fast path too, so the probe is clean
 	// — but a pair that still flips would be dirty. Simulate the dirty
@@ -217,7 +218,7 @@ func TestDirtyProbeReTrips(t *testing.T) {
 }
 
 func TestSamplingRespectsRate(t *testing.T) {
-	reg := quarantine.NewRegistry(quarantine.Config{})
+	reg := quarantine.NewRegistry(1)
 	a := New(Config{SampleRate: 0.2, Quarantine: reg, Seed: 5})
 	defer a.Close()
 	q := xquery.MustParseQuery("//title")
@@ -241,7 +242,7 @@ func TestSamplingRespectsRate(t *testing.T) {
 }
 
 func TestObserveAfterCloseIsNoop(t *testing.T) {
-	reg := quarantine.NewRegistry(quarantine.Config{})
+	reg := quarantine.NewRegistry(1)
 	a := New(Config{SampleRate: 1, Quarantine: reg})
 	a.Close()
 	a.Close() // idempotent
@@ -255,24 +256,31 @@ func TestObserveAfterCloseIsNoop(t *testing.T) {
 	nilA.Observe(Observation{}) // nil-safe
 }
 
+// TestQueueOverflowDropsNotBlocks: with the worker wedged inside an
+// audit, the queue takes 256 more audits and Observe drops every one
+// beyond them, without blocking.
 func TestQueueOverflowDropsNotBlocks(t *testing.T) {
-	reg := quarantine.NewRegistry(quarantine.Config{})
-	// Workers=1 with a stalled queue is hard to arrange without hooks;
-	// instead drive overflow deterministically with depth 1 and a
-	// worker kept busy by many audits.
-	a := New(Config{SampleRate: 1, Quarantine: reg, QueueDepth: 1, Workers: 1, Seed: 6})
-	defer a.Close()
+	faultinject.Enable()
+	wedged := make(chan struct{})
+	sched := faultinject.NewSchedule(faultinject.Fault{Point: "cdag.build", Kind: faultinject.KindStall})
+	sched.OnFire = func(faultinject.Fault) { close(wedged) }
+	a := New(Config{SampleRate: 1, Seed: 6, BaseContext: faultinject.With(context.Background(), sched)})
 	q := xquery.MustParseQuery("//title")
 	u := xquery.MustParseUpdate("delete //price")
 	res, err := core.NewAnalyzer(bib).Analyze(q, u, core.MethodChains)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := Observation{D: bib, Query: q, Update: u, Result: res}
+	a.Observe(o)
+	<-wedged // the worker holds the first audit and takes no more
+
+	const depth, extra = 256, 7
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 500; i++ {
-			a.Observe(Observation{D: bib, Query: q, Update: u, Result: res})
+		for i := 0; i < depth+extra; i++ {
+			a.Observe(o)
 		}
 	}()
 	select {
@@ -280,10 +288,17 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Observe blocked on a full queue")
 	}
-	a.Flush()
-	st := a.Stats()
-	if st.Sampled != 500 || st.Audited+st.Dropped != 500 {
-		t.Fatalf("accounting: %+v", st)
+	if st := a.Stats(); st.Sampled != 1+depth+extra || st.Dropped != extra {
+		t.Fatalf("want %d of %d audits dropped: %+v", extra, 1+depth+extra, st)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := a.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want the wedged audit hard-cancelled", err)
+	}
+	if st := a.Stats(); st.Dropped != extra {
+		t.Fatalf("after Shutdown: %+v", st)
 	}
 }
 
@@ -293,7 +308,7 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 // be the WaitGroup misuse the race detector reports (an Add from zero
 // concurrent with Wait), on which Wait can also panic.
 func TestFlushWhileObserving(t *testing.T) {
-	a := New(Config{SampleRate: 1, Workers: 2, Seed: 7})
+	a := New(Config{SampleRate: 1, Seed: 7})
 	defer a.Close()
 	q := xquery.MustParseQuery("//title")
 	u := xquery.MustParseUpdate("delete //price")

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"xqindep/internal/faultinject"
 	"xqindep/internal/quarantine"
@@ -48,10 +47,10 @@ func TestMemoryWatermarkSheds(t *testing.T) {
 
 // auditServer builds a pool wired to a fresh registry and auditor at
 // sample rate 1.
-func auditServer(t *testing.T, qcfg quarantine.Config) (*Server, *sentinel.Auditor, *quarantine.Registry) {
+func auditServer(t *testing.T) (*Server, *sentinel.Auditor, *quarantine.Registry) {
 	t.Helper()
-	reg := quarantine.NewRegistry(qcfg)
-	aud := sentinel.New(sentinel.Config{SampleRate: 1, Quarantine: reg, OracleDocs: 2, Seed: 1})
+	reg := quarantine.NewRegistry(1)
+	aud := sentinel.New(sentinel.Config{SampleRate: 1, Quarantine: reg, Seed: 1})
 	s := New(Config{Workers: 2, Auditor: aud, Quarantine: reg})
 	t.Cleanup(func() {
 		s.Close()
@@ -62,7 +61,7 @@ func auditServer(t *testing.T, qcfg quarantine.Config) (*Server, *sentinel.Audit
 
 func TestPoolFeedsAuditorAndQuarantines(t *testing.T) {
 	faultinject.Enable()
-	s, aud, reg := auditServer(t, quarantine.Config{Backoff: time.Hour})
+	s, aud, reg := auditServer(t)
 
 	task := mustTask(t, bibSchema, "//title", "delete //title") // dependent
 	task.QueryText, task.UpdateText = "//title", "delete //title"
@@ -98,8 +97,8 @@ func TestPoolFeedsAuditorAndQuarantines(t *testing.T) {
 // quarantined schema does not also rack up breaker trips.
 func TestQuarantineDowngradesDontTripBreaker(t *testing.T) {
 	faultinject.Enable()
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-	aud := sentinel.New(sentinel.Config{SampleRate: 1, Quarantine: reg, OracleDocs: 2, Seed: 2})
+	reg := quarantine.NewRegistry(1)
+	aud := sentinel.New(sentinel.Config{SampleRate: 1, Quarantine: reg, Seed: 2})
 	s := New(Config{Workers: 1, Auditor: aud, Quarantine: reg, Breaker: BreakerConfig{Threshold: 2}})
 	defer func() { s.Close(); aud.Close() }()
 
@@ -130,7 +129,7 @@ func TestQuarantineDowngradesDontTripBreaker(t *testing.T) {
 
 func TestIncidentzEndpoint(t *testing.T) {
 	faultinject.Enable()
-	s, aud, _ := auditServer(t, quarantine.Config{Backoff: time.Hour})
+	s, aud, _ := auditServer(t)
 	h := NewHandler(s)
 
 	// Empty ring first.

@@ -102,8 +102,9 @@ type Config struct {
 	// take guard defaults before subdividing).
 	Limits guard.Limits
 	// RequestTimeout bounds one analysis' wall-clock time once it holds
-	// a run slot (default 5s; negative disables). Like a caller
-	// deadline, it degrades the verdict when it passes mid-analysis.
+	// a run slot (zero or negative selects the default, 5s). Like a
+	// caller deadline, it degrades the verdict when it passes
+	// mid-analysis.
 	RequestTimeout time.Duration
 	// NoFallback disables the degradation ladder pool-wide.
 	NoFallback bool
@@ -153,7 +154,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
 	}
-	if c.RequestTimeout == 0 {
+	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
 	if c.DrainTimeout <= 0 {
@@ -430,18 +431,9 @@ func (s *Server) process(ctx context.Context, t Task, fp string, probe bool) (re
 	outcome := outcomeBlowup
 	defer func() { s.breakers.record(fp, outcome, probe) }()
 
-	// One context bounds the analysis: RequestTimeout, when set, is its
-	// deadline, and a hard drain cancels it when the server's base
-	// context dies.
-	var (
-		actx   context.Context
-		cancel context.CancelFunc
-	)
-	if s.cfg.RequestTimeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	} else {
-		actx, cancel = context.WithCancel(ctx)
-	}
+	// One context bounds the analysis: RequestTimeout is its deadline,
+	// and a hard drain cancels it when the server's base context dies.
+	actx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()

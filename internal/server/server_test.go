@@ -92,7 +92,7 @@ func waitStat(t *testing.T, s *Server, cond func(Stats) bool, msg string) {
 }
 
 func TestOverloadSheds(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: -1})
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -138,7 +138,7 @@ func TestOverloadSheds(t *testing.T) {
 // request waits for a run slot frees its admission place at once, so
 // the next request waits instead of being shed.
 func TestCancelWhileWaitingFreesPlace(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: -1})
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})
 	defer s.Close()
 
 	// Wedge the lone run slot.
@@ -218,7 +218,7 @@ func TestCallerDeadlineDegrades(t *testing.T) {
 }
 
 func TestDrainRejectsAndCompletes(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: -1})
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})
 
 	task, ctx, cancel, stalled := stalledTask(t, bibSchema)
 	defer cancel()
@@ -251,9 +251,9 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	}
 }
 
-// TestDrainCancelsAnalysisUnderRequestTimeout: with RequestTimeout
-// positive, the analysis runs under the request's deadline, and a drain
-// deadline that passes still hard-cancels it. The timeout is an hour,
+// TestDrainCancelsAnalysisUnderRequestTimeout: the analysis runs under
+// the request's RequestTimeout deadline, and a drain deadline that
+// passes still hard-cancels it. The timeout is an hour,
 // so only the drain can end the stall.
 func TestDrainCancelsAnalysisUnderRequestTimeout(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})

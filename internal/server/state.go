@@ -42,12 +42,6 @@ type DurableState struct {
 	closed            atomic.Bool
 }
 
-// StateConfig configures OpenState.
-type StateConfig struct {
-	// Dir is the state directory (required).
-	Dir string
-}
-
 // DurabilityStatus is the /statz durability section and the boot
 // recovery summary.
 type DurabilityStatus struct {
@@ -69,27 +63,27 @@ type DurabilityStatus struct {
 	Spool       statefile.SpoolStats `json:"spool"`
 }
 
-// OpenState mounts the state directory, restores its state file into
-// reg (rebasing backoff deadlines onto reg's clock) and from then on
+// OpenState mounts the state directory dir, restores its state file
+// into reg (rebasing backoff deadlines onto reg's clock) and from then on
 // persists reg's audit-lane transitions. The incident spool takes the
 // statefile defaults: 8 MiB per file, four rotated files kept. Call
 // before the first request is admitted.
-func OpenState(fsys statefile.FS, cfg StateConfig, reg *quarantine.Registry) (*DurableState, error) {
-	if cfg.Dir == "" {
+func OpenState(fsys statefile.FS, dir string, reg *quarantine.Registry) (*DurableState, error) {
+	if dir == "" {
 		return nil, fmt.Errorf("server: state dir required")
 	}
 	if reg == nil {
 		return nil, fmt.Errorf("server: state requires a quarantine registry")
 	}
-	store, rec, err := statefile.Open(fsys, cfg.Dir)
+	store, rec, err := statefile.Open(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("server: open state: %w", err)
 	}
-	spool, err := statefile.OpenSpool(fsys, cfg.Dir, "incidents.jsonl", 0)
+	spool, err := statefile.OpenSpool(fsys, dir, "incidents.jsonl", 0)
 	if err != nil {
 		return nil, fmt.Errorf("server: open incident spool: %w", err)
 	}
-	ds := &DurableState{dir: cfg.Dir, store: store, spool: spool, reg: reg, corrupt: rec.Corrupt}
+	ds := &DurableState{dir: dir, store: store, spool: spool, reg: reg, corrupt: rec.Corrupt}
 	var recs []quarantine.Record
 	if rec.State != nil {
 		if err := json.Unmarshal(rec.State, &recs); err != nil {

@@ -29,8 +29,8 @@ func TestRestartRefusesPreCrashQuarantinedFingerprint(t *testing.T) {
 
 	// Life 1: quarantine the fingerprint (as the auditor would on a
 	// disagreement), serve one downgraded verdict, drain.
-	reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-	ds, err := OpenState(mem, StateConfig{Dir: "state"}, reg)
+	reg := quarantine.NewRegistry(1)
+	ds, err := OpenState(mem, "state", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestRestartRefusesPreCrashQuarantinedFingerprint(t *testing.T) {
 	mem.Crash(nil)
 
 	// Life 2: fresh registry, fresh server, same state directory.
-	reg2 := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-	ds2, err := OpenState(mem, StateConfig{Dir: "state"}, reg2)
+	reg2 := quarantine.NewRegistry(1)
+	ds2, err := OpenState(mem, "state", reg2)
 	if err != nil {
 		t.Fatalf("reopen state: %v", err)
 	}
@@ -117,8 +117,8 @@ func TestStateCrashChaosQuarantineJournal(t *testing.T) {
 			}
 			cfs := faultinject.NewCrashFS(mem, faults...)
 
-			reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-			ds, err := OpenState(cfs, StateConfig{Dir: "state"}, reg)
+			reg := quarantine.NewRegistry(1)
+			ds, err := OpenState(cfs, "state", reg)
 			if err != nil {
 				// Fault during mount: nothing acked, nothing to check.
 				return
@@ -148,8 +148,8 @@ func TestStateCrashChaosQuarantineJournal(t *testing.T) {
 				mem.Crash(func(string, int) int { return keep })
 			}
 
-			reg2 := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-			ds2, err := OpenState(mem, StateConfig{Dir: "state"}, reg2)
+			reg2 := quarantine.NewRegistry(1)
+			ds2, err := OpenState(mem, "state", reg2)
 			if err != nil {
 				t.Fatalf("recovery mount failed: %v (fired %v)\n%s", err, cfs.Fired(), mem.Dump())
 			}
@@ -180,8 +180,8 @@ func TestFailedWriteIsCarriedByTheNextWrite(t *testing.T) {
 			// opening the state file and opening the spool. fp-a's write
 			// is operations 4 to 8; operation 5 is its data write.
 			cfs := faultinject.NewCrashFS(mem, faultinject.FSFault{Op: 5, Kind: faultinject.FSErrWrite})
-			reg := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-			ds, err := OpenState(cfs, StateConfig{Dir: "state"}, reg)
+			reg := quarantine.NewRegistry(1)
+			ds, err := OpenState(cfs, "state", reg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,8 +201,8 @@ func TestFailedWriteIsCarriedByTheNextWrite(t *testing.T) {
 				mem.Crash(nil)
 			}
 
-			reg2 := quarantine.NewRegistry(quarantine.Config{Backoff: time.Hour})
-			ds2, err := OpenState(mem, StateConfig{Dir: "state"}, reg2)
+			reg2 := quarantine.NewRegistry(1)
+			ds2, err := OpenState(mem, "state", reg2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,8 +264,8 @@ func TestParentDrainedDirectoryRestores(t *testing.T) {
 			Backoff: 2 * time.Hour, Clean: 1},
 		{Fingerprint: "fp-c", State: quarantine.StateWatched, Disagreements: 1},
 	}, nil)
-	reg := quarantine.NewRegistry(quarantine.Config{})
-	ds, err := OpenState(mem, StateConfig{Dir: "state"}, reg)
+	reg := quarantine.NewRegistry(1)
+	ds, err := OpenState(mem, "state", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestParentDrainedDirectoryRestores(t *testing.T) {
 func TestParentJournalWithRecordsRefused(t *testing.T) {
 	mem := statefile.NewMemFS()
 	parentStateDir(t, mem, nil, []byte(`not empty`))
-	_, err := OpenState(mem, StateConfig{Dir: "state"}, quarantine.NewRegistry(quarantine.Config{}))
+	_, err := OpenState(mem, "state", quarantine.NewRegistry(1))
 	if err == nil || !strings.Contains(err.Error(), "state/journal.4") {
 		t.Fatalf("OpenState over a non-empty journal: %v", err)
 	}

@@ -11,7 +11,10 @@ package vetcheck
 //   - no blocking while holding: a lock held across a bare channel
 //     operation, a select without a default, a WaitGroup/Cond wait, or
 //     a guard.Budget point (where faultinject can inject an unbounded
-//     stall) wedges every other goroutine needing that lock;
+//     stall) wedges every other goroutine needing that lock. A Cond's
+//     Wait releases the Cond's own L while it blocks, so that lock is
+//     left out when the module binds it (sync.NewCond(&x.f), or
+//     x.c.L = &x.f); the other held locks are still reported;
 //   - a global acquisition order: each "acquire B while holding A"
 //     observation is an edge A→B in a module-wide order graph; a cycle
 //     means two goroutines can acquire the same pair in opposite
@@ -363,6 +366,91 @@ func recvTypeName(fn *types.Func) string {
 	return t.String()
 }
 
+// ---- sync.Cond locks ----
+
+// ldCondLock returns the lock token that call's Cond releases while it
+// waits, when call is a sync.Cond Wait whose L the module binds; ""
+// otherwise.
+func (p *pass) ldCondLock(pkg *Package, call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Name() != "Wait" {
+		return ""
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv == nil || !isSyncCond(recv.Type()) {
+		return ""
+	}
+	if p.ldConds == nil {
+		p.ldConds = p.ldBindConds()
+	}
+	return p.ldConds[p.ldToken(pkg, sel.X)]
+}
+
+// ldBindConds maps each sync.Cond token to the token of the lock its L
+// names in the module: c = sync.NewCond(&x.f), or c.L = &x.f. A Cond
+// bound to a lock that is not an &-expression, or to two different
+// locks, maps to "" (unresolved).
+func (p *pass) ldBindConds() map[string]string {
+	conds := map[string]string{}
+	bind := func(pkg *Package, cond ast.Expr, lock ast.Expr) {
+		tok := ""
+		if u, ok := ast.Unparen(lock).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			tok = p.ldToken(pkg, u.X)
+		}
+		c := p.ldToken(pkg, cond)
+		if prev, seen := conds[c]; seen && prev != tok {
+			tok = ""
+		}
+		conds[c] = tok
+	}
+	for _, pkg := range p.mod.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != len(as.Rhs) {
+					return true
+				}
+				for i, lhs := range as.Lhs {
+					rhs := as.Rhs[i]
+					if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && len(call.Args) == 1 && isSyncFunc(pkg, call.Fun, "NewCond") {
+						bind(pkg, lhs, call.Args[0])
+					}
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && sel.Sel.Name == "L" {
+						if tv, ok := pkg.Info.Types[sel.X]; ok && isSyncCond(tv.Type) {
+							bind(pkg, sel.X, rhs)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return conds
+}
+
+// isSyncFunc reports whether fun names the package-level function
+// sync.<name>.
+func isSyncFunc(pkg *Package, fun ast.Expr, name string) bool {
+	sel, ok := ast.Unparen(fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == name
+}
+
+// isSyncCond reports whether t is sync.Cond or a pointer to one.
+func isSyncCond(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Cond"
+}
+
 // ---- per-function flow ----
 
 func (p *pass) ldCheckUnit(pkg *Package, u funcUnit, edges map[ldOrderEdge]token.Pos) {
@@ -510,8 +598,15 @@ func (p *pass) ldReportCall(pkg *Package, s ldState, call *ast.CallExpr, edges m
 		return
 	}
 	if reason := p.ldBlockingCall(pkg, call); reason != "" {
-		p.report("lockdiscipline", call.Pos(),
-			"blocking point while holding %s: %s", heldList(s), reason)
+		held := s
+		if l := p.ldCondLock(pkg, call); l != "" {
+			held = ldFlow.copy(s)
+			delete(held, l)
+		}
+		if len(held) > 0 {
+			p.report("lockdiscipline", call.Pos(),
+				"blocking point while holding %s: %s", heldList(held), reason)
+		}
 		return
 	}
 	// In-module callee: consult its interprocedural summary.

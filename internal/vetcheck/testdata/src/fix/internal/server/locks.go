@@ -1,7 +1,7 @@
 // Firing and non-firing fixtures for lockdiscipline: double lock,
 // unlock of a cold mutex, blocking operations under a lock, a leak
-// past return, interprocedural re-acquisition, and a seeded two-lock
-// order inversion.
+// past return, interprocedural re-acquisition, a seeded two-lock
+// order inversion, and sync.Cond waits under their own lock and others.
 package server
 
 import "sync"
@@ -93,4 +93,55 @@ func lockBA(p *pair) {
 	p.a.Lock()
 	p.a.Unlock()
 	p.b.Unlock()
+}
+
+// A sync.Cond's Wait releases the Cond's own L while it blocks, so
+// waiting with only that lock held is the condition-variable idiom,
+// not a hazard. idle's L is bound by sync.NewCond and ready's by an
+// assignment to L; loose's L is never bound in the module.
+type condBox struct {
+	mu      sync.Mutex
+	other   sync.Mutex
+	idle    *sync.Cond
+	loose   *sync.Cond
+	ready   sync.Cond
+	pending int
+}
+
+func newCondBox() *condBox {
+	b := &condBox{}
+	b.idle = sync.NewCond(&b.mu)
+	b.ready.L = &b.mu
+	return b
+}
+
+func waitOwnLock(b *condBox) {
+	b.mu.Lock()
+	for b.pending > 0 {
+		b.idle.Wait()
+	}
+	for b.pending < 0 {
+		b.ready.Wait()
+	}
+	b.mu.Unlock()
+}
+
+// Wait releases mu only: the other lock stays held while it blocks.
+func waitOtherLock(b *condBox) {
+	b.other.Lock()
+	b.mu.Lock()
+	for b.pending > 0 {
+		b.idle.Wait() // want "blocking point while holding internal/server.condBox.other: waits on a sync.Cond"
+	}
+	b.mu.Unlock()
+	b.other.Unlock()
+}
+
+// With L unresolved, the Wait is judged against every held lock.
+func waitUnresolved(b *condBox) {
+	b.mu.Lock()
+	for b.pending > 0 {
+		b.loose.Wait() // want "blocking point while holding internal/server.condBox.mu: waits on a sync.Cond"
+	}
+	b.mu.Unlock()
 }

@@ -212,6 +212,9 @@ type pass struct {
 	// ldSummaries memoizes lockdiscipline's may-acquire / may-block
 	// facts per module function.
 	ldSummaries map[types.Object]*ldSummary
+	// ldConds memoizes lockdiscipline's sync.Cond bindings: each Cond
+	// token to the token of the lock its L names ("" when unresolved).
+	ldConds map[string]string
 }
 
 func (p *pass) report(check string, pos token.Pos, format string, args ...any) {

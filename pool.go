@@ -43,12 +43,13 @@ type PoolOptions struct {
 	// Workers run slots; each request runs under its share.
 	Limits Limits
 	// RequestTimeout bounds one analysis once it holds a run slot
-	// (default 5s; negative disables); like a caller deadline, it
-	// degrades the verdict when it passes mid-analysis.
+	// (zero or negative selects the default, 5s); like a caller
+	// deadline, it degrades the verdict when it passes mid-analysis.
 	RequestTimeout time.Duration
 	// NoFallback disables the degradation ladder pool-wide.
 	NoFallback bool
-	// DrainTimeout bounds Close's graceful drain (default 10s).
+	// DrainTimeout bounds the graceful drain of Close and Serve
+	// (default 10s).
 	DrainTimeout time.Duration
 	// BreakerThreshold is the number of consecutive budget blowups on
 	// one schema that opens its circuit breaker (default 5; negative
@@ -142,14 +143,12 @@ type Pool struct {
 // in-flight requests and release the audit lane and durable state.
 func NewPool(o PoolOptions) *Pool {
 	p := &Pool{}
-	switch {
-	case o.PlanCacheSize > 0:
-		p.plans = plan.NewCache(o.PlanCacheSize)
-	case o.PlanCacheSize < 0:
-		p.plans = plan.NewCache(1)
-	default:
-		p.plans = plan.NewCache(plan.DefaultCacheSize)
+	size := o.PlanCacheSize
+	if size == 0 {
+		size = plan.DefaultCacheSize
 	}
+	// plan.NewCache keeps at least one plan, so a negative size keeps one.
+	p.plans = plan.NewCache(size)
 	cfg := server.Config{
 		Workers:         o.Workers,
 		QueueDepth:      o.QueueDepth,
@@ -172,11 +171,11 @@ func NewPool(o PoolOptions) *Pool {
 		// The registry must exist whenever state is durable, even with
 		// auditing off: restored quarantine decisions still have to
 		// downgrade verdicts.
-		p.reg = quarantine.NewRegistry(quarantine.Config{QuarantineAfter: o.QuarantineAfter})
+		p.reg = quarantine.NewRegistry(o.QuarantineAfter)
 		cfg.Quarantine = p.reg
 	}
 	if o.StateDir != "" {
-		ds, err := server.OpenState(statefile.OS(), server.StateConfig{Dir: o.StateDir}, p.reg)
+		ds, err := server.OpenState(statefile.OS(), o.StateDir, p.reg)
 		if err != nil {
 			p.stateErr = err
 		} else {
@@ -400,12 +399,10 @@ func (p *Pool) Close() error {
 
 // Serve runs the pool's HTTP API on addr until ctx is cancelled, then
 // performs a graceful drain: the listener stops, in-flight requests
-// and analyses get drainTimeout to finish, stragglers are cancelled.
-// It returns when both the HTTP server and the pool have stopped.
-func Serve(ctx context.Context, addr string, p *Pool, drainTimeout time.Duration) error {
-	if drainTimeout <= 0 {
-		drainTimeout = 10 * time.Second
-	}
+// and analyses get the pool's DrainTimeout to finish, stragglers are
+// cancelled. It returns when both the HTTP server and the pool have
+// stopped.
+func Serve(ctx context.Context, addr string, p *Pool) error {
 	hs := &http.Server{Addr: addr, Handler: p.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
@@ -416,7 +413,7 @@ func Serve(ctx context.Context, addr string, p *Pool, drainTimeout time.Duration
 	case <-ctx.Done():
 	}
 	//xqvet:ignore ctxflow drain runs after the serve context died; the drain deadline must outlive it
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), p.srv.Config().DrainTimeout)
 	defer cancel()
 	// Drain the pool first so /readyz flips and in-flight analyses
 	// finish, then close the HTTP side.

@@ -153,12 +153,15 @@ echo "== bench module (go vet + go test inside bench/)"
   go test ./...
 )
 
-echo "== breaker and audit-flush regressions (-race -count=10)"
-# Healthy schemas must leave no breaker entry, and Flush must not race
-# a concurrent Observe; both are concurrent, so run them repeatedly
-# under the race detector.
+echo "== breaker, audit-queue and drain regressions (-race -count=10)"
+# Healthy schemas must leave no breaker entry, Flush must not race a
+# concurrent Observe, a full audit queue must drop exactly the audits
+# beyond it without blocking, and Serve must drain a wedged pool under
+# its DrainTimeout; all are concurrent, so run them repeatedly under
+# the race detector.
 go test ./internal/server -race -count=10 -run '^TestBreakerKeepsNoEntryForHealthySchemas$'
-go test ./internal/sentinel -race -count=10 -run '^TestFlushWhileObserving$'
+go test ./internal/sentinel -race -count=10 -run '^(TestFlushWhileObserving|TestQueueOverflowDropsNotBlocks)$'
+go test . -race -count=10 -run '^TestServeDrainsUnderPoolDrainTimeout$'
 
 echo "== recycled sweep slabs and traces (-race -count=10)"
 # A pooled sweep slab or trace must never be reachable from two
