@@ -264,12 +264,12 @@ func run() int {
 // outcome. A disagreement means the fast engine's proof did not
 // survive re-derivation on independent machinery.
 func runAudit(schema *xqindep.Schema, queryText, updateText string) int {
-	q, err := xquery.ParseQuery(queryText)
+	q, err := xquery.ParsePreparedQuery(queryText)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xqindep: audit:", err)
 		return 2
 	}
-	u, err := xquery.ParseUpdate(updateText)
+	u, err := xquery.ParsePreparedUpdate(updateText)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xqindep: audit:", err)
 		return 2
@@ -277,11 +277,9 @@ func runAudit(schema *xqindep.Schema, queryText, updateText string) int {
 	aud := sentinel.New(sentinel.Config{SampleRate: 1})
 	defer aud.Close()
 	aud.Observe(sentinel.Observation{
-		D:          schema.DTD(),
-		Query:      q,
-		Update:     u,
-		QueryText:  queryText,
-		UpdateText: updateText,
+		D:      schema.DTD(),
+		Query:  q,
+		Update: u,
 		// Deliberately unproven verdict: -audit feeds the sentinel a
 		// fabricated Independent=true to demonstrate refutation.
 		//xqvet:ignore verdictflow fabricated verdict exercises the sentinel refutation path on purpose

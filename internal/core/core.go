@@ -167,16 +167,19 @@ type Analyzer struct {
 // NewAnalyzer builds an analyzer for the schema.
 func NewAnalyzer(d *dtd.DTD) *Analyzer { return &Analyzer{D: d} }
 
+// errNilExpression rejects a missing query or update.
+var errNilExpression = errors.New("core: nil expression")
+
 // check verifies the pair is quasi-closed (only the root variable
 // free), the form the whole calculus is stated for.
-func check(q xquery.Query, u xquery.Update) error {
-	if q == nil || u == nil {
-		return fmt.Errorf("core: nil expression")
+func check(q *xquery.PreparedQuery, u *xquery.PreparedUpdate) error {
+	if q == nil || u == nil || q.AST == nil || u.AST == nil {
+		return errNilExpression
 	}
-	if !xquery.QuasiClosedQuery(q) {
+	if !xquery.QuasiClosedQuery(q.AST) {
 		return fmt.Errorf("core: query has free variables besides %s", xquery.RootVar)
 	}
-	if !xquery.QuasiClosedUpdate(u) {
+	if !xquery.QuasiClosedUpdate(u.AST) {
 		return fmt.Errorf("core: update has free variables besides %s", xquery.RootVar)
 	}
 	return nil
@@ -189,7 +192,30 @@ func (a *Analyzer) Analyze(q xquery.Query, u xquery.Update, m Method) (Result, e
 }
 
 // AnalyzeContext decides independence of the pair with the given
-// method under ctx and opts.Limits.
+// method under ctx and opts.Limits: it prepares the two sides
+// (xquery.PrepareQuery, PrepareUpdate) and runs AnalyzePrepared on
+// them. A caller that analyzes one expression many times prepares it
+// once and calls AnalyzePrepared.
+func (a *Analyzer) AnalyzeContext(ctx context.Context, q xquery.Query, u xquery.Update, m Method, opts Options) (Result, error) {
+	if q == nil || u == nil {
+		return Result{}, errNilExpression
+	}
+	var (
+		qs *xquery.PreparedQuery
+		us *xquery.PreparedUpdate
+	)
+	// Normalizing walks the AST and panics on foreign node types;
+	// convert that to an InternalError.
+	if err := guard.Do(func() { qs, us = xquery.PrepareQuery("", q), xquery.PrepareUpdate("", u) }); err != nil {
+		return Result{}, err
+	}
+	return a.AnalyzePrepared(ctx, qs, us, m, opts)
+}
+
+// AnalyzePrepared decides independence of the prepared pair with the
+// given method under ctx and opts.Limits. The chains rung reads the
+// sides' normalized ASTs and digests, the other rungs their parsed
+// ASTs; the sides are only read, so one may serve concurrent calls.
 //
 // When the method exceeds its budget (deadline, chain/node count, or
 // multiplicity k beyond Limits.MaxK) and fallback is enabled, the
@@ -205,7 +231,7 @@ func (a *Analyzer) Analyze(q xquery.Query, u xquery.Update, m Method) (Result, e
 //
 // Any panic escaping the analysis internals is converted into a
 // *guard.InternalError carrying the panic value and stack.
-func (a *Analyzer) AnalyzeContext(ctx context.Context, q xquery.Query, u xquery.Update, m Method, opts Options) (Result, error) {
+func (a *Analyzer) AnalyzePrepared(ctx context.Context, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, m Method, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -286,7 +312,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, q xquery.Query, u xquery.
 
 // analyzeOnce runs a single ladder rung under a fresh budget, with
 // the panic-to-error boundary installed.
-func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q xquery.Query, u xquery.Update, lim guard.Limits, plans *plan.Cache) (res Result, err error) {
+func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, lim guard.Limits, plans *plan.Cache) (res Result, err error) {
 	defer guard.Recover(&err)
 	b := guard.New(ctx, lim)
 	b.Point("core.analyze")
@@ -312,7 +338,7 @@ func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q xquery.Query, u 
 			if cerr != nil {
 				return Result{}, fmt.Errorf("core: schema compilation failed: %w", cerr)
 			}
-			ce, warm, perr = plan.Prepare(nil, c.WithCorruption(int64(c.Checksum())|1), q, u, b)
+			ce, warm, perr = plan.Prepare(nil, c.WithCorruption(int64(c.Checksum())|1), q.AST, u.AST, b)
 		} else {
 			ce, warm, perr = plan.PrepareSchema(plans, a.D, q, u, b)
 		}
@@ -329,24 +355,24 @@ func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q xquery.Query, u 
 			res.Plan = "cold"
 		}
 	case MethodChainsExact:
-		k := infer.KPair(q, u)
+		k := infer.KPair(q.AST, u.AST)
 		if err := b.CheckK(k); err != nil {
 			return Result{}, err
 		}
-		v := infer.IndependenceBudget(a.D, q, u, b)
+		v := infer.IndependenceBudget(a.D, q.AST, u.AST, b)
 		res.Independent = v.Independent
 		res.K = v.K
 		for _, c := range v.Conflicts {
 			res.Witnesses = append(res.Witnesses, c.String())
 		}
 	case MethodTypes:
-		v := typeanalysis.IndependenceBudget(a.D, q, u, b)
+		v := typeanalysis.IndependenceBudget(a.D, q.AST, u.AST, b)
 		res.Independent = v.Independent
 		if !v.Independent {
 			res.Witnesses = append(res.Witnesses, fmt.Sprintf("type overlap %v", v.Overlap))
 		}
 	case MethodPaths:
-		v, perr := pathanalysis.IndependenceBudget(q, u, b)
+		v, perr := pathanalysis.IndependenceBudget(q.AST, u.AST, b)
 		if perr != nil {
 			return Result{}, perr
 		}
@@ -373,11 +399,4 @@ func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q xquery.Query, u 
 		res.Independent = !res.Independent
 	}
 	return res, nil
-}
-
-// Independent is the one-call form of the default (CDAG chain)
-// analysis.
-func (a *Analyzer) Independent(q xquery.Query, u xquery.Update) (bool, error) {
-	r, err := a.Analyze(q, u, MethodChains)
-	return r.Independent, err
 }

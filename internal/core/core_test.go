@@ -70,10 +70,6 @@ func TestAnalyzeAllMethods(t *testing.T) {
 			t.Errorf("%v: no elapsed time", m)
 		}
 	}
-	ok, err := a.Independent(q, u)
-	if err != nil || !ok {
-		t.Errorf("Independent = %v, %v", ok, err)
-	}
 }
 
 func TestAnalyzeErrors(t *testing.T) {

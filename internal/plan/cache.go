@@ -64,19 +64,20 @@ func NewCache(max int) *Cache {
 	}
 }
 
-// updateSide returns the update side e adopts for the normalized
-// update nu: the tier's resident when it fits e, or else one inferred
-// on e, which replaces the resident when it is deeper. A nil cache has
-// no tier: the side is inferred on e and kept by no one.
-func (pc *Cache) updateSide(schemaFP string, nu xquery.Update, e *cdag.Engine) *cdag.UpdateSide {
+// updateSide returns the update side e adopts for the prepared update
+// u: the tier's resident under u's digest when it fits e, or else one
+// inferred on e from u's normalized AST, which replaces the resident
+// when it is deeper. A nil cache has no tier: the side is inferred on e
+// and kept by no one.
+func (pc *Cache) updateSide(schemaFP string, u *xquery.PreparedUpdate, e *cdag.Engine) *cdag.UpdateSide {
 	if pc == nil {
-		return e.InferUpdate(nu)
+		return e.InferUpdate(u.Norm)
 	}
-	key := sideKey{schemaFP, xquery.UpdateDigest(nu)}
+	key := sideKey{schemaFP, u.Digest}
 	if s, ok := pc.u.Lookup(key, func(s *cdag.UpdateSide) bool { return s.Fits(e) }); ok {
 		return s
 	}
-	s := e.InferUpdate(nu)
+	s := e.InferUpdate(u.Norm)
 	pc.u.Put(key, s, s.Deeper)
 	return s
 }

@@ -5,21 +5,25 @@
 // the k it was reached at — keyed by (schema fingerprint, pair digest)
 // so repeated requests over the same logical pair (whitespace variants,
 // renamed binders, sugared axes) resolve to one cached plan. The pair
-// digest is a 128-bit SHA-256 digest of the normalized query and update
-// (xquery.PairDigest). It is cryptographic because a cached verdict is
-// served to every pair with its key, and a string literal in a query is
-// free content to search for a collision over. The key is the plan's
-// identity, so the plan does not repeat it; the query's chain DAGs are
-// discarded when the build returns. The update's are not always: a
-// second tier of the cache holds one detached update side
-// (cdag.UpdateSide), keyed by (schema fingerprint, update digest), and
-// the next cold build of the same update adopts it when it was inferred
-// under a depth bound at least the pair's, so a pass of one update over
-// many views infers the update once per bound instead of once per view.
+// digest is a 128-bit SHA-256 digest of the two sides' digests, each
+// of a normalized side (xquery.PairKey). It is cryptographic because a
+// cached verdict is served to every pair with its key, and a string
+// literal in a query is free content to search for a collision over.
+// The key is the plan's identity, so the plan does not repeat it; the
+// query's chain DAGs are discarded when the build returns. The
+// update's are not always: a second tier of the cache holds one
+// detached update side (cdag.UpdateSide), keyed by (schema
+// fingerprint, update digest), and the next cold build of the same
+// update adopts it when it was inferred under a depth bound at least
+// the pair's, so a pass of one update over many views infers the
+// update once per bound instead of once per view.
 //
-// The stages mirror the analysis pipeline of the paper: fingerprint
-// (normalize the Section 2 sugar away, once per request, and digest the
-// pair), k-factors (Table 3, Section 5), chain inference (Sections
+// The pipeline runs on prepared sides (xquery.PreparedQuery and
+// PreparedUpdate), each normalized and digested once when it was
+// prepared, so the serving layer, which keeps one side per expression
+// text, normalizes nothing per request. The stages mirror the analysis
+// pipeline of the paper: fingerprint (digest the pair from the two side
+// digests), k-factors (Table 3, Section 5), chain inference (Sections
 // 3–6). Each stage is budget-checked through guard and fault-injectable
 // under a core.plan/* point, so the degradation ladder and the sentinel
 // audit layer compose with the cache unchanged: a cached verdict is
@@ -43,26 +47,31 @@ import (
 // (schema, query-update pair): the decision the CDAG engine reached
 // under the compiled schema, with the conflict reasons and the k it was
 // reached at. The chain DAGs of the derivation are not kept: serving
-// reads only the decision, so that is all a resident holds. Construct
-// it only through Prepare (or the cache's builder); after construction
-// nothing may write to it. The checksum seals every stored field and
-// Verify re-derives it on every cache hit, so any post-construction
-// mutation is caught before the plan is served again.
+// reads only the decision, so that is all a resident holds, in 48
+// bytes (TestCompiledExprSize). Construct it only through Prepare (or
+// the cache's builder); after construction nothing may write to it.
+// The checksum seals every stored field and Verify re-derives it on
+// every cache hit, so any post-construction mutation is caught before
+// the plan is served again.
 type CompiledExpr struct {
-	// verdict is decision-only: Independent, Reasons and K, no chain
-	// sets.
-	verdict  cdag.Verdict
-	checksum uint64
+	// Independent is the decision, copied from CheckIndependence's
+	// verdict; Verdict is how it is read.
+	Independent bool
+	k           int
+	reasons     []string
+	checksum    uint64
 }
 
 // K returns the joint multiplicity k = max(1, k_q + k_u) of Table 3
 // the chain universe was bounded by.
-func (ce *CompiledExpr) K() int { return ce.verdict.K }
+func (ce *CompiledExpr) K() int { return ce.k }
 
 // Verdict returns the sealed decision: Independent, Reasons and K. Its
 // chain sets are nil. The Reasons slice is part of the sealed artifact:
 // read it, never write through it.
-func (ce *CompiledExpr) Verdict() cdag.Verdict { return ce.verdict }
+func (ce *CompiledExpr) Verdict() cdag.Verdict {
+	return cdag.Verdict{Independent: ce.Independent, Reasons: ce.reasons, K: ce.k}
+}
 
 // Checksum returns the content checksum sealed at construction.
 func (ce *CompiledExpr) Checksum() uint64 { return ce.checksum }
@@ -96,13 +105,13 @@ func fnvString(h uint64, s string) uint64 {
 func (ce *CompiledExpr) computeChecksum() uint64 {
 	h := uint64(fnvOffset64)
 	decision := 0
-	if ce.verdict.Independent {
+	if ce.Independent {
 		decision = 1
 	}
 	h = fnvInt(h, decision)
-	h = fnvInt(h, ce.verdict.K)
-	h = fnvInt(h, len(ce.verdict.Reasons))
-	for _, r := range ce.verdict.Reasons {
+	h = fnvInt(h, ce.k)
+	h = fnvInt(h, len(ce.reasons))
+	for _, r := range ce.reasons {
 		h = fnvString(h, r)
 	}
 	return h
@@ -117,8 +126,8 @@ func (ce *CompiledExpr) Verify() error {
 	if ce == nil {
 		return errors.New("plan: nil CompiledExpr")
 	}
-	if ce.verdict.K < 1 {
-		return fmt.Errorf("plan: k=%d below 1", ce.verdict.K)
+	if ce.k < 1 {
+		return fmt.Errorf("plan: k=%d below 1", ce.k)
 	}
 	if got := ce.computeChecksum(); got != ce.checksum {
 		return fmt.Errorf("plan: checksum mismatch: computed %016x, sealed %016x", got, ce.checksum)
@@ -134,15 +143,17 @@ func (ce *CompiledExpr) Verify() error {
 func (ce *CompiledExpr) CorruptClone() *CompiledExpr {
 	cc := *ce
 	//xqvet:ignore verdictflow deliberate chaos corruption of a private copy; the sentinel audit layer catches the unsound verdicts it causes
-	cc.verdict.Independent = !ce.verdict.Independent
+	cc.Independent = !ce.Independent
 	return &cc
 }
 
 // Prepare resolves the prepared plan for the pair under the compiled
-// schema, running the staged pipeline:
+// schema. It prepares the two sides (xquery.PrepareQuery and
+// PrepareUpdate normalize and digest them) and runs the staged
+// pipeline on them:
 //
-//	core.plan/fingerprint  normalize each side once and digest the
-//	                       pair (the cache key)
+//	core.plan/fingerprint  digest the pair from the two side digests
+//	                       (the cache key)
 //	core.plan/lookup       consult cache (verify-on-hit); on miss the
 //	                       builder runs the two cold stages on the
 //	                       normalized sides:
@@ -163,17 +174,18 @@ func (ce *CompiledExpr) CorruptClone() *CompiledExpr {
 // by core when a chaos fault corrupts the schema artifact itself:
 // plans inferred under a corrupted schema must never enter the cache).
 func Prepare(cache *Cache, c *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) (*CompiledExpr, bool, error) {
-	return prepare(cache, c.Fingerprint(), func() *dtd.Compiled { return c }, q, u, b)
+	return prepare(cache, c.Fingerprint(), func() *dtd.Compiled { return c },
+		xquery.PrepareQuery("", q), xquery.PrepareUpdate("", u), b)
 }
 
-// PrepareSchema is Prepare for a schema whose compiled form is
-// resolved through dtd.Compile only when the plan must be built. A
-// warm hit never reads the compiled schema, and after a purge of the
-// schema's fingerprint the next cold build recompiles it, whoever holds
-// d. A schema that cannot be compiled aborts the build with an error
-// wrapping guard.ErrBudgetExceeded, so the ladder degrades to the
-// analyses that need no dense alphabet.
-func PrepareSchema(cache *Cache, d *dtd.DTD, q xquery.Query, u xquery.Update, b *guard.Budget) (*CompiledExpr, bool, error) {
+// PrepareSchema is Prepare for prepared sides and a schema whose
+// compiled form is resolved through dtd.Compile only when the plan must
+// be built. A warm hit never reads the compiled schema, and after a
+// purge of the schema's fingerprint the next cold build recompiles it,
+// whoever holds d. A schema that cannot be compiled aborts the build
+// with an error wrapping guard.ErrBudgetExceeded, so the ladder
+// degrades to the analyses that need no dense alphabet.
+func PrepareSchema(cache *Cache, d *dtd.DTD, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, b *guard.Budget) (*CompiledExpr, bool, error) {
 	return prepare(cache, d.Fingerprint(), func() *dtd.Compiled {
 		c, err := dtd.Compile(d)
 		if err != nil {
@@ -184,17 +196,17 @@ func PrepareSchema(cache *Cache, d *dtd.DTD, q xquery.Query, u xquery.Update, b 
 }
 
 // prepare is the pipeline shared by Prepare and PrepareSchema; resolve
-// yields the compiled schema and runs only inside a cold build. A
-// request normalizes each side once, here: the pair digest and a cold
-// build both read the normalized sides.
-func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) (*CompiledExpr, bool, error) {
+// yields the compiled schema and runs only inside a cold build. The
+// sides were normalized and digested when they were prepared: the key
+// is a digest of their digests, and a cold build reads their
+// normalized ASTs.
+func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, b *guard.Budget) (*CompiledExpr, bool, error) {
 	b.Point("core.plan/fingerprint")
-	nq, nu := xquery.Normalize(q), xquery.NormalizeUpdate(u)
-	key := planKey{schemaFP, xquery.PairDigest(nq, nu)}
+	key := planKey{schemaFP, xquery.PairKey(q, u)}
 
 	b.Point("core.plan/lookup")
 	ce, warm := cache.get(key, func() *CompiledExpr {
-		return build(cache, schemaFP, resolve, nq, nu, b)
+		return build(cache, schemaFP, resolve, q.Norm, u, b)
 	})
 
 	// Admission is per-request: a plan cached under one request's
@@ -217,12 +229,14 @@ func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q xque
 	return ce, warm, nil
 }
 
-// build runs the cold stages on the normalized pair. It charges b
-// throughout and aborts via guard on overrun; the cache never sees a
-// partially built plan. The update side comes from the cache's update
-// tier (nil has none), so only the query side and the conflict checks
-// are sure to run per pair.
-func build(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, nq xquery.Query, nu xquery.Update, b *guard.Budget) *CompiledExpr {
+// build runs the cold stages on the normalized query nq and the
+// prepared update u. It charges b throughout and aborts via guard on
+// overrun; the cache never sees a partially built plan. The update
+// side comes from the cache's update tier (nil has none), keyed by u's
+// digest, so only the query side and the conflict checks are sure to
+// run per pair.
+func build(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, nq xquery.Query, u *xquery.PreparedUpdate, b *guard.Budget) *CompiledExpr {
+	nu := u.Norm
 	b.Phase("core.plan/kfactors")
 	if err := b.CheckK(infer.KPair(nq, nu)); err != nil {
 		guard.Abort(err)
@@ -237,14 +251,12 @@ func build(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, nq xquer
 	b.Phase("cdag.build")
 	e := cdag.EngineForCompiled(resolve(), nq, nu).WithBudget(b)
 	b.Phase("cdag.infer_update")
-	v := e.WithUpdate(cache.updateSide(schemaFP, nu, e)).CheckIndependence(nq, nu)
+	v := e.WithUpdate(cache.updateSide(schemaFP, u, e)).CheckIndependence(nq, nu)
 
 	// Keep the decision, drop the derivation: the query's chain sets
 	// (and the engine and request budget they reference) die with the
 	// build, and the update side lives on only in the update tier.
-	ce := &CompiledExpr{
-		verdict: cdag.Verdict{Independent: v.Independent, Reasons: v.Reasons, K: v.K},
-	}
+	ce := &CompiledExpr{Independent: v.Independent, k: v.K, reasons: v.Reasons}
 	ce.checksum = ce.computeChecksum()
 	return ce
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"xqindep/internal/dtd"
 	"xqindep/internal/guard"
@@ -22,7 +23,7 @@ func sealed(t *testing.T) *CompiledExpr {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ce.verdict.Reasons) == 0 {
+	if len(ce.reasons) == 0 {
 		t.Fatal("fixture pair has no conflict reasons")
 	}
 	return ce
@@ -36,13 +37,13 @@ func TestVerifyRejectsTamperedFields(t *testing.T) {
 		name   string
 		tamper func(cc *CompiledExpr)
 	}{
-		{"decision", func(cc *CompiledExpr) { cc.verdict.Independent = !cc.verdict.Independent }},
-		{"K", func(cc *CompiledExpr) { cc.verdict.K++ }},
+		{"decision", func(cc *CompiledExpr) { cc.Independent = !cc.Independent }},
+		{"K", func(cc *CompiledExpr) { cc.k++ }},
 		{"reason", func(cc *CompiledExpr) {
-			cc.verdict.Reasons = append([]string(nil), cc.verdict.Reasons...)
-			cc.verdict.Reasons[0] = "confl(x,y)"
+			cc.reasons = append([]string(nil), cc.reasons...)
+			cc.reasons[0] = "confl(x,y)"
 		}},
-		{"dropped reason", func(cc *CompiledExpr) { cc.verdict.Reasons = cc.verdict.Reasons[1:] }},
+		{"dropped reason", func(cc *CompiledExpr) { cc.reasons = cc.reasons[1:] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,5 +56,15 @@ func TestVerifyRejectsTamperedFields(t *testing.T) {
 	}
 	if err := ce.Verify(); err != nil {
 		t.Fatalf("original damaged by tampering its copies: %v", err)
+	}
+}
+
+// TestCompiledExprSize pins a resident plan's header at 48 bytes, one
+// size class: the decision, k, the reasons slice and the checksum. A
+// whole cdag.Verdict, whose chain fields a plan never fills, made it
+// 80 bytes, about 35 KiB more over the 1,116 XMark plans.
+func TestCompiledExprSize(t *testing.T) {
+	if n := unsafe.Sizeof(CompiledExpr{}); n != 48 {
+		t.Fatalf("CompiledExpr is %d bytes, want 48", n)
 	}
 }

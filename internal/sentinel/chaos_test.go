@@ -121,8 +121,7 @@ func TestChaosAuditContainment(t *testing.T) {
 						t.Fatalf("quarantine path upgraded a verdict: %+v", res)
 					}
 					aud.Observe(Observation{
-						D: bib, Query: p.q, Update: p.u,
-						QueryText: p.qs, UpdateText: p.us,
+						D: bib, Query: xquery.PrepareQuery(p.qs, p.q), Update: xquery.PrepareUpdate(p.us, p.u),
 						Result: res, FaultSchedule: sched.String(),
 					})
 				}
@@ -203,7 +202,7 @@ func TestChaosRecoveryAfterQuarantine(t *testing.T) {
 		if err != nil || !res.Independent {
 			t.Fatalf("run %d: flip not served: %+v, %v", run, res, err)
 		}
-		aud.Observe(Observation{D: bib, Query: dep.q, Update: dep.u, QueryText: dep.qs, UpdateText: dep.us, Result: res, FaultSchedule: sched.String()})
+		aud.Observe(Observation{D: bib, Query: xquery.PrepareQuery(dep.qs, dep.q), Update: xquery.PrepareUpdate(dep.us, dep.u), Result: res, FaultSchedule: sched.String()})
 		aud.Flush()
 		if got := reg.State(bib.Fingerprint()); got != "quarantined" {
 			t.Fatalf("run %d: not quarantined: %s", run, got)
@@ -220,7 +219,7 @@ func TestChaosRecoveryAfterQuarantine(t *testing.T) {
 			if res.Independent {
 				t.Fatalf("run %d: upgraded verdict before recovery: %+v", run, res)
 			}
-			aud.Observe(Observation{D: bib, Query: pairs[0].q, Update: pairs[0].u, QueryText: pairs[0].qs, UpdateText: pairs[0].us, Result: res})
+			aud.Observe(Observation{D: bib, Query: xquery.PrepareQuery(pairs[0].qs, pairs[0].q), Update: xquery.PrepareUpdate(pairs[0].us, pairs[0].u), Result: res})
 			aud.Flush()
 		}
 		if got := reg.State(bib.Fingerprint()); got != "clean" {

@@ -9,6 +9,7 @@ import (
 	"xqindep/internal/plan"
 	"xqindep/internal/quarantine"
 	"xqindep/internal/xmark"
+	"xqindep/internal/xquery"
 )
 
 // TestCorruptArtifactChangesVerdictsAndAuditContainsThem runs the XMark
@@ -71,8 +72,7 @@ func TestCorruptArtifactChangesVerdictsAndAuditContainsThem(t *testing.T) {
 	defer a.Close()
 	s := unsound[0]
 	a.Observe(Observation{
-		D: d, Query: s.view.AST, Update: s.update.AST,
-		QueryText: s.view.Name, UpdateText: s.update.Name,
+		D: d, Query: xquery.PrepareQuery(s.view.Name, s.view.AST), Update: xquery.PrepareUpdate(s.update.Name, s.update.AST),
 		Result: core.Result{Method: core.MethodChains, Independent: s.verdict.Independent, K: s.verdict.K},
 	})
 	a.Flush()
@@ -96,8 +96,7 @@ func TestIncidentEvidenceFromShadow(t *testing.T) {
 	a := New(Config{SampleRate: 1, Quarantine: reg, Plans: plan.NewCache(1)})
 	defer a.Close()
 	a.Observe(Observation{
-		D: xmark.Schema(), Query: v.AST, Update: u.AST,
-		QueryText: v.Name, UpdateText: u.Name,
+		D: xmark.Schema(), Query: xquery.PrepareQuery(v.Name, v.AST), Update: xquery.PrepareUpdate(u.Name, u.AST),
 		Result: core.Result{Method: core.MethodChains, Independent: true},
 	})
 	a.Flush()

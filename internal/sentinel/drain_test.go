@@ -12,6 +12,7 @@ import (
 	"xqindep/internal/faultinject"
 	"xqindep/internal/quarantine"
 	"xqindep/internal/statefile"
+	"xqindep/internal/xmark"
 	"xqindep/internal/xquery"
 )
 
@@ -77,7 +78,7 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 	if err != nil || !res.Independent {
 		t.Fatalf("flip not served: %+v, %v", res, err)
 	}
-	aud.Observe(Observation{D: bib, Query: q, Update: u, QueryText: "//title", UpdateText: "delete //title", Result: res})
+	aud.Observe(Observation{D: bib, Query: xquery.PrepareQuery("//title", q), Update: xquery.PrepareUpdate("delete //title", u), Result: res})
 	aud.Flush()
 	if st := aud.Stats(); st.Disagreements != 1 || st.Incidents != 1 {
 		t.Fatalf("incident not recorded: %+v", st)
@@ -91,7 +92,7 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 	if err != nil || !res2.Independent {
 		t.Fatalf("independent pair not served: %+v, %v", res2, err)
 	}
-	aud.Observe(Observation{D: bib, Query: q2, Update: u2, QueryText: "//title", UpdateText: "delete //price", Result: res2})
+	aud.Observe(Observation{D: bib, Query: xquery.PrepareQuery("//title", q2), Update: xquery.PrepareUpdate("delete //price", u2), Result: res2})
 	<-wedged // the worker is now provably stuck inside the audit
 
 	// Drain with a deadline the wedged audit cannot meet.
@@ -132,5 +133,52 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 	}
 	if !reg2.Downgrade(bib.Fingerprint()) {
 		t.Fatal("restored registry does not downgrade the pre-shutdown quarantine")
+	}
+}
+
+// TestShutdownSkipsQueuedAuditsAfterHardCancel: once Shutdown's
+// deadline hard-cancels the base context, the audit in flight skips the
+// oracle and every audit still queued is counted inconclusive unrun,
+// so no oracle document is generated or replayed past the deadline. An
+// XMark auditor is wedged on its first audit with a full queue of
+// q20 × UI1 audits behind it; when each replayed the oracle, Shutdown
+// returned after about 2 s.
+func TestShutdownSkipsQueuedAuditsAfterHardCancel(t *testing.T) {
+	faultinject.Enable()
+	wedged := make(chan struct{})
+	sched := faultinject.NewSchedule(faultinject.Fault{Point: "cdag.build", Kind: faultinject.KindStall})
+	sched.OnFire = func(faultinject.Fault) { close(wedged) }
+	a := New(Config{SampleRate: 1, Seed: 8, BaseContext: faultinject.With(context.Background(), sched)})
+	d := xmark.Schema()
+	v, _ := xmark.ViewByName("q20")
+	u, _ := xmark.UpdateByName("UI1")
+	res, err := core.NewAnalyzer(d).Analyze(v.AST, u.AST, core.MethodChains)
+	if err != nil || !res.Independent {
+		t.Fatalf("q20 × UI1: %+v, %v; want an Independent verdict to audit", res, err)
+	}
+	o := Observation{D: d, Query: xquery.PrepareQuery(v.Text, v.AST), Update: xquery.PrepareUpdate(u.Text, u.AST), Result: res}
+	a.Observe(o)
+	<-wedged // the worker holds the first audit and takes no more
+	for i := 0; i < queueDepth; i++ {
+		a.Observe(o)
+	}
+	if st := a.Stats(); st.Sampled != 1+queueDepth || st.Dropped != 0 {
+		t.Fatalf("want %d audits queued behind the wedged one: %+v", queueDepth, st)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := a.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want the wedged audit hard-cancelled", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Shutdown with a 50ms deadline took %v, want under 1s", took)
+	}
+	if st := a.Stats(); st.Audited != 1+queueDepth || st.Inconclusive != 1+queueDepth || st.OracleWitness != 0 || st.Disagreements != 0 {
+		t.Fatalf("want all %d audits counted inconclusive: %+v", 1+queueDepth, st)
+	}
+	if st := a.docs.Stats(); st.Misses != 0 || st.Resident != 0 {
+		t.Fatalf("oracle documents were generated after the hard cancel: %+v", st)
 	}
 }

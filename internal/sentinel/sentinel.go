@@ -102,14 +102,14 @@ func (c Config) withDefaults() Config {
 
 // Observation is one served analysis handed to Observe. The auditor
 // keeps references to D, Query and Update across goroutines; all three
-// are immutable by engine convention.
+// are immutable (the prepared sides by the frozenartifact gate).
 type Observation struct {
-	D          *dtd.DTD
-	Query      xquery.Query
-	Update     xquery.Update
-	QueryText  string
-	UpdateText string
-	Result     core.Result
+	D *dtd.DTD
+	// Query and Update are the served pair, prepared; their texts go
+	// into incident records.
+	Query  *xquery.PreparedQuery
+	Update *xquery.PreparedUpdate
+	Result core.Result
 	// FaultSchedule describes the chaos schedule active on the request,
 	// if any; it is threaded into the incident record.
 	FaultSchedule string
@@ -283,8 +283,10 @@ func (a *Auditor) Close() {
 // are refused immediately; queued and in-flight audits run until ctx
 // expires, at which point the auditor's base context is cancelled —
 // hard-cancelling any audit whose own guard budget would outlive the
-// drain — and Shutdown waits for the worker to unwind (prompt, since
-// every audit budget observes the base context at its guard points).
+// drain — and Shutdown waits for the worker to unwind. That is prompt:
+// every audit budget observes the base context at its guard points,
+// the audit in flight skips the oracle replay, which observes none,
+// and every audit still queued is counted inconclusive unrun.
 // The spool, when it supports flushing (statefile.Spool does), is
 // flushed after the worker exits so every recorded incident is
 // durable before the process goes away. Returns ctx.Err() when the
@@ -359,8 +361,23 @@ func (a *Auditor) run() {
 // process audits one job behind a Recover boundary: a panic out of the
 // shadow engine or oracle is itself an engine bug, but it must be
 // contained to this one audit (counted inconclusive), never crash the
-// daemon.
+// daemon. Once the base context is cancelled (Shutdown's hard cancel,
+// or Config.BaseContext's), a job is counted inconclusive without
+// running: its shadow would stop at its first guard point, and
+// generating and replaying oracle documents observes no context.
 func (a *Auditor) process(j job) {
+	if a.base.Err() != nil {
+		a.mu.Lock()
+		if !j.probe {
+			a.st.Audited++
+		}
+		a.st.Inconclusive++
+		a.mu.Unlock()
+		if j.probe {
+			a.reg.RecordProbe(j.obs.D.Fingerprint(), quarantine.ProbeInconclusive)
+		}
+		return
+	}
 	var err error
 	func() {
 		defer guard.Recover(&err)
@@ -394,16 +411,19 @@ func (a *Auditor) verdictOf(o Observation) (unsound bool, witness int, shadow re
 		// the audited request's (fault-schedule isolation), and not a
 		// bare Background (Shutdown must be able to hard-cancel it).
 		b := guard.New(a.base, a.cfg.Budget)
-		shadow = refcdag.IndependenceBudget(o.D, o.Query, o.Update, b)
+		shadow = refcdag.IndependenceBudget(o.D, o.Query.AST, o.Update.AST, b)
 	}()
 	witness = -1
-	trees := a.docsFor(o.D)
 	// The oracle is best-effort: replay errors on individual trees are
 	// skipped inside DependentOnAny, and a panic (hostile AST shape) is
-	// absorbed here.
-	_ = guard.Do(func() {
-		witness = eval.DependentOnAny(trees, o.Query, o.Update)
-	})
+	// absorbed here. It observes no context, so once the base context
+	// is cancelled it is skipped.
+	if a.base.Err() == nil {
+		trees := a.docsFor(o.D)
+		_ = guard.Do(func() {
+			witness = eval.DependentOnAny(trees, o.Query.AST, o.Update.AST)
+		})
+	}
 	if shadowErr == nil && !shadow.Independent {
 		unsound = true
 	}
@@ -457,7 +477,7 @@ func (a *Auditor) audit(o Observation) {
 // recovery, a dirty one re-trips the quarantine with doubled backoff.
 func (a *Auditor) retrial(o Observation) {
 	fp := o.D.Fingerprint()
-	res, err := core.NewAnalyzer(o.D).AnalyzeContext(
+	res, err := core.NewAnalyzer(o.D).AnalyzePrepared(
 		// Retrials run off the request path on the auditor's base
 		// context, so Shutdown can hard-cancel a wedged one. The plan
 		// cache is bypassed with a throwaway: a retrial must actually
@@ -520,8 +540,8 @@ func (a *Auditor) record(kind string, o Observation, shadow refcdag.Verdict, sha
 	in := Incident{
 		Kind:            kind,
 		Fingerprint:     o.D.Fingerprint(),
-		QueryText:       o.QueryText,
-		UpdateText:      o.UpdateText,
+		QueryText:       o.Query.Text,
+		UpdateText:      o.Update.Text,
 		FastIndependent: o.Result.Independent || kind == "probe-dirty",
 		OracleWitness:   witness,
 		Method:          o.Result.Method.String(),

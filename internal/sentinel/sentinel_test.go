@@ -35,8 +35,7 @@ func analyzeAndObserve(t *testing.T, a *Auditor, reg *quarantine.Registry, ctx c
 		t.Fatalf("analyze(%s | %s): %v", qs, us, err)
 	}
 	a.Observe(Observation{
-		D: bib, Query: q, Update: u,
-		QueryText: qs, UpdateText: us,
+		D: bib, Query: xquery.PrepareQuery(qs, q), Update: xquery.PrepareUpdate(us, u),
 		Result: res, FaultSchedule: sched,
 	})
 	return res
@@ -229,7 +228,7 @@ func TestSamplingRespectsRate(t *testing.T) {
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		a.Observe(Observation{D: bib, Query: q, Update: u, Result: res})
+		a.Observe(Observation{D: bib, Query: xquery.PrepareQuery("", q), Update: xquery.PrepareUpdate("", u), Result: res})
 	}
 	a.Flush()
 	st := a.Stats()
@@ -248,7 +247,7 @@ func TestObserveAfterCloseIsNoop(t *testing.T) {
 	a.Close() // idempotent
 	q := xquery.MustParseQuery("//title")
 	u := xquery.MustParseUpdate("delete //price")
-	a.Observe(Observation{D: bib, Query: q, Update: u, Result: core.Result{Independent: true}})
+	a.Observe(Observation{D: bib, Query: xquery.PrepareQuery("", q), Update: xquery.PrepareUpdate("", u), Result: core.Result{Independent: true}})
 	if st := a.Stats(); st.Observed != 0 {
 		t.Fatalf("observe after close counted: %+v", st)
 	}
@@ -271,7 +270,7 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Observation{D: bib, Query: q, Update: u, Result: res}
+	o := Observation{D: bib, Query: xquery.PrepareQuery("", q), Update: xquery.PrepareUpdate("", u), Result: res}
 	a.Observe(o)
 	<-wedged // the worker holds the first audit and takes no more
 
@@ -321,7 +320,7 @@ func TestFlushWhileObserving(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			a.Observe(Observation{D: bib, Query: q, Update: u, Result: res})
+			a.Observe(Observation{D: bib, Query: xquery.PrepareQuery("", q), Update: xquery.PrepareUpdate("", u), Result: res})
 		}
 	}()
 	for observing := true; observing; {

@@ -64,7 +64,6 @@ func TestPoolFeedsAuditorAndQuarantines(t *testing.T) {
 	s, aud, reg := auditServer(t)
 
 	task := mustTask(t, bibSchema, "//title", "delete //title") // dependent
-	task.QueryText, task.UpdateText = "//title", "delete //title"
 	fp := task.Analyzer.D.Fingerprint()
 
 	sched := faultinject.NewSchedule(faultinject.Fault{Point: "core.verdict", Kind: faultinject.KindFlipVerdict})

@@ -114,41 +114,50 @@ func warmAnalyze(t *testing.T, ring int) (allocBytes, allocs float64) {
 }
 
 // TestWarmAnalyzeBytes pins the bytes one warm /analyze request
-// allocates through the handler at 1.25 times the 11,576 B measured
-// (about 13,800 B under -race). An XMark request carries the schema
-// text, about 4.7 KiB as JSON, which costs nothing once the schema is
-// resident: the body is read into a recycled buffer and the schema
-// tier is keyed by the member's bytes. Reading each body into a buffer
-// of its own, unquoting the member and copying it into a string made
-// the request allocate 24,712 B, and any one of the three would break
-// the ceiling.
+// allocates through the handler at 1.25 times the 7,416 B measured.
+// Under -race it measures about 9,060 B, as sync.Pool drops a quarter
+// of the body buffers it is handed, and the ceiling is 1.1 times that.
+// An XMark request carries the schema text, about 4.7 KiB as JSON,
+// which costs nothing once the schema is resident: the body is read
+// into a recycled buffer and the schema tier is keyed by the member's
+// bytes. The query and update members cost nothing either once their
+// sides are resident in the parsed-expression tier. Parsing,
+// normalizing and digesting both sides per request made it 11,116 B,
+// and reading each body into a buffer of its own, unquoting the schema
+// member and copying it into a string made it 24,712 B.
 func TestWarmAnalyzeBytes(t *testing.T) {
-	if n, _ := warmAnalyze(t, 0); n > 14_470 {
-		t.Errorf("a warm /analyze request allocates %.0f B, ceiling 14,470", n)
+	ceiling := 9_270.0
+	if raceEnabled {
+		ceiling = 9_970
+	}
+	if n, _ := warmAnalyze(t, 0); n > ceiling {
+		t.Errorf("a warm /analyze request allocates %.0f B, ceiling %.0f", n, ceiling)
 	}
 }
 
 // TestWarmAnalyzeAllocs pins the allocations of the same request at
-// 1.25 times the 101 measured (about 109 under -race). Printing both
-// sides canonically and hashing the prints for the plan key made it
-// 162.
+// 1.25 times the 35.0 measured (about 39 under -race). Parsing,
+// normalizing and digesting both sides per request made it 96.0, and
+// printing both sides canonically and hashing the prints for the plan
+// key made it 162.
 func TestWarmAnalyzeAllocs(t *testing.T) {
-	if _, n := warmAnalyze(t, 0); n > 126 {
-		t.Errorf("a warm /analyze request makes %.1f allocations, ceiling 126", n)
+	if _, n := warmAnalyze(t, 0); n > 44 {
+		t.Errorf("a warm /analyze request makes %.1f allocations, ceiling 44", n)
 	}
 }
 
 // TestWarmAnalyzeBytesWithRing pins the same request on a handler
 // with the daemon's 64-entry slow-trace ring, which records a trace of
-// every request, at 1.25 times the 11,355 B measured. Under -race it
-// measures about 14,480 B, as sync.Pool drops a quarter of the traces
-// and body buffers it is handed, and the ceiling is 1.1 times that. A
-// trace made anew per request, its 32-record buffer and its stack read
-// 15,028 B, and 17,260 B under -race: over either ceiling.
+// every request, at 1.25 times the 7,657 B measured. Under -race it
+// measures about 10,120 B, as sync.Pool drops a quarter of the traces
+// and body buffers it is handed, and the ceiling is 1.1 times that.
+// Parsing, normalizing and digesting both sides per request made it
+// 11,355 B, and 14,480 B under -race; a trace made anew per request,
+// its 32-record buffer and its stack made it 15,028 B.
 func TestWarmAnalyzeBytesWithRing(t *testing.T) {
-	ceiling := 14_190.0
+	ceiling := 9_570.0
 	if raceEnabled {
-		ceiling = 15_930
+		ceiling = 11_130
 	}
 	if n, _ := warmAnalyze(t, 64); n > ceiling {
 		t.Errorf("a warm /analyze request with the trace ring on allocates %.0f B, ceiling %.0f", n, ceiling)

@@ -230,8 +230,8 @@ func chaosRun(t *testing.T, rng *rand.Rand, corpus []chaosPair, run int) (uint64
 			defer wg.Done()
 			res, err := s.Do(ctx, Task{
 				Analyzer: pair.analyzer,
-				Query:    pair.query,
-				Update:   pair.update,
+				Query:    xquery.PrepareQuery("", pair.query),
+				Update:   xquery.PrepareUpdate("", pair.update),
 				Method:   method,
 			})
 			outs <- outcome{pair: pair, res: res, err: err, sched: sched}

@@ -7,17 +7,22 @@ import (
 
 	"xqindep/internal/dtd"
 	"xqindep/internal/xmark"
+	"xqindep/internal/xquery"
 )
 
-// FuzzAnalyzeBody checks the /analyze decode, which keeps the schema
-// member raw, against json.Unmarshal into AnalyzeRequest. For any body
-// both reject it as a bad request (400: malformed JSON, a field of the
-// wrong type, or no schema) or neither does, with the same other
-// fields. When both accept it, the schema tier, whose keys are the
-// member's bytes, resolves a schema with the fingerprint of
-// dtd.Parse(req.Schema), or both fail to parse it. One handler serves
-// every input, so its tier holds the schemas of earlier inputs, keyed
-// by copies of bytes the fuzzer has since reused.
+// FuzzAnalyzeBody checks the /analyze decode, which keeps the schema,
+// query and update members raw, against json.Unmarshal into
+// AnalyzeRequest. For any body both reject it as a bad request (400:
+// malformed JSON, a field of the wrong type, or no schema) or neither
+// does, with the same other fields, and the query and update members,
+// unquoted, are json.Unmarshal's strings. When both accept it, the
+// schema tier, whose keys are the member's bytes, resolves a schema
+// with the fingerprint of dtd.Parse(req.Schema), or both fail to parse
+// it; and the parsed-expression tier resolves the query and the update
+// to sides whose digests xquery.FingerprintQuery and FingerprintUpdate
+// give for the parsed texts, or both fail to parse them. One handler
+// serves every input, so its tiers hold the residents of earlier
+// inputs, keyed by copies of bytes the fuzzer has since reused.
 func FuzzAnalyzeBody(f *testing.F) {
 	xmarkBody, err := json.Marshal(AnalyzeRequest{Schema: xmark.SchemaText, Query: "//person/name", Update: "delete //price"})
 	if err != nil {
@@ -36,6 +41,11 @@ func FuzzAnalyzeBody(f *testing.F) {
 		`{"schema":"","query":"//a","update":"delete //a"}`,
 		`{"schema":"a <- \x #PCDATA","query":"//a","update":"delete //a"}`,
 		`{"schema":"a <- #PCDATA","max_k":"2"}`,
+		`{"schema":"a <- #PCDATA","query":"\/\/a","update":"delete \/\/a"}`,
+		`{"schema":"a <- #PCDATA","query":null,"update":"delete //a"}`,
+		`{"schema":"a <- #PCDATA","query":"//a","query":null,"Update":"delete //a"}`,
+		`{"schema":"a <- #PCDATA","query":5,"update":"delete //a"}`,
+		`{"schema":"a <- #PCDATA","query":"//a[","update":"delete //a"}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -53,9 +63,18 @@ func FuzzAnalyzeBody(f *testing.F) {
 			return
 		}
 		rest := ref
-		rest.Schema = ""
+		rest.Schema, rest.Query, rest.Update = "", "", ""
 		if req.AnalyzeRequest != rest {
 			t.Fatalf("decodeRequest fields %+v, json.Unmarshal %+v\nbody: %q", req.AnalyzeRequest, rest, body)
+		}
+		for _, m := range []struct {
+			name   string
+			member rawMember
+			want   string
+		}{{"query", req.Query, ref.Query}, {"update", req.Update, ref.Update}} {
+			if got, err := m.member.text(); err != nil || got != m.want {
+				t.Fatalf("%s member %q unquotes to %q (err %v), json.Unmarshal %q\nbody: %q", m.name, m.member, got, err, m.want, body)
+			}
 		}
 		a, err := h.schema(req.Schema)
 		d, refErr := dtd.Parse(ref.Schema)
@@ -64,6 +83,22 @@ func FuzzAnalyzeBody(f *testing.F) {
 			t.Fatalf("schema tier error %v, dtd.Parse error %v\nschema: %q", err, refErr, ref.Schema)
 		case err == nil && a.D.Fingerprint() != d.Fingerprint():
 			t.Fatalf("schema tier resolved %s, dtd.Parse %s\nschema: %q", a.D.Fingerprint(), d.Fingerprint(), ref.Schema)
+		}
+		q, err := prepared(h.queries, req.Query, xquery.ParsePreparedQuery)
+		refQ, refErr := xquery.ParseQuery(ref.Query)
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("query tier error %v, xquery.ParseQuery error %v\nquery: %q", err, refErr, ref.Query)
+		case err == nil && q.Fingerprint() != xquery.FingerprintQuery(refQ):
+			t.Fatalf("query tier resolved %s, xquery.FingerprintQuery %s\nquery: %q", q.Fingerprint(), xquery.FingerprintQuery(refQ), ref.Query)
+		}
+		u, err := prepared(h.updates, req.Update, xquery.ParsePreparedUpdate)
+		refU, refErr := xquery.ParseUpdate(ref.Update)
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("update tier error %v, xquery.ParseUpdate error %v\nupdate: %q", err, refErr, ref.Update)
+		case err == nil && u.Fingerprint() != xquery.FingerprintUpdate(refU):
+			t.Fatalf("update tier resolved %s, xquery.FingerprintUpdate %s\nupdate: %q", u.Fingerprint(), xquery.FingerprintUpdate(refU), ref.Update)
 		}
 	})
 }

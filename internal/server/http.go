@@ -51,17 +51,19 @@ type AnalyzeRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// wireRequest is how both fronts decode an AnalyzeRequest: the schema
-// member, which shadows AnalyzeRequest.Schema, stays raw.
+// wireRequest is how both fronts decode an AnalyzeRequest: the schema,
+// query and update members, which shadow AnalyzeRequest's, stay raw.
 type wireRequest struct {
 	AnalyzeRequest
 	Schema rawMember `json:"schema,omitempty"`
+	Query  rawMember `json:"query"`
+	Update rawMember `json:"update"`
 }
 
 // decodeRequest decodes one /analyze body or batch line. The fields
 // are AnalyzeRequest's and a bad body is rejected as json.Unmarshal
-// into AnalyzeRequest rejects it, but the schema member is not copied:
-// it aliases data.
+// into AnalyzeRequest rejects it, but the schema, query and update
+// members are not copied: they alias data.
 func decodeRequest(data []byte) (*wireRequest, error) {
 	req := new(wireRequest)
 	err := json.Unmarshal(data, req)
@@ -98,6 +100,17 @@ func (m *rawMember) UnmarshalJSON(b []byte) error {
 
 // empty reports whether the member is absent or the empty string "".
 func (m rawMember) empty() bool { return len(m) <= len(`""`) }
+
+// text unquotes the member into a new string, as json.Unmarshal into a
+// string field does; an absent member is "".
+func (m rawMember) text() (string, error) {
+	var s string
+	if len(m) == 0 {
+		return s, nil
+	}
+	err := json.Unmarshal(m, &s)
+	return s, err
+}
 
 // AnalyzeResponse is the wire form of a verdict.
 type AnalyzeResponse struct {
@@ -146,6 +159,14 @@ type Handler struct {
 	// analyzers hold only the parsed DTD; the compiled schema lives in
 	// the fingerprint-keyed tier.
 	schemas *lru.Cache[string, *core.Analyzer]
+	// queries and updates are the parsed-expression tier, one cache
+	// per side. Each resolves a member, keyed like a schema by its
+	// bytes as sent, to one prepared side (source text, parsed AST,
+	// normalized AST and digest), so a hit unquotes, copies, parses,
+	// normalizes and encodes nothing. Concurrent requests share a
+	// side, which nothing writes after it is prepared.
+	queries *lru.Cache[string, *xquery.PreparedQuery]
+	updates *lru.Cache[string, *xquery.PreparedUpdate]
 	mux     *http.ServeMux
 	metrics *handlerMetrics
 	// ring retains the slowest finished traces for /tracez; nil when
@@ -165,6 +186,8 @@ func NewHandler(s *Server) *Handler {
 	h := &Handler{
 		srv:     s,
 		schemas: lru.New[string, *core.Analyzer](128, nil),
+		queries: lru.New[string, *xquery.PreparedQuery](exprTierSize, nil),
+		updates: lru.New[string, *xquery.PreparedUpdate](exprTierSize, nil),
 		mux:     http.NewServeMux(),
 		metrics: newHandlerMetrics(obs.NewRegistry(), s),
 		now:     time.Now, //xqvet:ignore clockinject injectable-clock default; tests and chaos harnesses replace Handler.now
@@ -182,6 +205,13 @@ func NewHandler(s *Server) *Handler {
 	h.mux.HandleFunc("GET /incidentz", h.handleIncidentz)
 	return h
 }
+
+// exprTierSize bounds each side of the parsed-expression tier: at most
+// this many prepared queries and as many prepared updates stay
+// resident. XMark's 36 views and 31 updates fit with room to spare; a
+// side is a few hundred bytes of AST (the 67 XMark sides retain about
+// 58 KiB in all), and a member is at most one body long.
+const exprTierSize = 128
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
@@ -242,8 +272,10 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	data, buf, err := readBody(w, r)
 	// The buffer goes back to the pool once the response is written.
-	// Nothing the request leaves behind aliases it: the schema tier
-	// copies its keys, and every other field is decoded into a string.
+	// Nothing the request leaves behind aliases it: the schema and
+	// expression tiers copy their keys, the prepared sides hold
+	// unquoted copies of the texts, and every other field is decoded
+	// into a string.
 	defer putBody(buf)
 	var req *wireRequest
 	if err == nil {
@@ -331,7 +363,8 @@ func (h *Handler) analyze(ctx context.Context, req *wireRequest) (AnalyzeRespons
 		ctx = obs.NewContext(ctx, tr)
 	}
 	root := tr.Start("serve")
-	resp, code := h.doAnalyze(ctx, req)
+	var pair resolved
+	resp, code := h.doAnalyze(ctx, req, &pair)
 	root.End()
 	elapsed := h.now().Sub(start)
 	outcome := h.metrics.record(resp, code, elapsed)
@@ -344,12 +377,13 @@ func (h *Handler) analyze(ctx context.Context, req *wireRequest) (AnalyzeRespons
 		if req.Trace {
 			resp.Trace = spans
 		}
+		query, update := pair.texts(req)
 		h.ring.Add(obs.RingEntry{
 			When:    start,
 			TotalUS: total,
 			Schema:  resp.Schema,
-			Query:   truncate(req.Query, 200),
-			Update:  truncate(req.Update, 200),
+			Query:   truncate(query, 200),
+			Update:  truncate(update, 200),
 			Method:  resp.Method,
 			Plan:    resp.Plan,
 			Outcome: outcome,
@@ -360,8 +394,33 @@ func (h *Handler) analyze(ctx context.Context, req *wireRequest) (AnalyzeRespons
 	return resp, code
 }
 
-// doAnalyze is the uninstrumented request path shared by analyze.
-func (h *Handler) doAnalyze(ctx context.Context, req *wireRequest) (AnalyzeResponse, int) {
+// resolved holds the prepared sides a request's members resolved to;
+// a side is nil when the request failed before resolving it or its
+// member did not parse.
+type resolved struct {
+	query  *xquery.PreparedQuery
+	update *xquery.PreparedUpdate
+}
+
+// texts returns the query and update texts of req: a resolved side's
+// source text, or the member unquoted when it resolved to no side.
+func (r resolved) texts(req *wireRequest) (query, update string) {
+	if r.query != nil {
+		query = r.query.Text
+	} else {
+		query, _ = req.Query.text()
+	}
+	if r.update != nil {
+		update = r.update.Text
+	} else {
+		update, _ = req.Update.text()
+	}
+	return query, update
+}
+
+// doAnalyze is the uninstrumented request path shared by analyze. It
+// records in pair the sides the query and update members resolve to.
+func (h *Handler) doAnalyze(ctx context.Context, req *wireRequest, pair *resolved) (AnalyzeResponse, int) {
 	start := h.now()
 	fail := func(code int, format string, args ...any) (AnalyzeResponse, int) {
 		return AnalyzeResponse{
@@ -382,17 +441,19 @@ func (h *Handler) doAnalyze(ctx context.Context, req *wireRequest) (AnalyzeRespo
 	if err := guard.FirePoint(ctx, "parse.query"); err != nil {
 		return fail(http.StatusBadRequest, "query: %v", err)
 	}
-	q, err := xquery.ParseQuery(req.Query)
+	q, err := prepared(h.queries, req.Query, xquery.ParsePreparedQuery)
 	if err != nil {
 		return fail(http.StatusBadRequest, "query: %v", err)
 	}
+	pair.query = q
 	if err := guard.FirePoint(ctx, "parse.update"); err != nil {
 		return fail(http.StatusBadRequest, "update: %v", err)
 	}
-	u, err := xquery.ParseUpdate(req.Update)
+	u, err := prepared(h.updates, req.Update, xquery.ParsePreparedUpdate)
 	if err != nil {
 		return fail(http.StatusBadRequest, "update: %v", err)
 	}
+	pair.update = u
 	method := core.MethodChains
 	if req.Method != "" {
 		method, err = core.ParseMethod(req.Method)
@@ -412,8 +473,6 @@ func (h *Handler) doAnalyze(ctx context.Context, req *wireRequest) (AnalyzeRespo
 		Method:     method,
 		Limits:     guard.Limits{MaxNodes: req.MaxNodes, MaxChains: req.MaxChains, MaxK: req.MaxK},
 		NoFallback: req.NoFallback,
-		QueryText:  req.Query,
-		UpdateText: req.Update,
 	})
 	if err != nil {
 		switch {
@@ -467,8 +526,8 @@ func (h *Handler) doAnalyze(ctx context.Context, req *wireRequest) (AnalyzeRespo
 // unquotes the member, parses it and keys the result by a copy.
 func (h *Handler) schema(member rawMember) (*core.Analyzer, error) {
 	a, _, err := lru.GetBytes(h.schemas, member, func() (*core.Analyzer, error) {
-		var text string
-		if err := json.Unmarshal(member, &text); err != nil {
+		text, err := member.text()
+		if err != nil {
 			return nil, err
 		}
 		d, err := dtd.Parse(text)
@@ -478,6 +537,23 @@ func (h *Handler) schema(member rawMember) (*core.Analyzer, error) {
 		return core.NewAnalyzer(d), nil
 	})
 	return a, err
+}
+
+// prepared resolves a query or update member through its side of the
+// parsed-expression tier. A resident keyed by the member's bytes is
+// served without copying them; a miss unquotes the member, parses and
+// prepares it (parse) and keys the side by a copy. A member that does
+// not parse is stored nowhere, so it fails the same way every time.
+func prepared[S any](tier *lru.Cache[string, S], member rawMember, parse func(string) (S, error)) (S, error) {
+	side, _, err := lru.GetBytes(tier, member, func() (S, error) {
+		text, err := member.text()
+		if err != nil {
+			var none S
+			return none, err
+		}
+		return parse(text)
+	})
+	return side, err
 }
 
 // RunBatch is the stdin line protocol: one AnalyzeRequest JSON object

@@ -192,8 +192,9 @@ func TestRingRejectedRequestBuildsNoSpans(t *testing.T) {
 	// ring of slower entries rejects.
 	h.ring.Add(obs.RingEntry{TotalUS: 100, Outcome: "ok"})
 	member, _ := json.Marshal(obsSchema)
-	untraced := &wireRequest{AnalyzeRequest: AnalyzeRequest{Query: "//name", Update: "delete //cost"}, Schema: member}
-	traced := &wireRequest{AnalyzeRequest: AnalyzeRequest{Query: "//name", Update: "delete //cost", Trace: true}, Schema: member}
+	query, update := rawMember(jsonQuote("//name")), rawMember(jsonQuote("delete //cost"))
+	untraced := &wireRequest{Schema: member, Query: query, Update: update}
+	traced := &wireRequest{AnalyzeRequest: AnalyzeRequest{Trace: true}, Schema: member, Query: query, Update: update}
 	analyze := func(req *wireRequest) AnalyzeResponse {
 		resp, code := h.analyze(context.Background(), req)
 		if code != 200 {

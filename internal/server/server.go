@@ -176,9 +176,11 @@ type Task struct {
 	// Analyzer wraps the schema; callers reuse one per schema (it is
 	// safe for concurrent use).
 	Analyzer *core.Analyzer
-	// Query and Update are the parsed pair.
-	Query  xquery.Query
-	Update xquery.Update
+	// Query and Update are the prepared pair (xquery.PrepareQuery,
+	// PrepareUpdate). They are only read, so one pair may serve many
+	// tasks at once; their texts go into audit incident records.
+	Query  *xquery.PreparedQuery
+	Update *xquery.PreparedUpdate
 	// Method is the requested analysis technique.
 	Method core.Method
 	// Limits optionally tightens the per-request budget; fields are
@@ -186,9 +188,6 @@ type Task struct {
 	Limits guard.Limits
 	// NoFallback disables the degradation ladder for this request.
 	NoFallback bool
-	// QueryText and UpdateText are the original source texts; optional,
-	// threaded into audit incident records when auditing is wired.
-	QueryText, UpdateText string
 }
 
 // Stats is a snapshot of the server counters.
@@ -438,7 +437,7 @@ func (s *Server) process(ctx context.Context, t Task, fp string, probe bool) (re
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	res, err = t.Analyzer.AnalyzeContext(actx, t.Query, t.Update, t.Method, core.Options{
+	res, err = t.Analyzer.AnalyzePrepared(actx, t.Query, t.Update, t.Method, core.Options{
 		Limits:     clamp(t.Limits, s.share),
 		NoFallback: t.NoFallback || s.cfg.NoFallback,
 		Quarantine: s.cfg.Quarantine,
@@ -487,8 +486,6 @@ func (s *Server) process(ctx context.Context, t Task, fp string, probe bool) (re
 			D:             t.Analyzer.D,
 			Query:         t.Query,
 			Update:        t.Update,
-			QueryText:     t.QueryText,
-			UpdateText:    t.UpdateText,
 			Result:        res,
 			FaultSchedule: sched,
 		})

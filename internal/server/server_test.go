@@ -20,21 +20,23 @@ import (
 
 const bibSchema = "bib <- book*\nbook <- title, author*, price?\ntitle <- #PCDATA\nauthor <- #PCDATA\nprice <- #PCDATA"
 
+// mustTask returns a chains task for the schema and the query and
+// update texts, each side parsed and prepared with its text.
 func mustTask(t *testing.T, schema, q, u string) Task {
 	t.Helper()
 	d, err := dtd.Parse(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qa, err := xquery.ParseQuery(q)
+	qs, err := xquery.ParsePreparedQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua, err := xquery.ParseUpdate(u)
+	us, err := xquery.ParsePreparedUpdate(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Task{Analyzer: core.NewAnalyzer(d), Query: qa, Update: ua, Method: core.MethodChains}
+	return Task{Analyzer: core.NewAnalyzer(d), Query: qs, Update: us, Method: core.MethodChains}
 }
 
 func TestDoBasic(t *testing.T) {
@@ -217,6 +219,11 @@ func TestCallerDeadlineDegrades(t *testing.T) {
 	}
 }
 
+// TestDrainRejectsAndCompletes: the stalled analysis runs under an
+// hour-long RequestTimeout, so only the drain can end it. A drain
+// deadline that passes hard-cancels it within bounded time, the
+// request fails with context.Canceled, and admission afterwards fails
+// with ErrClosed.
 func TestDrainRejectsAndCompletes(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})
 
@@ -233,39 +240,7 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 
 	// Shutdown with a short deadline: the stalled analysis cannot
 	// finish voluntarily, so the drain must hard-cancel it and still
-	// terminate. If it doesn't, Shutdown never returns and the test
-	// fails by package timeout.
-	sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer scancel()
-	err := s.Shutdown(sctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded from forced drain, got %v", err)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("stalled request should have been cancelled")
-	}
-
-	// After shutdown, admission fails with ErrClosed.
-	if _, err := s.Do(context.Background(), mustTask(t, bibSchema, "//title", "delete //price")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("want ErrClosed, got %v", err)
-	}
-}
-
-// TestDrainCancelsAnalysisUnderRequestTimeout: the analysis runs under
-// the request's RequestTimeout deadline, and a drain deadline that
-// passes still hard-cancels it. The timeout is an hour,
-// so only the drain can end the stall.
-func TestDrainCancelsAnalysisUnderRequestTimeout(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})
-	task, ctx, cancel, stalled := stalledTask(t, bibSchema)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Do(ctx, task)
-		done <- err
-	}()
-	<-stalled
-
+	// terminate.
 	sctx, scancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer scancel()
 	shut := make(chan error, 1)
@@ -280,6 +255,11 @@ func TestDrainCancelsAnalysisUnderRequestTimeout(t *testing.T) {
 	}
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("want the stalled request cancelled, got %v", err)
+	}
+
+	// After shutdown, admission fails with ErrClosed.
+	if _, err := s.Do(context.Background(), mustTask(t, bibSchema, "//title", "delete //price")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
 

@@ -129,6 +129,7 @@ func DefaultConfig() Config {
 			"internal/cdag.Verdict", "internal/refcdag.Verdict",
 			"internal/infer.Verdict",
 			"internal/typeanalysis.Verdict", "internal/pathanalysis.Verdict",
+			"internal/plan.CompiledExpr",
 			"internal/core.Result", "internal/server.AnalyzeResponse",
 			"Report",
 		),
@@ -152,9 +153,11 @@ func DefaultConfig() Config {
 		FrozenTypes: set(
 			"internal/dtd.Compiled", "internal/plan.CompiledExpr",
 			"internal/cdag.UpdateSide",
+			"internal/xquery.PreparedQuery", "internal/xquery.PreparedUpdate",
 		),
 		FrozenHomePackages: set(
 			"internal/dtd", "internal/bitset", "internal/plan",
+			"internal/xquery",
 		),
 		ClockPackages: set(
 			"internal/server", "internal/faultinject",

@@ -11,9 +11,9 @@ import (
 // Expression fingerprints key the prepared-analysis plan cache: its key
 // is (schema fingerprint, pair digest), so two surface pairs that
 // normalize to the same AST, up to binder names and sequence
-// association, share one cached plan per schema. The digest is SHA-256,
-// truncated to 128 bits as dtd.Fingerprint truncates, over a prefix-free
-// encoding written straight from the normalized AST:
+// association, share one cached plan per schema. Each side's digest is
+// SHA-256, truncated to 128 bits as dtd.Fingerprint truncates, over a
+// prefix-free encoding written straight from the normalized AST:
 //
 //   - every node kind has its own tag byte, and query kinds are distinct
 //     from update kinds;
@@ -27,9 +27,12 @@ import (
 //
 // Two normalized ASTs therefore encode equally exactly when their
 // canonical prints are equal; the print is the oracle the encoding is
-// tested against, and it is not computed on the request path. The first
-// byte of every encoding names its domain (a query, an update or a
-// pair), so encodings of different domains never coincide.
+// tested against, and it is not computed on the request path. The pair
+// digest is the digest of the two sides' digests, so a request whose
+// sides are prepared (PreparedQuery, PreparedUpdate) digests 33 bytes
+// for its key and encodes nothing. The first byte of every digested
+// input names its domain (a query, an update or a pair), so inputs of
+// different domains never coincide.
 
 // Tag bytes, one per node kind.
 const (
@@ -65,8 +68,8 @@ const (
 )
 
 // encodingBuf is the size of the stack buffer an encoding is written
-// into; the longest XMark pair encodes in 322 bytes. A longer encoding
-// spills to the heap.
+// into; the longest XMark side encodes in well under half of it. A
+// longer encoding spills to the heap.
 const encodingBuf = 1024
 
 // binder is one variable in scope during encoding.
@@ -75,20 +78,42 @@ type binder struct {
 	num  uint64
 }
 
-// PairDigest returns the plan cache's pair key: the 128-bit digest of
-// an already normalized query and update. It allocates nothing for
-// pairs whose encoding fits the stack buffer.
+// PairDigest returns the plan cache's pair key of an already
+// normalized query and update: the digest of the pair domain byte and
+// the two sides' digests (QueryDigest, UpdateDigest). Two keys are
+// equal exactly when both normalized sides encode equally. It allocates
+// nothing for sides whose encodings fit the stack buffer.
 func PairDigest(nq Query, nu Update) [16]byte {
+	return pairDigest(QueryDigest(nq), UpdateDigest(nu))
+}
+
+// PairKey is PairDigest of two prepared sides, from their stored
+// digests: it encodes nothing and allocates nothing.
+func PairKey(q *PreparedQuery, u *PreparedUpdate) [16]byte {
+	return pairDigest(q.Digest, u.Digest)
+}
+
+func pairDigest(qd, ud [16]byte) [16]byte {
+	var b [1 + 2*16]byte
+	b[0] = domainPair
+	copy(b[1:], qd[:])
+	copy(b[1+16:], ud[:])
+	return digest(b[:])
+}
+
+// QueryDigest returns the 128-bit digest of an already normalized
+// query. It allocates nothing for queries whose encoding fits the stack
+// buffer.
+func QueryDigest(nq Query) [16]byte {
 	var buf [encodingBuf]byte
-	b := appendQueryEncoding(append(buf[:0], domainPair), nq)
-	return digest(appendUpdateEncoding(b, nu))
+	return digest(appendQueryEncoding(append(buf[:0], domainQuery), nq))
 }
 
 // FingerprintQuery returns the content fingerprint of q, stable
-// across sugar and binder-name variants: 32 hex characters.
+// across sugar and binder-name variants: QueryDigest of the normalized
+// query, in hex, 32 characters.
 func FingerprintQuery(q Query) string {
-	var buf [encodingBuf]byte
-	return hexString(digest(appendQueryEncoding(append(buf[:0], domainQuery), Normalize(q))))
+	return hexString(QueryDigest(Normalize(q)))
 }
 
 // UpdateDigest returns the 128-bit digest of an already normalized

@@ -215,13 +215,11 @@ func NewPool(o PoolOptions) *Pool {
 func (p *Pool) Analyze(ctx context.Context, s *Schema, q *Query, u *Update, m Method, opts Options) (Report, error) {
 	r, err := p.srv.Do(ctx, server.Task{
 		Analyzer:   s.a,
-		Query:      q.ast,
-		Update:     u.ast,
+		Query:      q.side,
+		Update:     u.side,
 		Method:     m,
 		Limits:     opts.Limits,
 		NoFallback: opts.NoFallback,
-		QueryText:  q.src,
-		UpdateText: u.src,
 	})
 	if err != nil {
 		return Report{}, err

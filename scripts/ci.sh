@@ -156,12 +156,20 @@ echo "== bench module (go vet + go test inside bench/)"
 echo "== breaker, audit-queue and drain regressions (-race -count=10)"
 # Healthy schemas must leave no breaker entry, Flush must not race a
 # concurrent Observe, a full audit queue must drop exactly the audits
-# beyond it without blocking, and Serve must drain a wedged pool under
-# its DrainTimeout; all are concurrent, so run them repeatedly under
-# the race detector.
+# beyond it without blocking, a hard-cancelled auditor must skip its
+# queued audits instead of replaying the oracle for each, and Serve
+# must drain a wedged pool under its DrainTimeout; all are concurrent,
+# so run them repeatedly under the race detector.
 go test ./internal/server -race -count=10 -run '^TestBreakerKeepsNoEntryForHealthySchemas$'
-go test ./internal/sentinel -race -count=10 -run '^(TestFlushWhileObserving|TestQueueOverflowDropsNotBlocks)$'
+go test ./internal/sentinel -race -count=10 -run '^(TestFlushWhileObserving|TestQueueOverflowDropsNotBlocks|TestShutdownSkipsQueuedAuditsAfterHardCancel)$'
 go test . -race -count=10 -run '^TestServeDrainsUnderPoolDrainTimeout$'
+
+echo "== shared prepared sides (-race -count=10)"
+# The handler's parsed-expression tier hands one resident query or
+# update side to every request that sends the same member, so
+# concurrent requests read the same sides: rerun the check that shares
+# them across goroutines under the race detector.
+go test ./internal/server -race -count=10 -run '^TestConcurrentRequestsShareSides$'
 
 echo "== recycled sweep slabs and traces (-race -count=10)"
 # A pooled sweep slab or trace must never be reachable from two

@@ -34,6 +34,7 @@ package xqindep
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
@@ -142,20 +143,22 @@ func CompileCacheStats() dtd.CacheStats { return dtd.CompileCacheStats() }
 // their own caches; see Pool.PlanStats.
 func SharedPlanStats() plan.CacheStats { return plan.Shared().Stats() }
 
-// Query is a parsed query of the supported XQuery fragment.
+// Query is a parsed query of the supported XQuery fragment, prepared
+// for analysis when it is parsed: normalized and digested once, however
+// many analyses read it.
 type Query struct {
-	ast xquery.Query
-	src string
+	ast  xquery.Query // side.AST
+	side *xquery.PreparedQuery
 }
 
 // ParseQuery parses a query; XPath sugar (absolute paths, //,
 // predicates, abbreviated steps) is desugared into the core fragment.
 func ParseQuery(text string) (*Query, error) {
-	q, err := xquery.ParseQuery(text)
+	q, err := xquery.ParsePreparedQuery(text)
 	if err != nil {
 		return nil, err
 	}
-	return &Query{ast: q, src: text}, nil
+	return &Query{ast: q.AST, side: q}, nil
 }
 
 // MustParseQuery is ParseQuery, panicking on error.
@@ -168,7 +171,7 @@ func MustParseQuery(text string) *Query {
 }
 
 // String returns the original query text.
-func (q *Query) String() string { return q.src }
+func (q *Query) String() string { return q.side.Text }
 
 // Core returns the desugared core-fragment form.
 func (q *Query) Core() string { return q.ast.String() }
@@ -179,22 +182,22 @@ func (q *Query) Core() string { return q.ast.String() }
 // it. It identifies the query alone and is not part of the
 // prepared-plan cache key, which is (Schema.Fingerprint,
 // PairFingerprint).
-func (q *Query) Fingerprint() string { return xquery.FingerprintQuery(q.ast) }
+func (q *Query) Fingerprint() string { return q.side.Fingerprint() }
 
 // Update is a parsed update of the supported XQuery Update Facility
-// fragment.
+// fragment, prepared for analysis when it is parsed, as a Query is.
 type Update struct {
-	ast xquery.Update
-	src string
+	ast  xquery.Update // side.AST
+	side *xquery.PreparedUpdate
 }
 
 // ParseUpdate parses an update expression.
 func ParseUpdate(text string) (*Update, error) {
-	u, err := xquery.ParseUpdate(text)
+	u, err := xquery.ParsePreparedUpdate(text)
 	if err != nil {
 		return nil, err
 	}
-	return &Update{ast: u, src: text}, nil
+	return &Update{ast: u.AST, side: u}, nil
 }
 
 // MustParseUpdate is ParseUpdate, panicking on error.
@@ -207,7 +210,7 @@ func MustParseUpdate(text string) *Update {
 }
 
 // String returns the original update text.
-func (u *Update) String() string { return u.src }
+func (u *Update) String() string { return u.side.Text }
 
 // Core returns the desugared core-fragment form.
 func (u *Update) Core() string { return u.ast.String() }
@@ -215,15 +218,18 @@ func (u *Update) Core() string { return u.ast.String() }
 // Fingerprint returns a stable content hash of the desugared update,
 // with the same equivalences as Query.Fingerprint. Like it, it is not
 // part of the prepared-plan cache key.
-func (u *Update) Fingerprint() string { return xquery.FingerprintUpdate(u.ast) }
+func (u *Update) Fingerprint() string { return u.side.Fingerprint() }
 
 // PairFingerprint returns the content hash of the (query, update)
 // pair, 32 hex characters: the second component of the prepared-plan
 // cache key (the first is the schema fingerprint). It is a 128-bit
-// SHA-256 digest of the normalized pair, not a combination of the two
-// sides' fingerprints.
+// SHA-256 digest of the two sides' digests, the digests that
+// Query.Fingerprint and Update.Fingerprint print, so two pairs share
+// it exactly when both their queries and their updates share a
+// fingerprint.
 func PairFingerprint(q *Query, u *Update) string {
-	return xquery.FingerprintPair(q.ast, u.ast)
+	key := xquery.PairKey(q.side, u.side)
+	return hex.EncodeToString(key[:])
 }
 
 // Method selects the analysis technique.
@@ -302,7 +308,8 @@ type Report struct {
 
 // Independent runs the default chain analysis and reports the verdict.
 func (s *Schema) Independent(q *Query, u *Update) (bool, error) {
-	return s.a.Independent(q.ast, u.ast)
+	r, err := s.Analyze(q, u, Chains)
+	return r.Independent, err
 }
 
 // Analyze runs the selected analysis under default limits and returns
@@ -322,7 +329,7 @@ func (s *Schema) Analyze(q *Query, u *Update, m Method) (Report, error) {
 // is set. Internal panics surface as *InternalError rather than
 // crashing the caller.
 func (s *Schema) AnalyzeContext(ctx context.Context, q *Query, u *Update, m Method, opts Options) (Report, error) {
-	r, err := s.a.AnalyzeContext(ctx, q.ast, u.ast, m, core.Options{
+	r, err := s.a.AnalyzePrepared(ctx, q.side, u.side, m, core.Options{
 		Limits:     opts.Limits,
 		NoFallback: opts.NoFallback,
 	})
