@@ -266,18 +266,30 @@ func TestCDAGSoundnessDifferential(t *testing.T) {
 	}
 }
 
+// TestEngineDepthBound: the depth bound is #nonrecursive + extraTags +
+// k·#recursive + 2, and no chain is longer. d1 has two non-recursive
+// types (r, g) and five recursive ones (a, b, c, e, f).
 func TestEngineDepthBound(t *testing.T) {
-	// Depth bound k·|Σeff|+1: chains longer than that are truncated.
-	e := NewEngine(d1, 1, 0)
-	s := e.RootSet()
-	desc, _ := s.Step(xquery.Descendant, xquery.AnyNode())
-	for _, end := range desc.Ends() {
-		if end.Depth > e.MaxDepth {
-			t.Errorf("endpoint beyond depth bound: %v", end)
+	for _, k := range []int{1, 2, 3} {
+		for _, extras := range []int{0, 1, 4} {
+			e := NewEngine(d1, k, extras)
+			if want := 2 + extras + k*5 + 2; e.MaxDepth != want {
+				t.Errorf("k=%d, %d extra tags: MaxDepth %d, want %d", k, extras, e.MaxDepth, want)
+			}
+			if e.K != k {
+				t.Errorf("K = %d, want %d", e.K, k)
+			}
+			desc, _ := e.RootSet().Step(xquery.Descendant, xquery.AnyNode())
+			deepest := 0
+			for _, end := range desc.Ends() {
+				deepest = max(deepest, end.Depth)
+			}
+			// d1 recurses without end, so the descendants reach the
+			// bound and stop there.
+			if deepest != e.MaxDepth {
+				t.Errorf("k=%d, %d extra tags: deepest descendant at %d, bound %d", k, extras, deepest, e.MaxDepth)
+			}
 		}
-	}
-	if e.K != 1 {
-		t.Errorf("K = %d", e.K)
 	}
 }
 

@@ -3,6 +3,7 @@ package cdag
 import (
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 
 	"xqindep/internal/bitset"
 	"xqindep/internal/dtd"
@@ -231,10 +232,20 @@ func EngineForCompiled(c *dtd.Compiled, q xquery.Query, u xquery.Update) *Engine
 	return NewEngineCompiled(c, infer.KPair(q, u), pairExtras(c.DTD(), q, u))
 }
 
-// pairExtras counts the constructed tags outside the schema alphabet.
+// pairExtras counts the distinct constructed tags outside the schema
+// alphabet. A pair constructs few tags, so a slice on the stack dedups
+// them, and the count allocates nothing.
 func pairExtras(d *dtd.DTD, q xquery.Query, u xquery.Update) int {
+	var buf [8]string
+	tags := tagList(buf[:0])
+	if q != nil {
+		tags = tags.query(q)
+	}
+	if u != nil {
+		tags = tags.update(u)
+	}
 	extra := 0
-	for tag := range constructedTags(q, u) {
+	for _, tag := range tags {
 		if !d.HasType(tag) {
 			extra++
 		}
@@ -242,67 +253,54 @@ func pairExtras(d *dtd.DTD, q xquery.Query, u xquery.Update) int {
 	return extra
 }
 
-// constructedTags collects element-constructor tags and rename targets
-// of the pair.
-//
+// tagList collects the element-constructor tags and rename targets of
+// a pair, each once. Its methods return the grown list, as append
+// does.
+type tagList []string
+
+func (t tagList) add(tag string) tagList {
+	if slices.Contains(t, tag) {
+		return t
+	}
+	return append(t, tag)
+}
+
 //xqvet:ignore budgetpoints structural recursion on the parsed AST, depth-bounded by guard's parser limits
-func constructedTags(q xquery.Query, u xquery.Update) map[string]bool {
-	out := make(map[string]bool)
-	var walkQ func(xquery.Query)
-	var walkU func(xquery.Update)
-	walkQ = func(x xquery.Query) {
-		switch n := x.(type) {
-		case xquery.Sequence:
-			walkQ(n.Left)
-			walkQ(n.Right)
-		case xquery.Element:
-			out[n.Tag] = true
-			walkQ(n.Content)
-		case xquery.For:
-			walkQ(n.In)
-			walkQ(n.Return)
-		case xquery.Let:
-			walkQ(n.Bind)
-			walkQ(n.Return)
-		case xquery.If:
-			walkQ(n.Cond)
-			walkQ(n.Then)
-			walkQ(n.Else)
-		}
+func (t tagList) query(x xquery.Query) tagList {
+	switch n := x.(type) {
+	case xquery.Sequence:
+		return t.query(n.Left).query(n.Right)
+	case xquery.Element:
+		return t.add(n.Tag).query(n.Content)
+	case xquery.For:
+		return t.query(n.In).query(n.Return)
+	case xquery.Let:
+		return t.query(n.Bind).query(n.Return)
+	case xquery.If:
+		return t.query(n.Cond).query(n.Then).query(n.Else)
 	}
-	walkU = func(x xquery.Update) {
-		switch n := x.(type) {
-		case xquery.USeq:
-			walkU(n.Left)
-			walkU(n.Right)
-		case xquery.UFor:
-			walkQ(n.In)
-			walkU(n.Body)
-		case xquery.ULet:
-			walkQ(n.Bind)
-			walkU(n.Body)
-		case xquery.UIf:
-			walkQ(n.Cond)
-			walkU(n.Then)
-			walkU(n.Else)
-		case xquery.Delete:
-			walkQ(n.Target)
-		case xquery.Rename:
-			walkQ(n.Target)
-			out[n.As] = true
-		case xquery.Insert:
-			walkQ(n.Source)
-			walkQ(n.Target)
-		case xquery.Replace:
-			walkQ(n.Target)
-			walkQ(n.Source)
-		}
+	return t
+}
+
+//xqvet:ignore budgetpoints structural recursion on the parsed AST, depth-bounded by guard's parser limits
+func (t tagList) update(x xquery.Update) tagList {
+	switch n := x.(type) {
+	case xquery.USeq:
+		return t.update(n.Left).update(n.Right)
+	case xquery.UFor:
+		return t.query(n.In).update(n.Body)
+	case xquery.ULet:
+		return t.query(n.Bind).update(n.Body)
+	case xquery.UIf:
+		return t.query(n.Cond).update(n.Then).update(n.Else)
+	case xquery.Delete:
+		return t.query(n.Target)
+	case xquery.Rename:
+		return t.query(n.Target).add(n.As)
+	case xquery.Insert:
+		return t.query(n.Source).query(n.Target)
+	case xquery.Replace:
+		return t.query(n.Target).query(n.Source)
 	}
-	if q != nil {
-		walkQ(q)
-	}
-	if u != nil {
-		walkU(u)
-	}
-	return out
+	return t
 }

@@ -106,7 +106,8 @@ func (e *Engine) stepRule(g Env, n xquery.Step) QueryChains {
 	return out
 }
 
-// forRule implements (FOR). Two regimes keep the engine polynomial
+// forRule implements (FOR). A `//T` step is one descendant sweep
+// (descendantFor). Otherwise two regimes keep the engine polynomial
 // (the paper's CDAG processes each sub-expression once):
 //
 //   - When the body's returns provably extend the binding chain
@@ -118,13 +119,12 @@ func (e *Engine) stepRule(g Env, n xquery.Step) QueryChains {
 //     number is polynomial), filtering unproductive iterations and
 //     applying the semantic subsumption check.
 func (e *Engine) forRule(g Env, n xquery.For) QueryChains {
+	if out, ok := e.descendantFor(g, n); ok {
+		return out
+	}
 	c1 := e.Query(g, n.In)
 	out := QueryChains{Used: c1.Used}
-	// Bindings cover returned input nodes and constructed items alike.
-	bindings := c1.Ret
-	if !c1.Elem.IsEmpty() {
-		bindings = e.Union(c1.Ret, c1.Elem)
-	}
+	bindings := e.bindingSet(c1)
 	if returnsExtendBinding(n.Return, n.Var) || navigational(n.Return, n.Var) {
 		// Batch regimes. Extension bodies need no binding-used chains
 		// at all. Navigational bodies (upward or horizontal steps, no
@@ -158,6 +158,70 @@ func (e *Engine) forRule(g Env, n xquery.For) QueryChains {
 		}
 	}
 	return out
+}
+
+// bindingSet is what (FOR) binds of c: its returns and its constructed
+// items alike, which is c.Ret itself when c constructs nothing.
+func (e *Engine) bindingSet(c QueryChains) *Set {
+	if c.Elem.IsEmpty() {
+		return c.Ret
+	}
+	return e.Union(c.Ret, c.Elem)
+}
+
+// descendantFor infers a `//T` step as one strict-descendant step. The
+// parser desugars E//T into for $v in E/descendant-or-self::node()
+// return $v/child::T, and Normalize leaves it in one of two shapes:
+//
+//	for $v in $x/descendant-or-self::node() return $v/child::T
+//	for $v in (for $u in X return $u/descendant-or-self::node()) return $v/child::T
+//
+// Inferred as two batched (FOR) steps, either shape first writes the
+// DAG of every chain below its binding set B ($x's set, or X's returns
+// and constructed items) down to MaxDepth, and only then prunes it to
+// T. The descendant step over B builds the same DAG without that
+// intermediate one: every endpoint of a set the rules build is
+// reachable from one of its roots, so the descendant-or-self step keeps
+// all of them, the child step grows from exactly the nodes the
+// descendant closure grows from, and both prune the same graph to the
+// same T-nodes. Neither descendant-or-self nor child records (STEPUH)
+// productivity; Used is X's own used chains (none for the first shape)
+// and Elem is empty, as the two steps give. It reports false for any
+// other for.
+func (e *Engine) descendantFor(g Env, n xquery.For) (QueryChains, bool) {
+	step, ok := n.Return.(xquery.Step)
+	if !ok || step.Var != n.Var || step.Axis != xquery.Child {
+		return QueryChains{}, false
+	}
+	var (
+		out  QueryChains
+		from *Set
+	)
+	if x, ok := descendsOrSelf(n.In); ok {
+		from = g[x]
+	} else if in, ok := n.In.(xquery.For); ok {
+		if u, ok := descendsOrSelf(in.Return); !ok || u != in.Var {
+			return QueryChains{}, false
+		}
+		c1 := e.Query(g, in.In)
+		from, out.Used = e.bindingSet(c1), c1.Used
+	} else {
+		return QueryChains{}, false
+	}
+	if from != nil {
+		out.Ret, _ = from.descendantStep(xquery.Descendant, step.Test, false)
+	}
+	return out, true
+}
+
+// descendsOrSelf reports whether q is $x/descendant-or-self::node(),
+// and returns x.
+func descendsOrSelf(q xquery.Query) (string, bool) {
+	s, ok := q.(xquery.Step)
+	if !ok || s.Axis != xquery.DescendantOrSelf || s.Test.Kind != xquery.NodeAny {
+		return "", false
+	}
+	return s.Var, true
 }
 
 // returnsExtendBinding reports whether every chain q can return

@@ -14,10 +14,14 @@
 // least as strongly.
 //
 // The k-chain bound of the finite analysis (Section 5) is enforced by
-// depth: a chain longer than k·|Σeff| must repeat some symbol more
-// than k times (pigeonhole), so the DAG is truncated at that depth.
-// The resulting universe is a superset of Ck_d, which preserves both
-// soundness and completeness relative to the infinite analysis.
+// depth: the DAG is truncated at #nonrecursive + extraTags +
+// k·#recursive + 2 (NewEngine). On a k-chain a non-recursive type
+// occurs at most once, a recursive type at most k times, and a
+// constructed tag or the string type at most once per junction, so a
+// longer chain repeats some symbol too often (pigeonhole) and is no
+// k-chain. The resulting universe is a superset of Ck_d, which
+// preserves both soundness and completeness relative to the infinite
+// analysis.
 //
 // This is the compiled-schema implementation: symbols are
 // interned dtd.SymID values from a dtd.Compiled artifact over a symbol
@@ -144,6 +148,21 @@ func (m *Marks) union(t Marks) {
 	}
 	m.grow(t.depths)
 	bitset.Set(m.words).OrCount(t.words)
+}
+
+// compact returns a copy of m cut after its last marked depth, in a
+// slab of exactly that many rows: what a set keeps of endpoint rows
+// built in a sweep.
+func (m Marks) compact() Marks {
+	n := m.depths
+	for n > 0 && !m.at(n-1).Any() {
+		n--
+	}
+	out := Marks{w: m.w, depths: n}
+	if n > 0 {
+		out.words = append([]uint64(nil), m.words[:n*m.w]...)
+	}
+	return out
 }
 
 // Has reports whether n is marked.
@@ -723,7 +742,7 @@ func (s *Set) endCones() *Set {
 func (s *Set) Step(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
 	switch axis {
 	case xquery.Descendant, xquery.DescendantOrSelf:
-		return s.descendantStep(axis, test)
+		return s.descendantStep(axis, test, axis == xquery.Descendant)
 	case xquery.Ancestor, xquery.AncestorOrSelf:
 		return s.ancestorStep(axis, test)
 	case xquery.PrecedingSibling, xquery.FollowingSibling:
@@ -831,11 +850,12 @@ func (e *Engine) chargeChildren(grow Marks) {
 
 // descendantStep handles descendant and descendant-or-self for all
 // endpoints in one ascending sweep (childClosure), whose child edges
-// are read on the fly and never stored in full. Per-endpoint
-// productivity — needed by (STEPUH) for plain descendant only — is
-// recovered from a single descending backward closure of the passing
-// nodes, computed in place over the reached rows.
-func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Marks) {
+// are read on the fly and never stored in full. When needProductive is
+// set, per-endpoint productivity — which (STEPUH) reads for plain
+// descendant only — is recovered from a single descending backward
+// closure of the passing nodes, computed in place over the reached
+// rows; otherwise it comes back empty.
+func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest, needProductive bool) (*Set, Marks) {
 	e := s.eng
 	defer e.release(e.top)
 	mask := e.testMask(test)
@@ -868,7 +888,7 @@ func (s *Set) descendantStep(axis xquery.Axis, test xquery.NodeTest) (*Set, Mark
 		}
 	}
 
-	if self {
+	if !needProductive {
 		return src.withEnds(ends), Marks{}
 	}
 	// Productivity: an endpoint is productive when a passing node is
@@ -1044,17 +1064,19 @@ func (s *Set) allExtendNode(n Node) bool {
 
 // Extend returns the set τ̄ = { c.c' | c ∈ s }: s plus the forward
 // schema closure below every endpoint, all of it marked as endpoints.
-// The extension of nil is nil.
+// The closure runs in a sweep, and the set keeps an exact-size copy of
+// it. The extension of nil is nil.
 func (s *Set) Extend() *Set {
 	if s == nil {
 		return nil
 	}
 	e := s.eng
-	ends := e.marks(max(s.ends.depths, e.MaxDepth+1))
-	ends.union(s.ends)
+	defer e.release(e.top)
+	ends := e.sweep(max(s.ends.depths, e.MaxDepth+1))
+	copy(ends.words, s.ends.words)
 	last := e.childClosure(&ends, e.MaxDepth, nil)
 	out := graph{e: e, s: s, grow: ends.upTo(last + 1)}.full()
-	out.ends = ends
+	out.ends = ends.compact()
 	return out
 }
 
@@ -1063,17 +1085,19 @@ func (s *Set) Extend() *Set {
 // suffix α.c' used by (ELT) and by copied-source update chains. The
 // whole closure is one ascending sweep of the endpoint rows: every
 // reached node is an endpoint, so the frontier at depth d is exactly
-// ends[d].
+// ends[d]. The set keeps an exact-size copy of those rows, one row for
+// a leaf type.
 func (e *Engine) suffixExtensions(sym dtd.SymID, budget int) *Set {
 	if budget > e.MaxDepth {
 		budget = e.MaxDepth
 	}
-	ends := e.marks(budget + 1)
+	defer e.release(e.top)
+	ends := e.sweep(budget + 1)
 	ends.add(0, sym)
 	last := e.childClosure(&ends, budget, nil)
 	out := graph{e: e, grow: ends.upTo(last + 1)}.full()
 	out.addRoot(sym)
-	out.ends = ends
+	out.ends = ends.compact()
 	return out
 }
 

@@ -41,7 +41,8 @@ func xmarkPair(t *testing.T, view, update string) (xquery.Query, xquery.Update) 
 // TestIndependenceCompiledAllocs pins the allocation count of a whole
 // cold CDAG analysis, so per-row slab growth and per-call sweep slabs
 // cannot creep back. Each ceiling is twice the count measured with
-// sweeps cut from the engine's scratch and nil as the empty set.
+// sweeps cut from the engine's scratch, nil as the empty set and each
+// `//T` inferred in one descendant sweep.
 func TestIndependenceCompiledAllocs(t *testing.T) {
 	c, err := dtd.Compile(xmark.Schema())
 	if err != nil {
@@ -51,14 +52,16 @@ func TestIndependenceCompiledAllocs(t *testing.T) {
 		update  string
 		ceiling float64
 	}{
-		// 67 measured; 157 with a slab per sweep and an empty set per
+		// 60 measured; 66 when each `//` built its descendant-or-self
+		// closure first, 157 with a slab per sweep and an empty set per
 		// empty side, 308 with dense flat slabs, 41,308 when every row
 		// grew one bitset at a time.
-		{"UB2", 134},
-		// 65 measured; 152 with a slab per sweep, 286 with dense flat
-		// slabs, 123,121 when rows grew one at a time and the rename
-		// loop re-inferred its body per binding endpoint.
-		{"UN1", 130},
+		{"UB2", 120},
+		// 55 measured; 64 with the descendant-or-self closure, 152
+		// with a slab per sweep, 286 with dense flat slabs, 123,121
+		// when rows grew one at a time and the rename loop re-inferred
+		// its body per binding endpoint.
+		{"UN1", 110},
 	} {
 		q, u := xmarkPair(t, "A3", tc.update)
 		n := testing.AllocsPerRun(3, func() { IndependenceCompiled(c, q, u) })
@@ -84,7 +87,8 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestIndependenceCompiledBytes pins the bytes of a whole cold CDAG
 // analysis, so dense depth blocks cannot creep back. Each ceiling is
-// twice the bytes measured with sweeps cut from the engine's scratch.
+// twice the bytes measured with sweeps cut from the engine's scratch
+// and each `//T` inferred in one descendant sweep.
 func TestIndependenceCompiledBytes(t *testing.T) {
 	c, err := dtd.Compile(xmark.Schema())
 	if err != nil {
@@ -94,17 +98,46 @@ func TestIndependenceCompiledBytes(t *testing.T) {
 		update  string
 		ceiling float64
 	}{
-		// 105,864 B measured; 168,456 B with a slab per sweep,
-		// 3,199,104 B with a dense n·w-word block per depth, copied
-		// and pruned at every step.
-		{"UB2", 211_728},
-		// 96,328 B measured; 149,360 B with a slab per sweep,
-		// 2,322,096 B with dense blocks.
-		{"UN1", 192_656},
+		// 69,608 B measured; 96,392 B when each `//` built its
+		// descendant-or-self closure first, 168,456 B with a slab per
+		// sweep, 3,199,104 B with a dense n·w-word block per depth,
+		// copied and pruned at every step.
+		{"UB2", 139_216},
+		// 49,544 B measured; 88,136 B with the descendant-or-self
+		// closure, 149,360 B with a slab per sweep, 2,322,096 B with
+		// dense blocks.
+		{"UN1", 99_088},
 	} {
 		q, u := xmarkPair(t, "A3", tc.update)
 		if n := bytesPerRun(5, func() { IndependenceCompiled(c, q, u) }); n > tc.ceiling {
 			t.Errorf("A3 × %s: IndependenceCompiled allocates %.0f bytes, ceiling %.0f", tc.update, n, tc.ceiling)
+		}
+	}
+}
+
+// TestDescendantQueryBytes pins the bytes of inferring q7 and q20,
+// which spell `//` three times each, on an engine that already holds
+// its scratch. Each ceiling is twice the bytes measured with every
+// `//T` inferred in one descendant sweep; building the
+// descendant-or-self closure of each `//` first, and pruning it to T
+// after, allocated 43,512 and 47,240 B.
+func TestDescendantQueryBytes(t *testing.T) {
+	c, err := dtd.Compile(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		view    string
+		ceiling float64
+	}{
+		{"q7", 4_784},   // 2,392 B measured
+		{"q20", 12_208}, // 6,104 B measured
+	} {
+		v, _ := xmark.ViewByName(tc.view)
+		q := xquery.Normalize(v.AST)
+		e := EngineForCompiled(c, q, nil)
+		if n := bytesPerRun(10, func() { e.Query(e.RootEnv(), q) }); n > tc.ceiling {
+			t.Errorf("%s: inferring the query allocates %.0f bytes, ceiling %.0f", tc.view, n, tc.ceiling)
 		}
 	}
 }
@@ -327,6 +360,26 @@ func TestSymbolReservation(t *testing.T) {
 	}
 	if v := Independence(bib, q2, u2); v.K == 0 {
 		t.Errorf("analysis within the reservation did not run: %+v", v)
+	}
+}
+
+// TestPairExtrasAllocatesNothing: counting a pair's distinct
+// constructed tags outside Σ dedups them in a slice on the stack, so
+// an engine's reservation costs no allocation. A map of the tags cost
+// every cold build about 1.6.
+func TestPairExtrasAllocatesNothing(t *testing.T) {
+	d := xmark.Schema()
+	q := xquery.MustParseQuery("(<zz/>, <yy><title/></yy>, <zz/>)")
+	u := xquery.MustParseUpdate("for $x in //book return rename $x as ww")
+	if n := testing.AllocsPerRun(10, func() { pairExtras(bib, q, u) }); n != 0 {
+		t.Errorf("pairExtras on bib allocates %.0f times, want 0", n)
+	}
+	for _, v := range xmark.Views() {
+		for _, x := range xmark.Updates() {
+			if n := testing.AllocsPerRun(2, func() { pairExtras(d, v.AST, x.AST) }); n != 0 {
+				t.Fatalf("pairExtras on %s × %s allocates %.0f times, want 0", v.Name, x.Name, n)
+			}
+		}
 	}
 }
 

@@ -49,11 +49,7 @@ func (e *Engine) Update(g Env, u xquery.Update) *UpdateSet {
 		out.AddAll(e.Update(g, n.Else))
 		return out
 	case xquery.UFor:
-		c1 := e.Query(g, n.In)
-		bindings := c1.Ret
-		if !c1.Elem.IsEmpty() {
-			bindings = e.Union(c1.Ret, c1.Elem)
-		}
+		bindings := e.bindingSet(e.Query(g, n.In))
 		if targetsOnlyVar(n.Body, n.Var) {
 			// One pass over every binding at once. Per binding endpoint
 			// the body's result is that endpoint's backward cone plus

@@ -16,10 +16,11 @@
 // least as strongly.
 //
 // The k-chain bound of the finite analysis (Section 5) is enforced by
-// depth: a chain longer than k·|Σeff| must repeat some symbol more
-// than k times (pigeonhole), so the DAG is truncated at that depth.
-// The resulting universe is a superset of Ck_d, which preserves both
-// soundness and completeness relative to the infinite analysis.
+// depth: the DAG is truncated at #nonrecursive + extraTags +
+// k·#recursive + 2 (NewEngine), past which a chain repeats some symbol
+// too often (pigeonhole) to be a k-chain. The resulting universe is a
+// superset of Ck_d, which preserves both soundness and completeness
+// relative to the infinite analysis.
 package refcdag
 
 import (

@@ -453,5 +453,6 @@ fuzz ./internal/xquery FuzzParseUpdate
 fuzz . FuzzAnalyzeContext
 fuzz ./internal/server FuzzAnalyzeBody
 fuzz . FuzzParseDocument
+fuzz ./internal/cdag FuzzDenseMatchesReference
 
 echo "== ok"
