@@ -53,16 +53,16 @@ func (e *Engine) Query(g Env, q xquery.Query) QueryChains {
 	case xquery.Sequence:
 		l, r := e.Query(g, n.Left), e.Query(g, n.Right)
 		return QueryChains{
-			Ret:  e.Union(l.Ret, r.Ret),
-			Used: e.Union(l.Used, r.Used),
-			Elem: e.Union(l.Elem, r.Elem),
+			Ret:  e.unionOwned(l.Ret, r.Ret),
+			Used: e.unionOwned(l.Used, r.Used),
+			Elem: e.unionOwned(l.Elem, r.Elem),
 		}
 	case xquery.If:
 		c0, c1, c2 := e.Query(g, n.Cond), e.Query(g, n.Then), e.Query(g, n.Else)
 		return QueryChains{
-			Ret:  e.Union(c1.Ret, c2.Ret),
-			Used: e.Union(c0.Used, c1.Used, c2.Used, c0.Ret),
-			Elem: e.Union(c1.Elem, c2.Elem),
+			Ret:  e.unionOwned(c1.Ret, c2.Ret),
+			Used: e.unionOwned(c0.Used, c1.Used, c2.Used, c0.Ret),
+			Elem: e.unionOwned(c1.Elem, c2.Elem),
 		}
 	case xquery.For:
 		return e.forRule(g, n)
@@ -310,5 +310,5 @@ func (e *Engine) elementRule(g Env, n xquery.Element) QueryChains {
 		elem.addEnd(0, tag)
 	}
 	// Used: r̄ ∪ v.
-	return QueryChains{Elem: elem, Used: e.Union(inner.Ret.Extend(), inner.Used)}
+	return QueryChains{Elem: elem, Used: e.unionOwned(inner.Ret.Extend(), inner.Used)}
 }

@@ -685,6 +685,23 @@ func (e *Engine) Union(sets ...*Set) *Set {
 	return out
 }
 
+// unionOwned is Union for operands that are the caller's own and that
+// it reads no more: a lone non-nil operand is returned itself, not
+// copied. An operand read again, or bound in Γ, goes through Union.
+func (e *Engine) unionOwned(sets ...*Set) *Set {
+	var lone *Set
+	for _, s := range sets {
+		if s == nil {
+			continue
+		}
+		if lone != nil {
+			return e.Union(sets...)
+		}
+		lone = s
+	}
+	return lone
+}
+
 // withEnds returns s's graph with the given endpoints, pruned to the
 // edges that spell its chains (see graph.withEnds, which takes over
 // ends' words).

@@ -171,18 +171,87 @@ func NewAnalyzer(d *dtd.DTD) *Analyzer { return &Analyzer{D: d} }
 var errNilExpression = errors.New("core: nil expression")
 
 // check verifies the pair is quasi-closed (only the root variable
-// free), the form the whole calculus is stated for.
+// free), the form the whole calculus is stated for. Each side recorded
+// whether it is when it was prepared.
 func check(q *xquery.PreparedQuery, u *xquery.PreparedUpdate) error {
 	if q == nil || u == nil || q.AST == nil || u.AST == nil {
 		return errNilExpression
 	}
-	if !xquery.QuasiClosedQuery(q.AST) {
+	if !q.QuasiClosed() {
 		return fmt.Errorf("core: query has free variables besides %s", xquery.RootVar)
 	}
-	if !xquery.QuasiClosedUpdate(u.AST) {
+	if !u.QuasiClosed() {
 		return fmt.Errorf("core: update has free variables besides %s", xquery.RootVar)
 	}
 	return nil
+}
+
+// quarantined is the verdict served for method m on a schema whose
+// fingerprint is quarantined, without running the suspect engines: the
+// conservative rung, reported through the same Degraded/Err contract
+// as a budget fallback so callers and dashboards need no new case.
+// It marks core.quarantine in tr.
+func quarantined(tr *obs.Trace, m Method, start time.Time) Result {
+	tr.Mark("core.quarantine", 0, 0)
+	return Result{
+		Method:        MethodConservative,
+		Independent:   false,
+		Witnesses:     []string{"schema fingerprint quarantined after audit disagreement; conservatively assuming dependence"},
+		Degraded:      true,
+		FallbackChain: []Method{m, MethodConservative},
+		Err:           quarantine.ErrQuarantined,
+		Elapsed:       time.Since(start),
+	}
+}
+
+// residentMarks are the points the chains rung marks on a warm hit, in
+// the order it marks them; Resident marks them too.
+var residentMarks = [...]string{"core.analyze", "core.artifact", "core.plan/fingerprint", "core.plan/lookup", "core.plan/artifact", "core.verdict"}
+
+// Resident answers a chains request without a budget or the ladder
+// when the schema is quarantined, with the conservative verdict, or
+// when the pair's plan is resident in opts.Plans (plan.Shared() when
+// nil) within opts.Limits.MaxK, with the verdict and trace the chains
+// rung gives from that resident. Otherwise it declines (ok false) and
+// returns the pair's plan key, or the zero Key if it declined before
+// digesting it, for AnalyzeKeyed to answer with. The lookup counts
+// only a hit, so a request counts one plan-tier hit or miss either
+// way. Resident fires no fault point: a caller that injects faults
+// runs the ladder instead.
+func (a *Analyzer) Resident(ctx context.Context, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, opts Options) (res Result, key plan.Key, ok bool) {
+	if check(q, u) != nil {
+		return Result{}, key, false
+	}
+	start := time.Now()
+	tr := obs.FromContext(ctx)
+	fp := a.D.Fingerprint()
+	if reg := opts.Quarantine; reg != nil && reg.Downgrade(fp) {
+		return quarantined(tr, MethodChains, start), key, true
+	}
+	plans := opts.Plans
+	if plans == nil {
+		plans = plan.Shared()
+	}
+	key = plan.KeyOf(fp, q, u)
+	ce, ok := plans.Resident(key, opts.Limits)
+	if !ok {
+		return Result{}, key, false
+	}
+	sp := tr.Start(rungSpanNames[MethodChains])
+	for _, p := range residentMarks {
+		tr.Mark(p, 0, 0)
+	}
+	sp.Annotate("warm")
+	sp.End()
+	v := ce.Verdict()
+	return Result{
+		Independent: v.Independent,
+		Method:      MethodChains,
+		K:           v.K,
+		Witnesses:   v.Reasons,
+		Elapsed:     time.Since(start),
+		Plan:        "warm",
+	}, key, true
 }
 
 // Analyze decides independence of the pair with the given method,
@@ -232,39 +301,26 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, q xquery.Query, u xquery.
 // Any panic escaping the analysis internals is converted into a
 // *guard.InternalError carrying the panic value and stack.
 func (a *Analyzer) AnalyzePrepared(ctx context.Context, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, m Method, opts Options) (Result, error) {
+	return a.AnalyzeKeyed(ctx, plan.Key{}, q, u, m, opts)
+}
+
+// AnalyzeKeyed is AnalyzePrepared given the pair's plan key as
+// Resident returned it on a decline, so the chains rung does not digest
+// it again. The zero Key has the rung digest it.
+func (a *Analyzer) AnalyzeKeyed(ctx context.Context, key plan.Key, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, m Method, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if _, ok := methodNames[m]; !ok {
 		return Result{}, fmt.Errorf("core: unknown method %v", m)
 	}
-	// The quasi-closedness check walks the AST and panics on foreign
-	// node types; convert that to an InternalError here too.
-	var cerr error
-	if err := guard.Do(func() { cerr = check(q, u) }); err != nil {
+	if err := check(q, u); err != nil {
 		return Result{}, err
-	}
-	if cerr != nil {
-		return Result{}, cerr
 	}
 	start := time.Now()
 	tr := obs.FromContext(ctx)
 	if reg := opts.Quarantine; reg != nil && m != MethodConservative && reg.Downgrade(a.D.Fingerprint()) {
-		tr.Mark("core.quarantine", 0, 0)
-		// The fingerprint is quarantined: serve the conservative rung
-		// directly. This is a pure downgrade (Independent=false is
-		// always sound), reported through the same Degraded/Err contract
-		// as a budget fallback so callers and dashboards need no new
-		// case.
-		return Result{
-			Method:        MethodConservative,
-			Independent:   false,
-			Witnesses:     []string{"schema fingerprint quarantined after audit disagreement; conservatively assuming dependence"},
-			Degraded:      true,
-			FallbackChain: []Method{m, MethodConservative},
-			Err:           quarantine.ErrQuarantined,
-			Elapsed:       time.Since(start),
-		}, nil
+		return quarantined(tr, m, start), nil
 	}
 	ladder := fallbackLadder(m)
 	if opts.NoFallback {
@@ -279,7 +335,7 @@ func (a *Analyzer) AnalyzePrepared(ctx context.Context, q *xquery.PreparedQuery,
 	for i, rung := range ladder {
 		attempted = append(attempted, rung)
 		sp := tr.Start(rungSpanNames[rung])
-		res, err := a.analyzeOnce(ctx, rung, q, u, opts.Limits, plans)
+		res, err := a.analyzeOnce(ctx, rung, key, q, u, opts.Limits, plans)
 		if err == nil {
 			if res.Plan != "" {
 				sp.Annotate(res.Plan)
@@ -311,8 +367,9 @@ func (a *Analyzer) AnalyzePrepared(ctx context.Context, q *xquery.PreparedQuery,
 }
 
 // analyzeOnce runs a single ladder rung under a fresh budget, with
-// the panic-to-error boundary installed.
-func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, lim guard.Limits, plans *plan.Cache) (res Result, err error) {
+// the panic-to-error boundary installed. The chains rung looks the
+// plan up under key, digesting it first when it is the zero Key.
+func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, key plan.Key, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, lim guard.Limits, plans *plan.Cache) (res Result, err error) {
 	defer guard.Recover(&err)
 	b := guard.New(ctx, lim)
 	b.Point("core.analyze")
@@ -340,7 +397,10 @@ func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q *xquery.Prepared
 			}
 			ce, warm, perr = plan.Prepare(nil, c.WithCorruption(int64(c.Checksum())|1), q.AST, u.AST, b)
 		} else {
-			ce, warm, perr = plan.PrepareSchema(plans, a.D, q, u, b)
+			if key == (plan.Key{}) {
+				key = plan.KeyOf(a.D.Fingerprint(), q, u)
+			}
+			ce, warm, perr = plan.PrepareSchema(plans, key, a.D, q, u, b)
 		}
 		if perr != nil {
 			return Result{}, perr

@@ -96,7 +96,10 @@ func shared(u xmark.Upd) {
 	cache := plan.NewCache(len(views))
 	us := xquery.PrepareUpdate(u.Text, u.AST)
 	for _, v := range views {
-		budgeted(func(b *guard.Budget) { plan.PrepareSchema(cache, d, xquery.PrepareQuery(v.Text, v.AST), us, b) })
+		budgeted(func(b *guard.Budget) {
+			qs := xquery.PrepareQuery(v.Text, v.AST)
+			plan.PrepareSchema(cache, plan.KeyOf(d.Fingerprint(), qs, us), d, qs, us, b)
+		})
 	}
 }
 

@@ -119,7 +119,7 @@ var Points = []string{
 // reproducibility of every recorded chaos run. Plan-aware harnesses
 // arm them via RandomPlanSchedule or explicit Faults.
 var PlanPoints = []string{
-	"core.plan/fingerprint", // normalize each side once + pair digest (cache key)
+	"core.plan/fingerprint", // the pair key the caller digested (cache key)
 	"core.plan/lookup",      // plan-cache consultation
 	"core.plan/kfactors",    // Table 3 k-factors + admission (cold stage)
 	"core.plan/infer",       // CDAG chain inference (cold stage)

@@ -115,6 +115,12 @@ func (l Limits) OrDefaults() Limits {
 	return l
 }
 
+// AdmitsK reports whether the multiplicity k is within MaxK, a zero
+// MaxK taking its default.
+func (l Limits) AdmitsK(k int) bool {
+	return k <= l.OrDefaults().MaxK
+}
+
 // Subdivide returns the per-share limits for splitting this budget
 // across n concurrent consumers (a serving pool's workers): the
 // cumulative resources — chain and node counts — are divided by n,
@@ -301,7 +307,7 @@ func (b *Budget) Chains() int {
 // CheckK reports a budget error when the multiplicity k exceeds the
 // bound; the caller decides before starting a chain analysis.
 func (b *Budget) CheckK(k int) error {
-	if b == nil || k <= b.lim.MaxK {
+	if b == nil || b.lim.AdmitsK(k) {
 		return nil
 	}
 	return &LimitError{Resource: "k", Limit: b.lim.MaxK}

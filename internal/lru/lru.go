@@ -92,6 +92,17 @@ func (c *Cache[K, V]) Lookup(key K, fits func(V) bool) (V, bool) {
 	return c.serve(c.m[key], fits)
 }
 
+// Probe is Lookup for a caller that goes on to Get when it finds
+// nothing: it counts a hit, but neither a miss nor a resident fits
+// rejects, so the Get that follows counts the request once. A resident
+// that fails verification is dropped and counted as a verify failure,
+// as in Lookup. A hit allocates nothing.
+func (c *Cache[K, V]) Probe(key K, fits func(V) bool) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hit(c.m[key], fits)
+}
+
 // GetBytes is Get for a string-keyed cache, looked up by the bytes of
 // the key. A hit indexes the map with string(key), which the compiler
 // does without converting, so it copies and allocates nothing and
@@ -119,6 +130,17 @@ func lookupBytes[V any](c *Cache[string, V], key []byte) (V, bool) {
 // serve counts a lookup that found e (nil: no resident) and returns
 // e's value when it verifies and fits. The caller holds c.mu.
 func (c *Cache[K, V]) serve(e *entry[K, V], fits func(V) bool) (V, bool) {
+	v, ok := c.hit(e, fits)
+	if !ok {
+		c.st.Misses++
+	}
+	return v, ok
+}
+
+// hit returns e's value, counting the hit, when e is a resident that
+// verifies and fits; a resident failing verification is dropped. It
+// counts no miss. The caller holds c.mu.
+func (c *Cache[K, V]) hit(e *entry[K, V], fits func(V) bool) (V, bool) {
 	if e != nil {
 		switch {
 		case c.verify != nil && c.verify(e.val) != nil:
@@ -131,7 +153,6 @@ func (c *Cache[K, V]) serve(e *entry[K, V], fits func(V) bool) (V, bool) {
 			return e.val, true
 		}
 	}
-	c.st.Misses++
 	var zero V
 	return zero, false
 }

@@ -26,15 +26,22 @@ import (
 //
 // A nil *Cache degenerates to an uncached cold build, with no tier.
 type Cache struct {
-	c *lru.Cache[planKey, *CompiledExpr]
+	c *lru.Cache[Key, *CompiledExpr]
 	u *lru.Cache[sideKey, *cdag.UpdateSide]
 }
 
-// planKey is a resident's identity: the schema fingerprint and the
-// pair digest, held as an array so a lookup hashes it in place.
-type planKey struct {
+// Key is a plan's identity: the schema fingerprint and the pair
+// digest, held as an array so a lookup hashes it in place.
+type Key struct {
 	schemaFP string
 	pair     [16]byte
+}
+
+// KeyOf returns the key of the prepared pair's plan under the schema
+// fingerprint. It digests the two side digests (xquery.PairKey) and
+// allocates nothing.
+func KeyOf(schemaFP string, q *xquery.PreparedQuery, u *xquery.PreparedUpdate) Key {
+	return Key{schemaFP, xquery.PairKey(q, u)}
 }
 
 // sideKey is an update side's identity: the schema fingerprint and the
@@ -59,7 +66,7 @@ const updateTierSize = 1
 // one update side.
 func NewCache(max int) *Cache {
 	return &Cache{
-		c: lru.New[planKey, *CompiledExpr](max, (*CompiledExpr).Verify),
+		c: lru.New[Key, *CompiledExpr](max, (*CompiledExpr).Verify),
 		u: lru.New[sideKey, *cdag.UpdateSide](updateTierSize, nil),
 	}
 }
@@ -98,11 +105,11 @@ func (pc *Cache) Get(schemaFP, pairFP string, build func() *CompiledExpr) (*Comp
 	if _, err := hex.Decode(pair[:], []byte(pairFP)); err != nil {
 		return build(), false
 	}
-	return pc.get(planKey{schemaFP, pair}, build)
+	return pc.get(Key{schemaFP, pair}, build)
 }
 
 // get is Get under a decoded key.
-func (pc *Cache) get(key planKey, build func() *CompiledExpr) (*CompiledExpr, bool) {
+func (pc *Cache) get(key Key, build func() *CompiledExpr) (*CompiledExpr, bool) {
 	if pc == nil {
 		return build(), false
 	}
@@ -122,7 +129,7 @@ func (pc *Cache) PurgeSchema(schemaFP string) int {
 		return 0
 	}
 	pc.u.Purge(func(k sideKey, _ *cdag.UpdateSide) bool { return k.schemaFP == schemaFP })
-	return pc.c.Purge(func(k planKey, _ *CompiledExpr) bool { return k.schemaFP == schemaFP })
+	return pc.c.Purge(func(k Key, _ *CompiledExpr) bool { return k.schemaFP == schemaFP })
 }
 
 // CacheStats is a point-in-time snapshot of a plan cache, exposed by
@@ -149,7 +156,7 @@ func (pc *Cache) Stats() CacheStats {
 	}
 	st := CacheStats{Stats: pc.c.Stats(), Update: pc.u.Stats()}
 	perSchema := make(map[string]int)
-	pc.c.Range(func(k planKey, _ *CompiledExpr) bool {
+	pc.c.Range(func(k Key, _ *CompiledExpr) bool {
 		perSchema[k.schemaFP]++
 		return true
 	})
@@ -179,7 +186,7 @@ func (pc *Cache) Residents() []*CompiledExpr {
 		return nil
 	}
 	var out []*CompiledExpr
-	pc.c.Range(func(_ planKey, ce *CompiledExpr) bool {
+	pc.c.Range(func(_ Key, ce *CompiledExpr) bool {
 		out = append(out, ce)
 		return true
 	})

@@ -86,8 +86,8 @@ func TestExprKeyOutlivesRecycledBody(t *testing.T) {
 	buf := []byte(`{"query":` + jsonQuote(longQueryA) + `}`)
 	resolve := func(want string) {
 		t.Helper()
-		req, err := decodeRequest(buf)
-		if err != nil {
+		var req wireRequest
+		if err := decodeRequest(buf, &req); err != nil {
 			t.Fatal(err)
 		}
 		q, err := prepared(h.queries, req.Query, xquery.ParsePreparedQuery)

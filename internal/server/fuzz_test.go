@@ -46,6 +46,19 @@ func FuzzAnalyzeBody(f *testing.F) {
 		`{"schema":"a <- #PCDATA","query":"//a","query":null,"Update":"delete //a"}`,
 		`{"schema":"a <- #PCDATA","query":5,"update":"delete //a"}`,
 		`{"schema":"a <- #PCDATA","query":"//a[","update":"delete //a"}`,
+		// The boundary between the one-scan decode and json.Unmarshal.
+		`{"sch\u0065ma":"a <- #PCDATA","query":"//a","update":"delete //a"}`,
+		`{"schema":"a <- #PCDATA","extra":{"a":[1,"b",null]},"query":"//a","update":"delete //a"}`,
+		`{"schema":"a <- #PCDATA","query":"//a","update":"delete //a","max_k":3,"max_k":null,"method":"types","method":null}`,
+		`{"schema":"a <- #PCDATA","query":"//a","update":"delete //a","max_k":-0}`,
+		`{"schema":"a <- #PCDATA","query":"//a","update":"delete //a","max_k":9223372036854775808}`,
+		`{"schema":"a <- #PCDATA","query":"//a","update":"delete //a","max_k":999999999999999999,"timeout_ms":-12}`,
+		`{"schema":"a <- #PCDATA","query":"//a","update":"delete //a","max_k":012}`,
+		`{"schema":"a <- #PCDATA","query":"//a","update":"delete //a","trace":"true"}`,
+		"{\"schema\":\"a <- #PCDATA\",\"query\":\"//a\x01\",\"update\":\"delete //a\"}",
+		"{\"schema\":\"a <- #PCDATA\",\"query\":\"//a\xff\",\"update\":\"delete //a\",\"method\":\"chains\xff\"}",
+		`{"schema":"a <- #PCDATA","query":"//a\ud800","update":"delete //a","method":"chains\u002dexact"}`,
+		` ` + "\t\r\n" + `{ "schema" : "a <- #PCDATA" ,` + "\n" + ` "query":"//a" , "update" :"delete //a",` + "\t" + `"max_k" : 3 , "no_fallback" : true,"trace":false } ` + "\r\n",
 	} {
 		f.Add([]byte(body))
 	}
@@ -55,7 +68,8 @@ func FuzzAnalyzeBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var ref AnalyzeRequest
 		refErr := json.Unmarshal(body, &ref)
-		req, err := decodeRequest(body)
+		var req wireRequest
+		err := decodeRequest(body, &req)
 		if refBad, bad := refErr != nil || ref.Schema == "", err != nil || req.Schema.empty(); refBad != bad {
 			t.Fatalf("json.Unmarshal bad request %v (err %v, schema %q), decodeRequest %v (err %v, member %q)\nbody: %q",
 				refBad, refErr, ref.Schema, bad, err, req.Schema, body)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -58,24 +57,6 @@ type wireRequest struct {
 	Schema rawMember `json:"schema,omitempty"`
 	Query  rawMember `json:"query"`
 	Update rawMember `json:"update"`
-}
-
-// decodeRequest decodes one /analyze body or batch line. The fields
-// are AnalyzeRequest's and a bad body is rejected as json.Unmarshal
-// into AnalyzeRequest rejects it, but the schema, query and update
-// members are not copied: they alias data.
-func decodeRequest(data []byte) (*wireRequest, error) {
-	req := new(wireRequest)
-	err := json.Unmarshal(data, req)
-	if err != nil {
-		// Name the field as a member of AnalyzeRequest, the documented
-		// wire form, not of the type it was decoded into.
-		var te *json.UnmarshalTypeError
-		if errors.As(err, &te) {
-			te.Struct, te.Field = "AnalyzeRequest", strings.TrimPrefix(te.Field, "AnalyzeRequest.")
-		}
-	}
-	return req, err
 }
 
 // rawMember is a JSON string member kept as the bytes it was sent as,
@@ -277,15 +258,15 @@ func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// unquoted copies of the texts, and every other field is decoded
 	// into a string.
 	defer putBody(buf)
-	var req *wireRequest
+	var req wireRequest
 	if err == nil {
-		req, err = decodeRequest(data)
+		err = decodeRequest(data, &req)
 	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, AnalyzeResponse{Error: "bad request: " + err.Error()})
 		return
 	}
-	resp, code := h.analyze(r.Context(), req)
+	resp, code := h.analyze(r.Context(), &req)
 	setRetryAfter(w, resp.RetryAfterSec)
 	writeJSON(w, code, resp)
 }
@@ -295,21 +276,23 @@ func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // bodyPool, grown to that length if it is shorter, and the buffer is
 // returned for the caller to hand back with putBody once nothing reads
 // the body. A body that ends before its declared length is an error.
+// Only a body of no declared length, or of one above maxSized, is read
+// through http.MaxBytesReader: a declared length of at most maxSized
+// is under maxBody already, and the server reads no further than it.
 func readBody(w http.ResponseWriter, r *http.Request) (data []byte, buf *[]byte, err error) {
-	body := http.MaxBytesReader(w, r.Body, maxBody)
 	if n := r.ContentLength; n > 0 && n <= maxSized {
 		buf = bodyPool.Get().(*[]byte)
 		if int64(cap(*buf)) < n {
 			*buf = make([]byte, n)
 		}
 		data = (*buf)[:n]
-		if _, err := io.ReadFull(body, data); err != nil {
+		if _, err := io.ReadFull(r.Body, data); err != nil {
 			putBody(buf)
 			return nil, nil, err
 		}
 		return data, buf, nil
 	}
-	data, err = io.ReadAll(body)
+	data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	return data, nil, err
 }
 
@@ -321,8 +304,13 @@ func putBody(buf *[]byte) {
 	}
 }
 
+// jsonContentType is the Content-Type of every JSON response, one
+// value shared by all of them, which nothing writes to.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	// Assigned, not Set: Set would allocate a slice for the value.
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -580,14 +568,17 @@ func RunBatch(ctx context.Context, h *Handler, r io.Reader, w io.Writer, default
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		var resp AnalyzeResponse
-		if req, err := decodeRequest(line); err != nil {
+		var (
+			resp AnalyzeResponse
+			req  wireRequest
+		)
+		if err := decodeRequest(line, &req); err != nil {
 			resp = AnalyzeResponse{Error: "bad request line: " + err.Error()}
 		} else {
 			if req.Schema.empty() {
 				req.Schema = dflt
 			}
-			resp, _ = h.analyze(ctx, req)
+			resp, _ = h.analyze(ctx, &req)
 		}
 		if err := enc.Encode(resp); err != nil {
 			return err

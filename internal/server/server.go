@@ -341,14 +341,28 @@ func (s *Server) Do(ctx context.Context, t Task) (core.Result, error) {
 		<-s.places
 		s.inflight.Done()
 	}()
+	// A chains request whose plan is resident is answered here, without
+	// a run slot. A request that injects faults runs the ladder, where
+	// the fault points are.
+	opts := s.options(t)
+	var key plan.Key
+	err = ctx.Err()
+	if err == nil && t.Method == core.MethodChains && faultinject.FromContext(ctx) == nil {
+		res, hit, herr := s.settle(ctx, t, fp, probe, func() (res core.Result, ok bool, err error) {
+			res, key, ok = t.Analyzer.Resident(ctx, t.Query, t.Update, opts)
+			return res, ok, nil
+		})
+		if hit {
+			return res, herr
+		}
+	}
 	// Wait for a run slot. A caller that gives up first leaves at once,
 	// without running the analysis or signalling the breaker.
-	err = ctx.Err()
 	if err == nil {
 		select {
 		case s.slots <- struct{}{}:
 			defer func() { <-s.slots }()
-			return s.process(ctx, t, fp, probe)
+			return s.process(ctx, t, opts, key, fp, probe)
 		case <-ctx.Done():
 			err = ctx.Err()
 		case <-s.baseCtx.Done():
@@ -414,35 +428,61 @@ func clamp(req, share guard.Limits) guard.Limits {
 	}
 }
 
-// process runs one admitted task that holds a run slot, feeds its
-// outcome to the schema's breaker and hands it to the auditor. It is
-// the request's one panic boundary: the engine converts its own panics
-// to errors, so a panic landing here is a bug in the serving glue —
-// it is confined to this request, returned as *guard.InternalError
-// and counted in Stats.Panics.
-func (s *Server) process(ctx context.Context, t Task, fp string, probe bool) (res core.Result, err error) {
-	defer guard.OnPanic(func(ie *guard.InternalError) {
-		s.panics.Add(1)
-		res, err = core.Result{}, ie
-	})
-	// Every analysis reaches the breaker, one that panics before it is
-	// classified as a blowup, so a half-open probe is always released.
-	outcome := outcomeBlowup
-	defer func() { s.breakers.record(fp, outcome, probe) }()
-
-	// One context bounds the analysis: RequestTimeout is its deadline,
-	// and a hard drain cancels it when the server's base context dies.
-	actx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	res, err = t.Analyzer.AnalyzePrepared(actx, t.Query, t.Update, t.Method, core.Options{
+// options are the core options t runs under: its limits clamped to
+// the per-slot share, and the pool's fallback, quarantine and plans.
+func (s *Server) options(t Task) core.Options {
+	return core.Options{
 		Limits:     clamp(t.Limits, s.share),
 		NoFallback: t.NoFallback || s.cfg.NoFallback,
 		Quarantine: s.cfg.Quarantine,
 		Plans:      s.cfg.Plans,
+	}
+}
+
+// process runs one admitted task that holds a run slot through the
+// ladder, under settle. One context bounds the analysis:
+// RequestTimeout is its deadline, and a hard drain cancels it when the
+// server's base context dies. key is the pair's plan key when the hit
+// path digested it.
+func (s *Server) process(ctx context.Context, t Task, opts core.Options, key plan.Key, fp string, probe bool) (core.Result, error) {
+	res, _, err := s.settle(ctx, t, fp, probe, func() (core.Result, bool, error) {
+		actx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+		stop := context.AfterFunc(s.baseCtx, cancel)
+		defer stop()
+		res, err := t.Analyzer.AnalyzeKeyed(actx, key, t.Query, t.Update, t.Method, opts)
+		return res, true, err
 	})
+	return res, err
+}
+
+// settle runs analyze, which answers an admitted task or declines it
+// (ok false), and accounts for an answer: it counts it in Stats, feeds
+// its outcome to the schema's breaker and hands a verdict to the
+// auditor. A declined task is not accounted for. settle is the
+// request's one panic boundary, on the hit path and the ladder alike:
+// the engine converts its own panics to errors, so a panic landing
+// here is a bug in the serving glue — it is confined to this request,
+// returned as *guard.InternalError and counted in Stats.Panics.
+func (s *Server) settle(ctx context.Context, t Task, fp string, probe bool, analyze func() (core.Result, bool, error)) (res core.Result, ok bool, err error) {
+	defer guard.OnPanic(func(ie *guard.InternalError) {
+		s.panics.Add(1)
+		res, ok, err = core.Result{}, true, ie
+	})
+	// Every answer reaches the breaker, one that panics before it is
+	// classified as a blowup, so a half-open probe is always released.
+	outcome := outcomeBlowup
+	declined := false
+	defer func() {
+		if !declined {
+			s.breakers.record(fp, outcome, probe)
+		}
+	}()
+
+	if res, ok, err = analyze(); !ok {
+		declined = true
+		return res, ok, err
+	}
 
 	s.completed.Add(1)
 	outcome = outcomeOK
@@ -490,7 +530,7 @@ func (s *Server) process(ctx context.Context, t Task, fp string, probe bool) (re
 			FaultSchedule: sched,
 		})
 	}
-	return res, err
+	return res, true, err
 }
 
 // Shutdown gracefully drains the server: admission stops immediately,

@@ -140,7 +140,9 @@ func TestOverloadSheds(t *testing.T) {
 // request waits for a run slot frees its admission place at once, so
 // the next request waits instead of being shed.
 func TestCancelWhileWaitingFreesPlace(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour})
+	// A cache of its own, so B's plan is not resident and B waits for
+	// the slot rather than being answered from the plan cache.
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: time.Hour, Plans: plan.NewCache(16)})
 	defer s.Close()
 
 	// Wedge the lone run slot.

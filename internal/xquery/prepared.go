@@ -16,13 +16,15 @@ type PreparedQuery struct {
 	Norm Query
 	// Digest is QueryDigest(Norm), the query's half of the pair key.
 	Digest [16]byte
+	// quasiClosed is QuasiClosedQuery(AST).
+	quasiClosed bool
 }
 
-// PrepareQuery prepares the query q parsed from text: it normalizes q
-// and digests the normalized form.
+// PrepareQuery prepares the query q parsed from text: it normalizes q,
+// digests the normalized form and records whether q is quasi-closed.
 func PrepareQuery(text string, q Query) *PreparedQuery {
 	nq := Normalize(q)
-	return &PreparedQuery{Text: text, AST: q, Norm: nq, Digest: QueryDigest(nq)}
+	return &PreparedQuery{Text: text, AST: q, Norm: nq, Digest: QueryDigest(nq), quasiClosed: QuasiClosedQuery(q)}
 }
 
 // ParsePreparedQuery parses text (ParseQuery) and prepares the query.
@@ -38,6 +40,10 @@ func ParsePreparedQuery(text string) (*PreparedQuery, error) {
 // hex: FingerprintQuery(AST), without normalizing again.
 func (p *PreparedQuery) Fingerprint() string { return hexString(p.Digest) }
 
+// QuasiClosed reports whether the query's only free variable is
+// RootVar, as QuasiClosedQuery(AST) does, without walking the AST.
+func (p *PreparedQuery) QuasiClosed() bool { return p.quasiClosed }
+
 // PreparedUpdate is PreparedQuery for an update.
 type PreparedUpdate struct {
 	// Text is the source text; empty when the AST came without one.
@@ -49,12 +55,14 @@ type PreparedUpdate struct {
 	// Digest is UpdateDigest(Norm): the update's half of the pair key
 	// and the plan cache's update-tier key.
 	Digest [16]byte
+	// quasiClosed is QuasiClosedUpdate(AST).
+	quasiClosed bool
 }
 
 // PrepareUpdate prepares the update u parsed from text.
 func PrepareUpdate(text string, u Update) *PreparedUpdate {
 	nu := NormalizeUpdate(u)
-	return &PreparedUpdate{Text: text, AST: u, Norm: nu, Digest: UpdateDigest(nu)}
+	return &PreparedUpdate{Text: text, AST: u, Norm: nu, Digest: UpdateDigest(nu), quasiClosed: QuasiClosedUpdate(u)}
 }
 
 // ParsePreparedUpdate parses text (ParseUpdate) and prepares the
@@ -70,3 +78,7 @@ func ParsePreparedUpdate(text string) (*PreparedUpdate, error) {
 // Fingerprint returns the update's content fingerprint, the digest in
 // hex: FingerprintUpdate(AST), without normalizing again.
 func (p *PreparedUpdate) Fingerprint() string { return hexString(p.Digest) }
+
+// QuasiClosed reports whether the update's only free variable is
+// RootVar, as QuasiClosedUpdate(AST) does, without walking the AST.
+func (p *PreparedUpdate) QuasiClosed() bool { return p.quasiClosed }

@@ -164,12 +164,14 @@ go test ./internal/server -race -count=10 -run '^TestBreakerKeepsNoEntryForHealt
 go test ./internal/sentinel -race -count=10 -run '^(TestFlushWhileObserving|TestQueueOverflowDropsNotBlocks|TestShutdownSkipsQueuedAuditsAfterHardCancel)$'
 go test . -race -count=10 -run '^TestServeDrainsUnderPoolDrainTimeout$'
 
-echo "== shared prepared sides (-race -count=10)"
+echo "== shared prepared sides and warm hits (-race -count=10)"
 # The handler's parsed-expression tier hands one resident query or
 # update side to every request that sends the same member, so
 # concurrent requests read the same sides: rerun the check that shares
-# them across goroutines under the race detector.
-go test ./internal/server -race -count=10 -run '^TestConcurrentRequestsShareSides$'
+# them across goroutines under the race detector. A resident plan is
+# answered outside the run slots, so rerun too the check in which warm
+# hits race purges of the plan cache and the schema's quarantine.
+go test ./internal/server -race -count=10 -run '^(TestConcurrentRequestsShareSides|TestWarmHitsRacePurgeAndQuarantine)$'
 
 echo "== recycled sweep slabs and traces (-race -count=10)"
 # A pooled sweep slab or trace must never be reachable from two
