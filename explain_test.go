@@ -189,9 +189,9 @@ func TestExplainChainsMatchesExplicitEngine(t *testing.T) {
 					t.Errorf("%s × %s: truncated", qt, ut)
 					continue
 				}
-				in := infer.New(s.d, infer.KPair(q.ast, u.ast))
-				qc := in.Query(in.RootEnv(), q.ast)
-				uc := in.Update(in.RootEnv(), u.ast)
+				in := infer.New(s.d, infer.KPair(q.side.AST, u.side.AST))
+				qc := in.Query(in.RootEnv(), q.side.AST)
+				uc := in.Update(in.RootEnv(), u.side.AST)
 				if want := qc.Ret.Strings(); !slices.Equal(ev.Return, want) {
 					t.Errorf("%s × %s: return %v, explicit engine %v", qt, ut, ev.Return, want)
 				}

@@ -152,7 +152,7 @@ type Options struct {
 	// Plans is the prepared-plan cache consulted by the CDAG chain
 	// rung: the staged pipeline (fingerprint → lookup → k-factors →
 	// inference) resolves repeated logical pairs to one cached
-	// artifact. Nil selects the process-wide plan.Shared().
+	// artifact. Nil caches nothing: every chains analysis builds cold.
 	Plans *plan.Cache
 }
 
@@ -210,32 +210,25 @@ var residentMarks = [...]string{"core.analyze", "core.artifact", "core.plan/fing
 
 // Resident answers a chains request without a budget or the ladder
 // when the schema is quarantined, with the conservative verdict, or
-// when the pair's plan is resident in opts.Plans (plan.Shared() when
-// nil) within opts.Limits.MaxK, with the verdict and trace the chains
-// rung gives from that resident. Otherwise it declines (ok false) and
-// returns the pair's plan key, or the zero Key if it declined before
-// digesting it, for AnalyzeKeyed to answer with. The lookup counts
-// only a hit, so a request counts one plan-tier hit or miss either
-// way. Resident fires no fault point: a caller that injects faults
-// runs the ladder instead.
-func (a *Analyzer) Resident(ctx context.Context, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, opts Options) (res Result, key plan.Key, ok bool) {
+// when the pair's plan is resident in opts.Plans within
+// opts.Limits.MaxK, with the verdict and trace the chains rung gives
+// from that resident. Otherwise it declines, returning false, and the
+// ladder answers. The lookup counts only a hit, so a request counts one
+// plan-tier hit or miss either way. Resident fires no fault point: a
+// caller that injects faults runs the ladder instead.
+func (a *Analyzer) Resident(ctx context.Context, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, opts Options) (Result, bool) {
 	if check(q, u) != nil {
-		return Result{}, key, false
+		return Result{}, false
 	}
 	start := time.Now()
 	tr := obs.FromContext(ctx)
 	fp := a.D.Fingerprint()
 	if reg := opts.Quarantine; reg != nil && reg.Downgrade(fp) {
-		return quarantined(tr, MethodChains, start), key, true
+		return quarantined(tr, MethodChains, start), true
 	}
-	plans := opts.Plans
-	if plans == nil {
-		plans = plan.Shared()
-	}
-	key = plan.KeyOf(fp, q, u)
-	ce, ok := plans.Resident(key, opts.Limits)
+	ce, ok := opts.Plans.Resident(fp, q, u, opts.Limits)
 	if !ok {
-		return Result{}, key, false
+		return Result{}, false
 	}
 	sp := tr.Start(rungSpanNames[MethodChains])
 	for _, p := range residentMarks {
@@ -251,7 +244,7 @@ func (a *Analyzer) Resident(ctx context.Context, q *xquery.PreparedQuery, u *xqu
 		Witnesses:   v.Reasons,
 		Elapsed:     time.Since(start),
 		Plan:        "warm",
-	}, key, true
+	}, true
 }
 
 // Analyze decides independence of the pair with the given method,
@@ -301,13 +294,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, q xquery.Query, u xquery.
 // Any panic escaping the analysis internals is converted into a
 // *guard.InternalError carrying the panic value and stack.
 func (a *Analyzer) AnalyzePrepared(ctx context.Context, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, m Method, opts Options) (Result, error) {
-	return a.AnalyzeKeyed(ctx, plan.Key{}, q, u, m, opts)
-}
-
-// AnalyzeKeyed is AnalyzePrepared given the pair's plan key as
-// Resident returned it on a decline, so the chains rung does not digest
-// it again. The zero Key has the rung digest it.
-func (a *Analyzer) AnalyzeKeyed(ctx context.Context, key plan.Key, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, m Method, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -326,16 +312,12 @@ func (a *Analyzer) AnalyzeKeyed(ctx context.Context, key plan.Key, q *xquery.Pre
 	if opts.NoFallback {
 		ladder = ladder[:1]
 	}
-	plans := opts.Plans
-	if plans == nil {
-		plans = plan.Shared()
-	}
 	var attempted []Method
 	var firstBudgetErr error
 	for i, rung := range ladder {
 		attempted = append(attempted, rung)
 		sp := tr.Start(rungSpanNames[rung])
-		res, err := a.analyzeOnce(ctx, rung, key, q, u, opts.Limits, plans)
+		res, err := a.analyzeOnce(ctx, rung, q, u, opts.Limits, opts.Plans)
 		if err == nil {
 			if res.Plan != "" {
 				sp.Annotate(res.Plan)
@@ -367,9 +349,8 @@ func (a *Analyzer) AnalyzeKeyed(ctx context.Context, key plan.Key, q *xquery.Pre
 }
 
 // analyzeOnce runs a single ladder rung under a fresh budget, with
-// the panic-to-error boundary installed. The chains rung looks the
-// plan up under key, digesting it first when it is the zero Key.
-func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, key plan.Key, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, lim guard.Limits, plans *plan.Cache) (res Result, err error) {
+// the panic-to-error boundary installed.
+func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, lim guard.Limits, plans *plan.Cache) (res Result, err error) {
 	defer guard.Recover(&err)
 	b := guard.New(ctx, lim)
 	b.Point("core.analyze")
@@ -397,10 +378,7 @@ func (a *Analyzer) analyzeOnce(ctx context.Context, m Method, key plan.Key, q *x
 			}
 			ce, warm, perr = plan.Prepare(nil, c.WithCorruption(int64(c.Checksum())|1), q.AST, u.AST, b)
 		} else {
-			if key == (plan.Key{}) {
-				key = plan.KeyOf(a.D.Fingerprint(), q, u)
-			}
-			ce, warm, perr = plan.PrepareSchema(plans, key, a.D, q, u, b)
+			ce, warm, perr = plan.PrepareSchema(plans, a.D, q, u, b)
 		}
 		if perr != nil {
 			return Result{}, perr

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -89,5 +90,19 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 	if _, err := a.Analyze(q2, xquery.MustParseUpdate("()"), Method(42)); err == nil {
 		t.Errorf("unknown method accepted")
+	}
+}
+
+// Without Options.Plans nothing is cached: a second analysis of the
+// same pair builds its plan again.
+func TestNoPlansBuildsEveryPlanCold(t *testing.T) {
+	a := NewAnalyzer(bib)
+	q := xquery.PrepareQuery("", xquery.MustParseQuery("//author"))
+	u := xquery.PrepareUpdate("", xquery.MustParseUpdate("delete //price"))
+	for i := 0; i < 2; i++ {
+		r, err := a.AnalyzePrepared(context.Background(), q, u, MethodChains, Options{})
+		if err != nil || r.Plan != "cold" {
+			t.Fatalf("analysis %d: %+v, %v, want a cold build", i+1, r, err)
+		}
 	}
 }

@@ -98,7 +98,7 @@ func shared(u xmark.Upd) {
 	for _, v := range views {
 		budgeted(func(b *guard.Budget) {
 			qs := xquery.PrepareQuery(v.Text, v.AST)
-			plan.PrepareSchema(cache, plan.KeyOf(d.Fingerprint(), qs, us), d, qs, us, b)
+			plan.PrepareSchema(cache, d, qs, us, b)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"encoding/hex"
 	"sort"
 
 	"xqindep/internal/cdag"
@@ -25,23 +24,24 @@ import (
 // resident when it was inferred deeper. Plan hits never reach the tier.
 //
 // A nil *Cache degenerates to an uncached cold build, with no tier.
+// The package keeps no cache: each holder owns the one it passes.
 type Cache struct {
-	c *lru.Cache[Key, *CompiledExpr]
+	c *lru.Cache[key, *CompiledExpr]
 	u *lru.Cache[sideKey, *cdag.UpdateSide]
 }
 
-// Key is a plan's identity: the schema fingerprint and the pair
+// key is a plan's identity: the schema fingerprint and the pair
 // digest, held as an array so a lookup hashes it in place.
-type Key struct {
+type key struct {
 	schemaFP string
 	pair     [16]byte
 }
 
-// KeyOf returns the key of the prepared pair's plan under the schema
+// keyOf returns the key of the prepared pair's plan under the schema
 // fingerprint. It digests the two side digests (xquery.PairKey) and
 // allocates nothing.
-func KeyOf(schemaFP string, q *xquery.PreparedQuery, u *xquery.PreparedUpdate) Key {
-	return Key{schemaFP, xquery.PairKey(q, u)}
+func keyOf(schemaFP string, q *xquery.PreparedQuery, u *xquery.PreparedUpdate) key {
+	return key{schemaFP, xquery.PairKey(q, u)}
 }
 
 // sideKey is an update side's identity: the schema fingerprint and the
@@ -66,7 +66,7 @@ const updateTierSize = 1
 // one update side.
 func NewCache(max int) *Cache {
 	return &Cache{
-		c: lru.New[Key, *CompiledExpr](max, (*CompiledExpr).Verify),
+		c: lru.New[key, *CompiledExpr](max, (*CompiledExpr).Verify),
 		u: lru.New[sideKey, *cdag.UpdateSide](updateTierSize, nil),
 	}
 }
@@ -80,40 +80,26 @@ func (pc *Cache) updateSide(schemaFP string, u *xquery.PreparedUpdate, e *cdag.E
 	if pc == nil {
 		return e.InferUpdate(u.Norm)
 	}
-	key := sideKey{schemaFP, u.Digest}
-	if s, ok := pc.u.Lookup(key, func(s *cdag.UpdateSide) bool { return s.Fits(e) }); ok {
+	k := sideKey{schemaFP, u.Digest}
+	if s, ok := pc.u.Lookup(k, func(s *cdag.UpdateSide) bool { return s.Fits(e) }); ok {
 		return s
 	}
 	s := e.InferUpdate(u.Norm)
-	pc.u.Put(key, s, s.Deeper)
+	pc.u.Put(k, s, s.Deeper)
 	return s
 }
 
-// Get returns the resident plan for the schema fingerprint and the
-// printed pair fingerprint (xquery.FingerprintPair), building and
-// caching one on first sight. The build closure may abort via guard
-// (budget overrun, injected fault) — nothing is cached in that case.
-// The returned bool reports warm provenance: true only for a verified
-// hit; a request that loses a build race to a concurrent one reports
-// cold, since it paid the cold cost. A pairFP that is not a printed
-// pair fingerprint names no resident: the plan is built and not cached.
-func (pc *Cache) Get(schemaFP, pairFP string, build func() *CompiledExpr) (*CompiledExpr, bool) {
-	var pair [16]byte
-	if len(pairFP) != hex.EncodedLen(len(pair)) {
-		return build(), false
-	}
-	if _, err := hex.Decode(pair[:], []byte(pairFP)); err != nil {
-		return build(), false
-	}
-	return pc.get(Key{schemaFP, pair}, build)
-}
-
-// get is Get under a decoded key.
-func (pc *Cache) get(key Key, build func() *CompiledExpr) (*CompiledExpr, bool) {
+// get returns the resident plan under k, building and caching one on
+// first sight. The build closure may abort via guard (budget overrun,
+// injected fault) — nothing is cached in that case. The returned bool
+// reports warm provenance: true only for a verified hit; a request
+// that loses a build race to a concurrent one reports cold, since it
+// paid the cold cost.
+func (pc *Cache) get(k key, build func() *CompiledExpr) (*CompiledExpr, bool) {
 	if pc == nil {
 		return build(), false
 	}
-	ce, warm, _ := pc.c.Get(key, func() (*CompiledExpr, error) { return build(), nil })
+	ce, warm, _ := pc.c.Get(k, func() (*CompiledExpr, error) { return build(), nil })
 	return ce, warm
 }
 
@@ -129,7 +115,7 @@ func (pc *Cache) PurgeSchema(schemaFP string) int {
 		return 0
 	}
 	pc.u.Purge(func(k sideKey, _ *cdag.UpdateSide) bool { return k.schemaFP == schemaFP })
-	return pc.c.Purge(func(k Key, _ *CompiledExpr) bool { return k.schemaFP == schemaFP })
+	return pc.c.Purge(func(k key, _ *CompiledExpr) bool { return k.schemaFP == schemaFP })
 }
 
 // CacheStats is a point-in-time snapshot of a plan cache, exposed by
@@ -156,7 +142,7 @@ func (pc *Cache) Stats() CacheStats {
 	}
 	st := CacheStats{Stats: pc.c.Stats(), Update: pc.u.Stats()}
 	perSchema := make(map[string]int)
-	pc.c.Range(func(k Key, _ *CompiledExpr) bool {
+	pc.c.Range(func(k key, _ *CompiledExpr) bool {
 		perSchema[k.schemaFP]++
 		return true
 	})
@@ -186,7 +172,7 @@ func (pc *Cache) Residents() []*CompiledExpr {
 		return nil
 	}
 	var out []*CompiledExpr
-	pc.c.Range(func(_ Key, ce *CompiledExpr) bool {
+	pc.c.Range(func(_ key, ce *CompiledExpr) bool {
 		out = append(out, ce)
 		return true
 	})
@@ -197,10 +183,3 @@ func (pc *Cache) Residents() []*CompiledExpr {
 // for a cache without sizing it. 4096 plans comfortably hold the full
 // XMark view×update matrix (36×31 = 1116) per schema.
 const DefaultCacheSize = 4096
-
-// defaultCache is the process-wide plan cache shared by core and the
-// CLIs when no explicit cache is configured.
-var defaultCache = NewCache(DefaultCacheSize)
-
-// Shared returns the process-wide plan cache.
-func Shared() *Cache { return defaultCache }

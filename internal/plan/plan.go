@@ -175,19 +175,18 @@ func (ce *CompiledExpr) CorruptClone() *CompiledExpr {
 // plans inferred under a corrupted schema must never enter the cache).
 func Prepare(cache *Cache, c *dtd.Compiled, q xquery.Query, u xquery.Update, b *guard.Budget) (*CompiledExpr, bool, error) {
 	qs, us := xquery.PrepareQuery("", q), xquery.PrepareUpdate("", u)
-	return prepare(cache, KeyOf(c.Fingerprint(), qs, us), func() *dtd.Compiled { return c }, qs, us, b)
+	return prepare(cache, c.Fingerprint(), func() *dtd.Compiled { return c }, qs, us, b)
 }
 
-// PrepareSchema is Prepare for prepared sides, the plan key the caller
-// digested for them, KeyOf(d.Fingerprint(), q, u), and a schema whose
+// PrepareSchema is Prepare for prepared sides and a schema whose
 // compiled form is resolved through dtd.Compile only when the plan must
 // be built. A warm hit never reads the compiled schema, and after a
 // purge of the schema's fingerprint the next cold build recompiles it,
 // whoever holds d. A schema that cannot be compiled aborts the build
 // with an error wrapping guard.ErrBudgetExceeded, so the ladder
 // degrades to the analyses that need no dense alphabet.
-func PrepareSchema(cache *Cache, key Key, d *dtd.DTD, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, b *guard.Budget) (*CompiledExpr, bool, error) {
-	return prepare(cache, key, func() *dtd.Compiled {
+func PrepareSchema(cache *Cache, d *dtd.DTD, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, b *guard.Budget) (*CompiledExpr, bool, error) {
+	return prepare(cache, d.Fingerprint(), func() *dtd.Compiled {
 		c, err := dtd.Compile(d)
 		if err != nil {
 			guard.Abort(fmt.Errorf("plan: schema compilation failed: %w", err))
@@ -196,28 +195,31 @@ func PrepareSchema(cache *Cache, key Key, d *dtd.DTD, q *xquery.PreparedQuery, u
 	}, q, u, b)
 }
 
-// Resident returns the plan resident under key when it verifies and lim
-// admits its k, counting the hit, with none of the stages' budget
-// charges or fault points. When it returns false it counts nothing,
-// so the Prepare that may follow counts the request's one hit or miss
-// and makes the same CheckK.
-func (pc *Cache) Resident(key Key, lim guard.Limits) (*CompiledExpr, bool) {
+// Resident returns the prepared pair's plan resident under the schema
+// fingerprint when it verifies and lim admits its k, counting the hit,
+// with none of the stages' budget charges or fault points. When it
+// returns false it counts nothing, so the Prepare that may follow
+// counts the request's one hit or miss and makes the same CheckK. It
+// digests the key as the fingerprint stage does, and allocates
+// nothing.
+func (pc *Cache) Resident(schemaFP string, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, lim guard.Limits) (*CompiledExpr, bool) {
 	if pc == nil {
 		return nil, false
 	}
-	return pc.c.Probe(key, func(ce *CompiledExpr) bool { return lim.AdmitsK(ce.K()) })
+	return pc.c.Probe(keyOf(schemaFP, q, u), func(ce *CompiledExpr) bool { return lim.AdmitsK(ce.K()) })
 }
 
 // prepare is the pipeline shared by Prepare and PrepareSchema; resolve
 // yields the compiled schema and runs only inside a cold build. The
 // sides were normalized and digested when they were prepared, and the
 // key digests their digests; a cold build reads their normalized ASTs.
-func prepare(cache *Cache, key Key, resolve func() *dtd.Compiled, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, b *guard.Budget) (*CompiledExpr, bool, error) {
+func prepare(cache *Cache, schemaFP string, resolve func() *dtd.Compiled, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, b *guard.Budget) (*CompiledExpr, bool, error) {
 	b.Point("core.plan/fingerprint")
+	k := keyOf(schemaFP, q, u)
 
 	b.Point("core.plan/lookup")
-	ce, warm := cache.get(key, func() *CompiledExpr {
-		return build(cache, key.schemaFP, resolve, q.Norm, u, b)
+	ce, warm := cache.get(k, func() *CompiledExpr {
+		return build(cache, schemaFP, resolve, q.Norm, u, b)
 	})
 
 	// Admission is per-request: a plan cached under one request's

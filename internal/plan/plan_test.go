@@ -267,14 +267,17 @@ func TestVerifyAndWarmHitAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = ce.Verify() }); n != 0 {
 		t.Fatalf("Verify allocates %v times per call, want 0", n)
 	}
+	// Resident is the lookup the server answers a warm hit with.
 	schemaFP := bib.Fingerprint()
-	pairFP := xquery.FingerprintPair(xquery.MustParseQuery("//title"), xquery.MustParseUpdate("delete //title"))
-	cold := func() *plan.CompiledExpr {
-		t.Fatal("warm Get ran the cold build")
-		return nil
-	}
-	if n := testing.AllocsPerRun(100, func() { cache.Get(schemaFP, pairFP, cold) }); n != 0 {
-		t.Fatalf("warm Get allocates %v times per hit, want 0", n)
+	q := xquery.PrepareQuery("", xquery.MustParseQuery("//title"))
+	u := xquery.PrepareUpdate("", xquery.MustParseUpdate("delete //title"))
+	n := testing.AllocsPerRun(100, func() {
+		if got, ok := cache.Resident(schemaFP, q, u, guard.Limits{}); !ok || got != ce {
+			t.Fatal("Resident missed the resident plan")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("a Resident hit allocates %v times, want 0", n)
 	}
 }
 

@@ -72,11 +72,11 @@ type Config struct {
 	// a registry of its own.
 	Quarantine *quarantine.Registry
 	// Plans is the prepared-plan cache the serving pool consults (see
-	// internal/plan); nil selects the process-wide plan.Shared(). When
-	// a disagreement quarantines a fingerprint, every plan inferred
-	// under that schema is purged from it alongside the compiled-schema
-	// cache entry: a cached verdict must not outlive the suspicion about
-	// the schema it was derived from.
+	// internal/plan); nil purges nothing. When a disagreement
+	// quarantines a fingerprint, every plan inferred under that schema
+	// is purged from it alongside the compiled-schema cache entry: a
+	// cached verdict must not outlive the suspicion about the schema it
+	// was derived from.
 	Plans *plan.Cache
 	// BaseContext, when non-nil, parents the auditor's lifecycle
 	// context (default context.Background()). Chaos harnesses attach
@@ -465,7 +465,7 @@ func (a *Auditor) audit(o Observation) {
 		// with it: after recovery the first request per pair re-infers
 		// cold from the fresh compilation.
 		dtd.PurgeCompiled(fp)
-		a.plans().PurgeSchema(fp)
+		a.cfg.Plans.PurgeSchema(fp)
 	}
 	a.record("audit-disagreement", o, shadow, shadowErr, witness)
 }
@@ -479,13 +479,12 @@ func (a *Auditor) retrial(o Observation) {
 	fp := o.D.Fingerprint()
 	res, err := core.NewAnalyzer(o.D).AnalyzePrepared(
 		// Retrials run off the request path on the auditor's base
-		// context, so Shutdown can hard-cancel a wedged one. The plan
-		// cache is bypassed with a throwaway: a retrial must actually
-		// re-run the suspect engines, not be answered by a verdict
-		// cached before the quarantine tripped. The throwaway's update
-		// tier starts empty too, so the retrial infers both sides.
+		// context, so Shutdown can hard-cancel a wedged one. They pass
+		// no plan cache: a retrial must actually re-run the suspect
+		// engines, not be answered by a verdict cached before the
+		// quarantine tripped, and it infers both sides cold.
 		a.base, o.Query, o.Update, core.MethodChains,
-		core.Options{Limits: a.cfg.Budget, Plans: plan.NewCache(1)})
+		core.Options{Limits: a.cfg.Budget})
 	if err != nil || res.Degraded {
 		a.reg.RecordProbe(fp, quarantine.ProbeInconclusive)
 		return
@@ -506,14 +505,6 @@ func (a *Auditor) retrial(o Observation) {
 		return
 	}
 	a.markProbe(fp, true)
-}
-
-// plans resolves the prepared-plan cache containment purges.
-func (a *Auditor) plans() *plan.Cache {
-	if a.cfg.Plans != nil {
-		return a.cfg.Plans
-	}
-	return plan.Shared()
 }
 
 func (a *Auditor) markProbe(fp string, clean bool) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -80,12 +81,32 @@ func TestAnalyzeBodyOverLimit(t *testing.T) {
 	}
 }
 
+// discardWriter is a ResponseWriter that keeps the status and the
+// last body, and allocates nothing once its buffer has grown.
+type discardWriter struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
 // warmAnalyze measures one warm A3 × UB2 /analyze request through a
 // handler with a slow-trace ring of ring entries (0: off): the bytes
 // and the allocations it makes, each the mean of 400 requests after the
-// cold build. Under -race a sync.Pool drops a quarter of what it is
-// handed, so about one body buffer and one trace in four are made
-// anew; 400 requests keep that spread well inside the ceilings.
+// cold build, once the ring is full. Every request is the same
+// *http.Request, its body reset, written to a discardWriter, so the
+// figures are the handler's own and not those of a test harness. Under
+// -race a sync.Pool drops a quarter of what it is handed, so about one
+// body buffer and one trace in four are made anew; 400 requests keep
+// that spread well inside the ceilings.
 func warmAnalyze(t *testing.T, ring int) (allocBytes, allocs float64) {
 	t.Helper()
 	h := obsHandler(t, ring)
@@ -95,15 +116,26 @@ func warmAnalyze(t *testing.T, ring int) (allocBytes, allocs float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest("POST", "/analyze", nil)
+	r.Body, r.ContentLength = io.NopCloser(rd), int64(len(body))
+	w := &discardWriter{header: http.Header{}}
 	post := func() {
-		if rw := postAnalyze(h, bytes.NewReader(body), int64(len(body))); rw.Code != 200 {
-			t.Fatalf("status %d: %s", rw.Code, rw.Body.String())
+		rd.Reset(body)
+		w.code, w.body = http.StatusOK, w.body[:0]
+		h.ServeHTTP(w, r)
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.code, w.body)
 		}
 	}
 	post() // the cold build: every later request is a plan hit
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Under the frozen clock every trace totals 0 µs, so the ring keeps
+	// the first ring requests and none after: fill it before measuring.
+	for i := 0; i <= ring; i++ {
+		post()
+	}
 	const runs = 400
-	post()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -114,24 +146,20 @@ func warmAnalyze(t *testing.T, ring int) (allocBytes, allocs float64) {
 }
 
 // TestWarmAnalyzeBytes pins the bytes one warm /analyze request
-// allocates through the handler at 1.25 times the 6,472 B measured.
-// Under -race it measures up to 8,353 B, as sync.Pool drops a quarter
-// of the body buffers it is handed, and the ceiling is 1.1 times that.
-// An XMark request carries the schema text, about 4.7 KiB as JSON,
-// which costs nothing once the schema is resident: the body is read
-// into a recycled buffer and the schema tier is keyed by the member's
-// bytes. The query and update members cost nothing either once their
-// sides are resident in the parsed-expression tier, and a resident
-// plan is answered without the ladder's analysis context, timer, drain
-// hook and budget. Decoding the body with json.Unmarshal and running
-// every hit through the ladder made it 7,416 B, parsing, normalizing
-// and digesting both sides per request 11,116 B, and reading each body
-// into a buffer of its own, unquoting the schema member and copying it
-// into a string 24,712 B.
+// allocates in the handler at 1.25 times the 192 B measured: one
+// allocation, the response boxed for writeJSON. Under -race it measured
+// up to 1,902 B over 140 runs, as sync.Pool drops a quarter of the body
+// buffers it is handed, and the ceiling is 1.1 times that. An XMark
+// request carries the schema text, about 4.7 KiB as JSON, which costs
+// nothing once the schema is resident: the body is read into a recycled
+// buffer and the schema tier is keyed by the member's bytes. The query
+// and update members cost nothing either once their sides are resident
+// in the parsed-expression tier, and a resident plan is answered
+// without the ladder's analysis context, timer, drain hook and budget.
 func TestWarmAnalyzeBytes(t *testing.T) {
-	ceiling := 8_090.0
+	ceiling := 240.0
 	if raceEnabled {
-		ceiling = 9_190
+		ceiling = 2_100
 	}
 	if n, _ := warmAnalyze(t, 0); n > ceiling {
 		t.Errorf("a warm /analyze request allocates %.0f B, ceiling %.0f", n, ceiling)
@@ -139,35 +167,30 @@ func TestWarmAnalyzeBytes(t *testing.T) {
 }
 
 // TestWarmAnalyzeAllocs pins the allocations of the same request at
-// 1.25 times the 20.0 measured; under -race, up to 24.4 measured, at
-// 1.1 times that. Decoding the body with json.Unmarshal and running
-// every hit through the ladder made it 35.0, parsing, normalizing and
-// digesting both sides per request 96.0, and printing both sides
-// canonically and hashing the prints for the plan key 162.
+// 1.25 times the 1.00 measured; under -race, up to 4.20 measured over
+// 140 runs, at 1.1 times that.
 func TestWarmAnalyzeAllocs(t *testing.T) {
-	ceiling := 25.0
+	ceiling := 1.25
 	if raceEnabled {
-		ceiling = 27
+		ceiling = 4.7
 	}
 	if _, n := warmAnalyze(t, 0); n > ceiling {
-		t.Errorf("a warm /analyze request makes %.1f allocations, ceiling %.0f", n, ceiling)
+		t.Errorf("a warm /analyze request makes %.2f allocations, ceiling %.2f", n, ceiling)
 	}
 }
 
 // TestWarmAnalyzeBytesWithRing pins the same request on a handler
-// with the daemon's 64-entry slow-trace ring, which records a trace of
-// every request, at 1.25 times the 6,711 B measured. Under -race it
-// measures up to 9,325 B, as sync.Pool drops a quarter of the traces
-// and body buffers it is handed, and the ceiling is 1.1 times that.
-// Decoding with json.Unmarshal and running every hit through the
-// ladder made it 7,657 B, and about 10,120 B under -race; parsing,
-// normalizing and digesting both sides per request 11,355 B, and
-// 14,480 B under -race; a trace made anew per request, its 32-record
-// buffer and its stack 15,028 B.
+// with the daemon's 64-entry slow-trace ring, which traces every
+// request, at 1.25 times the 240 B measured: the response box and the
+// context value that carries the trace, 48 B. The trace, its record
+// buffer and its stack come back from obs's pool, and a trace the full
+// ring does not admit is not copied. Under -race it measured up to
+// 2,781 B over 80 runs, as sync.Pool drops a quarter of the traces and
+// body buffers it is handed, and the ceiling is 1.1 times that.
 func TestWarmAnalyzeBytesWithRing(t *testing.T) {
-	ceiling := 8_390.0
+	ceiling := 300.0
 	if raceEnabled {
-		ceiling = 10_260
+		ceiling = 3_060
 	}
 	if n, _ := warmAnalyze(t, 64); n > ceiling {
 		t.Errorf("a warm /analyze request with the trace ring on allocates %.0f B, ceiling %.0f", n, ceiling)

@@ -48,6 +48,22 @@ func mustDo(t *testing.T, s *Server, ctx context.Context, task Task) core.Result
 	return res
 }
 
+// Servers built without Config.Plans each own a plan cache: a pair
+// server A answers warm is still cold on server B.
+func TestServersWithoutPlansShareNone(t *testing.T) {
+	a, b := New(Config{Workers: 1}), New(Config{Workers: 1})
+	t.Cleanup(func() { a.Close(); b.Close() })
+	task := mustTask(t, bibSchema, "//title", "delete //author")
+	for _, want := range []string{"cold", "warm"} {
+		if res := mustDo(t, a, context.Background(), task); res.Plan != want {
+			t.Fatalf("server A: plan %q, want %s", res.Plan, want)
+		}
+	}
+	if res := mustDo(t, b, context.Background(), task); res.Plan != "cold" {
+		t.Fatalf("server B after A's warm answer: plan %q, want cold", res.Plan)
+	}
+}
+
 // A request whose plan is resident is answered without a run slot:
 // with the lone slot wedged by a request whose plan is not, it is
 // still answered, warm.

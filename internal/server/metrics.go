@@ -149,7 +149,7 @@ func newHandlerMetrics(reg *obs.Registry, s *Server) *handlerMetrics {
 	reg.CounterFunc(MetricBreakerReject, "Requests served a conservative verdict because the schema breaker was open.", stat(func(st Stats) float64 { return float64(st.BreakerRejected) }))
 	reg.CounterFunc(MetricBreakerProbes, "Half-open breaker probes admitted.", stat(func(st Stats) float64 { return float64(st.BreakerProbes) }))
 
-	plans := resolvePlans(s.cfg)
+	plans := s.cfg.Plans
 	tiers := []struct {
 		name  string
 		stats func() lru.Stats

@@ -123,9 +123,9 @@ type Config struct {
 	// Plans is the prepared-plan cache threaded into every analysis
 	// (see internal/plan): the CDAG chain rung resolves repeated
 	// logical pairs to one cached artifact, so steady-state traffic
-	// serves warm plans. Nil selects the process-wide plan.Shared().
-	// Wire the same cache here and into the sentinel so quarantine
-	// containment purges it.
+	// serves warm plans. Nil gives the server a cache of its own,
+	// plan.DefaultCacheSize plans. Wire the same cache here and into
+	// the sentinel so quarantine containment purges it.
 	Plans *plan.Cache
 	// MemoryWatermark, when positive, sheds admissions with
 	// ErrOverloaded while the process heap (per MemoryUsage) exceeds
@@ -161,6 +161,9 @@ func (c Config) withDefaults() Config {
 		c.DrainTimeout = 10 * time.Second
 	}
 	c.Breaker = c.Breaker.withDefaults()
+	if c.Plans == nil {
+		c.Plans = plan.NewCache(plan.DefaultCacheSize)
+	}
 	if c.MemoryUsage == nil {
 		c.MemoryUsage = func() uint64 {
 			var ms runtime.MemStats
@@ -345,11 +348,10 @@ func (s *Server) Do(ctx context.Context, t Task) (core.Result, error) {
 	// a run slot. A request that injects faults runs the ladder, where
 	// the fault points are.
 	opts := s.options(t)
-	var key plan.Key
 	err = ctx.Err()
 	if err == nil && t.Method == core.MethodChains && faultinject.FromContext(ctx) == nil {
-		res, hit, herr := s.settle(ctx, t, fp, probe, func() (res core.Result, ok bool, err error) {
-			res, key, ok = t.Analyzer.Resident(ctx, t.Query, t.Update, opts)
+		res, hit, herr := s.settle(ctx, t, fp, probe, func() (core.Result, bool, error) {
+			res, ok := t.Analyzer.Resident(ctx, t.Query, t.Update, opts)
 			return res, ok, nil
 		})
 		if hit {
@@ -362,7 +364,7 @@ func (s *Server) Do(ctx context.Context, t Task) (core.Result, error) {
 		select {
 		case s.slots <- struct{}{}:
 			defer func() { <-s.slots }()
-			return s.process(ctx, t, opts, key, fp, probe)
+			return s.process(ctx, t, opts, fp, probe)
 		case <-ctx.Done():
 			err = ctx.Err()
 		case <-s.baseCtx.Done():
@@ -442,15 +444,14 @@ func (s *Server) options(t Task) core.Options {
 // process runs one admitted task that holds a run slot through the
 // ladder, under settle. One context bounds the analysis:
 // RequestTimeout is its deadline, and a hard drain cancels it when the
-// server's base context dies. key is the pair's plan key when the hit
-// path digested it.
-func (s *Server) process(ctx context.Context, t Task, opts core.Options, key plan.Key, fp string, probe bool) (core.Result, error) {
+// server's base context dies.
+func (s *Server) process(ctx context.Context, t Task, opts core.Options, fp string, probe bool) (core.Result, error) {
 	res, _, err := s.settle(ctx, t, fp, probe, func() (core.Result, bool, error) {
 		actx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 		stop := context.AfterFunc(s.baseCtx, cancel)
 		defer stop()
-		res, err := t.Analyzer.AnalyzeKeyed(actx, key, t.Query, t.Update, t.Method, opts)
+		res, err := t.Analyzer.AnalyzePrepared(actx, t.Query, t.Update, t.Method, opts)
 		return res, true, err
 	})
 	return res, err

@@ -16,14 +16,6 @@ import (
 	"xqindep/internal/sentinel"
 )
 
-// resolvePlans resolves the prepared-plan cache the pool consults.
-func resolvePlans(cfg Config) *plan.Cache {
-	if cfg.Plans != nil {
-		return cfg.Plans
-	}
-	return plan.Shared()
-}
-
 // StatzPayload is the /statz response: the server counters plus the
 // process-wide schema-compilation cache counters (every cold plan
 // build resolves its compiled schema through that cache, so
@@ -32,7 +24,7 @@ type StatzPayload struct {
 	Server       Stats          `json:"server"`
 	CompileCache dtd.CacheStats `json:"compile_cache"`
 	// PlanCache reports the prepared-plan cache the pool consults
-	// (cfg.Plans, or the process-wide plan.Shared()).
+	// (Config.Plans, or the server's own).
 	PlanCache plan.CacheStats `json:"plan_cache"`
 	// Audit and Quarantine report the runtime verdict-audit layer;
 	// zero-valued when no auditor or registry is wired.
@@ -56,7 +48,7 @@ func (h *Handler) statz() StatzPayload {
 	p := StatzPayload{
 		Server:       h.srv.Stats(),
 		CompileCache: dtd.CompileCacheStats(),
-		PlanCache:    resolvePlans(h.srv.cfg).Stats(),
+		PlanCache:    h.srv.cfg.Plans.Stats(),
 		Quarantine:   h.srv.cfg.Quarantine.Stats(),
 		Metrics:      h.metrics.reg.Summaries(),
 	}

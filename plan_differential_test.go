@@ -2,6 +2,7 @@ package xqindep
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"xqindep/internal/guard"
 	"xqindep/internal/plan"
 	"xqindep/internal/xmark"
+	"xqindep/internal/xquery"
 )
 
 // TestPreparedMatrixMatchesCold is the plan cache's equivalence proof:
@@ -71,10 +73,10 @@ func TestPreparedMatrixMatchesCold(t *testing.T) {
 }
 
 // TestPairFingerprintIsThePlanCacheKey pins what xqindep -show-plan
-// prints as the key the plan cache uses: after one cold build, the
-// cache answers (Schema.Fingerprint, PairFingerprint) from the resident
-// without running a builder, even for a differently sugared spelling of
-// the same pair.
+// prints as the key the plan cache uses: PairFingerprint is the hex of
+// the pair digest (xquery.PairKey), and after one cold build the cache
+// finds the resident under Schema.Fingerprint and that digest, even for
+// a differently sugared spelling of the same pair.
 func TestPairFingerprintIsThePlanCacheKey(t *testing.T) {
 	s := MustParseSchema(bibSchema)
 	c, err := dtd.Compile(s.DTD())
@@ -83,17 +85,17 @@ func TestPairFingerprintIsThePlanCacheKey(t *testing.T) {
 	}
 	cache := plan.NewCache(4)
 	q, u := MustParseQuery("//title"), MustParseUpdate("delete //price")
-	built, warm, err := plan.Prepare(cache, c, q.ast, u.ast, guard.New(context.Background(), guard.Limits{}))
+	built, warm, err := plan.Prepare(cache, c, q.side.AST, u.side.AST, guard.New(context.Background(), guard.Limits{}))
 	if err != nil || warm {
 		t.Fatalf("first Prepare: warm=%v err=%v, want a cold build", warm, err)
 	}
 	sugared := MustParseQuery("/descendant-or-self::node()/child::title")
-	got, warm := cache.Get(s.Fingerprint(), PairFingerprint(sugared, u), func() *plan.CompiledExpr {
-		t.Fatal("Get under PairFingerprint ran the builder: it is not the cache key")
-		return nil
-	})
-	if !warm || got != built {
-		t.Fatalf("Get under PairFingerprint: warm=%v, same plan=%v", warm, got == built)
+	if key := xquery.PairKey(sugared.side, u.side); PairFingerprint(sugared, u) != hex.EncodeToString(key[:]) {
+		t.Fatalf("PairFingerprint %s is not the hex of the pair digest %x", PairFingerprint(sugared, u), key)
+	}
+	got, ok := cache.Resident(s.Fingerprint(), sugared.side, u.side, guard.Limits{})
+	if !ok || got != built {
+		t.Fatalf("Resident under the sugared spelling: found=%v, same plan=%v", ok, got == built)
 	}
 }
 

@@ -44,6 +44,17 @@ func TestPoolAuditLifecycle(t *testing.T) {
 	if got := p.QuarantineState(schema); got != "quarantined" {
 		t.Fatalf("quarantine state %s", got)
 	}
+	// The quarantine purged the plan the flipped request built from the
+	// cache NewPool wires into both its server and its auditor.
+	ps := p.PlanStats()
+	if ps.Purges != 1 {
+		t.Fatalf("plan cache after the quarantine: %+v, want one plan purged", ps)
+	}
+	for _, sc := range ps.Schemas {
+		if sc.Fingerprint == schema.Fingerprint() {
+			t.Fatalf("plan cache after the quarantine: %d plans of the schema resident", sc.Plans)
+		}
+	}
 	in := p.Incidents()
 	if len(in) != 1 || in[0].QueryText != "//title" {
 		t.Fatalf("incidents: %+v", in)

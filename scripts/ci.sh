@@ -56,8 +56,10 @@ fi
 echo "== go build"
 go build ./...
 
-echo "== go test -race"
-go test -race ./...
+echo "== go test -race -shuffle=on"
+# Shuffled, so a test that leans on state an earlier one left behind
+# fails; the seed is printed, and -shuffle=SEED replays the order.
+go test -race -shuffle=on ./...
 
 echo "== bench smoke (compiled-schema, prepared-plan, audit-overhead and Figure 3 benchmarks, 1 iteration)"
 # One iteration only — this proves the engine/phase, cold/warm and

@@ -138,16 +138,20 @@ func (cs *CompiledSchema) RecursiveTypes() int { return cs.c.RecursiveCount() }
 // counters; the analysis server exposes the same numbers on /statz.
 func CompileCacheStats() dtd.CacheStats { return dtd.CompileCacheStats() }
 
-// SharedPlanStats reports the process-wide prepared-plan cache used by
-// AnalyzeContext when no explicit cache is configured. Pools maintain
-// their own caches; see Pool.PlanStats.
-func SharedPlanStats() plan.CacheStats { return plan.Shared().Stats() }
+// sharedPlans is the prepared-plan cache the Schema methods share:
+// Analyze, AnalyzeContext and Independent resolve repeated logical
+// pairs to one plan across every Schema with the same declarations.
+// Pools own theirs.
+var sharedPlans = plan.NewCache(plan.DefaultCacheSize)
+
+// SharedPlanStats reports the prepared-plan cache the Schema methods
+// share. Servers and pools own their caches; see Pool.PlanStats.
+func SharedPlanStats() plan.CacheStats { return sharedPlans.Stats() }
 
 // Query is a parsed query of the supported XQuery fragment, prepared
 // for analysis when it is parsed: normalized and digested once, however
 // many analyses read it.
 type Query struct {
-	ast  xquery.Query // side.AST
 	side *xquery.PreparedQuery
 }
 
@@ -158,7 +162,7 @@ func ParseQuery(text string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{ast: q.AST, side: q}, nil
+	return &Query{side: q}, nil
 }
 
 // MustParseQuery is ParseQuery, panicking on error.
@@ -174,7 +178,7 @@ func MustParseQuery(text string) *Query {
 func (q *Query) String() string { return q.side.Text }
 
 // Core returns the desugared core-fragment form.
-func (q *Query) Core() string { return q.ast.String() }
+func (q *Query) Core() string { return q.side.AST.String() }
 
 // Fingerprint returns a stable content hash of the desugared query, 32
 // hex characters: sugared variants, whitespace differences, renamed
@@ -187,7 +191,6 @@ func (q *Query) Fingerprint() string { return q.side.Fingerprint() }
 // Update is a parsed update of the supported XQuery Update Facility
 // fragment, prepared for analysis when it is parsed, as a Query is.
 type Update struct {
-	ast  xquery.Update // side.AST
 	side *xquery.PreparedUpdate
 }
 
@@ -197,7 +200,7 @@ func ParseUpdate(text string) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Update{ast: u.AST, side: u}, nil
+	return &Update{side: u}, nil
 }
 
 // MustParseUpdate is ParseUpdate, panicking on error.
@@ -213,7 +216,7 @@ func MustParseUpdate(text string) *Update {
 func (u *Update) String() string { return u.side.Text }
 
 // Core returns the desugared core-fragment form.
-func (u *Update) Core() string { return u.ast.String() }
+func (u *Update) Core() string { return u.side.AST.String() }
 
 // Fingerprint returns a stable content hash of the desugared update,
 // with the same equivalences as Query.Fingerprint. Like it, it is not
@@ -332,6 +335,7 @@ func (s *Schema) AnalyzeContext(ctx context.Context, q *Query, u *Update, m Meth
 	r, err := s.a.AnalyzePrepared(ctx, q.side, u.side, m, core.Options{
 		Limits:     opts.Limits,
 		NoFallback: opts.NoFallback,
+		Plans:      sharedPlans,
 	})
 	if err != nil {
 		return Report{}, err
@@ -349,11 +353,11 @@ func (s *Schema) AnalyzeContext(ctx context.Context, q *Query, u *Update, m Meth
 // sound "possibly order-dependent" — with an error wrapping
 // ErrBudgetExceeded.
 func (s *Schema) Commute(u1, u2 *Update) (ok bool, err error) {
-	if !xquery.QuasiClosedUpdate(u1.ast) || !xquery.QuasiClosedUpdate(u2.ast) {
+	if !u1.side.QuasiClosed() || !u2.side.QuasiClosed() {
 		return false, fmt.Errorf("xqindep: updates must be quasi-closed")
 	}
 	defer guard.Recover(&err)
-	return infer.CommutativityBudget(s.d, u1.ast, u2.ast, contextFreeBudget()).Commute, nil
+	return infer.CommutativityBudget(s.d, u1.side.AST, u2.side.AST, contextFreeBudget()).Commute, nil
 }
 
 // contextFreeBudget is the budget of the calls that take no context
@@ -369,7 +373,7 @@ func contextFreeBudget() *guard.Budget {
 // the returned reasons describe the potential violations (which may be
 // false alarms).
 func (s *Schema) PreservesSchema(u *Update) (bool, []string) {
-	v := preserve.Check(s.d, u.ast)
+	v := preserve.Check(s.d, u.side.AST)
 	return v.Preserves, v.Reasons
 }
 
@@ -400,15 +404,15 @@ const explainCap = 64
 // node shared by several update chains does not fix where c ends. An
 // overrun returns an error wrapping ErrBudgetExceeded.
 func (s *Schema) ExplainChains(q *Query, u *Update) (ev ChainEvidence, err error) {
-	if !xquery.QuasiClosedQuery(q.ast) || !xquery.QuasiClosedUpdate(u.ast) {
+	if !q.side.QuasiClosed() || !u.side.QuasiClosed() {
 		return ev, fmt.Errorf("xqindep: query and update must be quasi-closed")
 	}
 	b := contextFreeBudget()
-	if err = b.CheckK(infer.KPair(q.ast, u.ast)); err != nil {
+	if err = b.CheckK(infer.KPair(q.side.AST, u.side.AST)); err != nil {
 		return ev, err
 	}
 	defer guard.Recover(&err)
-	v := cdag.IndependenceBudget(s.d, q.ast, u.ast, b)
+	v := cdag.IndependenceBudget(s.d, q.side.AST, u.side.AST, b)
 	list := func(set *cdag.Set) []string {
 		cs := set.Strings(explainCap + 1)
 		if len(cs) > explainCap {
@@ -486,7 +490,7 @@ func (s *Schema) Generate(seed int64, pRepeat float64, maxDepth int) (*Document,
 // Run evaluates the query on the document and returns the serialised
 // result fragments in order. The document is not modified.
 func (doc *Document) Run(q *Query) ([]string, error) {
-	s, locs, err := eval.QueryTree(doc.tree, q.ast)
+	s, locs, err := eval.QueryTree(doc.tree, q.side.AST)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +504,7 @@ func (doc *Document) Run(q *Query) ([]string, error) {
 // Apply executes the update on the document in place (UPL
 // construction, sanity checks, application — the W3C three phases).
 func (doc *Document) Apply(u *Update) error {
-	return eval.Update(doc.tree.Store, eval.RootEnv(doc.tree.Root), u.ast)
+	return eval.Update(doc.tree.Store, eval.RootEnv(doc.tree.Root), u.side.AST)
 }
 
 // IndependentOn checks Definition 2.4 dynamically on one document:
@@ -508,7 +512,7 @@ func (doc *Document) Apply(u *Update) error {
 // results up to value equivalence. It is the runtime ground truth the
 // static analysis approximates.
 func IndependentOn(doc *Document, q *Query, u *Update) (bool, error) {
-	return eval.IndependentOn(doc.tree, q.ast, u.ast)
+	return eval.IndependentOn(doc.tree, q.side.AST, u.side.AST)
 }
 
 // Version identifies the library release.
