@@ -214,10 +214,11 @@ var residentMarks = [...]string{"core.analyze", "core.artifact", "core.plan/fing
 // opts.Limits.MaxK, with the verdict and trace the chains rung gives
 // from that resident. Otherwise it declines, returning false, and the
 // ladder answers. The lookup counts only a hit, so a request counts one
-// plan-tier hit or miss either way. Resident fires no fault point: a
-// caller that injects faults runs the ladder instead.
+// plan-tier hit or miss either way. Resident fires no fault point, so
+// it declines a request whose context carries a guard.Injector: that
+// request runs the ladder, where the fault points are.
 func (a *Analyzer) Resident(ctx context.Context, q *xquery.PreparedQuery, u *xquery.PreparedUpdate, opts Options) (Result, bool) {
-	if check(q, u) != nil {
+	if check(q, u) != nil || guard.InjectorOf(ctx) != nil {
 		return Result{}, false
 	}
 	start := time.Now()
@@ -282,7 +283,8 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, q xquery.Query, u xquery.
 // When the method exceeds its budget (deadline, chain/node count, or
 // multiplicity k beyond Limits.MaxK) and fallback is enabled, the
 // analysis degrades along fallbackLadder(m): each weaker rung runs
-// against the same (already partly spent) budget, and the final
+// under a fresh budget on the same ctx, so it gets its own chain and
+// node counts but the deadline already partly spent, and the final
 // conservative rung costs nothing, so the call returns promptly after
 // a deadline instead of failing. The degraded result records what
 // happened in Degraded, FallbackChain and Err.

@@ -52,7 +52,6 @@ func TestQuarantineDowngradesToConservative(t *testing.T) {
 }
 
 func TestFlipVerdictInjectionFlips(t *testing.T) {
-	faultinject.Enable()
 	a := NewAnalyzer(bib)
 	q := xquery.MustParseQuery("//title")
 	u := xquery.MustParseUpdate("delete //price") // independent when clean
@@ -81,7 +80,6 @@ func TestFlipVerdictInjectionFlips(t *testing.T) {
 }
 
 func TestCorruptArtifactIsPrivateToTheRequest(t *testing.T) {
-	faultinject.Enable()
 	a := NewAnalyzer(bib)
 	q := xquery.MustParseQuery("//title")
 	u := xquery.MustParseUpdate("delete //price")

@@ -3,12 +3,12 @@
 //
 // The engines mark their phase boundaries — parsing, chain inference,
 // CDAG construction, conflict checking — with guard.Point /
-// guard.FirePoint calls naming the boundary. In production no hook is
-// installed and every point is a single atomic load. A chaos harness
-// enables injection by building a Schedule (which faults fire at which
-// points, on which hit) and attaching it to the request context:
+// guard.FirePoint calls naming the boundary, and each point consults
+// only the guard.Injector its context carries. In production no
+// context carries one. A chaos harness injects faults by building a
+// Schedule (which faults fire at which points, on which hit) and
+// attaching it to the request context, with no process-wide setup:
 //
-//	faultinject.Enable()
 //	sched := faultinject.NewSchedule(
 //		faultinject.Fault{Point: "cdag.build", Kind: faultinject.KindBudget, After: 2},
 //	)
@@ -273,9 +273,10 @@ func (s *Schedule) String() string {
 	return fmt.Sprintf("schedule%v", descs)
 }
 
-// fire records a hit of point and injects the first matching armed
-// fault, if any.
-func (s *Schedule) fire(ctx context.Context, point string) error {
+// Inject records a hit of point and injects the first matching armed
+// fault, if any: it makes a Schedule the guard.Injector of the
+// contexts With attaches it to.
+func (s *Schedule) Inject(ctx context.Context, point string) error {
 	s.mu.Lock()
 	s.hits[point]++
 	hit := s.hits[point]
@@ -323,33 +324,18 @@ func (s *Schedule) fire(ctx context.Context, point string) error {
 	}
 }
 
-type ctxKey struct{}
-
-// With attaches the schedule to ctx; every fault point fired under
-// the returned context consults it.
+// With attaches the schedule to ctx as its guard.Injector; every
+// fault point fired under the returned context consults it. A nil
+// schedule attaches nothing.
 func With(ctx context.Context, s *Schedule) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
+	if s == nil {
+		return ctx
+	}
+	return guard.WithInjector(ctx, s)
 }
 
 // FromContext returns the schedule attached to ctx, if any.
 func FromContext(ctx context.Context) *Schedule {
-	s, _ := ctx.Value(ctxKey{}).(*Schedule)
+	s, _ := guard.InjectorOf(ctx).(*Schedule)
 	return s
-}
-
-var enableOnce sync.Once
-
-// Enable installs the process-wide guard fault hook (idempotent).
-// Contexts without a schedule are unaffected, so enabling in one test
-// does not perturb others beyond one context lookup per point.
-func Enable() {
-	enableOnce.Do(func() {
-		guard.SetFaultHook(func(ctx context.Context, point string) error {
-			s := FromContext(ctx)
-			if s == nil {
-				return nil
-			}
-			return s.fire(ctx, point)
-		})
-	})
 }

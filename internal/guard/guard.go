@@ -2,7 +2,7 @@
 // substrate of the analysis engine. A single pathological input — a
 // deeply recursive schema driving the exponential explicit-set engine,
 // a hostile AST, an adversarial parse — must never crash or wedge the
-// process. The package offers three tools:
+// process. The package offers four tools:
 //
 //   - Limits and Budget: a per-analysis resource budget (wall-clock
 //     deadline and cancellation via context.Context, maximum
@@ -23,6 +23,14 @@
 //     the recovered value and stack, so callers see a diagnosable
 //     error instead of a crashed process.
 //
+//   - Phase points: the engines mark their phase boundaries with
+//     Point or Phase (inside budgeted code) or FirePoint (outside it).
+//     A point consults only its request's context: a Tracer carried
+//     there (a request's obs trace) marks it, and an Injector carried
+//     there (a faultinject chaos schedule) may fail it. A context
+//     carrying neither costs a point two lookups and no allocation;
+//     the package holds no process-wide hook.
+//
 // Budget errors satisfy errors.Is(err, ErrBudgetExceeded); the caller
 // (package core) reacts by descending a sound degradation ladder. A
 // cancelled context is deliberately NOT a budget error: cancellation
@@ -35,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,8 +50,8 @@ import (
 // limit violation (deadline, k, chains, nodes).
 var ErrBudgetExceeded = errors.New("analysis budget exceeded")
 
-// Chaos sentinels. A fault hook can only return an error or panic —
-// it cannot reach into engine state — so the corrupt-artifact and
+// Chaos sentinels. An Injector can only return an error or panic — it
+// cannot reach into engine state — so the corrupt-artifact and
 // flip-verdict fault kinds (package faultinject) signal their effect
 // with these sentinels, which core interprets at the matching fault
 // points ("core.artifact", "core.verdict") and converts into the
@@ -313,88 +320,83 @@ func (b *Budget) CheckK(k int) error {
 	return &LimitError{Resource: "k", Limit: b.lim.MaxK}
 }
 
-// Fault and trace hooks. The analysis engines mark their phase
-// boundaries — chain inference, CDAG construction, conflict check,
-// parsing — by calling Point or Phase (inside budgeted code) or
-// FirePoint (outside it). In production with both hooks absent a
-// point costs two nil atomic loads; the faultinject package installs
-// the fault hook during chaos testing to deterministically turn named
-// points into injected budget exhaustion, errors, or panics, and the
-// obs package installs the trace hook (once, on first trace) to turn
-// the same points into per-request phase marks.
+// Tracer observes the points fired under a context. It is called at
+// each point before the Injector, so a trace records the phase even
+// when a fault then kills it. nodes and chains snapshot the firing
+// budget's consumption (zero at points outside budgeted code). Mark
+// must not panic and must be cheap: it runs on the analysis hot path.
+type Tracer interface {
+	Mark(point string, nodes, chains int)
+}
 
-// FaultHook inspects a named point under the given context and
-// returns a non-nil error to make the point fail.
-type FaultHook func(ctx context.Context, point string) error
+// Injector decides the fate of the points fired under a context: a
+// non-nil error makes the point fail, and a panic propagates to the
+// caller's Recover boundary.
+type Injector interface {
+	Inject(ctx context.Context, point string) error
+}
 
-// TraceHook observes a named point under the given context — the
-// observability twin of FaultHook, fired at the same boundaries just
-// before the fault hook so a trace records the phase even when a
-// fault then kills it. nodes and chains snapshot the firing budget's
-// consumption (zero at points outside budgeted code). The hook must
-// not panic and must be cheap: it runs on the analysis hot path.
-type TraceHook func(ctx context.Context, point string, nodes, chains int)
-
-var (
-	faultHook atomic.Pointer[FaultHook]
-	traceHook atomic.Pointer[TraceHook]
+type (
+	tracerKey   struct{}
+	injectorKey struct{}
 )
 
-// SetTraceHook installs (or, with nil, removes) the process-wide
-// trace hook. Package obs installs it once, lazily, when the first
-// trace is created; until then — and forever on processes that never
-// trace — every point pays exactly one nil atomic load for it.
-func SetTraceHook(h TraceHook) {
-	if h == nil {
-		traceHook.Store(nil)
-		return
-	}
-	traceHook.Store(&h)
+// WithTracer returns ctx carrying t, which every point fired under the
+// returned context marks.
+func WithTracer(ctx context.Context, t Tracer) context.Context {
+	return context.WithValue(ctx, tracerKey{}, t)
 }
 
-// SetFaultHook installs (or, with nil, removes) the process-wide
-// fault hook. Only test harnesses should call this.
-func SetFaultHook(h FaultHook) {
-	if h == nil {
-		faultHook.Store(nil)
-		return
-	}
-	faultHook.Store(&h)
-}
-
-// FirePoint consults the fault hook for a named point; it returns nil
-// when no hook is installed or the hook lets the point pass. For a
-// hook-injected panic the panic propagates (callers sit behind a
-// Recover boundary or isolate it themselves).
-func FirePoint(ctx context.Context, point string) error {
-	if th := traceHook.Load(); th != nil {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		(*th)(ctx, point, 0, 0)
-	}
-	h := faultHook.Load()
-	if h == nil {
+// TracerOf returns the Tracer ctx carries, or nil; a nil ctx carries
+// none.
+func TracerOf(ctx context.Context) Tracer {
+	if ctx == nil {
 		return nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return (*h)(ctx, point)
+	t, _ := ctx.Value(tracerKey{}).(Tracer)
+	return t
 }
 
-// Point marks a phase boundary inside budgeted engine code: a
-// hook-injected error aborts the analysis exactly like a budget
-// overrun (translated back by Recover at the engine boundary).
+// WithInjector returns ctx carrying in, which every point fired under
+// the returned context consults.
+func WithInjector(ctx context.Context, in Injector) context.Context {
+	return context.WithValue(ctx, injectorKey{}, in)
+}
+
+// InjectorOf returns the Injector ctx carries, or nil; a nil ctx
+// carries none.
+func InjectorOf(ctx context.Context) Injector {
+	if ctx == nil {
+		return nil
+	}
+	in, _ := ctx.Value(injectorKey{}).(Injector)
+	return in
+}
+
+// FirePoint marks a named point in ctx's Tracer and consults ctx's
+// Injector; it returns nil when ctx carries no Injector or the
+// Injector lets the point pass. An injected panic propagates (callers
+// sit behind a Recover boundary or isolate it themselves).
+func FirePoint(ctx context.Context, point string) error {
+	return fire(ctx, point, 0, 0)
+}
+
+// fire is FirePoint with the firing budget's consumption.
+func fire(ctx context.Context, point string, nodes, chains int) error {
+	if t := TracerOf(ctx); t != nil {
+		t.Mark(point, nodes, chains)
+	}
+	if in := InjectorOf(ctx); in != nil {
+		return in.Inject(ctx, point)
+	}
+	return nil
+}
+
+// Point marks a phase boundary inside budgeted engine code: an
+// injected error aborts the analysis exactly like a budget overrun
+// (translated back by Recover at the engine boundary).
 func (b *Budget) Point(name string) {
-	if th := traceHook.Load(); th != nil {
-		(*th)(b.Context(), name, b.Nodes(), b.Chains())
-	}
-	h := faultHook.Load()
-	if h == nil {
-		return
-	}
-	if err := (*h)(b.Context(), name); err != nil {
+	if err := fire(b.Context(), name, b.Nodes(), b.Chains()); err != nil {
 		Abort(err)
 	}
 }

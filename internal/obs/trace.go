@@ -71,11 +71,10 @@ const maxPooledRecs = 64
 var tracePool = sync.Pool{New: func() any { return &Trace{recs: make([]rec, 0, maxPooledRecs/2)} }}
 
 // NewTrace starts a trace on the given clock (required: the serving
-// layer injects its clock so tests freeze it). Creating the first
-// trace in the process installs the guard trace hook, turning the
-// existing fault-point boundaries into phase marks.
+// layer injects its clock so tests freeze it). Only a context that
+// carries the trace (NewContext) turns the guard phase points into its
+// marks; no other request sees it.
 func NewTrace(now func() time.Time) *Trace {
-	arm()
 	t := tracePool.Get().(*Trace)
 	t.now, t.t0 = now, now()
 	return t
@@ -173,8 +172,9 @@ func (s SpanHandle) Annotate(detail string) {
 }
 
 // Mark records an instant phase point under the innermost open span —
-// the guard trace hook calls it at every fault-point boundary. Nodes
-// and chains snapshot the budget's consumption (zero outside budgeted
+// every guard phase point fired under a context carrying the trace
+// calls it, the trace being that context's guard.Tracer. Nodes and
+// chains snapshot the budget's consumption (zero outside budgeted
 // code). Finish extends each mark to the next sibling or the parent's
 // end, so marks become the phase breakdown of their parent span.
 func (t *Trace) Mark(point string, nodes, chains int) {

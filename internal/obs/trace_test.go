@@ -164,9 +164,9 @@ func TestLargeTraceIsNotPooled(t *testing.T) {
 	}
 }
 
-// Creating a trace arms the guard hook: fault points fired under a
-// trace-carrying context become marks, and contexts without a trace
-// stay allocation-free through the armed hook.
+// A trace attached with NewContext is its context's guard.Tracer:
+// fault points fired under that context become marks, and points fired
+// under a context without a trace allocate nothing.
 func TestGuardHookMarks(t *testing.T) {
 	tr := NewTrace(tick(10 * time.Microsecond))
 	ctx := NewContext(context.Background(), tr)

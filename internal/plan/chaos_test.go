@@ -77,7 +77,6 @@ func planChaosCorpus(t *testing.T) []planChaosPair {
 }
 
 func TestChaosPlanCacheContainment(t *testing.T) {
-	faultinject.Enable()
 	const runs = 50
 	seed := int64(chaosEnvInt("CHAOS_SEED", 7))
 	pairs := planChaosCorpus(t)
@@ -181,7 +180,6 @@ func TestChaosPlanScheduleDeterminism(t *testing.T) {
 // counters and resident exactly as they were, and after the faults the
 // cache serves every pair of the corpus its ground-truth verdict.
 func TestChaosCorruptSchemaLeavesNoUpdateSide(t *testing.T) {
-	faultinject.Enable()
 	seed := int64(chaosEnvInt("CHAOS_SEED", 7))
 	pairs := planChaosCorpus(t)
 	corrupted := 0

@@ -76,7 +76,6 @@ func chaosCorpus(t *testing.T) []chaosPair {
 }
 
 func TestChaosAuditContainment(t *testing.T) {
-	faultinject.Enable()
 	runs := chaosEnvInt("CHAOS_RUNS", 200)
 	seed := int64(chaosEnvInt("CHAOS_SEED", 1))
 	if testing.Short() {
@@ -179,7 +178,6 @@ func TestChaosAuditContainment(t *testing.T) {
 // one-shot flip schedule: trip, half-open retrials, recovery, full
 // service — mirroring the PR 2 breaker proof at the audit layer.
 func TestChaosRecoveryAfterQuarantine(t *testing.T) {
-	faultinject.Enable()
 	pairs := chaosCorpus(t)
 	seed := int64(chaosEnvInt("CHAOS_SEED", 1))
 	for run := 0; run < 20; run++ {

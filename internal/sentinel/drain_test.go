@@ -24,8 +24,6 @@ import (
 // engine blocks at "cdag.build" until that context dies, which is
 // exactly an audit that will never finish on its own.
 func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
-	faultinject.Enable()
-
 	mem := statefile.NewMemFS()
 	store, _, err := statefile.Open(mem, "state")
 	if err != nil {
@@ -144,7 +142,6 @@ func TestShutdownHardCancelsWedgedAuditWithoutLosingState(t *testing.T) {
 // q20 × UI1 audits behind it; when each replayed the oracle, Shutdown
 // returned after about 2 s.
 func TestShutdownSkipsQueuedAuditsAfterHardCancel(t *testing.T) {
-	faultinject.Enable()
 	wedged := make(chan struct{})
 	sched := faultinject.NewSchedule(faultinject.Fault{Point: "cdag.build", Kind: faultinject.KindStall})
 	sched.OnFire = func(faultinject.Fault) { close(wedged) }

@@ -61,7 +61,6 @@ func TestAuditAgreesOnSoundVerdict(t *testing.T) {
 }
 
 func TestAuditCatchesFlippedVerdict(t *testing.T) {
-	faultinject.Enable()
 	reg := quarantine.NewRegistry(1)
 	var spooled bytes.Buffer
 	a := New(Config{SampleRate: 1, Quarantine: reg, Seed: 2, Spool: &spooled})
@@ -122,7 +121,6 @@ func TestAuditCatchesFlippedVerdict(t *testing.T) {
 // registry quarantines into one of its own, so an analysis handed no
 // registry is never downgraded by it.
 func TestAuditorWithoutRegistryQuarantinesPrivately(t *testing.T) {
-	faultinject.Enable()
 	a := New(Config{SampleRate: 1, Seed: 7})
 	defer a.Close()
 
@@ -139,7 +137,6 @@ func TestAuditorWithoutRegistryQuarantinesPrivately(t *testing.T) {
 }
 
 func TestProbeRecoveryLiftsQuarantine(t *testing.T) {
-	faultinject.Enable()
 	reg := quarantine.NewRegistry(1)
 	now := time.Unix(0, 0)
 	reg.SetNow(func() time.Time { return now })
@@ -186,7 +183,6 @@ func TestProbeRecoveryLiftsQuarantine(t *testing.T) {
 }
 
 func TestDirtyProbeReTrips(t *testing.T) {
-	faultinject.Enable()
 	reg := quarantine.NewRegistry(1)
 	now := time.Unix(0, 0)
 	reg.SetNow(func() time.Time { return now })
@@ -259,7 +255,6 @@ func TestObserveAfterCloseIsNoop(t *testing.T) {
 // audit, the queue takes 256 more audits and Observe drops every one
 // beyond them, without blocking.
 func TestQueueOverflowDropsNotBlocks(t *testing.T) {
-	faultinject.Enable()
 	wedged := make(chan struct{})
 	sched := faultinject.NewSchedule(faultinject.Fault{Point: "cdag.build", Kind: faultinject.KindStall})
 	sched.OnFire = func(faultinject.Fault) { close(wedged) }

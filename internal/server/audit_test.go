@@ -60,7 +60,6 @@ func auditServer(t *testing.T) (*Server, *sentinel.Auditor, *quarantine.Registry
 }
 
 func TestPoolFeedsAuditorAndQuarantines(t *testing.T) {
-	faultinject.Enable()
 	s, aud, reg := auditServer(t)
 
 	task := mustTask(t, bibSchema, "//title", "delete //title") // dependent
@@ -95,7 +94,6 @@ func TestPoolFeedsAuditorAndQuarantines(t *testing.T) {
 // separation: containment downgrades are breaker-neutral, so a
 // quarantined schema does not also rack up breaker trips.
 func TestQuarantineDowngradesDontTripBreaker(t *testing.T) {
-	faultinject.Enable()
 	reg := quarantine.NewRegistry(1)
 	aud := sentinel.New(sentinel.Config{SampleRate: 1, Quarantine: reg, Seed: 2})
 	s := New(Config{Workers: 1, Auditor: aud, Quarantine: reg, Breaker: BreakerConfig{Threshold: 2}})
@@ -127,7 +125,6 @@ func TestQuarantineDowngradesDontTripBreaker(t *testing.T) {
 }
 
 func TestIncidentzEndpoint(t *testing.T) {
-	faultinject.Enable()
 	s, aud, _ := auditServer(t)
 	h := NewHandler(s)
 

@@ -127,7 +127,6 @@ func envInt(name string, def int) int {
 }
 
 func TestChaosRandomFaultSchedules(t *testing.T) {
-	faultinject.Enable()
 	seed := int64(envInt("CHAOS_SEED", 20260806))
 	runs := envInt("CHAOS_RUNS", 200)
 	if testing.Short() {
@@ -289,7 +288,6 @@ func chaosRun(t *testing.T, rng *rand.Rand, corpus []chaosPair, run int) (uint64
 // schema must open its breaker (serving conservative verdicts
 // immediately), and a clean probe after the backoff must close it.
 func TestChaosBreakerStorm(t *testing.T) {
-	faultinject.Enable()
 	// A private plan cache: the storm's faults fire inside cold plan
 	// builds, so a warm hit from another test would defuse them.
 	s := New(Config{Workers: 2, Breaker: BreakerConfig{Threshold: 2, Backoff: 50 * time.Millisecond}, Plans: plan.NewCache(64)})

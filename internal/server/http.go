@@ -251,6 +251,7 @@ const maxPooled = 64 << 10
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	start := h.now()
 	data, buf, err := readBody(w, r)
 	// The buffer goes back to the pool once the response is written.
 	// Nothing the request leaves behind aliases it: the schema and
@@ -263,12 +264,21 @@ func (h *Handler) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		err = decodeRequest(data, &req)
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, AnalyzeResponse{Error: "bad request: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, h.badRequest(start, "bad request: "+err.Error()))
 		return
 	}
 	resp, code := h.analyze(r.Context(), &req)
 	setRetryAfter(w, resp.RetryAfterSec)
 	writeJSON(w, code, resp)
+}
+
+// badRequest answers a body or batch line that does not decode, read
+// since start: a 400, recorded in the request metrics as analyze
+// records every other answer.
+func (h *Handler) badRequest(start time.Time, msg string) AnalyzeResponse {
+	resp := AnalyzeResponse{Error: msg}
+	h.metrics.record(resp, http.StatusBadRequest, h.now().Sub(start))
+	return resp
 }
 
 // readBody reads an /analyze body whole, at most maxBody bytes. A body
@@ -572,8 +582,9 @@ func RunBatch(ctx context.Context, h *Handler, r io.Reader, w io.Writer, default
 			resp AnalyzeResponse
 			req  wireRequest
 		)
+		start := h.now()
 		if err := decodeRequest(line, &req); err != nil {
-			resp = AnalyzeResponse{Error: "bad request line: " + err.Error()}
+			resp = h.badRequest(start, "bad request line: "+err.Error())
 		} else {
 			if req.Schema.empty() {
 				req.Schema = dflt

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"xqindep/internal/core"
 	"xqindep/internal/dtd"
 	"xqindep/internal/lru"
 	"xqindep/internal/obs"
@@ -76,15 +77,10 @@ const (
 	outcomeLabelInternal    = "internal"
 )
 
-// rungLabels are the MetricRungLatency label values, one per ladder
-// rung; registering every series up front keeps /metricz output stable
-// from the first scrape.
-var rungLabels = []string{"chains", "chains-exact", "types", "paths", "conservative"}
-
 // handlerMetrics holds the handler's pre-registered instruments. The
 // per-request hot path only touches them through map lookups on
 // constant keys and atomic adds — no allocation, safe for concurrent
-// requests (pinned by TestRecordAllocs).
+// requests (pinned by TestRecordAllocFreeAndConcurrent).
 type handlerMetrics struct {
 	reg      *obs.Registry
 	latency  *obs.Histogram
@@ -105,15 +101,18 @@ func newHandlerMetrics(reg *obs.Registry, s *Server) *handlerMetrics {
 		latency: reg.Histogram(MetricRequestLatency,
 			"End-to-end analyze latency in seconds (parse, queue, verdict).",
 			obs.DefLatencyBuckets),
-		rungs:    make(map[string]*obs.Histogram, len(rungLabels)),
+		rungs:    make(map[string]*obs.Histogram),
 		outcomes: make(map[string]*obs.Counter, 6),
 		verdicts: make(map[string]*obs.Counter, 2),
 		plans:    make(map[string]*obs.Counter, 2),
 	}
-	for _, r := range rungLabels {
-		m.rungs[r] = reg.Histogram(MetricRungLatency,
+	// One MetricRungLatency series per ladder rung, labelled with its
+	// method's name and registered up front, so /metricz output is
+	// stable from the first scrape.
+	for r := core.MethodChains; r <= core.MethodConservative; r++ {
+		m.rungs[r.String()] = reg.Histogram(MetricRungLatency,
 			"Analyze latency in seconds by the ladder rung that produced the verdict.",
-			obs.DefLatencyBuckets, "rung", r)
+			obs.DefLatencyBuckets, "rung", r.String())
 	}
 	for _, o := range []string{
 		outcomeLabelOK, outcomeLabelDegraded, outcomeLabelBadRequest,

@@ -14,6 +14,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"xqindep/internal/core"
 	"xqindep/internal/obs"
 	"xqindep/internal/plan"
 )
@@ -114,6 +115,16 @@ func TestMetriczFrozenClock(t *testing.T) {
 			t.Errorf("/metricz missing series %s", series)
 		}
 	}
+	// Every ladder rung has its latency series from the first scrape:
+	// each method ParseMethod knows, numbered up from 0.
+	for m := core.Method(0); ; m++ {
+		if _, err := core.ParseMethod(m.String()); err != nil {
+			break
+		}
+		if series := fmt.Sprintf("%s_count{rung=%q} ", MetricRungLatency, m); !strings.Contains(out, series) {
+			t.Errorf("/metricz missing series %s", series)
+		}
+	}
 
 	// /statz carries the same histograms as quantile digests.
 	rw = httptest.NewRecorder()
@@ -130,6 +141,35 @@ func TestMetriczFrozenClock(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("/statz metrics digest missing %s count 2: %+v", MetricRequestLatency, p.Metrics)
+	}
+}
+
+// A body or batch line that does not decode is a bad request counted
+// like every other answer: in the outcome counter and the latency
+// histogram.
+func TestUndecodableRequestsAreCounted(t *testing.T) {
+	h := obsHandler(t, 0)
+	rw := httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("POST", "/analyze", strings.NewReader(`{"schema": 5`)))
+	if rw.Code != 400 {
+		t.Fatalf("POST /analyze of a malformed body = %d, want 400", rw.Code)
+	}
+	var out bytes.Buffer
+	if err := RunBatch(context.Background(), h, strings.NewReader("{\"query\": \n"), &out, obsSchema); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "bad request line") {
+		t.Fatalf("batch answered %q to a bad line", out.String())
+	}
+	rw = httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("GET", "/metricz", nil))
+	for _, line := range []string{
+		MetricRequests + `{outcome="bad_request"} 2`,
+		MetricRequestLatency + "_count 2",
+	} {
+		if !strings.Contains(rw.Body.String(), line+"\n") {
+			t.Errorf("/metricz missing exact line %q", line)
+		}
 	}
 }
 

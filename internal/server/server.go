@@ -60,7 +60,6 @@ import (
 	"time"
 
 	"xqindep/internal/core"
-	"xqindep/internal/faultinject"
 	"xqindep/internal/guard"
 	"xqindep/internal/obs"
 	"xqindep/internal/plan"
@@ -345,11 +344,10 @@ func (s *Server) Do(ctx context.Context, t Task) (core.Result, error) {
 		s.inflight.Done()
 	}()
 	// A chains request whose plan is resident is answered here, without
-	// a run slot. A request that injects faults runs the ladder, where
-	// the fault points are.
+	// a run slot; Resident declines a request that injects faults.
 	opts := s.options(t)
 	err = ctx.Err()
-	if err == nil && t.Method == core.MethodChains && faultinject.FromContext(ctx) == nil {
+	if err == nil && t.Method == core.MethodChains {
 		res, hit, herr := s.settle(ctx, t, fp, probe, func() (core.Result, bool, error) {
 			res, ok := t.Analyzer.Resident(ctx, t.Query, t.Update, opts)
 			return res, ok, nil
@@ -520,8 +518,8 @@ func (s *Server) settle(ctx context.Context, t Task, fp string, probe bool, anal
 	if s.cfg.Auditor != nil && err == nil {
 		obs.FromContext(ctx).Mark("audit.observe", 0, 0)
 		var sched string
-		if sc := faultinject.FromContext(ctx); sc != nil {
-			sched = sc.String()
+		if in, ok := guard.InjectorOf(ctx).(fmt.Stringer); ok {
+			sched = in.String()
 		}
 		s.cfg.Auditor.Observe(sentinel.Observation{
 			D:             t.Analyzer.D,

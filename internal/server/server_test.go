@@ -68,7 +68,6 @@ func TestDoBasic(t *testing.T) {
 // the context cancel that releases it.
 func stalledTask(t *testing.T, schema string) (Task, context.Context, context.CancelFunc, <-chan struct{}) {
 	t.Helper()
-	faultinject.Enable()
 	stalled := make(chan struct{})
 	sched := faultinject.NewSchedule(faultinject.Fault{Point: "core.analyze", Kind: faultinject.KindStall})
 	sched.OnFire = func(faultinject.Fault) { close(stalled) }
@@ -280,7 +279,6 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 }
 
 func TestPanicIsolation(t *testing.T) {
-	faultinject.Enable()
 	// A private plan cache: the injected fault fires during a cold plan
 	// build, so a warm hit from another test would mask it.
 	s := New(Config{Workers: 1, Plans: plan.NewCache(64)})
@@ -311,7 +309,6 @@ func TestPanicIsolation(t *testing.T) {
 // either degrades the verdict to a weaker rung, and a panic at either
 // fails only its own request.
 func TestInferenceMarksAreFaultPoints(t *testing.T) {
-	faultinject.Enable()
 	for _, point := range []string{"cdag.infer_query", "cdag.infer_update"} {
 		t.Run(point+"/budget", func(t *testing.T) {
 			s := New(Config{Workers: 1, Plans: plan.NewCache(64)})
@@ -384,7 +381,6 @@ func TestBudgetSubdivisionClamps(t *testing.T) {
 // fault at the CDAG build, forcing a degraded verdict.
 func blowupCtx(t *testing.T) context.Context {
 	t.Helper()
-	faultinject.Enable()
 	sched := faultinject.NewSchedule(faultinject.Fault{Point: "cdag.build", Kind: faultinject.KindBudget})
 	return faultinject.With(context.Background(), sched)
 }

@@ -16,7 +16,6 @@ import (
 // after which the pool downgrades the schema's verdicts and reports
 // the incident.
 func TestPoolAuditLifecycle(t *testing.T) {
-	faultinject.Enable()
 	var spool bytes.Buffer
 	p := NewPool(PoolOptions{
 		Workers:    2,

@@ -18,7 +18,6 @@ import (
 // any new audit evidence exists — even with auditing disabled in the
 // second life.
 func TestPoolStateSurvivesRestart(t *testing.T) {
-	faultinject.Enable()
 	dir := t.TempDir()
 	schema := MustParseSchema(bibSchema)
 	q := MustParseQuery("//title")

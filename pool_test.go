@@ -38,7 +38,6 @@ func TestNegativePlanCacheSizeKeepsOnePlan(t *testing.T) {
 // DrainTimeout. With an analysis wedged in the pool, Serve returns soon
 // after its context is cancelled, having hard-cancelled the analysis.
 func TestServeDrainsUnderPoolDrainTimeout(t *testing.T) {
-	faultinject.Enable()
 	p := NewPool(PoolOptions{Workers: 1, RequestTimeout: time.Hour, DrainTimeout: 100 * time.Millisecond})
 	schema := MustParseSchema(bibSchema)
 	q, u := MustParseQuery("//title"), MustParseUpdate("delete //price")

@@ -56,6 +56,20 @@ fi
 echo "== go build"
 go build ./...
 
+echo "== faultinject import grep (no non-test package imports the chaos package)"
+# A fault schedule rides its request's context as a guard.Injector, so
+# no program package needs internal/faultinject: only tests attach
+# schedules. A non-test import would put the chaos package back in the
+# serving path.
+fault_importers="$(go list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./... \
+  | awk '$1 != "xqindep/internal/faultinject" {
+      for (i = 2; i <= NF; i++) if ($i == "xqindep/internal/faultinject") print $1 }')"
+if [ -n "${fault_importers}" ]; then
+  echo "faultinject imports: these non-test packages import xqindep/internal/faultinject:" >&2
+  echo "${fault_importers}" >&2
+  exit 1
+fi
+
 echo "== go test -race -shuffle=on"
 # Shuffled, so a test that leans on state an earlier one left behind
 # fails; the seed is printed, and -shuffle=SEED replays the order.
@@ -172,8 +186,11 @@ echo "== shared prepared sides and warm hits (-race -count=10)"
 # concurrent requests read the same sides: rerun the check that shares
 # them across goroutines under the race detector. A resident plan is
 # answered outside the run slots, so rerun too the check in which warm
-# hits race purges of the plan cache and the schema's quarantine.
+# hits race purges of the plan cache and the schema's quarantine. A
+# fault schedule reaches only the request that carries it, so rerun
+# the check that analyzes scheduled and bare requests side by side.
 go test ./internal/server -race -count=10 -run '^(TestConcurrentRequestsShareSides|TestWarmHitsRacePurgeAndQuarantine)$'
+go test ./internal/core -race -count=10 -run '^TestFaultScheduleIsRequestScoped$'
 
 echo "== recycled sweep slabs and traces (-race -count=10)"
 # A pooled sweep slab or trace must never be reachable from two
@@ -355,6 +372,42 @@ for cmd in xqindepd xqindep; do
   done
   echo "$(wc -w <<<"${flag_names}") ${cmd} flags all documented"
 done
+
+echo "== docs-to-tests grep (every test, fuzz target and benchmark the docs cite exists)"
+# Every Test*, Fuzz* or Benchmark* name cited in a non-test Go comment,
+# DESIGN.md, README.md or the verify skill must name something a
+# _test.go defines, so a renamed or deleted test cannot stay cited. A
+# prefix of a defined name passes (docs cite -run prefixes such as
+# TestWarmAnalyze), and so does a declared identifier such as the type
+# xquery.TestKind.
+name_re='(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*'
+defined_tests="$(grep -rhoE --include='*_test.go' --exclude-dir=.git "^func ${name_re}" . \
+  | sed 's/^func //' | sort -u)"
+declared_names="$(grep -rhoE --include='*.go' --exclude-dir=.git \
+  "^(type|func|var|const)[[:space:]]+(\([^)]*\)[[:space:]]*)?${name_re}" . \
+  | grep -oE "${name_re}\$" | sort -u)"
+cited_tests="$( {
+  grep -rhE --include='*.go' --exclude='*_test.go' --exclude-dir=testdata --exclude-dir=.git '//' . \
+    | sed 's|^[^/]*//||' | grep -oE "\b${name_re}" || true
+  cat DESIGN.md README.md .claude/skills/verify/SKILL.md | grep -oE "\b${name_re}" || true
+} | sort -u)"
+if [ -z "${defined_tests}" ] || [ -z "${cited_tests}" ]; then
+  echo "tests grep: found no defined or no cited tests; pattern stale?" >&2
+  exit 1
+fi
+stale=0
+for name in ${cited_tests}; do
+  if grep -qxF -- "${name}" <<<"${declared_names}" \
+    || awk -v p="${name}" 'index($0, p) == 1 { found = 1 } END { exit !found }' <<<"${defined_tests}"; then
+    continue
+  fi
+  echo "tests grep: ${name} is cited, but no _test.go defines it or a test it is a prefix of" >&2
+  stale=1
+done
+if [ "${stale}" -ne 0 ]; then
+  exit 1
+fi
+echo "$(wc -w <<<"${cited_tests}") cited test names all defined"
 
 # table_rows HEADER prints the sorted first cells (`name`) of the rows
 # of the DESIGN.md §14 table whose header row starts with "| HEADER |".
